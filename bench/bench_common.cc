@@ -208,6 +208,8 @@ benchTxPerCore()
 unsigned
 benchJobs(int argc, char **argv)
 {
+    // Scan every argument: flags may come in any order.
+    unsigned jobs = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--profile") == 0) {
             HostProfiler::enable();
@@ -219,10 +221,10 @@ benchJobs(int argc, char **argv)
         if (*num == '\0' && i + 1 < argc)
             num = argv[++i];
         const long v = std::strtol(num, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
+        if (v >= 1 && jobs == 0)
+            jobs = static_cast<unsigned>(v);
     }
-    return 0;
+    return jobs;
 }
 
 CellRunner::CellRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}

@@ -27,30 +27,6 @@ using namespace hoopnvm::bench;
 namespace
 {
 
-/** Map a user token ("hoop", "redo", ...) to a Scheme. */
-bool
-parseScheme(const std::string &tok, Scheme *out)
-{
-    struct Entry
-    {
-        const char *token;
-        Scheme scheme;
-    };
-    static const Entry kTable[] = {
-        {"hoop", Scheme::Hoop},   {"redo", Scheme::OptRedo},
-        {"undo", Scheme::OptUndo}, {"osp", Scheme::Osp},
-        {"lsm", Scheme::Lsm},     {"lad", Scheme::Lad},
-        {"ideal", Scheme::Native},
-    };
-    for (const Entry &e : kTable) {
-        if (tok == e.token) {
-            *out = e.scheme;
-            return true;
-        }
-    }
-    return false;
-}
-
 /** Schemes from a `--schemes=a,b,c` flag, or the full figure set. */
 std::vector<Scheme>
 schemesFromArgs(int argc, char **argv)
@@ -63,8 +39,9 @@ schemesFromArgs(int argc, char **argv)
         std::string tok;
         for (const char *p = arg + 10;; ++p) {
             if (*p == ',' || *p == '\0') {
-                Scheme s;
-                if (!tok.empty() && parseScheme(tok, &s))
+                // Scheme tokens, plus "ideal" as the figures name Native.
+                Scheme s = Scheme::Native;
+                if (tok == "ideal" || schemeFromToken(tok, &s))
                     out.push_back(s);
                 else if (!tok.empty())
                     HOOP_FATAL("unknown scheme token '%s'",

@@ -1,9 +1,6 @@
 #include "analysis/order_harness.hh"
 
-#include <memory>
-
-#include "sim/system.hh"
-#include "workloads/registry.hh"
+#include "check/rig.hh"
 
 namespace hoopnvm
 {
@@ -39,49 +36,26 @@ runOrderCheck(const OrderCheckOptions &opt)
     cfg.debugEarlyCommitAck = opt.earlyCommitAck;
     cfg.debugSkipSettleFences = opt.skipSettleFences;
     cfg.debugSkipUndoLog = opt.skipUndoLog;
-
-    System sys(cfg, opt.scheme);
-    if (opt.tornWrites) {
-        sys.nvm().faults().setSeed(opt.seed ^ 0x7ea55eedULL);
-        sys.nvm().faults().setTornWrites(true);
-    }
-
-    WorkloadParams params;
-    params.valueBytes = 64;
-    params.scale = 128;
-    auto factory = makeWorkload(opt.workload, params);
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
+    CheckRig rig(cfg, opt.scheme, opt.workload, opt.tornWrites, "");
+    System &sys = rig.sys();
 
     // Warmup runs untracked: rules judge the steady state, and setup /
     // cold-cache traffic would only add noise to the counters.
-    std::uint64_t txi = 0;
-    for (; txi < opt.warmupTx; ++txi) {
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            wls[c]->runTransaction(txi);
-        sys.maintenance();
-    }
+    rig.runRounds(0, opt.warmupTx);
 
     OrderingTracker tracker;
     sys.armOrdering(&tracker);
 
     OrderCheckReport rep;
-    for (std::uint64_t n = 0; n < opt.runTx; ++n, ++txi) {
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            wls[c]->runTransaction(txi);
-        sys.maintenance();
-        rep.transactions += cfg.numCores;
-    }
+    rig.runRounds(opt.warmupTx, opt.runTx);
+    rep.transactions = opt.runTx * cfg.numCores;
     // The final drain pushes every background mechanism to completion
     // (GC, checkpoints, truncation), so drain-side rules must fire at
     // least once in any non-trivial run.
     sys.finalize();
 
     rep.verified = true;
-    for (auto &wl : wls)
+    for (auto &wl : rig.workloads())
         rep.verified = rep.verified && wl->verify();
 
     rep.rules = tracker.ruleReports();

@@ -1,5 +1,6 @@
 #include "analysis/ordering_tracker.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/logging.hh"
@@ -35,6 +36,25 @@ orderingRuleKindName(OrderingRuleKind k)
         return "issued-before-trigger";
     }
     return "?";
+}
+
+void
+mergeRuleReports(std::vector<OrderingRuleReport> *into,
+                 const std::vector<OrderingRuleReport> &from)
+{
+    for (const OrderingRuleReport &rr : from) {
+        auto it = std::find_if(into->begin(), into->end(),
+                               [&rr](const OrderingRuleReport &have) {
+                                   return have.name == rr.name;
+                               });
+        if (it == into->end()) {
+            into->push_back(rr);
+        } else {
+            it->fires += rr.fires;
+            it->depsChecked += rr.depsChecked;
+            it->violations += rr.violations;
+        }
+    }
 }
 
 void

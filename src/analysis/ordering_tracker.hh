@@ -90,6 +90,14 @@ struct OrderingRuleReport
     std::uint64_t violations = 0;
 };
 
+/**
+ * Sum the per-rule outcomes of @p from into @p into, matching rules by
+ * name; a rule @p into lacks is appended. Sweeps merge this way so a
+ * rule that never fires anywhere shows up as dead.
+ */
+void mergeRuleReports(std::vector<OrderingRuleReport> *into,
+                      const std::vector<OrderingRuleReport> &from);
+
 /** Whole-run counters ("persisted twice" / drain-overhead analysis). */
 struct OrderingCounters
 {

@@ -1,13 +1,12 @@
 #include "check/crash_explorer.hh"
 
 #include <algorithm>
-#include <memory>
+#include <utility>
 
 #include "analysis/order_harness.hh"
-#include "check/soak.hh" // installRuntimeFaults
+#include "check/rig.hh"
+#include "check/spec.hh"
 #include "common/errors.hh"
-#include "sim/system.hh"
-#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
@@ -15,37 +14,45 @@ namespace hoopnvm
 namespace
 {
 
-/**
- * Small, eviction-heavy machine (mirrors the crash property tests):
- * tiny caches widen the crash surface and a short GC period guarantees
- * GC-boundary events inside a short window.
- */
-SystemConfig
-configFor(const CrashSchedule &sched)
-{
-    SystemConfig cfg = smallCheckConfig(sched.numCores, sched.seed);
-    cfg.debugNoCommitFence = sched.breakCommitFence;
-    cfg.ft.enabled = sched.runtimeFaultProb > 0;
-    // Check windows span tens of transactions, far less simulated time
-    // than the default scrub cadence; scrub on the GC period so
-    // scrub-driven retirement is reachable inside a schedule.
-    cfg.ft.scrubPeriod = cfg.gcPeriod;
-    return cfg;
-}
-
-WorkloadParams
-paramsFor()
-{
-    WorkloadParams p;
-    p.valueBytes = 64;
-    p.scale = 128;
-    return p;
-}
-
 unsigned
 kindIndex(CrashPointKind k)
 {
     return static_cast<unsigned>(k);
+}
+
+/** Shrink candidates of @p s, in the order shrink() tries them. */
+std::vector<CrashSchedule>
+shrinkCandidates(const CrashSchedule &s)
+{
+    std::vector<CrashSchedule> out;
+    // Drop whole steps.
+    for (std::size_t i = 0; s.steps.size() > 1 && i < s.steps.size();
+         ++i) {
+        out.push_back(s);
+        out.back().steps.erase(out.back().steps.begin() +
+                               static_cast<long>(i));
+    }
+    // Shrink the warmup prefix, then the crash window.
+    if (s.warmupTx > 0) {
+        out.push_back(s);
+        out.back().warmupTx /= 2;
+    }
+    if (s.runTx > 1) {
+        out.push_back(s);
+        out.back().runTx /= 2;
+    }
+    // Pull crash points earlier.
+    for (std::size_t i = 0; i < s.steps.size(); ++i) {
+        if (s.steps[i].countdown > 1) {
+            out.push_back(s);
+            out.back().steps[i].countdown /= 2;
+        }
+        if (s.steps[i].recoveryCountdown > 1) {
+            out.push_back(s);
+            out.back().steps[i].recoveryCountdown /= 2;
+        }
+    }
+    return out;
 }
 
 } // namespace
@@ -54,33 +61,30 @@ ScheduleResult
 runSchedule(const CrashSchedule &sched)
 {
     ScheduleResult res;
-    const SystemConfig cfg = configFor(sched);
-    System sys(cfg, sched.scheme);
-    if (sched.tornWrites || sched.runtimeFaultProb > 0)
-        sys.nvm().faults().setSeed(sched.seed ^ 0x7ea55eedULL);
-    if (sched.tornWrites)
-        sys.nvm().faults().setTornWrites(true);
+    // The small, eviction-heavy machine (mirrors the crash property
+    // tests): tiny caches widen the crash surface and a short GC
+    // period guarantees GC-boundary events inside a short window.
+    SystemConfig cfg = smallCheckConfig(sched.numCores, sched.seed);
+    cfg.debugNoCommitFence = sched.breakCommitFence;
+    cfg.ft.enabled = sched.runtimeFaultProb > 0;
+    // Check windows span tens of transactions, far less simulated time
+    // than the default scrub cadence; scrub on the GC period so
+    // scrub-driven retirement is reachable inside a schedule.
+    cfg.ft.scrubPeriod = cfg.gcPeriod;
+    CheckRig rig(cfg, sched.scheme, sched.workload, sched.tornWrites,
+                 std::string(schemeToken(sched.scheme)) + "/" +
+                     sched.workload);
+    System &sys = rig.sys();
 
-    auto factory = makeWorkload(sched.workload, paramsFor());
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
-
-    std::uint64_t txi = 0;
-    for (; txi < sched.warmupTx; ++txi) {
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            wls[c]->runTransaction(txi);
-        sys.maintenance();
-    }
+    rig.runRounds(0, sched.warmupTx);
+    std::uint64_t txi = sched.warmupTx;
 
     // Faults land after warmup, over capacity that is free *now*: the
     // program-verify contract then guarantees no committed data ever
     // sits on an uncorrectable cell, which is what keeps the oracles
     // strict under this regime.
     if (sched.runtimeFaultProb > 0)
-        installRuntimeFaults(sys, cfg, sched.runtimeFaultProb, 0);
+        rig.installRuntimeFaults(sched.runtimeFaultProb, 0);
 
     sys.crashHook().resetCounts();
 
@@ -98,57 +102,16 @@ runSchedule(const CrashSchedule &sched)
         sys.armOrdering(nullptr);
     };
 
-    // Post-recovery oracle. The crashed transaction's shadow update may
-    // still be pending (the crash hit inside its commit, where both
-    // durable and dropped are legal outcomes): strict verify first,
-    // then retry with the pending update adopted. The legacy
-    // damage-at-rest regime (mediaFaultProb) skips the oracles —
-    // corrupting occupied cells legitimately vetoes committed
-    // transactions, so exact equality is not the contract there. The
-    // runtime regime (runtimeFaultProb) does NOT skip: its faults only
-    // ever land on then-free capacity, so committed data must survive.
-    auto oracle = [&](const char *when) -> bool {
-        if (sched.mediaFaultProb > 0) {
-            for (auto &wl : wls)
-                wl->dropPendingShadow();
-            return true;
-        }
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            bool ok = wls[c]->verify();
-            if (!ok && wls[c]->hasPendingShadow()) {
-                wls[c]->applyPendingShadow();
-                ok = wls[c]->verify();
-            } else {
-                wls[c]->dropPendingShadow();
-            }
-            if (!ok) {
-                res.violated = true;
-                res.detail = std::string(schemeToken(sched.scheme)) +
-                             "/" + sched.workload + " core " +
-                             std::to_string(c) +
-                             ": committed state lost or phantom data "
-                             "surfaced (" + when + ")";
-                return false;
-            }
-            std::string why;
-            if (!wls[c]->verifyStructure(&why)) {
-                res.violated = true;
-                res.detail = std::string(schemeToken(sched.scheme)) +
-                             "/" + sched.workload + " core " +
-                             std::to_string(c) +
-                             ": structural invariant broken (" + when +
-                             "): " + why;
-                return false;
-            }
-        }
-        return true;
+    auto oracle = [&](const char *when) {
+        res.violated = !rig.oracle(when, &res.detail);
+        return !res.violated;
     };
 
     auto runWindow = [&]() {
         for (std::uint64_t n = 0; n < sched.runTx; ++n, ++txi) {
-            for (unsigned c = 0; c < cfg.numCores; ++c) {
+            for (unsigned c = 0; c < rig.numCores(); ++c) {
                 try {
-                    wls[c]->runTransaction(txi);
+                    rig.wl(c).runTransaction(txi);
                 } catch (const TxRejected &) {
                     // Graceful degradation: the rejected transaction
                     // wrote no commit record, so crash + recovery
@@ -156,8 +119,7 @@ runSchedule(const CrashSchedule &sched)
                     // continues on the surviving committed state.
                     sys.crash();
                     sys.recover(sched.recoverThreads);
-                    for (auto &wl : wls)
-                        wl->dropPendingShadow();
+                    rig.dropPendingShadows();
                 }
             }
             sys.maintenance();
@@ -194,11 +156,6 @@ runSchedule(const CrashSchedule &sched)
 
         res.crashFired = true;
         sys.crash();
-        if (sched.mediaFaultProb > 0) {
-            sys.nvm().faults().addMediaFault(
-                cfg.oopBase(), cfg.oopBase() + cfg.oopBytes,
-                MediaFaultKind::StuckAtOne, sched.mediaFaultProb);
-        }
 
         bool rec_crashed = false;
         if (step.recoveryCountdown > 0) {
@@ -238,84 +195,15 @@ CrashSchedule
 shrink(const CrashSchedule &failing, std::string *detail,
        const std::function<void(const CrashSchedule &)> &progress)
 {
-    CrashSchedule best = failing;
-    int budget = 48;
-
-    auto attempt = [&](const CrashSchedule &cand) -> bool {
-        if (budget <= 0)
-            return false;
-        --budget;
+    auto violates = [&progress](const CrashSchedule &cand,
+                                std::string *d) {
         if (progress)
             progress(cand);
         const ScheduleResult r = runSchedule(cand);
-        if (!r.violated)
-            return false;
-        best = cand;
-        if (detail)
-            *detail = r.detail;
-        return true;
+        *d = r.detail;
+        return r.violated;
     };
-
-    bool improved = true;
-    while (improved && budget > 0) {
-        improved = false;
-
-        // Drop whole steps.
-        for (std::size_t i = 0; best.steps.size() > 1 &&
-                                i < best.steps.size();
-             ++i) {
-            CrashSchedule cand = best;
-            cand.steps.erase(cand.steps.begin() +
-                             static_cast<long>(i));
-            if (attempt(cand)) {
-                improved = true;
-                break;
-            }
-        }
-        if (improved)
-            continue;
-
-        // Shrink the warmup prefix.
-        if (best.warmupTx > 0) {
-            CrashSchedule cand = best;
-            cand.warmupTx /= 2;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        // Shrink the crash window.
-        if (best.runTx > 1) {
-            CrashSchedule cand = best;
-            cand.runTx = std::max<std::uint64_t>(1, cand.runTx / 2);
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        // Pull crash points earlier.
-        for (std::size_t i = 0; i < best.steps.size(); ++i) {
-            if (best.steps[i].countdown > 1) {
-                CrashSchedule cand = best;
-                cand.steps[i].countdown /= 2;
-                if (attempt(cand)) {
-                    improved = true;
-                    break;
-                }
-            }
-            if (best.steps[i].recoveryCountdown > 1) {
-                CrashSchedule cand = best;
-                cand.steps[i].recoveryCountdown /= 2;
-                if (attempt(cand)) {
-                    improved = true;
-                    break;
-                }
-            }
-        }
-    }
-    return best;
+    return shrinkSpec(failing, 48, shrinkCandidates, violates, detail);
 }
 
 ExploreReport
@@ -334,7 +222,6 @@ explore(const ExploreOptions &opt)
     // A broken commit fence is only observable when the in-flight
     // record can actually tear.
     base.tornWrites = opt.tornWrites || opt.breakCommitFence;
-    base.mediaFaultProb = opt.mediaFaultProb;
     base.runtimeFaultProb = opt.runtimeFaultProb;
     base.breakCommitFence = opt.breakCommitFence;
     base.ordering = opt.ordering;
@@ -344,21 +231,9 @@ explore(const ExploreOptions &opt)
     // violation counts even when its schedule's crash missed the
     // vulnerable window.
     auto absorbOrdering = [&rep](const ScheduleResult &r) {
-        for (const OrderingRuleReport &rr : r.orderingRules) {
-            auto it = std::find_if(
-                rep.orderingRules.begin(), rep.orderingRules.end(),
-                [&rr](const OrderingRuleReport &have) {
-                    return have.name == rr.name;
-                });
-            if (it == rep.orderingRules.end()) {
-                rep.orderingRules.push_back(rr);
-            } else {
-                it->fires += rr.fires;
-                it->depsChecked += rr.depsChecked;
-                it->violations += rr.violations;
-            }
+        mergeRuleReports(&rep.orderingRules, r.orderingRules);
+        for (const OrderingRuleReport &rr : r.orderingRules)
             rep.orderingViolations += rr.violations;
-        }
         for (const OrderingViolation &v : r.orderingTraces) {
             if (rep.orderingTraces.size() < 50)
                 rep.orderingTraces.push_back(v);

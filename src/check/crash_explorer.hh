@@ -10,14 +10,10 @@
  * budget is then spread across the classes as evenly-spaced crash
  * schedules. Each schedule crashes, optionally crashes *again inside
  * recovery*, re-enters recovery on the twice-crashed image, and
- * validates two oracles:
- *
- *  1. committed-shadow equality (Workload::verify), with the
- *     commit-record ambiguity resolved by trying the crashed
- *     transaction's pending shadow update both ways, and
- *  2. the workload's structural invariants
- *     (Workload::verifyStructure: B-tree ordering/occupancy, red-black
- *     properties, FIFO continuity, hash-chain integrity).
+ * validates the shared post-recovery oracle (CheckRig::oracle,
+ * check/rig.hh): committed-shadow equality with the commit-record
+ * ambiguity resolved both ways, then the workload's structural
+ * invariants.
  *
  * A violating schedule is shrunk to a minimal reproducer and can be
  * serialized for deterministic replay (see crash_schedule.hh).
@@ -54,7 +50,6 @@ struct ExploreOptions
     unsigned recoverThreads = 2;
 
     bool tornWrites = false;
-    double mediaFaultProb = 0.0;
 
     /**
      * Runtime media-fault regime (see CrashSchedule::runtimeFaultProb):

@@ -1,8 +1,7 @@
 #include "check/crash_schedule.hh"
 
-#include <cctype>
-#include <cstdlib>
-#include <sstream>
+#include "check/spec.hh"
+#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
@@ -10,158 +9,64 @@ namespace hoopnvm
 namespace
 {
 
-struct SchemeToken
+const std::vector<SpecField<CrashStep>> &
+stepFields()
 {
-    Scheme scheme;
-    const char *token;
-};
+    static const std::vector<SpecField<CrashStep>> fields = {
+        tokenField("kind", &CrashStep::kind, crashPointKindToken,
+                   crashPointKindFromToken),
+        uintField("countdown", &CrashStep::countdown),
+        uintField("recovery_countdown", &CrashStep::recoveryCountdown),
+    };
+    return fields;
+}
 
-constexpr SchemeToken kSchemeTokens[] = {
-    {Scheme::Native, "native"}, {Scheme::Hoop, "hoop"},
-    {Scheme::OptRedo, "redo"},  {Scheme::OptUndo, "undo"},
-    {Scheme::Osp, "osp"},       {Scheme::Lsm, "lsm"},
-    {Scheme::Lad, "lad"},
-};
-
-/**
- * Minimal JSON reader for the schedule grammar: objects, arrays,
- * strings (no escapes beyond \" and \\), numbers, booleans. Enough to
- * round-trip toJson() output without an external dependency.
- */
-class JsonParser
+std::string
+writeSteps(const CrashSchedule &s)
 {
-  public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
-
-    bool fail(const std::string &msg)
-    {
-        if (err_.empty())
-            err_ = msg + " near offset " + std::to_string(pos_);
-        return false;
-    }
-
-    const std::string &error() const { return err_; }
-
-    void skipWs()
-    {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    bool consume(char c)
-    {
-        skipWs();
-        if (pos_ >= s_.size() || s_[pos_] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool peekIs(char c)
-    {
-        skipWs();
-        return pos_ < s_.size() && s_[pos_] == c;
-    }
-
-    bool parseString(std::string *out)
-    {
-        if (!consume('"'))
-            return false;
-        out->clear();
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\' && pos_ + 1 < s_.size())
-                ++pos_;
-            out->push_back(s_[pos_++]);
-        }
-        if (pos_ >= s_.size())
-            return fail("unterminated string");
-        ++pos_;
-        return true;
-    }
-
-    bool parseNumber(double *out)
-    {
-        skipWs();
-        const char *start = s_.c_str() + pos_;
-        char *end = nullptr;
-        *out = std::strtod(start, &end);
-        if (end == start)
-            return fail("expected number");
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    bool parseBool(bool *out)
-    {
-        skipWs();
-        if (s_.compare(pos_, 4, "true") == 0) {
-            *out = true;
-            pos_ += 4;
-            return true;
-        }
-        if (s_.compare(pos_, 5, "false") == 0) {
-            *out = false;
-            pos_ += 5;
-            return true;
-        }
-        return fail("expected boolean");
-    }
-
-    /**
-     * Walk the members of an object, invoking @p member for each key;
-     * the callback must consume the value and return success.
-     */
-    template <typename Fn>
-    bool parseObject(Fn member)
-    {
-        if (!consume('{'))
-            return false;
-        if (peekIs('}'))
-            return consume('}');
-        while (true) {
-            std::string key;
-            if (!parseString(&key) || !consume(':'))
-                return false;
-            if (!member(key))
-                return fail("bad value for key \"" + key + "\"");
-            if (peekIs(',')) {
-                consume(',');
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-  private:
-    const std::string &s_;
-    std::size_t pos_ = 0;
-    std::string err_;
-};
-
-} // namespace
-
-const char *
-schemeToken(Scheme s)
-{
-    for (const auto &t : kSchemeTokens) {
-        if (t.scheme == s)
-            return t.token;
-    }
-    return "unknown";
+    std::string out = "[";
+    for (std::size_t i = 0; i < s.steps.size(); ++i)
+        out += (i ? ",\n    " : "\n    ") +
+               writeSpec(s.steps[i], stepFields(), true);
+    return out + (s.steps.empty() ? "]" : "\n  ]");
 }
 
 bool
-schemeFromToken(const std::string &token, Scheme *out)
+readSteps(const JsonValue &v, CrashSchedule *s, std::string *why)
 {
-    for (const auto &t : kSchemeTokens) {
-        if (token == t.token) {
-            *out = t.scheme;
-            return true;
-        }
+    if (v.kind != JsonValue::Kind::Array)
+        return false;
+    for (const JsonValue &item : v.items) {
+        CrashStep step;
+        if (!readSpec(item, stepFields(), &step, why))
+            return false;
+        s->steps.push_back(step);
     }
-    return false;
+    return true;
 }
+
+const std::vector<SpecField<CrashSchedule>> &
+scheduleFields()
+{
+    using S = CrashSchedule;
+    static const std::vector<SpecField<S>> fields = {
+        tokenField("scheme", &S::scheme, schemeToken, schemeFromToken),
+        nameField("workload", &S::workload, workloadKnown),
+        uintField("seed", &S::seed),
+        uintField("num_cores", &S::numCores, 1, kMaxCores),
+        uintField("warmup_tx", &S::warmupTx),
+        uintField("run_tx", &S::runTx),
+        uintField("recover_threads", &S::recoverThreads),
+        boolField("torn_writes", &S::tornWrites),
+        realField("runtime_fault_prob", &S::runtimeFaultProb),
+        boolField("break_commit_fence", &S::breakCommitFence),
+        boolField("ordering", &S::ordering),
+        {"steps", writeSteps, readSteps},
+    };
+    return fields;
+}
+
+} // namespace
 
 bool
 crashPointKindFromToken(const std::string &token, CrashPointKind *out)
@@ -178,140 +83,14 @@ crashPointKindFromToken(const std::string &token, CrashPointKind *out)
 std::string
 CrashSchedule::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"scheme\": \"" << schemeToken(scheme) << "\",\n";
-    os << "  \"workload\": \"" << workload << "\",\n";
-    os << "  \"seed\": " << seed << ",\n";
-    os << "  \"num_cores\": " << numCores << ",\n";
-    os << "  \"warmup_tx\": " << warmupTx << ",\n";
-    os << "  \"run_tx\": " << runTx << ",\n";
-    os << "  \"recover_threads\": " << recoverThreads << ",\n";
-    os << "  \"torn_writes\": " << (tornWrites ? "true" : "false")
-       << ",\n";
-    os << "  \"media_fault_prob\": " << mediaFaultProb << ",\n";
-    os << "  \"runtime_fault_prob\": " << runtimeFaultProb << ",\n";
-    os << "  \"break_commit_fence\": "
-       << (breakCommitFence ? "true" : "false") << ",\n";
-    os << "  \"ordering\": " << (ordering ? "true" : "false") << ",\n";
-    os << "  \"steps\": [";
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ");
-        os << "{\"kind\": \"" << crashPointKindToken(steps[i].kind)
-           << "\", \"countdown\": " << steps[i].countdown
-           << ", \"recovery_countdown\": " << steps[i].recoveryCountdown
-           << "}";
-    }
-    os << (steps.empty() ? "]\n" : "\n  ]\n");
-    os << "}\n";
-    return os.str();
+    return writeSpec(*this, scheduleFields());
 }
 
 bool
 CrashSchedule::fromJson(const std::string &text, CrashSchedule *out,
                         std::string *err)
 {
-    *out = CrashSchedule{};
-    JsonParser p(text);
-    std::string str;
-    double num = 0;
-
-    const bool ok = p.parseObject([&](const std::string &key) {
-        if (key == "scheme") {
-            return p.parseString(&str) &&
-                   (schemeFromToken(str, &out->scheme) ||
-                    p.fail("unknown scheme \"" + str + "\""));
-        }
-        if (key == "workload")
-            return p.parseString(&out->workload);
-        if (key == "seed") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->seed = static_cast<std::uint64_t>(num);
-            return true;
-        }
-        if (key == "num_cores") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->numCores = static_cast<unsigned>(num);
-            return true;
-        }
-        if (key == "warmup_tx") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->warmupTx = static_cast<std::uint64_t>(num);
-            return true;
-        }
-        if (key == "run_tx") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->runTx = static_cast<std::uint64_t>(num);
-            return true;
-        }
-        if (key == "recover_threads") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->recoverThreads = static_cast<unsigned>(num);
-            return true;
-        }
-        if (key == "torn_writes")
-            return p.parseBool(&out->tornWrites);
-        if (key == "media_fault_prob")
-            return p.parseNumber(&out->mediaFaultProb);
-        if (key == "runtime_fault_prob")
-            return p.parseNumber(&out->runtimeFaultProb);
-        if (key == "break_commit_fence")
-            return p.parseBool(&out->breakCommitFence);
-        if (key == "ordering")
-            return p.parseBool(&out->ordering);
-        if (key == "steps") {
-            if (!p.consume('['))
-                return false;
-            if (p.peekIs(']'))
-                return p.consume(']');
-            while (true) {
-                CrashStep step;
-                const bool step_ok =
-                    p.parseObject([&](const std::string &sk) {
-                        if (sk == "kind") {
-                            return p.parseString(&str) &&
-                                   (crashPointKindFromToken(str,
-                                                            &step.kind) ||
-                                    p.fail("unknown crash-point kind \"" +
-                                           str + "\""));
-                        }
-                        if (sk == "countdown") {
-                            if (!p.parseNumber(&num))
-                                return false;
-                            step.countdown =
-                                static_cast<std::uint64_t>(num);
-                            return true;
-                        }
-                        if (sk == "recovery_countdown") {
-                            if (!p.parseNumber(&num))
-                                return false;
-                            step.recoveryCountdown =
-                                static_cast<std::uint64_t>(num);
-                            return true;
-                        }
-                        return p.fail("unknown step key \"" + sk + "\"");
-                    });
-                if (!step_ok)
-                    return false;
-                out->steps.push_back(step);
-                if (p.peekIs(',')) {
-                    p.consume(',');
-                    continue;
-                }
-                return p.consume(']');
-            }
-        }
-        return p.fail("unknown key \"" + key + "\"");
-    });
-
-    if (!ok && err)
-        *err = p.error();
-    return ok;
+    return specFromJson(text, scheduleFields(), out, err);
 }
 
 } // namespace hoopnvm

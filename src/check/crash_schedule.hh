@@ -49,16 +49,14 @@ struct CrashSchedule
     std::uint64_t runTx = 40;
     unsigned recoverThreads = 2;
     bool tornWrites = false;
-    double mediaFaultProb = 0.0;
 
     /**
      * Runtime media-fault regime: enables the fault-tolerance config
      * (ECC, bounded retry, scrubbing, retirement) and schedules seeded
      * wear-out faults over then-free capacity plus transient read
-     * disturbs over the home region after warmup. Unlike
-     * mediaFaultProb's damage-at-rest, this regime guarantees no data
-     * loss (program-verify keeps data off bad cells), so the oracles
-     * stay strict.
+     * disturbs over the home region after warmup. The regime
+     * guarantees no data loss (program-verify keeps data off bad
+     * cells), so the oracles stay strict.
      */
     double runtimeFaultProb = 0.0;
 
@@ -78,12 +76,6 @@ struct CrashSchedule
     static bool fromJson(const std::string &text, CrashSchedule *out,
                          std::string *err);
 };
-
-/** Lowercase scheme token used in JSON and on the CLI ("hoop", ...). */
-const char *schemeToken(Scheme s);
-
-/** Inverse of schemeToken(). @return false on unknown token. */
-bool schemeFromToken(const std::string &token, Scheme *out);
 
 /** Inverse of crashPointKindToken(). @return false on unknown token. */
 bool crashPointKindFromToken(const std::string &token,

@@ -1,0 +1,100 @@
+/**
+ * @file
+ * The small-check machine every checker runs on — the crash explorer,
+ * the soak engine, each fleet shard and the ordering harness — and the
+ * post-recovery oracle the first three judge it by.
+ *
+ * A rig is one System built from the caller's already-tweaked
+ * SystemConfig (usually smallCheckConfig() plus the caller's fault and
+ * debug knobs), its fault model seeded from the config seed, and one
+ * workload instance per core at the checkers' fixed size (64 B values,
+ * scale 128), set up and ready to run. The caller owns the transaction
+ * loop: each checker handles crashes and rejects its own way.
+ */
+
+#ifndef HOOPNVM_CHECK_RIG_HH
+#define HOOPNVM_CHECK_RIG_HH
+
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "sim/system.hh"
+#include "workloads/workload.hh"
+
+namespace hoopnvm
+{
+
+/** Progress sink: invoked with a label as each unit of work starts. */
+using Progress = std::function<void(const std::string &)>;
+
+/** One System plus its per-core workloads, built for checking. */
+class CheckRig
+{
+  public:
+    /**
+     * Build the machine for @p scheme running @p workload (a name
+     * workloadKnown() accepts). @p tornWrites arms torn-write
+     * injection. @p label prefixes every violation detail the oracle
+     * writes ("hoop/vector", "shard 0").
+     */
+    CheckRig(const SystemConfig &cfg, Scheme scheme,
+             const std::string &workload, bool tornWrites,
+             std::string label);
+
+    CheckRig(const CheckRig &) = delete;
+    CheckRig &operator=(const CheckRig &) = delete;
+
+    System &sys() { return sys_; }
+    Workload &wl(unsigned core) { return *wls_[core]; }
+    std::vector<std::unique_ptr<Workload>> &workloads() { return wls_; }
+    unsigned numCores() const { return static_cast<unsigned>(wls_.size()); }
+
+    /**
+     * Run @p rounds rounds with transaction indices starting at
+     * @p first: each round runs one transaction per core, then
+     * controller maintenance.
+     */
+    void runRounds(std::uint64_t first, std::uint64_t rounds);
+
+    /**
+     * Install the checkers' shared runtime-fault battery: permanent
+     * stuck-at damage striped over capacity the scheme reports as free
+     * right now (program-verify steers new data around it, exercising
+     * retirement instead of losing data) plus transient read disturbs
+     * over the home region (cleared by the bounded retry path).
+     * Stripes alternate uncorrectable (multi-bit, retire-forcing) and
+     * ECC-correctable (single-bit) damage, uncorrectable first — free
+     * extents coalesce and are consumed front-first, so leading with
+     * uncorrectable stripes keeps retirement reachable inside short
+     * check windows. @p salt rotates stuck-at polarity across
+     * installs. Every fault draw is seeded: the battery is
+     * deterministic.
+     */
+    void installRuntimeFaults(double prob, unsigned salt);
+
+    /** Forget every core's staged shadow update (after a recovery
+     *  whose outcome is not judged). */
+    void dropPendingShadows();
+
+    /**
+     * Post-recovery oracle, core by core: committed-shadow equality
+     * (strict first, then with the crashed transaction's pending
+     * shadow update adopted — a commit in flight at the crash is legal
+     * both durable and dropped), then the workload's structural
+     * invariants. @return false with @p detail set to
+     * "<label> core <c>: ..." naming @p when on the first failure.
+     */
+    bool oracle(const std::string &when, std::string *detail);
+
+  private:
+    std::string label_;
+    System sys_;
+    std::vector<std::unique_ptr<Workload>> wls_;
+};
+
+} // namespace hoopnvm
+
+#endif // HOOPNVM_CHECK_RIG_HH

@@ -1,184 +1,96 @@
 #include "check/soak.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "analysis/order_harness.hh"
-#include "check/spec_json.hh"
+#include "check/spec.hh"
 #include "common/errors.hh"
-#include "common/json.hh"
 #include "fleet/client_policy.hh"
-#include "sim/system.hh"
 #include "workloads/registry.hh"
 
 namespace hoopnvm
 {
 
-void
-installRuntimeFaults(System &sys, const SystemConfig &cfg, double prob,
-                     unsigned salt)
+namespace
 {
-    // Escalation ramps multiply without bound; a saturated phase just
-    // means every free word is faulty.
-    prob = std::min(prob, 1.0);
-    FaultModel &fm = sys.nvm().faults();
-    std::size_t i = salt;
-    for (const auto &range : sys.controller().freeMediaRanges()) {
-        const MediaFaultKind kind = (i & 1)
-                                        ? MediaFaultKind::StuckAtOne
-                                        : MediaFaultKind::StuckAtZero;
-        // Stripe the extent, never more than a handful of fault ranges
-        // per extent (classifying a word walks the range list), and
-        // lead with the uncorrectable stripe: allocators and the
-        // scrubber consume extents front-first, so damage at the front
-        // is what short check windows actually reach.
-        const Addr len = range.second - range.first;
-        const Addr stripe =
-            std::max<Addr>(8192, (len / 8 + 7) / 8 * 8);
-        unsigned s = 0;
-        for (Addr lo = range.first; lo < range.second;
-             lo += stripe, ++s) {
-            const Addr hi = std::min(range.second, lo + stripe);
-            fm.addMediaFault(lo, hi, kind, prob,
-                             (s & 1) ? 1 : 3);
-        }
-        ++i;
-    }
-    fm.addMediaFault(0, cfg.homeBytes, MediaFaultKind::BitFlip,
-                     prob * 0.5, 2);
+
+const std::vector<SpecField<SoakSpec>> &
+soakFields()
+{
+    using S = SoakSpec;
+    static const std::vector<SpecField<S>> fields = {
+        tokenField("scheme", &S::scheme, schemeToken, schemeFromToken),
+        nameField("workload", &S::workload, workloadKnown),
+        uintField("seed", &S::seed),
+        uintField("num_cores", &S::numCores, 1, kMaxCores),
+        uintField("warmup_tx", &S::warmupTx),
+        uintField("phases", &S::phases),
+        uintField("tx_per_phase", &S::txPerPhase),
+        realField("fault_prob", &S::faultProb),
+        realField("escalation", &S::escalation),
+        uintField("recover_threads", &S::recoverThreads),
+    };
+    return fields;
 }
+
+/** Shrink candidates of @p s, in the order shrinkSoak() tries them. */
+std::vector<SoakSpec>
+shrinkCandidates(const SoakSpec &s)
+{
+    std::vector<SoakSpec> out;
+    if (s.phases > 1) {
+        SoakSpec cand = s;
+        cand.phases = std::max(1u, s.phases / 2);
+        // Dropping early phases changes which faults exist; keep the
+        // ramp's tail by raising the base probability to where the
+        // removed phases would have escalated it.
+        for (unsigned p = cand.phases; p < s.phases; ++p)
+            cand.faultProb *= cand.escalation;
+        out.push_back(cand);
+    }
+    if (s.txPerPhase > 1) {
+        out.push_back(s);
+        out.back().txPerPhase /= 2;
+    }
+    if (s.warmupTx > 0) {
+        out.push_back(s);
+        out.back().warmupTx /= 2;
+    }
+    return out;
+}
+
+} // namespace
 
 std::string
 SoakSpec::toJson() const
 {
-    std::string out = "{\n";
-    auto field = [&out](const char *key, const std::string &val,
-                        bool last = false) {
-        // lint: raw-json-ok (keys are compile-time literals; string values arrive jsonQuote()d)
-        out += std::string("  \"") + key + "\": " + val +
-               (last ? "\n" : ",\n");
-    };
-    field("scheme", jsonQuote(schemeToken(scheme)));
-    field("workload", jsonQuote(workload));
-    field("seed", std::to_string(seed));
-    field("num_cores", std::to_string(numCores));
-    field("warmup_tx", std::to_string(warmupTx));
-    field("phases", std::to_string(phases));
-    field("tx_per_phase", std::to_string(txPerPhase));
-    field("fault_prob", std::to_string(faultProb));
-    field("escalation", std::to_string(escalation));
-    field("recover_threads", std::to_string(recoverThreads), true);
-    out += "}\n";
-    return out;
+    return writeSpec(*this, soakFields());
 }
 
 bool
 SoakSpec::fromJson(const std::string &text, SoakSpec *out,
                    std::string *err)
 {
-    *out = SoakSpec{};
-    SpecParser p(text);
-    std::string str;
-    double num = 0;
-
-    auto u64 = [&](std::uint64_t *dst) {
-        if (!p.parseNumber(&num))
-            return false;
-        *dst = static_cast<std::uint64_t>(num);
-        return true;
-    };
-    auto u32 = [&](unsigned *dst) {
-        if (!p.parseNumber(&num))
-            return false;
-        *dst = static_cast<unsigned>(num);
-        return true;
-    };
-
-    const bool ok = p.parseObject([&](const std::string &key) {
-        if (key == "scheme") {
-            return p.parseString(&str) &&
-                   (schemeFromToken(str, &out->scheme) ||
-                    p.fail("unknown scheme \"" + str + "\""));
-        }
-        if (key == "workload")
-            return p.parseString(&out->workload);
-        if (key == "seed")
-            return u64(&out->seed);
-        if (key == "num_cores")
-            return u32(&out->numCores);
-        if (key == "warmup_tx")
-            return u64(&out->warmupTx);
-        if (key == "phases")
-            return u32(&out->phases);
-        if (key == "tx_per_phase")
-            return u64(&out->txPerPhase);
-        if (key == "fault_prob")
-            return p.parseNumber(&out->faultProb);
-        if (key == "escalation")
-            return p.parseNumber(&out->escalation);
-        if (key == "recover_threads")
-            return u32(&out->recoverThreads);
-        return p.fail("unknown key \"" + key + "\"");
-    });
-
-    if (!ok && err)
-        *err = p.error();
-    return ok;
+    return specFromJson(text, soakFields(), out, err);
 }
 
 SoakResult
-runSoak(const SoakSpec &spec, const SoakProgress &progress)
+runSoak(const SoakSpec &spec, const Progress &progress)
 {
     SoakResult res;
 
     SystemConfig cfg = smallCheckConfig(spec.numCores, spec.seed);
     cfg.ft.enabled = true;
-    System sys(cfg, spec.scheme);
-    sys.nvm().faults().setSeed(spec.seed ^ 0x7ea55eedULL);
-
-    WorkloadParams params;
-    params.valueBytes = 64;
-    params.scale = 128;
-    auto factory = makeWorkload(spec.workload, params);
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
-
     const std::string cell =
         std::string(schemeToken(spec.scheme)) + "/" + spec.workload;
+    CheckRig rig(cfg, spec.scheme, spec.workload, false, cell);
+    System &sys = rig.sys();
 
-    // Same post-recovery oracle as the crash explorer: strict verify
-    // with the pending-shadow ambiguity resolved both ways, then the
-    // workload's structural invariants. Runtime faults never touch
-    // occupied cells, so committed data must always survive.
-    auto oracle = [&](const std::string &when) -> bool {
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            bool ok = wls[c]->verify();
-            if (!ok && wls[c]->hasPendingShadow()) {
-                wls[c]->applyPendingShadow();
-                ok = wls[c]->verify();
-            } else {
-                wls[c]->dropPendingShadow();
-            }
-            if (!ok) {
-                res.violated = true;
-                res.detail = cell + " core " + std::to_string(c) +
-                             ": committed state lost or phantom data "
-                             "surfaced (" + when + ")";
-                return false;
-            }
-            std::string why;
-            if (!wls[c]->verifyStructure(&why)) {
-                res.violated = true;
-                res.detail = cell + " core " + std::to_string(c) +
-                             ": structural invariant broken (" + when +
-                             "): " + why;
-                return false;
-            }
-        }
-        return true;
+    // Runtime faults never touch occupied cells, so committed data must
+    // always survive.
+    auto oracle = [&](const std::string &when) {
+        res.violated = !rig.oracle(when, &res.detail);
+        return !res.violated;
     };
 
     auto sampleGauges = [&]() {
@@ -190,12 +102,8 @@ runSoak(const SoakSpec &spec, const SoakProgress &progress)
         res.uncorrectableReads = sys.nvm().uncorrectableReads();
     };
 
-    std::uint64_t txi = 0;
-    for (; txi < spec.warmupTx; ++txi) {
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            wls[c]->runTransaction(txi);
-        sys.maintenance();
-    }
+    rig.runRounds(0, spec.warmupTx);
+    std::uint64_t txi = spec.warmupTx;
 
     double prob = spec.faultProb;
     for (unsigned phase = 0; phase < spec.phases;
@@ -206,18 +114,18 @@ runSoak(const SoakSpec &spec, const SoakProgress &progress)
 
         SoakPhaseStats ph;
         ph.faultProb = prob;
-        installRuntimeFaults(sys, cfg, prob, phase);
+        rig.installRuntimeFaults(prob, phase);
 
         for (std::uint64_t n = 0; n < spec.txPerPhase; ++n, ++txi) {
-            for (unsigned c = 0; c < cfg.numCores; ++c) {
+            for (unsigned c = 0; c < rig.numCores(); ++c) {
                 try {
-                    wls[c]->runTransaction(txi);
+                    rig.wl(c).runTransaction(txi);
                 } catch (const TxRejected &rj) {
                     // Shared client policy: admission rejects skip the
                     // transaction, mid-transaction rejects crash +
                     // recover onto the survivor state.
                     const RejectResolution rr = handleClientReject(
-                        rj, sys, wls, c, spec.recoverThreads);
+                        rj, sys, rig.workloads(), c, spec.recoverThreads);
                     if (rr.action == RejectAction::CrashRecover) {
                         ++ph.rejectedMidTx;
                         ++ph.recoveries;
@@ -246,8 +154,7 @@ runSoak(const SoakSpec &spec, const SoakProgress &progress)
     sys.crash();
     sys.recover(spec.recoverThreads);
     ++res.recoveries;
-    for (auto &wl : wls)
-        wl->dropPendingShadow();
+    rig.dropPendingShadows();
     oracle("after final crash + recovery");
     sampleGauges();
     return res;
@@ -255,62 +162,14 @@ runSoak(const SoakSpec &spec, const SoakProgress &progress)
 
 SoakSpec
 shrinkSoak(const SoakSpec &failing, std::string *detail,
-           const SoakProgress &progress)
+           const Progress &progress)
 {
-    SoakSpec best = failing;
-    int budget = 32;
-
-    auto attempt = [&](const SoakSpec &cand) -> bool {
-        if (budget <= 0)
-            return false;
-        --budget;
+    auto violates = [&progress](const SoakSpec &cand, std::string *d) {
         const SoakResult r = runSoak(cand, progress);
-        if (!r.violated)
-            return false;
-        best = cand;
-        if (detail)
-            *detail = r.detail;
-        return true;
+        *d = r.detail;
+        return r.violated;
     };
-
-    bool improved = true;
-    while (improved && budget > 0) {
-        improved = false;
-
-        if (best.phases > 1) {
-            SoakSpec cand = best;
-            cand.phases = std::max(1u, cand.phases / 2);
-            // Dropping early phases changes which faults exist; keep
-            // the ramp's tail by raising the base probability to where
-            // the removed phases would have escalated it.
-            for (unsigned p = cand.phases; p < best.phases; ++p)
-                cand.faultProb *= cand.escalation;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.txPerPhase > 1) {
-            SoakSpec cand = best;
-            cand.txPerPhase = std::max<std::uint64_t>(
-                1, cand.txPerPhase / 2);
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.warmupTx > 0) {
-            SoakSpec cand = best;
-            cand.warmupTx /= 2;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-    }
-    return best;
+    return shrinkSpec(failing, 32, shrinkCandidates, violates, detail);
 }
 
 } // namespace hoopnvm

@@ -31,11 +31,10 @@
 #define HOOPNVM_CHECK_SOAK_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "check/crash_schedule.hh" // schemeToken
+#include "check/rig.hh"
 
 namespace hoopnvm
 {
@@ -110,30 +109,8 @@ struct SoakResult
     std::vector<SoakPhaseStats> phases;
 };
 
-/** Progress sink: invoked with a label as each phase starts. */
-using SoakProgress = std::function<void(const std::string &)>;
-
-class System;
-
-/**
- * Install the checkers' shared runtime-fault battery: permanent
- * stuck-at damage striped over capacity the scheme reports as free
- * right now (program-verify steers new data around it, exercising
- * retirement instead of losing data) plus transient read disturbs
- * over the home region (cleared by the bounded retry path). Stripes
- * alternate uncorrectable (multi-bit, retire-forcing) and
- * ECC-correctable (single-bit) damage, uncorrectable first — free
- * extents coalesce and are consumed front-first, so leading with
- * uncorrectable stripes keeps retirement reachable inside short check
- * windows. @p salt rotates stuck-at polarity across installs. Every
- * fault draw is seeded: the battery is deterministic.
- */
-void installRuntimeFaults(System &sys, const SystemConfig &cfg,
-                          double prob, unsigned salt);
-
 /** Execute @p spec deterministically. */
-SoakResult runSoak(const SoakSpec &spec,
-                   const SoakProgress &progress = {});
+SoakResult runSoak(const SoakSpec &spec, const Progress &progress = {});
 
 /**
  * Greedily shrink @p failing toward a minimal still-violating spec:
@@ -141,7 +118,7 @@ SoakResult runSoak(const SoakSpec &spec,
  */
 SoakSpec shrinkSoak(const SoakSpec &failing,
                     std::string *detail = nullptr,
-                    const SoakProgress &progress = {});
+                    const Progress &progress = {});
 
 } // namespace hoopnvm
 

@@ -14,9 +14,8 @@
  *    an OS hiccup) without losing state — clients see unavailability
  *    and must ride it out with retries/backoff.
  *  - FaultRamp: a fresh battery of seeded media faults lands on the
- *    shard's free capacity (reusing the soak engine's
- *    installRuntimeFaults), pushing it toward capacity degradation
- *    and admission rejects.
+ *    shard's free capacity (CheckRig::installRuntimeFaults), pushing
+ *    it toward capacity degradation and admission rejects.
  *
  * Named profiles expand to concrete event lists purely from (profile,
  * shards, horizon, seed), so a fleet run is replayable from its spec
@@ -68,7 +67,8 @@ struct ChaosEvent
     /** Per-word fault probability (FaultRamp only). */
     double faultProb = 0.0;
 
-    /** Polarity/stripe salt forwarded to installRuntimeFaults. */
+    /** Polarity/stripe salt forwarded to
+     *  CheckRig::installRuntimeFaults. */
     unsigned salt = 0;
 };
 

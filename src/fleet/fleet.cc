@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <memory>
 
-#include "check/spec_json.hh"
-#include "common/json.hh"
+#include "check/spec.hh"
 #include "common/rng.hh"
 #include "fleet/arrivals.hh"
 #include "fleet/chaos.hh"
 #include "fleet/client_policy.hh"
+#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
@@ -45,127 +45,78 @@ summarizeLatency(const Histogram &h)
     return s;
 }
 
+const std::vector<SpecField<FleetSpec>> &
+fleetFields()
+{
+    using S = FleetSpec;
+    static const std::vector<SpecField<S>> fields = {
+        tokenField("scheme", &S::scheme, schemeToken, schemeFromToken),
+        nameField("workload", &S::workload, workloadKnown),
+        nameField("chaos_profile", &S::chaosProfile, chaosProfileKnown),
+        uintField("seed", &S::seed),
+        uintField("shards", &S::shards),
+        uintField("cores_per_shard", &S::coresPerShard, 1, kMaxCores),
+        uintField("requests", &S::requests),
+        uintField("warmup_tx", &S::warmupTx),
+        uintField("recover_threads", &S::recoverThreads),
+        uintField("max_attempts", &S::maxAttempts),
+        realField("backoff_base_ns", &S::backoffBaseNs),
+        realField("deadline_ns", &S::deadlineNs),
+        realField("mean_interarrival_ns", &S::meanInterarrivalNs),
+        realField("think_ns", &S::thinkNs),
+        uintField("tenants", &S::tenants),
+        realField("tenant_theta", &S::tenantTheta, 1.0),
+        uintField("connections", &S::connections),
+        realField("churn_prob", &S::churnProb, 1.0),
+        uintField("chaos_events_per_shard", &S::chaosEventsPerShard),
+        realField("fault_prob", &S::faultProb),
+        boolField("inject_ack_before_durable",
+                  &S::injectAckBeforeDurable),
+    };
+    return fields;
+}
+
+/** Shrink candidates of @p s, in the order shrinkFleet() tries them. */
+std::vector<FleetSpec>
+shrinkCandidates(const FleetSpec &s)
+{
+    std::vector<FleetSpec> out;
+    if (s.requests > 16) {
+        out.push_back(s);
+        out.back().requests = std::max<std::uint64_t>(16, s.requests / 2);
+    }
+    if (s.shards > 1) {
+        out.push_back(s);
+        out.back().shards /= 2;
+    }
+    if (s.chaosEventsPerShard > 0) {
+        out.push_back(s);
+        out.back().chaosEventsPerShard /= 2;
+    }
+    if (s.warmupTx > 0) {
+        out.push_back(s);
+        out.back().warmupTx /= 2;
+    }
+    return out;
+}
+
 } // namespace
 
 std::string
 FleetSpec::toJson() const
 {
-    std::string out = "{\n";
-    auto field = [&out](const char *key, const std::string &val,
-                        bool last = false) {
-        // lint: raw-json-ok (keys are compile-time literals; string values arrive jsonQuote()d)
-        out += std::string("  \"") + key + "\": " + val +
-               (last ? "\n" : ",\n");
-    };
-    field("scheme", jsonQuote(schemeToken(scheme)));
-    field("workload", jsonQuote(workload));
-    field("chaos_profile", jsonQuote(chaosProfile));
-    field("seed", std::to_string(seed));
-    field("shards", std::to_string(shards));
-    field("cores_per_shard", std::to_string(coresPerShard));
-    field("requests", std::to_string(requests));
-    field("warmup_tx", std::to_string(warmupTx));
-    field("recover_threads", std::to_string(recoverThreads));
-    field("max_attempts", std::to_string(maxAttempts));
-    field("backoff_base_ns", std::to_string(backoffBaseNs));
-    field("deadline_ns", std::to_string(deadlineNs));
-    field("mean_interarrival_ns", std::to_string(meanInterarrivalNs));
-    field("think_ns", std::to_string(thinkNs));
-    field("tenants", std::to_string(tenants));
-    field("tenant_theta", std::to_string(tenantTheta));
-    field("connections", std::to_string(connections));
-    field("churn_prob", std::to_string(churnProb));
-    field("chaos_events_per_shard",
-          std::to_string(chaosEventsPerShard));
-    field("fault_prob", std::to_string(faultProb));
-    field("inject_ack_before_durable",
-          injectAckBeforeDurable ? "true" : "false", true);
-    out += "}\n";
-    return out;
+    return writeSpec(*this, fleetFields());
 }
 
 bool
 FleetSpec::fromJson(const std::string &text, FleetSpec *out,
                     std::string *err)
 {
-    *out = FleetSpec{};
-    SpecParser p(text);
-    std::string str;
-    double num = 0;
-
-    auto u64 = [&](std::uint64_t *dst) {
-        if (!p.parseNumber(&num))
-            return false;
-        *dst = static_cast<std::uint64_t>(num);
-        return true;
-    };
-    auto u32 = [&](unsigned *dst) {
-        if (!p.parseNumber(&num))
-            return false;
-        *dst = static_cast<unsigned>(num);
-        return true;
-    };
-
-    const bool ok = p.parseObject([&](const std::string &key) {
-        if (key == "scheme") {
-            return p.parseString(&str) &&
-                   (schemeFromToken(str, &out->scheme) ||
-                    p.fail("unknown scheme \"" + str + "\""));
-        }
-        if (key == "workload")
-            return p.parseString(&out->workload);
-        if (key == "chaos_profile") {
-            return p.parseString(&out->chaosProfile) &&
-                   (chaosProfileKnown(out->chaosProfile) ||
-                    p.fail("unknown chaos profile \"" +
-                           out->chaosProfile + "\""));
-        }
-        if (key == "seed")
-            return u64(&out->seed);
-        if (key == "shards")
-            return u32(&out->shards);
-        if (key == "cores_per_shard")
-            return u32(&out->coresPerShard);
-        if (key == "requests")
-            return u64(&out->requests);
-        if (key == "warmup_tx")
-            return u64(&out->warmupTx);
-        if (key == "recover_threads")
-            return u32(&out->recoverThreads);
-        if (key == "max_attempts")
-            return u32(&out->maxAttempts);
-        if (key == "backoff_base_ns")
-            return p.parseNumber(&out->backoffBaseNs);
-        if (key == "deadline_ns")
-            return p.parseNumber(&out->deadlineNs);
-        if (key == "mean_interarrival_ns")
-            return p.parseNumber(&out->meanInterarrivalNs);
-        if (key == "think_ns")
-            return p.parseNumber(&out->thinkNs);
-        if (key == "tenants")
-            return u32(&out->tenants);
-        if (key == "tenant_theta")
-            return p.parseNumber(&out->tenantTheta);
-        if (key == "connections")
-            return u32(&out->connections);
-        if (key == "churn_prob")
-            return p.parseNumber(&out->churnProb);
-        if (key == "chaos_events_per_shard")
-            return u32(&out->chaosEventsPerShard);
-        if (key == "fault_prob")
-            return p.parseNumber(&out->faultProb);
-        if (key == "inject_ack_before_durable")
-            return p.parseBool(&out->injectAckBeforeDurable);
-        return p.fail("unknown key \"" + key + "\"");
-    });
-
-    if (!ok && err)
-        *err = p.error();
-    return ok;
+    return specFromJson(text, fleetFields(), out, err);
 }
 
 FleetResult
-runFleet(const FleetSpec &spec, const FleetProgress &progress)
+runFleet(const FleetSpec &spec, const Progress &progress)
 {
     FleetResult res;
     res.requests = spec.requests;
@@ -494,66 +445,14 @@ runFleet(const FleetSpec &spec, const FleetProgress &progress)
 
 FleetSpec
 shrinkFleet(const FleetSpec &failing, std::string *detail,
-            const FleetProgress &progress)
+            const Progress &progress)
 {
-    FleetSpec best = failing;
-    int budget = 24;
-
-    auto attempt = [&](const FleetSpec &cand) -> bool {
-        if (budget <= 0)
-            return false;
-        --budget;
+    auto violates = [&progress](const FleetSpec &cand, std::string *d) {
         const FleetResult r = runFleet(cand, progress);
-        if (!r.violated)
-            return false;
-        best = cand;
-        if (detail)
-            *detail = r.detail;
-        return true;
+        *d = r.detail;
+        return r.violated;
     };
-
-    bool improved = true;
-    while (improved && budget > 0) {
-        improved = false;
-
-        if (best.requests > 16) {
-            FleetSpec cand = best;
-            cand.requests = std::max<std::uint64_t>(16,
-                                                    cand.requests / 2);
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.shards > 1) {
-            FleetSpec cand = best;
-            cand.shards = std::max(1u, cand.shards / 2);
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.chaosEventsPerShard > 0) {
-            FleetSpec cand = best;
-            cand.chaosEventsPerShard /= 2;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.warmupTx > 0) {
-            FleetSpec cand = best;
-            cand.warmupTx /= 2;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-    }
-    return best;
+    return shrinkSpec(failing, 24, shrinkCandidates, violates, detail);
 }
 
 } // namespace hoopnvm

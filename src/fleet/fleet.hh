@@ -31,11 +31,9 @@
 #define HOOPNVM_FLEET_FLEET_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "check/crash_schedule.hh" // schemeToken
 #include "fleet/shard.hh"
 
 namespace hoopnvm
@@ -163,12 +161,9 @@ struct FleetResult
     std::vector<FleetShardReport> shards;
 };
 
-/** Progress sink: invoked with a label as the run advances. */
-using FleetProgress = std::function<void(const std::string &)>;
-
 /** Execute @p spec deterministically. */
 FleetResult runFleet(const FleetSpec &spec,
-                     const FleetProgress &progress = {});
+                     const Progress &progress = {});
 
 /**
  * Greedily shrink @p failing toward a minimal still-violating spec:
@@ -176,7 +171,7 @@ FleetResult runFleet(const FleetSpec &spec,
  */
 FleetSpec shrinkFleet(const FleetSpec &failing,
                       std::string *detail = nullptr,
-                      const FleetProgress &progress = {});
+                      const Progress &progress = {});
 
 } // namespace hoopnvm
 

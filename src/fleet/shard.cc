@@ -3,50 +3,40 @@
 #include <algorithm>
 
 #include "analysis/order_harness.hh"
-#include "check/soak.hh"
 #include "common/errors.hh"
 #include "fleet/client_policy.hh"
-#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
 
+namespace
+{
+
+SystemConfig
+shardSystemConfig(const ShardConfig &cfg)
+{
+    SystemConfig sc = smallCheckConfig(cfg.numCores, cfg.seed);
+    sc.ft.enabled = true;
+    // Seeded bug: drop the fence between data persistence and the
+    // commit record, so a crash can tear an already-acked commit.
+    sc.debugNoCommitFence = cfg.injectAckBeforeDurable;
+    return sc;
+}
+
+} // namespace
+
 FleetShard::FleetShard(unsigned id, const ShardConfig &cfg)
     : id_(id),
       cfg_(cfg),
-      sysCfg_(smallCheckConfig(cfg.numCores, cfg.seed))
+      rig_(shardSystemConfig(cfg), cfg.scheme, cfg.workload,
+           cfg.injectAckBeforeDurable, "shard " + std::to_string(id))
 {
-    sysCfg_.ft.enabled = true;
-    if (cfg_.injectAckBeforeDurable) {
-        // Seeded bug: drop the fence between data persistence and the
-        // commit record, so a crash can tear an already-acked commit.
-        sysCfg_.debugNoCommitFence = true;
-    }
-    sys_ = std::make_unique<System>(sysCfg_, cfg_.scheme);
-    sys_->nvm().faults().setSeed(cfg_.seed ^ 0x7ea55eedULL);
-    if (cfg_.injectAckBeforeDurable)
-        sys_->nvm().faults().setTornWrites(true);
-
-    WorkloadParams params;
-    params.valueBytes = 64;
-    params.scale = 128;
-    auto factory = makeWorkload(cfg_.workload, params);
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        wls_.push_back(factory(*sys_, c));
-        wls_.back()->setup();
-    }
 }
-
-FleetShard::~FleetShard() = default;
 
 void
 FleetShard::warmup()
 {
-    for (std::uint64_t txi = 0; txi < cfg_.warmupTx; ++txi) {
-        for (CoreId c = 0; c < cfg_.numCores; ++c)
-            wls_[c]->runTransaction(txi);
-        sys_->maintenance();
-    }
+    rig_.runRounds(0, cfg_.warmupTx);
 }
 
 ServeResult
@@ -54,15 +44,16 @@ FleetShard::serve(CoreId core, std::uint64_t seq,
                   std::string *violation)
 {
     ServeResult r;
-    const Tick before = sys_->core(core).clock();
+    System &sys = rig_.sys();
+    const Tick before = sys.core(core).clock();
     try {
-        wls_[core]->runTransaction(seq);
-        sys_->maintenance();
+        rig_.wl(core).runTransaction(seq);
+        sys.maintenance();
         r.status = ServeStatus::Acked;
         ++counters_.acked;
     } catch (const TxRejected &rj) {
         const RejectResolution res = handleClientReject(
-            rj, *sys_, wls_, core, cfg_.recoverThreads);
+            rj, sys, rig_.workloads(), core, cfg_.recoverThreads);
         if (res.action == RejectAction::AdmissionSkip) {
             r.status = ServeStatus::RejectedAdmission;
             ++counters_.rejectedAdmission;
@@ -75,7 +66,7 @@ FleetShard::serve(CoreId core, std::uint64_t seq,
             oracle("after mid-transaction unwind recovery", violation);
         }
     }
-    const Tick after = sys_->core(core).clock();
+    const Tick after = sys.core(core).clock();
     r.serviceTicks = after > before ? after - before : 1;
     return r;
 }
@@ -83,10 +74,9 @@ FleetShard::serve(CoreId core, std::uint64_t seq,
 bool
 FleetShard::chaosCrash(Tick now, std::string *violation)
 {
-    sys_->crash();
-    const Tick rt = sys_->recover(cfg_.recoverThreads);
-    for (auto &wl : wls_)
-        wl->dropPendingShadow();
+    rig_.sys().crash();
+    const Tick rt = rig_.sys().recover(cfg_.recoverThreads);
+    rig_.dropPendingShadows();
     unavailableUntil_ = std::max(unavailableUntil_, now + rt);
     ++counters_.chaosCrashes;
     ++counters_.recoveries;
@@ -103,7 +93,7 @@ FleetShard::chaosStall(Tick now, Tick duration)
 void
 FleetShard::chaosFaultRamp(double prob, unsigned salt)
 {
-    installRuntimeFaults(*sys_, sysCfg_, prob, salt);
+    rig_.installRuntimeFaults(prob, salt);
     ++counters_.faultRamps;
 }
 
@@ -128,48 +118,16 @@ FleetShard::admit(Tick queueDepth)
     return admitting_;
 }
 
-bool
-FleetShard::oracle(const std::string &when, std::string *violation)
-{
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        bool ok = wls_[c]->verify();
-        if (!ok && wls_[c]->hasPendingShadow()) {
-            wls_[c]->applyPendingShadow();
-            ok = wls_[c]->verify();
-        } else {
-            wls_[c]->dropPendingShadow();
-        }
-        if (!ok) {
-            if (violation && violation->empty())
-                *violation = "shard " + std::to_string(id_) + " core " +
-                             std::to_string(c) +
-                             ": committed state lost or phantom data "
-                             "surfaced (" + when + ")";
-            return false;
-        }
-        std::string why;
-        if (!wls_[c]->verifyStructure(&why)) {
-            if (violation && violation->empty())
-                *violation = "shard " + std::to_string(id_) + " core " +
-                             std::to_string(c) +
-                             ": structural invariant broken (" + when +
-                             "): " + why;
-            return false;
-        }
-    }
-    return true;
-}
-
 void
 FleetShard::noteClientActivity(const ClientActivity &a)
 {
-    sys_->controller().noteClientActivity(a);
+    rig_.sys().controller().noteClientActivity(a);
 }
 
 double
 FleetShard::degradedFraction()
 {
-    return sys_->controller().gauges().degradedFraction;
+    return rig_.sys().controller().gauges().degradedFraction;
 }
 
 } // namespace hoopnvm

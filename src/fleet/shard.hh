@@ -27,13 +27,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "sim/system.hh"
+#include "check/rig.hh"
 #include "stats/histogram.hh"
-#include "workloads/workload.hh"
 
 namespace hoopnvm
 {
@@ -110,7 +107,6 @@ class FleetShard
 {
   public:
     FleetShard(unsigned id, const ShardConfig &cfg);
-    ~FleetShard();
 
     FleetShard(const FleetShard &) = delete;
     FleetShard &operator=(const FleetShard &) = delete;
@@ -169,12 +165,12 @@ class FleetShard
 
     // ---- Oracle ----
 
-    /**
-     * Committed-shadow equality + structural invariants on every core,
-     * with the commit-ambiguity window resolved both ways.
-     * @return false with @p violation set on the first failure.
-     */
-    bool oracle(const std::string &when, std::string *violation);
+    /** The shared post-recovery oracle (CheckRig::oracle).
+     *  @return false with @p violation set on the first failure. */
+    bool oracle(const std::string &when, std::string *violation)
+    {
+        return rig_.oracle(when, violation);
+    }
 
     // ---- Observability ----
 
@@ -191,14 +187,12 @@ class FleetShard
     void noteClientActivity(const ClientActivity &a);
 
     double degradedFraction();
-    System &system() { return *sys_; }
+    System &system() { return rig_.sys(); }
 
   private:
     unsigned id_;
     ShardConfig cfg_;
-    SystemConfig sysCfg_;
-    std::unique_ptr<System> sys_;
-    std::vector<std::unique_ptr<Workload>> wls_;
+    CheckRig rig_;
 
     Tick unavailableUntil_ = 0;
     bool admitting_ = true;

@@ -43,8 +43,8 @@ CacheHierarchy::CacheHierarchy(const SystemConfig &cfg_)
       llcDirtyWritebacksC_(stats_.counter("llc_dirty_writebacks")),
       llcMissLatH_(stats_.histogram("llc_miss_latency_ticks"))
 {
-    HOOP_ASSERT(cfg.numCores >= 1 && cfg.numCores <= 32,
-                "sharer mask supports 1..32 cores");
+    HOOP_ASSERT(cfg.numCores >= 1 && cfg.numCores <= kMaxCores,
+                "sharer mask supports 1..%u cores", kMaxCores);
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         l1s.push_back(std::make_unique<Cache>(
             "l1." + std::to_string(c), cfg.cache.l1Size, cfg.cache.l1Assoc,

@@ -41,12 +41,29 @@ enum class Scheme
 /** Printable name of @p s ("HOOP", "Opt-Redo", ...). */
 const char *schemeName(Scheme s);
 
+/** Lowercase token of @p s used on the command line and in JSON
+ *  ("native", "hoop", "redo", "undo", "osp", "lsm", "lad"). */
+const char *schemeToken(Scheme s);
+
+/** Inverse of schemeToken(). @return false on an unknown token. */
+bool schemeFromToken(const std::string &token, Scheme *out);
+
 /** All schemes in the order the paper's figures list them. */
 inline constexpr Scheme kAllSchemes[] = {
     Scheme::OptRedo, Scheme::OptUndo, Scheme::Osp,
     Scheme::Lsm,     Scheme::Lad,     Scheme::Hoop,
     Scheme::Native,
 };
+
+/** The six schemes that claim durability (all but Native), in the
+ *  order the checkers sweep them ("--scheme all"). */
+inline constexpr Scheme kDurableSchemes[] = {
+    Scheme::Hoop, Scheme::OptRedo, Scheme::OptUndo,
+    Scheme::Osp,  Scheme::Lsm,     Scheme::Lad,
+};
+
+/** Most cores a System supports (the caches' sharer mask width). */
+inline constexpr unsigned kMaxCores = 32;
 
 /** Cache hierarchy geometry and latencies. */
 struct CacheParams
@@ -125,7 +142,8 @@ struct FaultToleranceConfig
 /** Complete configuration of one simulated system. */
 struct SystemConfig
 {
-    /** Number of cores / workload threads (paper runs 8 threads). */
+    /** Number of cores / workload threads (paper runs 8 threads);
+     *  1..kMaxCores. */
     unsigned numCores = 8;
 
     /** Core clock in GHz; non-memory work is charged in core cycles. */

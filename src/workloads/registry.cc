@@ -1,5 +1,8 @@
 #include "workloads/registry.hh"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/host_profiler.hh"
 #include "common/logging.hh"
 #include "sim/clock_tracker.hh"
@@ -92,23 +95,29 @@ makeWorkload(const std::string &name, const WorkloadParams &p)
     HOOP_FATAL("unknown workload '%s'", name.c_str());
 }
 
+bool
+workloadKnown(const std::string &name)
+{
+    return name == "interference" ||
+           std::find(std::begin(kTableIIIWorkloads),
+                     std::end(kTableIIIWorkloads),
+                     name) != std::end(kTableIIIWorkloads);
+}
+
 std::vector<WorkloadSpec>
 syntheticSuite(const WorkloadParams &p)
 {
-    std::vector<WorkloadSpec> suite;
-    for (const char *name :
-         {"vector", "hashmap", "queue", "rbtree", "btree"}) {
-        suite.push_back({name, makeWorkload(name, p)});
-    }
+    std::vector<WorkloadSpec> suite = fullSuite(p);
+    suite.resize(5); // YCSB and TPC-C close the Table III list
     return suite;
 }
 
 std::vector<WorkloadSpec>
 fullSuite(const WorkloadParams &p)
 {
-    std::vector<WorkloadSpec> suite = syntheticSuite(p);
-    suite.push_back({"ycsb", makeWorkload("ycsb", p)});
-    suite.push_back({"tpcc", makeWorkload("tpcc", p)});
+    std::vector<WorkloadSpec> suite;
+    for (const char *name : kTableIIIWorkloads)
+        suite.push_back({name, makeWorkload(name, p)});
     return suite;
 }
 

@@ -64,9 +64,16 @@ struct WorkloadParams
     unsigned roleGcOverwritesPerTx = 2;
 };
 
-/** Build the factory for workload @p name
- *  ("vector", "hashmap", "queue", "rbtree", "btree", "ycsb", "tpcc",
+/** The paper's Table III workloads by name, in suite order (the first
+ *  five are synthetic); the check tools' "--workload all". */
+inline constexpr const char *kTableIIIWorkloads[] = {
+    "vector", "hashmap", "queue", "rbtree", "btree", "ycsb", "tpcc"};
+
+/** True when makeWorkload() knows @p name (Table III or
  *  "interference"). */
+bool workloadKnown(const std::string &name);
+
+/** Build the factory for workload @p name (workloadKnown() must hold). */
 WorkloadFactory makeWorkload(const std::string &name,
                              const WorkloadParams &params);
 

@@ -11,17 +11,18 @@
  * Plain main, no gtest: the bench path comes in via argv.
  */
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
-#include <vector>
+
+#include "common/json.hh"
 
 namespace
 {
+
+using namespace hoopnvm;
 
 int failures = 0;
 
@@ -35,182 +36,8 @@ int failures = 0;
         }                                                               \
     } while (0)
 
-/** Minimal JSON value: just enough to validate the bench schema. */
-struct Json
-{
-    enum Kind { Null, Bool, Num, Str, Arr, Obj } kind = Null;
-    double num = 0.0;
-    bool boolean = false;
-    std::string str;
-    std::vector<Json> arr;
-    std::map<std::string, Json> obj;
-
-    const Json *find(const std::string &key) const
-    {
-        auto it = obj.find(key);
-        return it == obj.end() ? nullptr : &it->second;
-    }
-};
-
-/** Recursive-descent parser; returns false on malformed input. */
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : s(text) {}
-
-    bool parse(Json &out)
-    {
-        skipWs();
-        if (!value(out))
-            return false;
-        skipWs();
-        return pos == s.size();
-    }
-
-  private:
-    const std::string &s;
-    std::size_t pos = 0;
-
-    void skipWs()
-    {
-        while (pos < s.size() && std::isspace(
-                   static_cast<unsigned char>(s[pos])))
-            ++pos;
-    }
-    bool eat(char c)
-    {
-        skipWs();
-        if (pos < s.size() && s[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-    bool value(Json &out)
-    {
-        skipWs();
-        if (pos >= s.size())
-            return false;
-        const char c = s[pos];
-        if (c == '{')
-            return object(out);
-        if (c == '[')
-            return array(out);
-        if (c == '"') {
-            out.kind = Json::Str;
-            return string(out.str);
-        }
-        if (s.compare(pos, 4, "true") == 0) {
-            out.kind = Json::Bool;
-            out.boolean = true;
-            pos += 4;
-            return true;
-        }
-        if (s.compare(pos, 5, "false") == 0) {
-            out.kind = Json::Bool;
-            pos += 5;
-            return true;
-        }
-        if (s.compare(pos, 4, "null") == 0) {
-            pos += 4;
-            return true;
-        }
-        return number(out);
-    }
-    bool number(Json &out)
-    {
-        const char *start = s.c_str() + pos;
-        char *end = nullptr;
-        out.num = std::strtod(start, &end);
-        if (end == start)
-            return false;
-        out.kind = Json::Num;
-        pos += static_cast<std::size_t>(end - start);
-        return true;
-    }
-    bool string(std::string &out)
-    {
-        if (!eat('"'))
-            return false;
-        out.clear();
-        while (pos < s.size() && s[pos] != '"') {
-            if (s[pos] == '\\') {
-                if (++pos >= s.size())
-                    return false;
-                switch (s[pos]) {
-                case 'n': out += '\n'; break;
-                case 't': out += '\t'; break;
-                case 'b': out += '\b'; break;
-                case 'f': out += '\f'; break;
-                case 'r': out += '\r'; break;
-                case '\\': out += '\\'; break;
-                case '"': out += '"'; break;
-                case '/': out += '/'; break;
-                case 'u': {
-                    // The bench only emits \u00XX (control bytes).
-                    if (pos + 4 >= s.size())
-                        return false;
-                    unsigned v = 0;
-                    for (int d = 1; d <= 4; ++d) {
-                        const char h = s[pos + d];
-                        if (!std::isxdigit(
-                                static_cast<unsigned char>(h)))
-                            return false;
-                        v = v * 16 +
-                            (h <= '9' ? h - '0'
-                                      : (std::tolower(h) - 'a') + 10);
-                    }
-                    if (v > 0xff)
-                        return false;
-                    out += static_cast<char>(v);
-                    pos += 4;
-                    break;
-                }
-                default: return false;
-                }
-                ++pos;
-            } else {
-                out += s[pos++];
-            }
-        }
-        return pos < s.size() && s[pos++] == '"';
-    }
-    bool object(Json &out)
-    {
-        if (!eat('{'))
-            return false;
-        out.kind = Json::Obj;
-        skipWs();
-        if (eat('}'))
-            return true;
-        do {
-            std::string key;
-            if (!string(key) || !eat(':'))
-                return false;
-            Json v;
-            if (!value(v))
-                return false;
-            out.obj.emplace(std::move(key), std::move(v));
-        } while (eat(','));
-        return eat('}');
-    }
-    bool array(Json &out)
-    {
-        if (!eat('['))
-            return false;
-        out.kind = Json::Arr;
-        skipWs();
-        if (eat(']'))
-            return true;
-        do {
-            Json v;
-            if (!value(v))
-                return false;
-            out.arr.push_back(std::move(v));
-        } while (eat(','));
-        return eat(']');
-    }
-};
+using Json = JsonValue;
+using Kind = JsonValue::Kind;
 
 void
 requireNum(const Json &obj, const char *key, const char *where)
@@ -218,7 +45,7 @@ requireNum(const Json &obj, const char *key, const char *where)
     const Json *v = obj.find(key);
     CHECK(v != nullptr, "%s missing key \"%s\"", where, key);
     if (v)
-        CHECK(v->kind == Json::Num, "%s key \"%s\" is not a number",
+        CHECK(v->kind == Kind::Number, "%s key \"%s\" is not a number",
               where, key);
 }
 
@@ -256,22 +83,23 @@ main(int argc, char **argv)
     CHECK(!text.empty(), "%s is empty", jsonName.c_str());
 
     Json root;
-    CHECK(Parser(text).parse(root), "%s is not well-formed JSON",
-          jsonName.c_str());
+    std::string err;
+    CHECK(parseJson(text, &root, &err), "%s is not well-formed JSON: %s",
+          jsonName.c_str(), err.c_str());
     if (failures)
         return 1;
 
-    CHECK(root.kind == Json::Obj, "root is not an object");
+    CHECK(root.kind == Kind::Object, "root is not an object");
     const Json *ver = root.find("schema_version");
-    CHECK(ver && ver->kind == Json::Num && ver->num == 5.0,
+    CHECK(ver && ver->kind == Kind::Number && ver->number() == 5.0,
           "schema_version != 5");
     const Json *name = root.find("bench");
-    CHECK(name && name->kind == Json::Str && !name->str.empty(),
+    CHECK(name && name->kind == Kind::String && !name->text.empty(),
           "missing bench name");
 
     const Json *config = root.find("config");
-    CHECK(config && config->kind == Json::Obj, "missing config object");
-    if (config && config->kind == Json::Obj) {
+    CHECK(config && config->kind == Kind::Object, "missing config object");
+    if (config && config->kind == Kind::Object) {
         for (const char *k :
              {"num_cores", "cpu_ghz", "l1_bytes", "l2_bytes",
               "llc_bytes", "oop_bytes", "oop_block_bytes",
@@ -281,33 +109,33 @@ main(int argc, char **argv)
     }
 
     const Json *host = root.find("host");
-    CHECK(host && host->kind == Json::Obj, "missing host object");
-    if (host && host->kind == Json::Obj) {
+    CHECK(host && host->kind == Kind::Object, "missing host object");
+    if (host && host->kind == Kind::Object) {
         for (const char *k : {"jobs", "wall_seconds", "cells",
                               "cells_per_sec", "sim_ticks",
                               "sim_ticks_per_sec"})
             requireNum(*host, k, "host");
         const Json *jobs = host->find("jobs");
         if (jobs)
-            CHECK(jobs->num == 2.0, "host.jobs should honour "
-                  "HOOP_BENCH_JOBS=2, got %g", jobs->num);
+            CHECK(jobs->number() == 2.0, "host.jobs should honour "
+                  "HOOP_BENCH_JOBS=2, got %g", jobs->number());
     }
 
     const Json *cells = root.find("cells");
-    CHECK(cells && cells->kind == Json::Arr, "missing cells array");
-    if (cells && cells->kind == Json::Arr) {
-        CHECK(!cells->arr.empty(), "cells array is empty");
-        for (std::size_t i = 0; i < cells->arr.size(); ++i) {
-            const Json &cell = cells->arr[i];
-            CHECK(cell.kind == Json::Obj, "cell %zu not an object", i);
+    CHECK(cells && cells->kind == Kind::Array, "missing cells array");
+    if (cells && cells->kind == Kind::Array) {
+        CHECK(!cells->items.empty(), "cells array is empty");
+        for (std::size_t i = 0; i < cells->items.size(); ++i) {
+            const Json &cell = cells->items[i];
+            CHECK(cell.kind == Kind::Object, "cell %zu not an object", i);
             const Json *label = cell.find("label");
-            CHECK(label && label->kind == Json::Str &&
-                      !label->str.empty(),
+            CHECK(label && label->kind == Kind::String &&
+                      !label->text.empty(),
                   "cell %zu missing label", i);
             requireNum(cell, "seconds", "cell");
             const Json *metrics = cell.find("metrics");
             if (metrics) {
-                CHECK(metrics->kind == Json::Obj,
+                CHECK(metrics->kind == Kind::Object,
                       "cell %zu metrics not an object", i);
                 for (const char *k :
                      {"transactions", "sim_ticks", "tx_per_second",
@@ -324,10 +152,10 @@ main(int argc, char **argv)
                      {"crit_path", "llc_miss_lat", "gc_pause",
                       "scrub_pause"}) {
                     const Json *sum = metrics->find(k);
-                    CHECK(sum && sum->kind == Json::Obj,
+                    CHECK(sum && sum->kind == Kind::Object,
                           "cell %zu metrics missing summary \"%s\"",
                           i, k);
-                    if (sum && sum->kind == Json::Obj) {
+                    if (sum && sum->kind == Kind::Object) {
                         for (const char *q :
                              {"count", "p50_ns", "p95_ns", "p99_ns",
                               "p999_ns", "max_ns", "mean_ns",
@@ -344,31 +172,31 @@ main(int argc, char **argv)
                       "channel_utilization"})
                     requireNum(*metrics, k, "metrics");
                 const Json *roles = metrics->find("roles");
-                CHECK(roles && roles->kind == Json::Arr,
+                CHECK(roles && roles->kind == Kind::Array,
                       "cell %zu metrics missing roles array", i);
-                if (roles && roles->kind == Json::Arr) {
+                if (roles && roles->kind == Kind::Array) {
                     // Empty for every non-interference bench; when a
                     // role is present it carries the full record.
-                    for (const Json &r : roles->arr) {
-                        CHECK(r.kind == Json::Obj,
+                    for (const Json &r : roles->items) {
+                        CHECK(r.kind == Kind::Object,
                               "role entry not an object");
                         const Json *rn = r.find("role");
-                        CHECK(rn && rn->kind == Json::Str &&
-                                  !rn->str.empty(),
+                        CHECK(rn && rn->kind == Kind::String &&
+                                  !rn->text.empty(),
                               "role entry missing name");
                         requireNum(r, "transactions", "role");
                         requireNum(r, "tx_per_second", "role");
                         const Json *lat = r.find("latency");
-                        CHECK(lat && lat->kind == Json::Obj,
+                        CHECK(lat && lat->kind == Kind::Object,
                               "role entry missing latency summary");
                     }
                 }
                 const Json *epochs = metrics->find("epochs");
-                CHECK(epochs && epochs->kind == Json::Arr,
+                CHECK(epochs && epochs->kind == Kind::Array,
                       "cell %zu metrics missing epochs array", i);
-                if (epochs && epochs->kind == Json::Arr) {
-                    for (const Json &e : epochs->arr) {
-                        CHECK(e.kind == Json::Obj,
+                if (epochs && epochs->kind == Kind::Array) {
+                    for (const Json &e : epochs->items) {
+                        CHECK(e.kind == Kind::Object,
                               "epoch entry not an object");
                         for (const char *k :
                              {"at_ticks", "mapping_entries",
@@ -394,6 +222,6 @@ main(int argc, char **argv)
     }
     std::printf("bench smoke OK: %s -> %s (%zu cells)\n", bench.c_str(),
                 jsonName.c_str(),
-                cells ? cells->arr.size() : 0);
+                cells ? cells->items.size() : 0);
     return 0;
 }

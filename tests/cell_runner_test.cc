@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "common/host_profiler.hh"
 
 namespace hoopnvm
 {
@@ -187,6 +188,12 @@ TEST(CellRunner, JobFlagParsing)
     {
         const char *argv[] = {"bench"};
         EXPECT_EQ(bench::benchJobs(1, const_cast<char **>(argv)), 0u);
+    }
+    {
+        // --profile after -jN still enables profiling.
+        const char *argv[] = {"bench", "-j4", "--profile"};
+        EXPECT_EQ(bench::benchJobs(3, const_cast<char **>(argv)), 4u);
+        EXPECT_TRUE(HostProfiler::enabled());
     }
 }
 

@@ -112,8 +112,7 @@ TEST_P(ExplorerSchemes, GcMigrationCrashIsSurvivable)
 
 INSTANTIATE_TEST_SUITE_P(
     AllPersistentSchemes, ExplorerSchemes,
-    ::testing::Values(Scheme::Hoop, Scheme::OptRedo, Scheme::OptUndo,
-                      Scheme::Osp, Scheme::Lsm, Scheme::Lad),
+    ::testing::ValuesIn(kDurableSchemes),
     [](const auto &info) {
         std::string n = schemeName(info.param);
         for (auto &c : n) {

@@ -12,18 +12,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/order_harness.hh"
 #include "baselines/log_region.hh"
-#include "check/soak.hh"
+#include "check/rig.hh"
 #include "common/errors.hh"
 #include "nvm/nvm_device.hh"
-#include "sim/system.hh"
-#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
@@ -231,89 +227,47 @@ TEST(LogRetirement, CanAppendReservationIsExact)
     EXPECT_NO_THROW(log.append(now, fx.entry(appended)));
 }
 
-/** Shared harness for the system-level tolerance contracts. */
-struct SoakLikeRig
+/** The checkers' small machine with fault tolerance on and the
+ *  scrubber running inside short windows. */
+SystemConfig
+toleranceConfig(unsigned cores, std::uint64_t seed)
 {
-    SystemConfig cfg;
-    std::unique_ptr<System> sys;
-    std::vector<std::unique_ptr<Workload>> wls;
-    std::uint64_t txi = 0;
-
-    SoakLikeRig(Scheme scheme, unsigned cores, std::uint64_t seed,
-                const std::function<void(SystemConfig &)> &tweak = {})
-        : cfg(smallCheckConfig(cores, seed))
-    {
-        cfg.ft.enabled = true;
-        cfg.ft.scrubPeriod = cfg.gcPeriod; // scrub inside short windows
-        if (tweak)
-            tweak(cfg);
-        sys = std::make_unique<System>(cfg, scheme);
-        sys->nvm().faults().setSeed(seed ^ 0x7ea55eedULL);
-        WorkloadParams params;
-        params.valueBytes = 64;
-        params.scale = 128;
-        auto factory = makeWorkload("vector", params);
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            wls.push_back(factory(*sys, c));
-            wls.back()->setup();
-        }
-    }
-
-    void runTx(std::uint64_t n)
-    {
-        for (std::uint64_t i = 0; i < n; ++i, ++txi) {
-            for (auto &wl : wls)
-                wl->runTransaction(txi);
-            sys->maintenance();
-        }
-    }
-
-    /** Post-recovery oracle: committed data and structure both hold. */
-    void expectIntact(const char *when)
-    {
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            bool ok = wls[c]->verify();
-            if (!ok && wls[c]->hasPendingShadow()) {
-                wls[c]->applyPendingShadow();
-                ok = wls[c]->verify();
-            } else {
-                wls[c]->dropPendingShadow();
-            }
-            EXPECT_TRUE(ok) << "core " << c
-                            << ": committed data lost (" << when << ")";
-            std::string why;
-            EXPECT_TRUE(wls[c]->verifyStructure(&why))
-                << "core " << c << ": " << why << " (" << when << ")";
-        }
-    }
-};
+    SystemConfig cfg = smallCheckConfig(cores, seed);
+    cfg.ft.enabled = true;
+    cfg.ft.scrubPeriod = cfg.gcPeriod;
+    return cfg;
+}
 
 TEST(MediaTolerance, ScrubRetirementSurvivesCrashAndRecovery)
 {
-    SoakLikeRig rig(Scheme::Hoop, 2, 7);
-    rig.runTx(10); // warmup: put committed data on the media
+    CheckRig rig(toleranceConfig(2, 7), Scheme::Hoop, "vector", false,
+                 "hoop/vector");
+    rig.runRounds(0, 10); // warmup: put committed data on the media
 
     // Permanent damage over then-free capacity only: the program-
     // verify contract keeps new data off it, so committed data must
     // survive while the scrubber and allocators retire the bad units.
-    installRuntimeFaults(*rig.sys, rig.cfg, 0.05, 0);
-    rig.runTx(80);
+    rig.installRuntimeFaults(0.05, 0);
+    rig.runRounds(10, 80);
 
-    const ControllerGauges before = rig.sys->controller().sampleGauges();
+    System &sys = rig.sys();
+    const ControllerGauges before = sys.controller().sampleGauges();
     EXPECT_GT(before.retiredUnits, 0u)
         << "a 5% fault rate over free capacity retired nothing";
     EXPECT_GT(before.correctedWords, 0u)
         << "single-bit stripes produced no ECC corrections";
 
-    rig.sys->crash();
-    rig.sys->recover(2);
-    for (auto &wl : rig.wls)
-        wl->dropPendingShadow();
+    sys.crash();
+    sys.recover(2);
+    rig.dropPendingShadows();
 
-    const ControllerGauges after = rig.sys->controller().sampleGauges();
+    const ControllerGauges after = sys.controller().sampleGauges();
     EXPECT_GE(after.retiredUnits, before.retiredUnits)
         << "recovery forgot durably retired units";
-    rig.expectIntact("after crash + recovery on accumulated damage");
+    std::string detail;
+    EXPECT_TRUE(rig.oracle("after crash + recovery on accumulated damage",
+                           &detail))
+        << detail;
 }
 
 TEST(MediaTolerance, MidTxRejectionUnwindsThroughCrashRecovery)
@@ -327,21 +281,23 @@ TEST(MediaTolerance, MidTxRejectionUnwindsThroughCrashRecovery)
     // A small aux region keeps the ring short: exhausting it burns
     // (and durably retires) every slot once, so ring size is the
     // dominant cost of this test.
-    SoakLikeRig rig(Scheme::OptRedo, 1, 11, [](SystemConfig &c) {
-        c.ft.rejectCapacityFraction = 2.0;
-        c.auxBytes = 2 * 1024 * 1024;
-    });
-    rig.runTx(10);
+    SystemConfig cfg = toleranceConfig(1, 11);
+    cfg.ft.rejectCapacityFraction = 2.0;
+    cfg.auxBytes = 2 * 1024 * 1024;
+    CheckRig rig(cfg, Scheme::OptRedo, "vector", false, "redo/vector");
+    System &sys = rig.sys();
+    rig.runRounds(0, 10);
 
-    for (const auto &r : rig.sys->controller().freeMediaRanges())
-        rig.sys->nvm().faults().addMediaFault(
+    for (const auto &r : sys.controller().freeMediaRanges())
+        sys.nvm().faults().addMediaFault(
             r.first, r.second, MediaFaultKind::StuckAtOne, 1.0, 8);
 
     bool rejected = false;
+    std::uint64_t txi = 10;
     for (unsigned n = 0; n < 200 && !rejected; ++n) {
         try {
-            rig.wls[0]->runTransaction(rig.txi++);
-            rig.sys->maintenance();
+            rig.wl(0).runTransaction(txi++);
+            sys.maintenance();
         } catch (const TxRejected &rj) {
             EXPECT_NE(rj.cause, RejectCause::CapacityDegraded)
                 << "admission gate fired despite being disabled";
@@ -351,11 +307,14 @@ TEST(MediaTolerance, MidTxRejectionUnwindsThroughCrashRecovery)
     ASSERT_TRUE(rejected)
         << "ring with every free slot uncorrectable never exhausted";
 
-    rig.sys->crash();
-    rig.sys->recover(1);
-    for (auto &wl : rig.wls)
-        wl->dropPendingShadow();
-    rig.expectIntact("after mid-tx rejection unwound through recovery");
+    sys.crash();
+    sys.recover(1);
+    rig.dropPendingShadows();
+    std::string detail;
+    EXPECT_TRUE(rig.oracle("after mid-tx rejection unwound through "
+                           "recovery",
+                           &detail))
+        << detail;
 }
 
 } // namespace

@@ -26,10 +26,6 @@ namespace hoopnvm
 namespace
 {
 
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
 std::uint64_t
 ruleViolations(const OrderCheckReport &rep, const std::string &rule)
 {
@@ -54,7 +50,7 @@ runScheme(Scheme s, void (*tweak)(OrderCheckOptions &) = nullptr)
 
 TEST(CleanRun, EverySchemeHasZeroViolationsAndNoDeadRules)
 {
-    for (Scheme s : kPersistentSchemes) {
+    for (Scheme s : kDurableSchemes) {
         const OrderCheckReport rep = runScheme(s);
         EXPECT_TRUE(rep.verified) << schemeName(s);
         EXPECT_EQ(rep.totalViolations, 0u) << schemeName(s);

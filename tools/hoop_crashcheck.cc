@@ -11,17 +11,12 @@
  * 3 = per-schedule watchdog budget exceeded.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/crash_explorer.hh"
-#include "check/watchdog.hh"
+#include "cli.hh"
 #include "stats/trace.hh"
 
 namespace
@@ -29,65 +24,12 @@ namespace
 
 using namespace hoopnvm;
 
-constexpr const char *kUsage =
-    "usage: hoop_crashcheck [options]\n"
-    "  --scheme S      hoop|redo|undo|osp|lsm|lad|all   (default hoop)\n"
-    "  --workload W    vector|hashmap|queue|rbtree|btree|ycsb|tpcc|all\n"
-    "                  (default vector)\n"
-    "  --budget N      max schedules per scheme x workload (default 50)\n"
-    "  --seed N        deterministic seed (default 42)\n"
-    "  --threads N     recovery threads (default 2)\n"
-    "  --faults F      none|torn|media                  (default none)\n"
-    "                  media: runtime media-fault regime — fault\n"
-    "                  tolerance on, seeded wear-out faults over free\n"
-    "                  capacity plus transient read disturbs, strict\n"
-    "                  oracles (committed data must survive)\n"
-    "  --budget-ms N   per-schedule wall-clock watchdog: abort with\n"
-    "                  exit code 3 if any single schedule runs longer\n"
-    "                  than N ms (default 0 = off)\n"
-    "  --break-commit-fence   debug: ack commits before the record is\n"
-    "                         durable (implies torn writes; HOOP only\n"
-    "                         knob, used to validate the checker)\n"
-    "  --ordering      arm the persistency-ordering analyzer on every\n"
-    "                  schedule: declared durability rules are checked\n"
-    "                  continuously, so a violated rule is reported\n"
-    "                  even when no schedule's crash lands in the\n"
-    "                  vulnerable window; rules that never fire across\n"
-    "                  a scheme's whole sweep are reported as dead\n"
-    "  --out DIR       write reproducer JSON files here (default .)\n"
-    "  --replay FILE   re-execute one schedule JSON and exit\n"
-    "  --trace FILE    write a Chrome trace (Perfetto-loadable) of\n"
-    "                  every explored schedule to FILE (same as the\n"
-    "                  HOOP_TRACE environment variable)\n";
-
-const char *kAllWorkloads[] = {"vector", "hashmap", "queue", "rbtree",
-                               "btree",  "ycsb",    "tpcc"};
-
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
 int
-usageError(const std::string &msg)
+replay(const cli::Tool &tool, const std::string &path)
 {
-    std::fprintf(stderr, "hoop_crashcheck: %s\n%s", msg.c_str(),
-                 kUsage);
-    return 2;
-}
-
-int
-replay(const std::string &path)
-{
-    std::ifstream in(path);
-    if (!in)
-        return usageError("cannot open replay file " + path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-
     CrashSchedule sched;
-    std::string err;
-    if (!CrashSchedule::fromJson(ss.str(), &sched, &err))
-        return usageError("malformed schedule: " + err);
+    if (const auto rc = tool.loadSpec(path, &sched))
+        return *rc;
 
     std::printf("replaying %s (%s/%s, seed %llu, %zu steps)\n",
                 path.c_str(), schemeToken(sched.scheme),
@@ -113,25 +55,16 @@ replay(const std::string &path)
                     v.detail.c_str());
     if (r.violated) {
         std::printf("  VIOLATION: %s\n", r.detail.c_str());
-        return 1;
+        return cli::kExitViolation;
     }
     if (ordering_violations > 0) {
         std::printf("  %llu ordering violation(s)\n",
                     static_cast<unsigned long long>(
                         ordering_violations));
-        return 1;
+        return cli::kExitViolation;
     }
     std::printf("  no violation\n");
-    return 0;
-}
-
-std::string
-reproducerPath(const std::string &dir, const Violation &v,
-               std::size_t idx)
-{
-    return dir + "/crashcheck_violation_" +
-           schemeToken(v.reproducer.scheme) + "_" +
-           v.reproducer.workload + "_" + std::to_string(idx) + ".json";
+    return cli::kExitClean;
 }
 
 } // namespace
@@ -141,9 +74,9 @@ main(int argc, char **argv)
 {
     using namespace hoopnvm;
 
-    std::string scheme_arg = "hoop";
-    std::string workload_arg = "vector";
-    std::string faults_arg = "none";
+    std::vector<Scheme> schemes = {Scheme::Hoop};
+    std::vector<std::string> workloads = {"vector"};
+    std::string faults = "none";
     std::string out_dir = ".";
     std::string replay_path;
     std::uint64_t budget = 50;
@@ -153,110 +86,65 @@ main(int argc, char **argv)
     bool break_fence = false;
     bool ordering = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--scheme") {
-            const char *v = next();
-            if (!v)
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--workload") {
-            const char *v = next();
-            if (!v)
-                return usageError("--workload needs a value");
-            workload_arg = v;
-        } else if (a == "--budget") {
-            const char *v = next();
-            if (!v)
-                return usageError("--budget needs a value");
-            budget = std::strtoull(v, nullptr, 10);
-        } else if (a == "--budget-ms") {
-            const char *v = next();
-            if (!v)
-                return usageError("--budget-ms needs a value");
-            budget_ms = std::strtoull(v, nullptr, 10);
-        } else if (a == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usageError("--seed needs a value");
-            seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--threads") {
-            const char *v = next();
-            if (!v)
-                return usageError("--threads needs a value");
-            threads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--faults") {
-            const char *v = next();
-            if (!v || (std::strcmp(v, "none") != 0 &&
-                       std::strcmp(v, "torn") != 0 &&
-                       std::strcmp(v, "media") != 0))
-                return usageError(
-                    "--faults must be none, torn or media");
-            faults_arg = v;
-        } else if (a == "--break-commit-fence") {
-            break_fence = true;
-        } else if (a == "--ordering") {
-            ordering = true;
-        } else if (a == "--out") {
-            const char *v = next();
-            if (!v)
-                return usageError("--out needs a value");
-            out_dir = v;
-        } else if (a == "--replay") {
-            const char *v = next();
-            if (!v)
-                return usageError("--replay needs a value");
-            replay_path = v;
-        } else if (a == "--trace") {
-            const char *v = next();
-            if (!v)
-                return usageError("--trace needs a value");
-            Trace::setPath(v);
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
-
+    const cli::Tool tool(
+        "hoop_crashcheck",
+        {
+            {"--scheme S", "hoop|redo|undo|osp|lsm|lad|all   (default hoop)",
+             cli::schemes(&schemes)},
+            {"--workload W",
+             "vector|hashmap|queue|rbtree|btree|ycsb|tpcc|all\n"
+             "(default vector)",
+             cli::workloads(&workloads)},
+            {"--budget N", "max schedules per scheme x workload (default 50)",
+             cli::count(&budget)},
+            {"--seed N", "deterministic seed (default 42)",
+             cli::count(&seed)},
+            {"--threads N", "recovery threads (default 2)",
+             cli::count(&threads)},
+            {"--faults F",
+             "none|torn|media                  (default none)\n"
+             "media: runtime media-fault regime — fault\n"
+             "tolerance on, seeded wear-out faults over free\n"
+             "capacity plus transient read disturbs, strict\n"
+             "oracles (committed data must survive)",
+             cli::oneOf(&faults, {"none", "torn", "media"})},
+            {"--budget-ms N",
+             "per-schedule wall-clock watchdog: abort with\n"
+             "exit code 3 if any single schedule runs longer\n"
+             "than N ms (default 0 = off)",
+             cli::count(&budget_ms)},
+            {"--break-commit-fence",
+             "debug: ack commits before the record is\n"
+             "durable (implies torn writes; HOOP only\n"
+             "knob, used to validate the checker)",
+             cli::on(&break_fence)},
+            {"--ordering",
+             "arm the persistency-ordering analyzer on every\n"
+             "schedule: declared durability rules are checked\n"
+             "continuously, so a violated rule is reported\n"
+             "even when no schedule's crash lands in the\n"
+             "vulnerable window; rules that never fire across\n"
+             "a scheme's whole sweep are reported as dead",
+             cli::on(&ordering)},
+            {"--out DIR", "write reproducer JSON files here (default .)",
+             cli::text(&out_dir)},
+            {"--replay FILE", "re-execute one schedule JSON and exit",
+             cli::text(&replay_path)},
+            {"--trace FILE",
+             "write a Chrome trace (Perfetto-loadable) of\n"
+             "every explored schedule to FILE (same as the\n"
+             "HOOP_TRACE environment variable)",
+             [](const std::string &v) {
+                 Trace::setPath(v);
+                 return true;
+             }},
+        });
+    if (const auto rc = tool.parse(argc, argv))
+        return *rc;
     if (!replay_path.empty())
-        return replay(replay_path);
-
-    // Reproducers are written with plain ofstream, which silently
-    // drops the file if the directory is missing — create it up front.
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-        std::fprintf(stderr, "hoop_crashcheck: cannot create --out %s: %s\n",
-                     out_dir.c_str(), ec.message().c_str());
-        return 2;
-    }
-
-    std::vector<Scheme> schemes;
-    if (scheme_arg == "all") {
-        // push_back rather than assign(first, last): GCC's UBSan build
-        // flags the range-assign growth path with a spurious
-        // -Warray-bounds on the 6-element source array.
-        for (Scheme s : kPersistentSchemes)
-            schemes.push_back(s);
-    } else {
-        Scheme s;
-        if (!schemeFromToken(scheme_arg, &s) || s == Scheme::Native)
-            return usageError("unknown scheme " + scheme_arg);
-        schemes.push_back(s);
-    }
-
-    std::vector<std::string> workloads;
-    if (workload_arg == "all")
-        workloads.assign(std::begin(kAllWorkloads),
-                         std::end(kAllWorkloads));
-    else
-        workloads.push_back(workload_arg);
+        return replay(tool, replay_path);
+    if (const auto rc = tool.makeOutDir(out_dir))
+        return *rc;
 
     Watchdog watchdog(budget_ms);
 
@@ -279,8 +167,8 @@ main(int argc, char **argv)
             opt.seed = seed;
             opt.budget = budget;
             opt.recoverThreads = threads;
-            opt.tornWrites = faults_arg == "torn";
-            if (faults_arg == "media")
+            opt.tornWrites = faults == "torn";
+            if (faults == "media")
                 opt.runtimeFaultProb = 0.02;
             opt.breakCommitFence = break_fence;
             opt.ordering = ordering;
@@ -295,21 +183,7 @@ main(int argc, char **argv)
             total_schedules += rep.schedulesRun;
             total_violations += rep.violations.size();
             total_ordering_violations += rep.orderingViolations;
-
-            for (const OrderingRuleReport &rr : rep.orderingRules) {
-                auto it = std::find_if(
-                    scheme_rules.begin(), scheme_rules.end(),
-                    [&rr](const OrderingRuleReport &have) {
-                        return have.name == rr.name;
-                    });
-                if (it == scheme_rules.end()) {
-                    scheme_rules.push_back(rr);
-                } else {
-                    it->fires += rr.fires;
-                    it->depsChecked += rr.depsChecked;
-                    it->violations += rr.violations;
-                }
-            }
+            mergeRuleReports(&scheme_rules, rep.orderingRules);
 
             std::printf("%-6s %-8s schedules %4llu crashes %4llu "
                         "rec-crashes %3llu violations %zu\n",
@@ -344,10 +218,10 @@ main(int argc, char **argv)
             }
 
             for (const Violation &v : rep.violations) {
-                const std::string path =
-                    reproducerPath(out_dir, v, violation_files++);
-                std::ofstream f(path);
-                f << v.reproducer.toJson();
+                const std::string path = cli::reproducerPath(
+                    out_dir, "crashcheck", v.reproducer.scheme,
+                    v.reproducer.workload, violation_files++);
+                cli::writeFile(path, v.reproducer.toJson());
                 std::printf("  VIOLATION: %s\n  reproducer: %s\n",
                             v.detail.c_str(), path.c_str());
             }
@@ -383,5 +257,5 @@ main(int argc, char **argv)
     const bool clean = total_violations == 0 &&
                        total_ordering_violations == 0 &&
                        total_dead_rules == 0;
-    return clean ? 0 : 1;
+    return clean ? cli::kExitClean : cli::kExitViolation;
 }

@@ -22,14 +22,11 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "check/watchdog.hh"
+#include "cli.hh"
 #include "fleet/chaos.hh"
 #include "fleet/fleet.hh"
 
@@ -37,41 +34,6 @@ namespace
 {
 
 using namespace hoopnvm;
-
-constexpr const char *kUsage =
-    "usage: hoop_fleet [options]\n"
-    "  --scheme S      hoop|redo|undo|osp|lsm|lad|all   (default all)\n"
-    "  --chaos C       none|crashes|stalls|faults|mixed|all\n"
-    "                  (default all = crashes,stalls,faults,mixed)\n"
-    "  --workload W    vector|hashmap|queue|rbtree|btree|ycsb|tpcc\n"
-    "                  (default vector)\n"
-    "  --shards N      shard fault domains (default 4)\n"
-    "  --cores N       cores per shard (default 2)\n"
-    "  --requests N    client requests per cell (default 1500)\n"
-    "  --seed N        deterministic seed (default 42)\n"
-    "  --warmup N      warmup tx per core per shard (default 10)\n"
-    "  --threads N     recovery threads (default 2)\n"
-    "  --events N      chaos events per shard (default 2)\n"
-    "  --budget-ms N   wall-clock watchdog: abort with exit code 3 if\n"
-    "                  progress stalls longer than N ms (0 = off)\n"
-    "  --inject-ack-bug  seeded bug self-test: shard 0 acks commits\n"
-    "                  before durability; the run must detect it\n"
-    "  --out DIR       write reproducer JSON files here (default .)\n"
-    "  --json FILE     write per-cell counters as JSON to FILE\n"
-    "  --replay FILE   re-execute one fleet spec JSON and exit\n";
-
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
-const char *kAllProfiles[] = {"crashes", "stalls", "faults", "mixed"};
-
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_fleet: %s\n%s", msg.c_str(), kUsage);
-    return 2;
-}
 
 void
 printResult(const FleetResult &r)
@@ -110,14 +72,13 @@ appendLatencyJson(std::ostringstream &os, const LatencySummary &l)
        << ", \"mean_ns\": " << l.meanNs << "}";
 }
 
-void
-appendCellJson(std::string &doc, const FleetSpec &spec,
-               const FleetResult &r, bool first)
+std::string
+cellJson(const FleetSpec &spec, const FleetResult &r)
 {
     std::ostringstream os;
-    os << (first ? "" : ",") << "\n    {\"scheme\": \""
-       << schemeToken(spec.scheme) << "\", \"chaos\": \""
-       << spec.chaosProfile << "\", \"workload\": \"" << spec.workload
+    os << "{\"scheme\": \"" << schemeToken(spec.scheme)
+       << "\", \"chaos\": \"" << spec.chaosProfile
+       << "\", \"workload\": \"" << spec.workload
        << "\", \"shards\": " << spec.shards << ", \"violated\": "
        << (r.violated ? "true" : "false")
        << ", \"requests\": " << r.requests
@@ -160,41 +121,28 @@ appendCellJson(std::string &doc, const FleetSpec &spec,
         os << "}";
     }
     os << "]}";
-    doc += os.str();
+    return os.str();
 }
 
-int
-replay(const std::string &path, std::uint64_t budget_ms)
+std::string
+describe(const FleetSpec &spec)
 {
-    std::ifstream in(path);
-    if (!in)
-        return usageError("cannot open replay file " + path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-
-    FleetSpec spec;
-    std::string err;
-    if (!FleetSpec::fromJson(ss.str(), &spec, &err))
-        return usageError("malformed fleet spec: " + err);
-
-    std::printf("replaying %s (%s/%s, chaos %s, seed %llu, %u "
-                "shards)\n",
-                path.c_str(), schemeToken(spec.scheme),
-                spec.workload.c_str(), spec.chaosProfile.c_str(),
-                static_cast<unsigned long long>(spec.seed),
-                spec.shards);
-    Watchdog watchdog(budget_ms);
-    const FleetResult r = runFleet(
-        spec,
-        [&watchdog](const std::string &label) { watchdog.beat(label); });
-    printResult(r);
-    if (r.violated) {
-        std::printf("  VIOLATION: %s\n", r.detail.c_str());
-        return 1;
-    }
-    std::printf("  no violation\n");
-    return 0;
+    return std::string(schemeToken(spec.scheme)) + "/" + spec.workload +
+           ", chaos " + spec.chaosProfile + ", seed " +
+           std::to_string(spec.seed) + ", " + std::to_string(spec.shards) +
+           " shards";
 }
+
+const cli::SpecHarness<FleetSpec, FleetResult> kFleet = {
+    "fleet",
+    "  \"tool\": \"hoop_fleet\",\n",
+    runFleet,
+    shrinkFleet,
+    printResult,
+    cellJson,
+    [](const FleetSpec &spec) { return spec.chaosProfile; },
+    describe,
+};
 
 } // namespace
 
@@ -203,174 +151,80 @@ main(int argc, char **argv)
 {
     using namespace hoopnvm;
 
-    std::string scheme_arg = "all";
-    std::string chaos_arg = "all";
+    std::vector<Scheme> schemes = cli::allSchemes();
+    const std::vector<std::string> all_profiles = {"crashes", "stalls",
+                                                   "faults", "mixed"};
+    std::vector<std::string> profiles = all_profiles;
     std::string out_dir = ".";
     std::string json_path;
     std::string replay_path;
     FleetSpec base;
     std::uint64_t budget_ms = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *v = nullptr;
-        if (a == "--scheme") {
-            if (!(v = next()))
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--chaos") {
-            if (!(v = next()))
-                return usageError("--chaos needs a value");
-            chaos_arg = v;
-        } else if (a == "--workload") {
-            if (!(v = next()))
-                return usageError("--workload needs a value");
-            base.workload = v;
-        } else if (a == "--shards") {
-            if (!(v = next()))
-                return usageError("--shards needs a value");
-            base.shards = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--cores") {
-            if (!(v = next()))
-                return usageError("--cores needs a value");
-            base.coresPerShard = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--requests") {
-            if (!(v = next()))
-                return usageError("--requests needs a value");
-            base.requests = std::strtoull(v, nullptr, 10);
-        } else if (a == "--seed") {
-            if (!(v = next()))
-                return usageError("--seed needs a value");
-            base.seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--warmup") {
-            if (!(v = next()))
-                return usageError("--warmup needs a value");
-            base.warmupTx = std::strtoull(v, nullptr, 10);
-        } else if (a == "--threads") {
-            if (!(v = next()))
-                return usageError("--threads needs a value");
-            base.recoverThreads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--events") {
-            if (!(v = next()))
-                return usageError("--events needs a value");
-            base.chaosEventsPerShard = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--budget-ms") {
-            if (!(v = next()))
-                return usageError("--budget-ms needs a value");
-            budget_ms = std::strtoull(v, nullptr, 10);
-        } else if (a == "--inject-ack-bug") {
-            base.injectAckBeforeDurable = true;
-        } else if (a == "--out") {
-            if (!(v = next()))
-                return usageError("--out needs a value");
-            out_dir = v;
-        } else if (a == "--json") {
-            if (!(v = next()))
-                return usageError("--json needs a value");
-            json_path = v;
-        } else if (a == "--replay") {
-            if (!(v = next()))
-                return usageError("--replay needs a value");
-            replay_path = v;
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
-
-    if (base.shards == 0 || base.coresPerShard == 0 ||
-        base.requests == 0)
-        return usageError("--shards, --cores and --requests must be "
-                          "positive");
-
+    const cli::Tool tool(
+        "hoop_fleet",
+        {
+            {"--scheme S", "hoop|redo|undo|osp|lsm|lad|all   (default all)",
+             cli::schemes(&schemes)},
+            {"--chaos C",
+             "none|crashes|stalls|faults|mixed|all\n"
+             "(default all = crashes,stalls,faults,mixed)",
+             [&](const std::string &v) {
+                 if (v == "all")
+                     profiles = all_profiles;
+                 else if (chaosProfileKnown(v))
+                     profiles = {v};
+                 else
+                     return false;
+                 return true;
+             }},
+            {"--workload W",
+             "vector|hashmap|queue|rbtree|btree|ycsb|tpcc\n"
+             "(default vector)",
+             cli::workload(&base.workload)},
+            {"--shards N", "shard fault domains (default 4)",
+             cli::count(&base.shards, 1)},
+            {"--cores N", "cores per shard (default 2)",
+             cli::count(&base.coresPerShard, 1, kMaxCores)},
+            {"--requests N", "client requests per cell (default 1500)",
+             cli::count(&base.requests, 1)},
+            {"--seed N", "deterministic seed (default 42)",
+             cli::count(&base.seed)},
+            {"--warmup N", "warmup tx per core per shard (default 10)",
+             cli::count(&base.warmupTx)},
+            {"--threads N", "recovery threads (default 2)",
+             cli::count(&base.recoverThreads)},
+            {"--events N", "chaos events per shard (default 2)",
+             cli::count(&base.chaosEventsPerShard)},
+            {"--budget-ms N",
+             "wall-clock watchdog: abort with exit code 3 if\n"
+             "progress stalls longer than N ms (0 = off)",
+             cli::count(&budget_ms)},
+            {"--inject-ack-bug",
+             "seeded bug self-test: shard 0 acks commits\n"
+             "before durability; the run must detect it",
+             cli::on(&base.injectAckBeforeDurable)},
+            {"--out DIR", "write reproducer JSON files here (default .)",
+             cli::text(&out_dir)},
+            {"--json FILE", "write per-cell counters as JSON to FILE",
+             cli::text(&json_path)},
+            {"--replay FILE", "re-execute one fleet spec JSON and exit",
+             cli::text(&replay_path)},
+        });
+    if (const auto rc = tool.parse(argc, argv))
+        return *rc;
     if (!replay_path.empty())
-        return replay(replay_path, budget_ms);
+        return cli::replaySpec(tool, kFleet, replay_path, budget_ms);
+    if (const auto rc = tool.makeOutDir(out_dir))
+        return *rc;
 
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-        std::fprintf(stderr,
-                     "hoop_fleet: cannot create --out %s: %s\n",
-                     out_dir.c_str(), ec.message().c_str());
-        return 2;
-    }
-
-    std::vector<Scheme> schemes;
-    if (scheme_arg == "all") {
-        for (Scheme s : kPersistentSchemes)
-            schemes.push_back(s);
-    } else {
-        Scheme s;
-        if (!schemeFromToken(scheme_arg, &s) || s == Scheme::Native)
-            return usageError("unknown scheme " + scheme_arg);
-        schemes.push_back(s);
-    }
-
-    std::vector<std::string> profiles;
-    if (chaos_arg == "all") {
-        profiles.assign(std::begin(kAllProfiles),
-                        std::end(kAllProfiles));
-    } else {
-        if (!chaosProfileKnown(chaos_arg))
-            return usageError("unknown chaos profile " + chaos_arg);
-        profiles.push_back(chaos_arg);
-    }
-
-    Watchdog watchdog(budget_ms);
-    const FleetProgress progress =
-        [&watchdog](const std::string &label) { watchdog.beat(label); };
-
-    std::string cells_json;
-    std::size_t violation_files = 0;
-    std::size_t total_violations = 0;
-    bool first_cell = true;
-
+    std::vector<FleetSpec> cells;
     for (Scheme scheme : schemes) {
         for (const std::string &profile : profiles) {
-            FleetSpec spec = base;
-            spec.scheme = scheme;
-            spec.chaosProfile = profile;
-
-            const FleetResult r = runFleet(spec, progress);
-            std::printf("%-6s %-8s %s\n", schemeToken(scheme),
-                        profile.c_str(),
-                        r.violated ? "VIOLATED" : "clean");
-            printResult(r);
-            appendCellJson(cells_json, spec, r, first_cell);
-            first_cell = false;
-
-            if (r.violated) {
-                ++total_violations;
-                std::string detail = r.detail;
-                const FleetSpec repro =
-                    shrinkFleet(spec, &detail, progress);
-                const std::string path =
-                    out_dir + "/fleet_violation_" +
-                    schemeToken(scheme) + "_" + profile + "_" +
-                    std::to_string(violation_files++) + ".json";
-                std::ofstream f(path);
-                f << repro.toJson();
-                std::printf("  VIOLATION: %s\n  reproducer: %s\n",
-                            detail.c_str(), path.c_str());
-            }
+            cells.push_back(base);
+            cells.back().scheme = scheme;
+            cells.back().chaosProfile = profile;
         }
     }
-
-    if (!json_path.empty()) {
-        std::ofstream f(json_path);
-        f << "{\n  \"tool\": \"hoop_fleet\",\n  \"cells\": ["
-          << cells_json << "\n  ]\n}\n";
-    }
-
-    std::printf("total: %zu cell(s) violated\n", total_violations);
-    return total_violations == 0 ? 0 : 1;
+    return cli::runMatrix(kFleet, cells, out_dir, json_path, budget_ms);
 }

@@ -17,177 +17,79 @@
  * bugs so the rule that guards each one can be watched firing; they
  * exist to validate the analyzer, not the schemes.
  *
- * Exit codes: 0 = all rules fired and none violated, 1 = violations
- * or dead rules, 2 = usage error.
+ * Exit codes: 0 = all rules fired, none violated and every run
+ * verified, 1 = violations, dead rules or a failed verification,
+ * 2 = usage error.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/order_harness.hh"
-#include "check/crash_schedule.hh"
+#include "cli.hh"
 #include "stats/trace.hh"
-
-namespace
-{
-
-using namespace hoopnvm;
-
-constexpr const char *kUsage =
-    "usage: hoop_ordercheck [options]\n"
-    "  --scheme S      hoop|redo|undo|osp|lsm|lad|all   (default all)\n"
-    "  --workload W    vector|hashmap|queue|rbtree|btree|ycsb|tpcc|all\n"
-    "                  (default hashmap)\n"
-    "  --txs N         tracked transactions per core    (default 120)\n"
-    "  --seed N        deterministic seed               (default 1)\n"
-    "  --cores N       simulated cores                  (default 2)\n"
-    "  --faults F      none|torn                        (default none)\n"
-    "  --verbose       print every violation/warning trace\n"
-    "  debug-bug knobs (validate the analyzer; each should make its\n"
-    "  guarding rule fire violations):\n"
-    "  --break-commit-fence   hoop: ack commit before record durable\n"
-    "  --early-commit-ack     redo/undo/lsm/osp: ack at issue time\n"
-    "  --skip-settle-fences   skip drain fences before truncate/GC\n"
-    "  --skip-undo-log        undo: in-place writes without log entry\n"
-    "  --trace FILE    write a Chrome trace (Perfetto-loadable) of\n"
-    "                  every analyzed run to FILE (same as the\n"
-    "                  HOOP_TRACE environment variable)\n";
-
-const char *kAllWorkloads[] = {"vector", "hashmap", "queue", "rbtree",
-                               "btree",  "ycsb",    "tpcc"};
-
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_ordercheck: %s\n%s", msg.c_str(),
-                 kUsage);
-    return 2;
-}
-
-void
-mergeRules(std::vector<OrderingRuleReport> *into,
-           const std::vector<OrderingRuleReport> &from)
-{
-    for (const OrderingRuleReport &rr : from) {
-        auto it = std::find_if(into->begin(), into->end(),
-                               [&rr](const OrderingRuleReport &have) {
-                                   return have.name == rr.name;
-                               });
-        if (it == into->end()) {
-            into->push_back(rr);
-        } else {
-            it->fires += rr.fires;
-            it->depsChecked += rr.depsChecked;
-            it->violations += rr.violations;
-        }
-    }
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace hoopnvm;
 
-    std::string scheme_arg = "all";
-    std::string workload_arg = "hashmap";
-    std::string faults_arg = "none";
+    std::vector<Scheme> schemes = cli::allSchemes();
+    std::vector<std::string> workloads = {"hashmap"};
+    std::string faults = "none";
     std::uint64_t txs = 120;
     std::uint64_t seed = 1;
     unsigned cores = 2;
     bool verbose = false;
     OrderCheckOptions knobs;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--scheme") {
-            const char *v = next();
-            if (!v)
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--workload") {
-            const char *v = next();
-            if (!v)
-                return usageError("--workload needs a value");
-            workload_arg = v;
-        } else if (a == "--txs") {
-            const char *v = next();
-            if (!v)
-                return usageError("--txs needs a value");
-            txs = std::strtoull(v, nullptr, 10);
-        } else if (a == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usageError("--seed needs a value");
-            seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--cores") {
-            const char *v = next();
-            if (!v)
-                return usageError("--cores needs a value");
-            cores = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (a == "--faults") {
-            const char *v = next();
-            if (!v || (std::strcmp(v, "none") != 0 &&
-                       std::strcmp(v, "torn") != 0))
-                return usageError("--faults must be none or torn");
-            faults_arg = v;
-        } else if (a == "--verbose") {
-            verbose = true;
-        } else if (a == "--break-commit-fence") {
-            knobs.breakCommitFence = true;
-        } else if (a == "--early-commit-ack") {
-            knobs.earlyCommitAck = true;
-        } else if (a == "--skip-settle-fences") {
-            knobs.skipSettleFences = true;
-        } else if (a == "--skip-undo-log") {
-            knobs.skipUndoLog = true;
-        } else if (a == "--trace") {
-            const char *v = next();
-            if (!v)
-                return usageError("--trace needs a value");
-            Trace::setPath(v);
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
-
-    std::vector<Scheme> schemes;
-    if (scheme_arg == "all") {
-        // push_back rather than assign(first, last): GCC's UBSan build
-        // flags the range-assign growth path with a spurious
-        // -Warray-bounds on the 6-element source array.
-        for (Scheme s : kPersistentSchemes)
-            schemes.push_back(s);
-    } else {
-        Scheme s;
-        if (!schemeFromToken(scheme_arg, &s) || s == Scheme::Native)
-            return usageError("unknown scheme " + scheme_arg);
-        schemes.push_back(s);
-    }
-
-    std::vector<std::string> workloads;
-    if (workload_arg == "all")
-        workloads.assign(std::begin(kAllWorkloads),
-                         std::end(kAllWorkloads));
-    else
-        workloads.push_back(workload_arg);
+    const cli::Tool tool(
+        "hoop_ordercheck",
+        {
+            {"--scheme S", "hoop|redo|undo|osp|lsm|lad|all   (default all)",
+             cli::schemes(&schemes)},
+            {"--workload W",
+             "vector|hashmap|queue|rbtree|btree|ycsb|tpcc|all\n"
+             "(default hashmap)",
+             cli::workloads(&workloads)},
+            {"--txs N", "tracked transactions per core    (default 120)",
+             cli::count(&txs)},
+            {"--seed N", "deterministic seed               (default 1)",
+             cli::count(&seed)},
+            {"--cores N", "simulated cores                  (default 2)",
+             cli::count(&cores, 1, kMaxCores)},
+            {"--faults F", "none|torn                        (default none)",
+             cli::oneOf(&faults, {"none", "torn"})},
+            {"--verbose", "print every violation/warning trace",
+             cli::on(&verbose)},
+            {"--break-commit-fence",
+             "seeded bug, hoop: ack commit before record durable",
+             cli::on(&knobs.breakCommitFence)},
+            {"--early-commit-ack",
+             "seeded bug, redo/undo/lsm/osp: ack at issue time",
+             cli::on(&knobs.earlyCommitAck)},
+            {"--skip-settle-fences",
+             "seeded bug: skip drain fences before truncate/GC",
+             cli::on(&knobs.skipSettleFences)},
+            {"--skip-undo-log",
+             "seeded bug, undo: in-place writes without log entry",
+             cli::on(&knobs.skipUndoLog)},
+            {"--trace FILE",
+             "write a Chrome trace (Perfetto-loadable) of\n"
+             "every analyzed run to FILE (same as the\n"
+             "HOOP_TRACE environment variable)",
+             [](const std::string &v) {
+                 Trace::setPath(v);
+                 return true;
+             }},
+        });
+    if (const auto rc = tool.parse(argc, argv))
+        return *rc;
 
     std::uint64_t total_violations = 0;
     std::uint64_t total_dead = 0;
+    bool all_verified = true;
 
     for (Scheme scheme : schemes) {
         // Dead-rule detection sums fires across every workload: a GC
@@ -195,7 +97,7 @@ main(int argc, char **argv)
         std::vector<OrderingRuleReport> scheme_rules;
         OrderingCounters scheme_counters;
         std::uint64_t scheme_warnings = 0;
-        bool all_verified = true;
+        bool scheme_verified = true;
 
         for (const std::string &wl : workloads) {
             OrderCheckOptions opt = knobs;
@@ -204,11 +106,11 @@ main(int argc, char **argv)
             opt.seed = seed;
             opt.numCores = cores;
             opt.runTx = txs;
-            opt.tornWrites = faults_arg == "torn";
+            opt.tornWrites = faults == "torn";
 
             const OrderCheckReport rep = runOrderCheck(opt);
             total_violations += rep.totalViolations;
-            mergeRules(&scheme_rules, rep.rules);
+            mergeRuleReports(&scheme_rules, rep.rules);
             scheme_counters.timedWrites += rep.counters.timedWrites;
             scheme_counters.settleCalls += rep.counters.settleCalls;
             scheme_counters.redundantSettles +=
@@ -218,7 +120,7 @@ main(int argc, char **argv)
                 rep.counters.inflightOverwrites;
             scheme_counters.depOverwrites += rep.counters.depOverwrites;
             scheme_warnings += rep.warnings.size();
-            all_verified = all_verified && rep.verified;
+            scheme_verified = scheme_verified && rep.verified;
 
             std::printf("%-6s %-8s tx %5llu violations %4llu "
                         "warnings %3zu verified %s\n",
@@ -270,11 +172,14 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(
                         scheme_counters.depOverwrites),
                     static_cast<unsigned long long>(scheme_warnings),
-                    all_verified ? "" : "  [VERIFY FAILED]");
+                    scheme_verified ? "" : "  [VERIFY FAILED]");
+        all_verified = all_verified && scheme_verified;
     }
 
     std::printf("total: %llu ordering violations, %llu dead rules\n",
                 static_cast<unsigned long long>(total_violations),
                 static_cast<unsigned long long>(total_dead));
-    return total_violations == 0 && total_dead == 0 ? 0 : 1;
+    return total_violations == 0 && total_dead == 0 && all_verified
+               ? cli::kExitClean
+               : cli::kExitViolation;
 }

@@ -15,54 +15,18 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/soak.hh"
-#include "check/watchdog.hh"
+#include "cli.hh"
+#include "workloads/registry.hh"
 
 namespace
 {
 
 using namespace hoopnvm;
-
-constexpr const char *kUsage =
-    "usage: hoop_soak [options]\n"
-    "  --scheme S      hoop|redo|undo|osp|lsm|lad|all   (default all)\n"
-    "  --workload W    vector|hashmap|queue|rbtree|btree|ycsb|tpcc|all\n"
-    "                  (default all)\n"
-    "  --seed N        deterministic seed (default 42)\n"
-    "  --phases N      escalation steps per cell (default 4)\n"
-    "  --tx N          transactions per core per phase (default 60)\n"
-    "  --warmup N      fault-free warmup transactions (default 10)\n"
-    "  --fault-prob P  per-word fault probability of phase 0\n"
-    "                  (default 0.01)\n"
-    "  --escalation X  per-phase probability multiplier (default 2)\n"
-    "  --threads N     recovery threads (default 2)\n"
-    "  --budget-ms N   per-phase wall-clock watchdog: abort with exit\n"
-    "                  code 3 if any single phase runs longer than\n"
-    "                  N ms (default 0 = off)\n"
-    "  --out DIR       write reproducer JSON files here (default .)\n"
-    "  --json FILE     write per-cell counters as JSON to FILE\n"
-    "  --replay FILE   re-execute one soak spec JSON and exit\n";
-
-const char *kAllWorkloads[] = {"vector", "hashmap", "queue", "rbtree",
-                               "btree",  "ycsb",    "tpcc"};
-
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_soak: %s\n%s", msg.c_str(), kUsage);
-    return 2;
-}
 
 void
 printResult(const SoakResult &r)
@@ -82,47 +46,12 @@ printResult(const SoakResult &r)
                 r.degradedFraction);
 }
 
-int
-replay(const std::string &path, std::uint64_t budget_ms)
-{
-    std::ifstream in(path);
-    if (!in)
-        return usageError("cannot open replay file " + path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-
-    SoakSpec spec;
-    std::string err;
-    if (!SoakSpec::fromJson(ss.str(), &spec, &err))
-        return usageError("malformed soak spec: " + err);
-
-    std::printf("replaying %s (%s/%s, seed %llu, %u phases)\n",
-                path.c_str(), schemeToken(spec.scheme),
-                spec.workload.c_str(),
-                static_cast<unsigned long long>(spec.seed),
-                spec.phases);
-    Watchdog watchdog(budget_ms);
-    const SoakResult r = runSoak(spec, [&watchdog](
-                                           const std::string &label) {
-        watchdog.beat(label);
-    });
-    printResult(r);
-    if (r.violated) {
-        std::printf("  VIOLATION: %s\n", r.detail.c_str());
-        return 1;
-    }
-    std::printf("  no violation\n");
-    return 0;
-}
-
-void
-appendCellJson(std::string &doc, const SoakSpec &spec,
-               const SoakResult &r, bool first)
+std::string
+cellJson(const SoakSpec &spec, const SoakResult &r)
 {
     std::ostringstream os;
-    os << (first ? "" : ",") << "\n    {\"scheme\": \""
-       << schemeToken(spec.scheme) << "\", \"workload\": \""
-       << spec.workload << "\", \"violated\": "
+    os << "{\"scheme\": \"" << schemeToken(spec.scheme)
+       << "\", \"workload\": \"" << spec.workload << "\", \"violated\": "
        << (r.violated ? "true" : "false")
        << ", \"rejected_admission\": " << r.rejectedAdmission
        << ", \"rejected_mid_tx\": " << r.rejectedMidTx
@@ -132,8 +61,27 @@ appendCellJson(std::string &doc, const SoakSpec &spec,
        << ", \"read_retries\": " << r.readRetries
        << ", \"uncorrectable_reads\": " << r.uncorrectableReads
        << ", \"degraded_fraction\": " << r.degradedFraction << "}";
-    doc += os.str();
+    return os.str();
 }
+
+std::string
+describe(const SoakSpec &spec)
+{
+    return std::string(schemeToken(spec.scheme)) + "/" + spec.workload +
+           ", seed " + std::to_string(spec.seed) + ", " +
+           std::to_string(spec.phases) + " phases";
+}
+
+const cli::SpecHarness<SoakSpec, SoakResult> kSoak = {
+    "soak",
+    "",
+    runSoak,
+    shrinkSoak,
+    printResult,
+    cellJson,
+    [](const SoakSpec &spec) { return spec.workload; },
+    describe,
+};
 
 } // namespace
 
@@ -142,161 +90,65 @@ main(int argc, char **argv)
 {
     using namespace hoopnvm;
 
-    std::string scheme_arg = "all";
-    std::string workload_arg = "all";
+    std::vector<Scheme> schemes = cli::allSchemes();
+    std::vector<std::string> workloads(std::begin(kTableIIIWorkloads),
+                                       std::end(kTableIIIWorkloads));
     std::string out_dir = ".";
     std::string json_path;
     std::string replay_path;
     SoakSpec base;
     std::uint64_t budget_ms = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *v = nullptr;
-        if (a == "--scheme") {
-            if (!(v = next()))
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--workload") {
-            if (!(v = next()))
-                return usageError("--workload needs a value");
-            workload_arg = v;
-        } else if (a == "--seed") {
-            if (!(v = next()))
-                return usageError("--seed needs a value");
-            base.seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--phases") {
-            if (!(v = next()))
-                return usageError("--phases needs a value");
-            base.phases = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--tx") {
-            if (!(v = next()))
-                return usageError("--tx needs a value");
-            base.txPerPhase = std::strtoull(v, nullptr, 10);
-        } else if (a == "--warmup") {
-            if (!(v = next()))
-                return usageError("--warmup needs a value");
-            base.warmupTx = std::strtoull(v, nullptr, 10);
-        } else if (a == "--fault-prob") {
-            if (!(v = next()))
-                return usageError("--fault-prob needs a value");
-            base.faultProb = std::strtod(v, nullptr);
-        } else if (a == "--escalation") {
-            if (!(v = next()))
-                return usageError("--escalation needs a value");
-            base.escalation = std::strtod(v, nullptr);
-        } else if (a == "--threads") {
-            if (!(v = next()))
-                return usageError("--threads needs a value");
-            base.recoverThreads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--budget-ms") {
-            if (!(v = next()))
-                return usageError("--budget-ms needs a value");
-            budget_ms = std::strtoull(v, nullptr, 10);
-        } else if (a == "--out") {
-            if (!(v = next()))
-                return usageError("--out needs a value");
-            out_dir = v;
-        } else if (a == "--json") {
-            if (!(v = next()))
-                return usageError("--json needs a value");
-            json_path = v;
-        } else if (a == "--replay") {
-            if (!(v = next()))
-                return usageError("--replay needs a value");
-            replay_path = v;
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
-
-    if (base.phases == 0 || base.txPerPhase == 0)
-        return usageError("--phases and --tx must be positive");
-
+    const cli::Tool tool(
+        "hoop_soak",
+        {
+            {"--scheme S", "hoop|redo|undo|osp|lsm|lad|all   (default all)",
+             cli::schemes(&schemes)},
+            {"--workload W",
+             "vector|hashmap|queue|rbtree|btree|ycsb|tpcc|all\n"
+             "(default all)",
+             cli::workloads(&workloads)},
+            {"--seed N", "deterministic seed (default 42)",
+             cli::count(&base.seed)},
+            {"--phases N", "escalation steps per cell (default 4)",
+             cli::count(&base.phases, 1)},
+            {"--tx N", "transactions per core per phase (default 60)",
+             cli::count(&base.txPerPhase, 1)},
+            {"--warmup N", "fault-free warmup transactions (default 10)",
+             cli::count(&base.warmupTx)},
+            {"--fault-prob P",
+             "per-word fault probability of phase 0\n(default 0.01)",
+             cli::real(&base.faultProb)},
+            {"--escalation X", "per-phase probability multiplier (default 2)",
+             cli::real(&base.escalation)},
+            {"--threads N", "recovery threads (default 2)",
+             cli::count(&base.recoverThreads)},
+            {"--budget-ms N",
+             "per-phase wall-clock watchdog: abort with exit\n"
+             "code 3 if any single phase runs longer than\n"
+             "N ms (default 0 = off)",
+             cli::count(&budget_ms)},
+            {"--out DIR", "write reproducer JSON files here (default .)",
+             cli::text(&out_dir)},
+            {"--json FILE", "write per-cell counters as JSON to FILE",
+             cli::text(&json_path)},
+            {"--replay FILE", "re-execute one soak spec JSON and exit",
+             cli::text(&replay_path)},
+        });
+    if (const auto rc = tool.parse(argc, argv))
+        return *rc;
     if (!replay_path.empty())
-        return replay(replay_path, budget_ms);
+        return cli::replaySpec(tool, kSoak, replay_path, budget_ms);
+    if (const auto rc = tool.makeOutDir(out_dir))
+        return *rc;
 
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-        std::fprintf(stderr, "hoop_soak: cannot create --out %s: %s\n",
-                     out_dir.c_str(), ec.message().c_str());
-        return 2;
-    }
-
-    std::vector<Scheme> schemes;
-    if (scheme_arg == "all") {
-        for (Scheme s : kPersistentSchemes)
-            schemes.push_back(s);
-    } else {
-        Scheme s;
-        if (!schemeFromToken(scheme_arg, &s) || s == Scheme::Native)
-            return usageError("unknown scheme " + scheme_arg);
-        schemes.push_back(s);
-    }
-
-    std::vector<std::string> workloads;
-    if (workload_arg == "all")
-        workloads.assign(std::begin(kAllWorkloads),
-                         std::end(kAllWorkloads));
-    else
-        workloads.push_back(workload_arg);
-
-    Watchdog watchdog(budget_ms);
-    const SoakProgress progress = [&watchdog](
-                                      const std::string &label) {
-        watchdog.beat(label);
-    };
-
-    std::string cells_json;
-    std::size_t violation_files = 0;
-    std::size_t total_violations = 0;
-    bool first_cell = true;
-
+    std::vector<SoakSpec> cells;
     for (Scheme scheme : schemes) {
         for (const std::string &wl : workloads) {
-            SoakSpec spec = base;
-            spec.scheme = scheme;
-            spec.workload = wl;
-
-            const SoakResult r = runSoak(spec, progress);
-            std::printf("%-6s %-8s %s\n", schemeToken(scheme),
-                        wl.c_str(),
-                        r.violated ? "VIOLATED" : "clean");
-            printResult(r);
-            appendCellJson(cells_json, spec, r, first_cell);
-            first_cell = false;
-
-            if (r.violated) {
-                ++total_violations;
-                std::string detail = r.detail;
-                const SoakSpec repro =
-                    shrinkSoak(spec, &detail, progress);
-                const std::string path =
-                    out_dir + "/soak_violation_" +
-                    schemeToken(scheme) + "_" + wl + "_" +
-                    std::to_string(violation_files++) + ".json";
-                std::ofstream f(path);
-                f << repro.toJson();
-                std::printf("  VIOLATION: %s\n  reproducer: %s\n",
-                            detail.c_str(), path.c_str());
-            }
+            cells.push_back(base);
+            cells.back().scheme = scheme;
+            cells.back().workload = wl;
         }
     }
-
-    if (!json_path.empty()) {
-        std::ofstream f(json_path);
-        f << "{\n  \"cells\": [" << cells_json << "\n  ]\n}\n";
-    }
-
-    std::printf("total: %zu cell(s) violated\n", total_violations);
-    return total_violations == 0 ? 0 : 1;
+    return cli::runMatrix(kSoak, cells, out_dir, json_path, budget_ms);
 }

@@ -12,60 +12,12 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "cli.hh"
 #include "sim/system.hh"
 #include "stats/trace.hh"
 #include "workloads/registry.hh"
-
-namespace
-{
-
-using namespace hoopnvm;
-
-constexpr const char *kUsage =
-    "usage: hoop_trace [options]\n"
-    "  --out FILE      trace output path       (default hoop_trace.json)\n"
-    "  --scheme S      hoop|redo|undo|osp|lsm|lad|native (default hoop)\n"
-    "  --workload W    vector|hashmap|queue|rbtree|btree|ycsb|tpcc\n"
-    "                  (default hashmap)\n"
-    "  --txs N         transactions per core   (default 200)\n"
-    "  --cores N       simulated cores         (default 4)\n"
-    "  --seed N        deterministic seed      (default 42)\n"
-    "  --crash         crash after the run and trace the recovery\n";
-
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_trace: %s\n%s", msg.c_str(), kUsage);
-    return 2;
-}
-
-Scheme
-parseScheme(const std::string &s, bool &ok)
-{
-    ok = true;
-    if (s == "hoop")
-        return Scheme::Hoop;
-    if (s == "redo")
-        return Scheme::OptRedo;
-    if (s == "undo")
-        return Scheme::OptUndo;
-    if (s == "osp")
-        return Scheme::Osp;
-    if (s == "lsm")
-        return Scheme::Lsm;
-    if (s == "lad")
-        return Scheme::Lad;
-    if (s == "native")
-        return Scheme::Native;
-    ok = false;
-    return Scheme::Hoop;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -73,62 +25,38 @@ main(int argc, char **argv)
     using namespace hoopnvm;
 
     std::string out = "hoop_trace.json";
-    std::string scheme_arg = "hoop";
+    Scheme scheme = Scheme::Hoop;
     std::string workload = "hashmap";
     std::uint64_t txs = 200;
     std::uint64_t seed = 42;
     unsigned cores = 4;
     bool crash = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--out") {
-            const char *v = next();
-            if (!v)
-                return usageError("--out needs a value");
-            out = v;
-        } else if (a == "--scheme") {
-            const char *v = next();
-            if (!v)
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--workload") {
-            const char *v = next();
-            if (!v)
-                return usageError("--workload needs a value");
-            workload = v;
-        } else if (a == "--txs") {
-            const char *v = next();
-            if (!v)
-                return usageError("--txs needs a value");
-            txs = std::strtoull(v, nullptr, 10);
-        } else if (a == "--cores") {
-            const char *v = next();
-            if (!v)
-                return usageError("--cores needs a value");
-            cores = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (a == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usageError("--seed needs a value");
-            seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--crash") {
-            crash = true;
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
-
-    bool scheme_ok = false;
-    const Scheme scheme = parseScheme(scheme_arg, scheme_ok);
-    if (!scheme_ok)
-        return usageError("unknown scheme " + scheme_arg);
+    const cli::Tool tool(
+        "hoop_trace",
+        {
+            {"--out FILE", "trace output path       (default hoop_trace.json)",
+             cli::text(&out)},
+            {"--scheme S",
+             "hoop|redo|undo|osp|lsm|lad|native (default hoop)",
+             [&scheme](const std::string &v) {
+                 return schemeFromToken(v, &scheme);
+             }},
+            {"--workload W",
+             "vector|hashmap|queue|rbtree|btree|ycsb|tpcc\n"
+             "(default hashmap)",
+             cli::workload(&workload)},
+            {"--txs N", "transactions per core   (default 200)",
+             cli::count(&txs)},
+            {"--cores N", "simulated cores         (default 4)",
+             cli::count(&cores, 1, kMaxCores)},
+            {"--seed N", "deterministic seed      (default 42)",
+             cli::count(&seed)},
+            {"--crash", "crash after the run and trace the recovery",
+             cli::on(&crash)},
+        });
+    if (const auto rc = tool.parse(argc, argv))
+        return *rc;
 
     Trace::setPath(out);
 
@@ -153,7 +81,7 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "hoop_trace: %s/%s failed verification\n",
                          schemeName(scheme), workload.c_str());
-            return 1;
+            return cli::kExitViolation;
         }
         if (crash) {
             sys.crash();
@@ -164,7 +92,7 @@ main(int argc, char **argv)
     if (!Trace::write()) {
         std::fprintf(stderr, "hoop_trace: cannot write %s\n",
                      out.c_str());
-        return 1;
+        return cli::kExitViolation;
     }
 
     std::printf("hoop_trace: %s/%s, %llu tx/core on %u cores -> %s\n",
@@ -179,5 +107,5 @@ main(int argc, char **argv)
                     ticksToNs(recovery_time) / 1000.0);
     }
     std::printf("  open in https://ui.perfetto.dev\n");
-    return 0;
+    return cli::kExitClean;
 }
