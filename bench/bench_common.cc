@@ -194,7 +194,7 @@ fputEpochs(std::FILE *f, const std::vector<EpochSample> &epochs)
 } // namespace
 
 std::uint64_t
-benchTxPerCore()
+benchTxPerCore(std::uint64_t dflt)
 {
     // lint: nondet-api-ok (HOOP_BENCH_TX scales the run length explicitly; the value is recorded in the report)
     if (const char *env = std::getenv("HOOP_BENCH_TX")) {
@@ -202,7 +202,7 @@ benchTxPerCore()
         if (v >= 1)
             return static_cast<std::uint64_t>(v);
     }
-    return kTxPerCore;
+    return dflt;
 }
 
 unsigned

@@ -56,11 +56,12 @@ paperParams(std::size_t value_bytes)
 inline constexpr std::uint64_t kTxPerCore = 150;
 
 /**
- * Transactions per core for this run: kTxPerCore unless the
- * HOOP_BENCH_TX environment variable overrides it (the CI smoke test
- * sets it to a handful so every bench finishes in milliseconds).
+ * Transactions per core for this run: the bench's own @p dflt unless
+ * the HOOP_BENCH_TX environment variable holds a positive count (the
+ * CI smoke test sets it to a handful so every bench finishes in
+ * milliseconds). An empty, zero or malformed value keeps @p dflt.
  */
-std::uint64_t benchTxPerCore();
+std::uint64_t benchTxPerCore(std::uint64_t dflt = kTxPerCore);
 
 /**
  * Parse the standard bench flags and return the worker-thread count:

@@ -11,8 +11,6 @@
  * reachable within bench time.
  */
 
-#include <cstdlib>
-
 #include "bench_common.hh"
 
 using namespace hoopnvm;
@@ -34,9 +32,7 @@ main(int argc, char **argv)
     const double periods_us[] = {10, 20, 40, 80, 120, 160, 240};
     const std::vector<const char *> workloads = {
         "vector", "hashmap", "queue", "rbtree", "btree"};
-    const std::uint64_t tx_per_core =
-        // lint: nondet-api-ok (presence probe for the explicit HOOP_BENCH_TX scale knob; recorded in the report)
-        std::getenv("HOOP_BENCH_TX") ? benchTxPerCore() : 250;
+    const std::uint64_t tx_per_core = benchTxPerCore(250);
 
     // cells[workload][period]
     std::vector<std::vector<Cell>> cells(

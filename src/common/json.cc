@@ -47,7 +47,10 @@ jsonEscape(const std::string &s)
 std::string
 jsonQuote(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 std::string

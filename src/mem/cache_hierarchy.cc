@@ -211,9 +211,9 @@ Tick
 CacheHierarchy::loadWordHit(CoreId core, CacheLine line, Addr addr,
                             std::uint64_t &out, Tick now)
 {
-    // The word-at-a-time path for a second word of a resident line:
-    // opCost, an L1 probe hit (latency, hit counter, LRU touch), no
-    // load overhead (the line is in L1), no controller involvement.
+    // What loadWordResolved does for a word of a memoized, L1-resident
+    // line: opCost, an L1 probe hit (latency, hit counter, LRU touch),
+    // no load overhead (the line is in L1), no controller involvement.
     ++loadsC_;
     Tick t = now + cfg.opCost();
     t += l1s[core]->latency();
@@ -249,46 +249,36 @@ CacheHierarchy::storeWordResolved(CoreId core, Addr addr,
     ++storesC_;
     Tick t = now + cfg.opCost();
     line = ensureInL1(core, lineAddr(addr), true, t);
-    std::memcpy(line.data() + (addr - lineAddr(addr)), &value,
-                kWordSize);
-    line.dirty() = true;
-    line.lastWriter() = core;
-    line.wordMask() |= static_cast<std::uint8_t>(
-        1u << ((addr - lineAddr(addr)) / kWordSize));
-
-    const bool in_tx = ctrl->inTx(core);
-    if (in_tx) {
-        line.persistent() = true;
-        line.txId() = ctrl->currentTx(core);
-        std::uint8_t bytes[kWordSize];
-        std::memcpy(bytes, &value, kWordSize);
-        t += ctrl->storeWord(core, addr, bytes, t);
-    }
-    return t;
+    return writeWord(core, line, addr, value, t);
 }
 
 Tick
 CacheHierarchy::storeWordHit(CoreId core, CacheLine line, Addr addr,
                              std::uint64_t value, Tick now)
 {
-    // The word-at-a-time path for a second store to a line this core
-    // already holds exclusive: the L1 probe hits (latency, hit
-    // counter, LRU touch) and the coherence work — LLC lookup, sharer
-    // reconciliation, sharer-mask OR — is a structural no-op (the
-    // first store stripped every other sharer and set this core's
-    // bit), so it is skipped rather than re-executed.
+    // What storeWordResolved does for a line this core already holds
+    // exclusive: the L1 probe hits (latency, hit counter, LRU touch)
+    // and the coherence work — LLC lookup, sharer reconciliation,
+    // sharer-mask OR — is a structural no-op (the resolving store
+    // stripped every other sharer and set this core's bit), so it is
+    // skipped rather than re-executed.
     ++storesC_;
     Tick t = now + cfg.opCost();
     t += l1s[core]->latency();
     l1s[core]->touchHit(line);
-    std::memcpy(line.data() + (addr - line.addr()), &value, kWordSize);
+    return writeWord(core, line, addr, value, t);
+}
+
+Tick
+CacheHierarchy::writeWord(CoreId core, CacheLine line, Addr addr,
+                          std::uint64_t value, Tick t)
+{
+    const Addr off = addr - line.addr();
+    std::memcpy(line.data() + off, &value, kWordSize);
     line.dirty() = true;
     line.lastWriter() = core;
-    line.wordMask() |= static_cast<std::uint8_t>(
-        1u << ((addr - line.addr()) / kWordSize));
-
-    const bool in_tx = ctrl->inTx(core);
-    if (in_tx) {
+    line.wordMask() |= static_cast<std::uint8_t>(1u << (off / kWordSize));
+    if (ctrl->inTx(core)) {
         line.persistent() = true;
         line.txId() = ctrl->currentTx(core);
         std::uint8_t bytes[kWordSize];

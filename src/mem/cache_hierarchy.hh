@@ -20,7 +20,6 @@
 #define HOOPNVM_MEM_CACHE_HIERARCHY_HH
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -55,77 +54,6 @@ class CacheHierarchy
      * @return Completion tick.
      */
     Tick storeWord(CoreId core, Addr addr, std::uint64_t value, Tick now);
-
-    /**
-     * Timed load of @p len bytes (word-aligned) starting at @p addr,
-     * batched at line granularity: the first word of each 64 B line
-     * resolves the line through the hierarchy exactly like loadWord();
-     * the remaining words of that line are guaranteed L1 hits (nothing
-     * between consecutive words of a batch can displace the line — the
-     * persistence controllers never touch the cache hierarchy) and
-     * skip re-resolution while applying the identical stat, LRU and
-     * latency effects. @p advance is called with each word's
-     * completion tick and must return the core clock to use as the
-     * next word's start tick, so per-word clock progress — and
-     * therefore the state seen by a mid-range exception — matches the
-     * word-at-a-time path bit for bit.
-     */
-    template <typename AdvanceFn>
-    void
-    loadRange(CoreId core, Addr addr, std::uint8_t *out,
-              std::size_t len, Tick now, AdvanceFn &&advance)
-    {
-        std::size_t off = 0;
-        while (off < len) {
-            const Addr line_addr = lineAddr(addr + off);
-            std::uint64_t v = 0;
-            CacheLine line;
-            now = advance(loadWordResolved(core, addr + off, v, now,
-                                           line));
-            std::memcpy(out + off, &v, kWordSize);
-            off += kWordSize;
-            while (off < len && lineAddr(addr + off) == line_addr) {
-                now = advance(loadWordHit(core, line, addr + off, v,
-                                          now));
-                std::memcpy(out + off, &v, kWordSize);
-                off += kWordSize;
-            }
-        }
-    }
-
-    /**
-     * Timed store of @p len bytes (word-aligned) starting at @p addr,
-     * batched at line granularity like loadRange(). @p pre_word runs
-     * before each word (the caller's per-store crash-point hook) and
-     * @p advance after it, so crash injection, controller hooks and
-     * clock progress stay word-granular and bit-identical to a loop
-     * of storeWord() calls.
-     */
-    template <typename PreWordFn, typename AdvanceFn>
-    void
-    storeRange(CoreId core, Addr addr, const std::uint8_t *in,
-               std::size_t len, Tick now, PreWordFn &&pre_word,
-               AdvanceFn &&advance)
-    {
-        std::size_t off = 0;
-        while (off < len) {
-            const Addr line_addr = lineAddr(addr + off);
-            pre_word();
-            std::uint64_t v;
-            std::memcpy(&v, in + off, kWordSize);
-            CacheLine line;
-            now = advance(storeWordResolved(core, addr + off, v, now,
-                                            line));
-            off += kWordSize;
-            while (off < len && lineAddr(addr + off) == line_addr) {
-                pre_word();
-                std::memcpy(&v, in + off, kWordSize);
-                now = advance(storeWordHit(core, line, addr + off, v,
-                                           now));
-                off += kWordSize;
-            }
-        }
-    }
 
     /** Untimed coherent read for verification (caches beat NVM). */
     void debugRead(Addr addr, void *buf, std::size_t len) const;
@@ -186,24 +114,31 @@ class CacheHierarchy
                            Tick now, CacheLine &line);
 
     /**
-     * Load continuation for a word of a line already resolved in this
-     * core's L1 by a preceding loadWordResolved in the same range
-     * batch: identical stat/LRU/latency effects, no set re-scan.
+     * Load of a word of the line this core's WordMemo holds: identical
+     * stat/LRU/latency effects to loadWordResolved on that L1-resident
+     * line, without the set re-scan.
      */
     Tick loadWordHit(CoreId core, CacheLine line, Addr addr,
                      std::uint64_t &out, Tick now);
 
     /**
-     * Store continuation for a word of a line already resolved
-     * exclusive in this core's L1 by a preceding storeWordResolved in
-     * the same range batch. Skips the redundant L1 set scan, LLC
-     * lookup and sharer reconciliation (the line is already exclusive,
-     * so those are no-ops on the word-at-a-time path too) while
-     * applying the identical stat, LRU, latency and controller-hook
-     * effects.
+     * Store to a word of the line this core's WordMemo holds exclusive.
+     * Skips the redundant L1 set scan, LLC lookup and sharer
+     * reconciliation (the line is already exclusive, so those are
+     * no-ops on the resolving path too) while applying the identical
+     * stat, LRU, latency and controller-hook effects.
      */
     Tick storeWordHit(CoreId core, CacheLine line, Addr addr,
                       std::uint64_t value, Tick now);
+
+    /**
+     * The part of a store both paths share once @p line is resolved
+     * in this core's L1 at tick @p t: write the word, mark the line
+     * dirty and, inside a transaction, persistent and hand the word to
+     * the controller. @return the completion tick.
+     */
+    Tick writeWord(CoreId core, CacheLine line, Addr addr,
+                   std::uint64_t value, Tick t);
 
     /** Insert into L1; dirty victims merge into L2. */
     void insertL1(CoreId core, Addr line, const std::uint8_t *data,
@@ -244,12 +179,13 @@ class CacheHierarchy
     FlatMap<std::uint32_t> sharers;
 
     /**
-     * Cross-call line memo (fast path only): the line resolved by this
-     * core's most recent load/store, remembered so a consecutive
-     * word-at-a-time access to the same line can take the
-     * loadWordHit/storeWordHit continuation without re-running the L1
-     * set scan, LLC lookup and sharer reconciliation — all provably
-     * no-ops while the memo holds. Validity is guarded by structGen_:
+     * Same-line word memo (cfg.fastPath only), the engine's one
+     * same-line shortcut: the line resolved by this core's most recent
+     * load/store, remembered so the next access to the same line —
+     * typically the next word of a readBytes/writeBytes loop — can
+     * take loadWordHit/storeWordHit without re-running the L1 set
+     * scan, LLC lookup and sharer reconciliation, all provably no-ops
+     * while the memo holds. Validity is guarded by structGen_:
      * any insertion, invalidation or sharer-stripping anywhere in the
      * hierarchy bumps the generation and kills every memo, so a memo
      * hit guarantees the line still sits in the same L1 way with the

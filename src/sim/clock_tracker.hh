@@ -11,10 +11,10 @@
  * next query (a dirty list, repaired in O(log P) per dirty slot).
  *
  * Tie-breaking matters: argMin() returns the *lowest-indexed* slot
- * holding the minimum, matching the reference scan ("first core with a
- * strictly smaller clock wins"), so the workload driver picks the same
- * core in the same order as the scan it replaces —
- * clock_tracker_test.cc asserts this on randomized sequences.
+ * holding the minimum, matching a scan ("first core with a strictly
+ * smaller clock wins"), so the workload driver picks the core a scan
+ * would pick — clock_tracker_test.cc asserts this on randomized
+ * sequences.
  */
 
 #ifndef HOOPNVM_SIM_CLOCK_TRACKER_HH

@@ -1,6 +1,5 @@
 #include "sim/system.hh"
 
-#include <algorithm>
 #include <cstring>
 
 #include "analysis/ordering_tracker.hh"
@@ -107,8 +106,6 @@ System::System(const SystemConfig &cfg, Scheme scheme)
         cores_.emplace_back(c);
         cores_.back().setTracker(&clockTracker_);
     }
-    if (cfg_.missOverlapDepth > 1)
-        overlapWin_.resize(cfg_.numCores);
     nextEpoch_ = cfg_.epochSamplePeriod;
     nextScrub_ = cfg_.ft.scrubPeriod;
     if (Trace::enabled()) {
@@ -134,9 +131,6 @@ System::txEnd(CoreId core)
 {
     Core &c = cores_[core];
     HOOP_ASSERT(c.inTx(), "txEnd without txBegin on core %u", core);
-    // A commit never overtakes its own reads: wait out every
-    // outstanding overlapped fill before the commit record is built.
-    drainOverlap(core);
     const Tick done = ctrl_->txEnd(core, c.clock() + cfg_.opCost());
     // Crash point between the commit record being issued and the
     // commit being acknowledged: the record is still in flight (the
@@ -158,51 +152,8 @@ System::loadWord(CoreId core, Addr addr)
 {
     Core &c = cores_[core];
     std::uint64_t v = 0;
-    if (cfg_.missOverlapDepth <= 1) {
-        // Blocking core: the literal historical path, kept verbatim so
-        // depth 1 is bit-identical to the pre-knob engine
-        // (interference_test pins the differential).
-        c.advanceTo(caches_->loadWord(core, addr, v, c.clock()));
-        return v;
-    }
-    overlappedAdvance(core, caches_->loadWord(core, addr, v, c.clock()));
+    c.advanceTo(caches_->loadWord(core, addr, v, c.clock()));
     return v;
-}
-
-void
-System::overlappedAdvance(CoreId core, Tick done)
-{
-    Core &c = cores_[core];
-    // Fast completions — cache hits and anything cheaper than one NVM
-    // array read — stall in place: there is no fill worth hiding, and
-    // letting them occupy window slots would evict real misses.
-    if (done <= c.clock() ||
-        done - c.clock() < cfg_.nvm.readLatency) {
-        c.advanceTo(done);
-        return;
-    }
-    auto &win = overlapWin_[core];
-    while (win.size() >= cfg_.missOverlapDepth) {
-        // Window full: the front-end stalls for the oldest fill.
-        c.advanceTo(win.front());
-        win.erase(win.begin());
-    }
-    win.push_back(done);
-    // The issue slot itself still costs one op: the core moves on to
-    // independent work while the fill is in flight.
-    c.advanceBy(cfg_.opCost());
-}
-
-void
-System::drainOverlap(CoreId core)
-{
-    if (overlapWin_.empty())
-        return;
-    auto &win = overlapWin_[core];
-    Core &c = cores_[core];
-    for (const Tick t : win)
-        c.advanceTo(t);
-    win.clear();
 }
 
 void
@@ -226,20 +177,11 @@ System::readBytes(CoreId core, Addr addr, void *buf, std::size_t len)
 {
     HOOP_ASSERT(isAligned(addr, kWordSize) && len % kWordSize == 0,
                 "readBytes requires word alignment");
-    if (!cfg_.fastPath) {
-        auto *out = static_cast<std::uint8_t *>(buf);
-        for (std::size_t off = 0; off < len; off += kWordSize) {
-            const std::uint64_t v = loadWord(core, addr + off);
-            std::memcpy(out + off, &v, kWordSize);
-        }
-        return;
+    auto *out = static_cast<std::uint8_t *>(buf);
+    for (std::size_t off = 0; off < len; off += kWordSize) {
+        const std::uint64_t v = loadWord(core, addr + off);
+        std::memcpy(out + off, &v, kWordSize);
     }
-    Core &c = cores_[core];
-    caches_->loadRange(core, addr, static_cast<std::uint8_t *>(buf),
-                       len, c.clock(), [&c](Tick t) {
-                           c.advanceTo(t);
-                           return c.clock();
-                       });
 }
 
 void
@@ -248,24 +190,12 @@ System::writeBytes(CoreId core, Addr addr, const void *buf,
 {
     HOOP_ASSERT(isAligned(addr, kWordSize) && len % kWordSize == 0,
                 "writeBytes requires word alignment");
-    if (!cfg_.fastPath) {
-        const auto *in = static_cast<const std::uint8_t *>(buf);
-        for (std::size_t off = 0; off < len; off += kWordSize) {
-            std::uint64_t v;
-            std::memcpy(&v, in + off, kWordSize);
-            storeWord(core, addr + off, v);
-        }
-        return;
+    const auto *in = static_cast<const std::uint8_t *>(buf);
+    for (std::size_t off = 0; off < len; off += kWordSize) {
+        std::uint64_t v;
+        std::memcpy(&v, in + off, kWordSize);
+        storeWord(core, addr + off, v);
     }
-    Core &c = cores_[core];
-    caches_->storeRange(
-        core, addr, static_cast<const std::uint8_t *>(buf), len,
-        c.clock(),
-        [this] { crashHook_.step(CrashPointKind::Store); },
-        [&c](Tick t) {
-            c.advanceTo(t);
-            return c.clock();
-        });
 }
 
 Addr
@@ -315,10 +245,6 @@ System::crash()
     // beyond the power-failure instant loses its non-persisted words.
     // Only then does the volatile state vanish.
     nvm_->applyCrashFaults(maxClock());
-    // Outstanding overlapped fills die with the cores; dropping them
-    // without advancing models the power failure cutting them off.
-    for (auto &win : overlapWin_)
-        win.clear();
     caches_->dropAll();
     ctrl_->crash();
     for (auto &c : cores_)
@@ -423,8 +349,6 @@ System::epochSamples() const
 void
 System::finalize()
 {
-    for (unsigned c = 0; c < cfg_.numCores; ++c)
-        drainOverlap(c);
     const Tick t = maxClock();
     caches_->writebackAll(t);
     ctrl_->drain(t);
@@ -514,28 +438,6 @@ System::metrics() const
     }
     m.epochs = epochSamples();
     return m;
-}
-
-Tick
-System::minClock() const
-{
-    if (cfg_.fastPath)
-        return clockTracker_.min();
-    Tick t = cores_[0].clock();
-    for (const Core &c : cores_)
-        t = std::min(t, c.clock());
-    return t;
-}
-
-Tick
-System::maxClock() const
-{
-    if (cfg_.fastPath)
-        return clockTracker_.max();
-    Tick t = 0;
-    for (const Core &c : cores_)
-        t = std::max(t, c.clock());
-    return t;
 }
 
 } // namespace hoopnvm

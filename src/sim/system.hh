@@ -242,10 +242,12 @@ class System
     /** Timed word store (transactional if inside a region). */
     void storeWord(CoreId core, Addr addr, std::uint64_t value);
 
-    /** Timed multi-word read; addr and len must be word-aligned. */
+    /** Timed multi-word read, one loadWord() per word; addr and len
+     *  must be word-aligned. */
     void readBytes(CoreId core, Addr addr, void *buf, std::size_t len);
 
-    /** Timed multi-word write; addr and len must be word-aligned. */
+    /** Timed multi-word write, one storeWord() per word; addr and len
+     *  must be word-aligned. */
     void writeBytes(CoreId core, Addr addr, const void *buf,
                     std::size_t len);
 
@@ -327,8 +329,8 @@ class System
     // ---- Accessors ----
 
     Core &core(CoreId c) { return cores_[c]; }
-    Tick minClock() const;
-    Tick maxClock() const;
+    Tick minClock() const { return clockTracker_.min(); }
+    Tick maxClock() const { return clockTracker_.max(); }
     const SystemConfig &config() const { return cfg_; }
     Scheme scheme() const { return scheme_; }
     NvmDevice &nvm() { return *nvm_; }
@@ -360,19 +362,6 @@ class System
     /** Take an epoch gauge sample if the period has elapsed. */
     void sampleEpoch(Tick now);
 
-    /**
-     * Miss-overlap (cfg.missOverlapDepth > 1): enter a line-fill
-     * completion @p done into @p core's outstanding-fill window
-     * instead of stalling, waiting for the oldest fill only when the
-     * window is full. Fast completions (below the NVM read latency —
-     * cache hits and LLC-adjacent fills) stall in place: there is
-     * nothing worth hiding and the window should hold real misses.
-     */
-    void overlappedAdvance(CoreId core, Tick done);
-
-    /** Wait for every outstanding fill on @p core (commit boundary). */
-    void drainOverlap(CoreId core);
-
     SystemConfig cfg_;
     Scheme scheme_;
     std::unique_ptr<NvmDevice> nvm_;
@@ -384,9 +373,10 @@ class System
     /**
      * Incremental min/max over the core clocks; each Core mirrors its
      * clock into the tracker so minClock()/maxClock() are O(1) instead
-     * of scans. Exact regardless of cfg.fastPath (the tracker holds
-     * the same values a scan would see); the reference engine still
-     * scans so the differential harness covers the tracker.
+     * of scans. Used on both engines: it holds exactly the values a
+     * scan would see (clock_tracker_test checks it against one, and
+     * fastpath_equiv_test checks both queries against a scan of the
+     * cores after every cell).
      */
     ClockTracker clockTracker_;
 
@@ -405,13 +395,6 @@ class System
 
     /** Next background-scrub tick (cfg.ft.scrubPeriod cadence). */
     Tick nextScrub_ = 0;
-
-    /**
-     * Per-core outstanding line-fill completions, oldest first
-     * (cfg.missOverlapDepth > 1 only; empty otherwise). Plain vectors:
-     * the window is tiny (K <= ~8) and erase-front beats deque churn.
-     */
-    std::vector<std::vector<Tick>> overlapWin_;
 
     /** Present only when tracing is armed (HOOP_TRACE). */
     std::unique_ptr<TraceBuffer> trace_;

@@ -266,30 +266,17 @@ struct SystemConfig
     // ---- Simulation engine ----
 
     /**
-     * Use the batched fast paths (line-granularity range access and
-     * event-driven maintenance scheduling). The fast paths are an
-     * execution-strategy change only — every metric, histogram, epoch
+     * Take the host-side shortcuts that have a slow twin: the per-core
+     * same-line word memo in CacheHierarchy::loadWord/storeWord and
+     * the skip of provably idle System::maintenance polls. Both are
+     * execution-strategy changes only — every metric, histogram, epoch
      * sample and crash schedule is bit-identical to the reference
-     * word-at-a-time/polled engine (fastpath_equiv_test asserts this
-     * over the scheme × workload matrix). Off = reference engine, kept
-     * for differential verification.
+     * engine (fastpath_equiv_test asserts this over the scheme ×
+     * workload matrix). Off = reference engine, kept as the oracle of
+     * that differential test. The core model is the same either way:
+     * a blocking core, one outstanding line fill (DESIGN.md §2).
      */
     bool fastPath = true;
-
-    /**
-     * Coroutine-style miss overlap: up to this many outstanding
-     * line-fill misses per core before the front-end stalls. 1 is the
-     * classic blocking core (every miss serializes on its own
-     * completion) and is guaranteed bit-identical to the historical
-     * engine. Depth K > 1 models a prefetching/coroutine front-end
-     * (interference suite, ROADMAP item 3): a scalar load whose fill
-     * takes at least the NVM read latency is entered into a per-core
-     * window instead of stalling, and the core only waits for the
-     * oldest fill once K are outstanding (and for all of them at
-     * transaction end — commits never overtake their own reads).
-     * Stores and multi-word range reads remain blocking.
-     */
-    unsigned missOverlapDepth = 1;
 
     // ---- Runtime fault tolerance ----
 

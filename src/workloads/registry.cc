@@ -137,37 +137,19 @@ runWorkload(System &sys, const WorkloadFactory &factory,
     std::vector<std::uint64_t> done(n_cores, 0);
     std::uint64_t remaining = tx_per_core * n_cores;
 
-    // Next-core selection. The fast path keeps the runnable cores'
-    // clocks in an incremental min-tracker (finished cores drop out
-    // via disable()); its argMin() returns the lowest-indexed minimum,
-    // matching the reference scan's tie-break exactly, so both paths
-    // execute transactions in the identical order
-    // (clock_tracker_test.cc asserts the equivalence on randomized
-    // sequences). A transaction only advances the clock of the core it
-    // runs on, so re-arming just that slot keeps the tracker exact.
-    const bool fast = sys.config().fastPath;
-    ClockTracker runnable(fast ? n_cores : 0);
-    if (fast) {
-        for (unsigned c = 0; c < n_cores; ++c)
-            runnable.set(c, sys.core(c).clock());
-    }
+    // Next-core selection: the runnable cores' clocks sit in an
+    // incremental min-tracker (finished cores drop out via disable()),
+    // whose argMin() is the core furthest behind in simulated time,
+    // ties to the lowest index (clock_tracker_test.cc checks it against
+    // a scan on randomized sequences). A transaction only advances the
+    // clock of the core it runs on, so re-arming just that slot keeps
+    // the tracker exact.
+    ClockTracker runnable(n_cores);
+    for (unsigned c = 0; c < n_cores; ++c)
+        runnable.set(c, sys.core(c).clock());
 
     while (remaining > 0) {
-        // Advance the core that is furthest behind in simulated time.
-        unsigned next = n_cores;
-        if (fast) {
-            next = static_cast<unsigned>(runnable.argMin());
-        } else {
-            Tick best = ~Tick{0};
-            for (unsigned c = 0; c < n_cores; ++c) {
-                if (done[c] >= tx_per_core)
-                    continue;
-                if (sys.core(c).clock() < best) {
-                    best = sys.core(c).clock();
-                    next = c;
-                }
-            }
-        }
+        const auto next = static_cast<unsigned>(runnable.argMin());
         HOOP_ASSERT(next < n_cores, "no runnable core");
         {
             HostTimer ht(HostProfiler::kExecute);
@@ -175,12 +157,10 @@ runWorkload(System &sys, const WorkloadFactory &factory,
         }
         ++done[next];
         --remaining;
-        if (fast) {
-            if (done[next] >= tx_per_core)
-                runnable.disable(next);
-            else
-                runnable.set(next, sys.core(next).clock());
-        }
+        if (done[next] >= tx_per_core)
+            runnable.disable(next);
+        else
+            runnable.set(next, sys.core(next).clock());
         {
             HostTimer ht(HostProfiler::kMaintenance);
             sys.maintenance();

@@ -211,8 +211,17 @@ TEST(CellRunner, TxPerCoreEnvOverride)
 {
     ::setenv("HOOP_BENCH_TX", "5", 1);
     EXPECT_EQ(bench::benchTxPerCore(), 5u);
+    EXPECT_EQ(bench::benchTxPerCore(250), 5u);
+    // Set but unusable: the caller's own default, not kTxPerCore.
+    for (const char *bad : {"", "0", "-3", "many"}) {
+        SCOPED_TRACE(std::string("HOOP_BENCH_TX=") + bad);
+        ::setenv("HOOP_BENCH_TX", bad, 1);
+        EXPECT_EQ(bench::benchTxPerCore(250), 250u);
+        EXPECT_EQ(bench::benchTxPerCore(), bench::kTxPerCore);
+    }
     ::unsetenv("HOOP_BENCH_TX");
     EXPECT_EQ(bench::benchTxPerCore(), bench::kTxPerCore);
+    EXPECT_EQ(bench::benchTxPerCore(250), 250u);
 }
 
 } // namespace

@@ -1,27 +1,33 @@
 /**
  * @file
- * Differential harness for the simulation fast paths: every run with
- * cfg.fastPath = true (batched line-granularity range access, skipped
- * redundant coherence work, event-driven maintenance polls, tracker-
- * based next-core selection) must be *bit-identical* to the reference
- * engine with cfg.fastPath = false — the fast path is an execution-
- * strategy change, not a model change.
+ * Differential harness for the execution-only knobs. Every run with
+ * cfg.fastPath = true (the same-line word memo, event-driven
+ * maintenance polls) must be *bit-identical* to the reference engine
+ * with cfg.fastPath = false, and arming the tracer and the host
+ * profiler must not change a run either — they are execution-strategy
+ * changes, not model changes.
  *
  * "Bit-identical" is checked at full depth over the scheme × workload
  * matrix: every counter and histogram bucket of every component
  * (system, hierarchy, each cache, controller, NVM device), the epoch
- * sample ring including sample ticks, and all RunMetrics fields.
+ * sample ring including sample ticks, and all RunMetrics fields. Both
+ * engines' minClock()/maxClock() are also checked against a scan of
+ * the core clocks.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/host_profiler.hh"
 #include "hoop/hoop_controller.hh"
 #include "sim/system.hh"
 #include "stats/histogram.hh"
 #include "stats/stat_set.hh"
+#include "stats/trace.hh"
 #include "workloads/registry.hh"
 
 using namespace hoopnvm;
@@ -152,88 +158,117 @@ struct CellResult
     std::unique_ptr<System> sys; // kept alive for stat comparison
 };
 
+/** Transactions per core and value size of one cell. */
+struct CellShape
+{
+    std::uint64_t txPerCore = 100;
+    std::uint64_t valueBytes = 128;
+};
+
 CellResult
 runCell(Scheme scheme, const std::string &workload, bool fast_path,
-        SystemConfig cfg)
+        SystemConfig cfg, CellShape shape = {})
 {
     cfg.fastPath = fast_path;
     WorkloadParams p;
-    p.valueBytes = 128;
+    p.valueBytes = shape.valueBytes;
     p.scale = 512;
     CellResult out;
     out.sys = std::make_unique<System>(cfg, scheme);
-    const RunOutcome o =
-        runWorkload(*out.sys, makeWorkload(workload, p), 100);
+    const RunOutcome o = runWorkload(*out.sys, makeWorkload(workload, p),
+                                     shape.txPerCore);
     out.metrics = o.metrics;
     out.verified = o.verified;
     return out;
 }
 
+/** minClock()/maxClock() must be what a scan of the cores sees. */
 void
-compareCell(Scheme scheme, const std::string &workload,
-            const SystemConfig &cfg)
+expectClocksMatchScan(System &sys, const std::string &what)
 {
-    const std::string what =
-        std::string(schemeName(scheme)) + "/" + workload;
-    CellResult fast = runCell(scheme, workload, true, cfg);
-    CellResult ref = runCell(scheme, workload, false, cfg);
-    EXPECT_TRUE(fast.verified) << what;
-    EXPECT_TRUE(ref.verified) << what;
+    Tick lo = sys.core(0).clock();
+    Tick hi = 0;
+    for (unsigned c = 0; c < sys.config().numCores; ++c) {
+        lo = std::min(lo, sys.core(c).clock());
+        hi = std::max(hi, sys.core(c).clock());
+    }
+    EXPECT_EQ(sys.minClock(), lo) << what;
+    EXPECT_EQ(sys.maxClock(), hi) << what;
+}
 
-    expectMetricsEqual(fast.metrics, ref.metrics, what);
+/** Two runs of one cell must agree on every simulated quantity. */
+void
+expectSameRun(const CellResult &a, const CellResult &b, Scheme scheme,
+              const std::string &what)
+{
+    EXPECT_TRUE(a.verified) << what;
+    EXPECT_TRUE(b.verified) << what;
 
-    System &sf = *fast.sys;
-    System &sr = *ref.sys;
-    EXPECT_EQ(sf.committedTx(), sr.committedTx()) << what;
-    EXPECT_EQ(sf.criticalPathSum(), sr.criticalPathSum()) << what;
-    EXPECT_EQ(sf.minClock(), sr.minClock()) << what;
-    EXPECT_EQ(sf.maxClock(), sr.maxClock()) << what;
-    expectStatsEqual(sf.stats(), sr.stats(), what + ".system");
-    expectStatsEqual(sf.caches().stats(), sr.caches().stats(),
+    expectMetricsEqual(a.metrics, b.metrics, what);
+
+    System &sa = *a.sys;
+    System &sb = *b.sys;
+    EXPECT_EQ(sa.committedTx(), sb.committedTx()) << what;
+    EXPECT_EQ(sa.criticalPathSum(), sb.criticalPathSum()) << what;
+    EXPECT_EQ(sa.minClock(), sb.minClock()) << what;
+    EXPECT_EQ(sa.maxClock(), sb.maxClock()) << what;
+    expectStatsEqual(sa.stats(), sb.stats(), what + ".system");
+    expectStatsEqual(sa.caches().stats(), sb.caches().stats(),
                      what + ".hierarchy");
-    expectStatsEqual(sf.caches().llc().stats(),
-                     sr.caches().llc().stats(), what + ".llc");
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        expectStatsEqual(sf.caches().l1(c).stats(),
-                         sr.caches().l1(c).stats(),
+    expectStatsEqual(sa.caches().llc().stats(),
+                     sb.caches().llc().stats(), what + ".llc");
+    for (unsigned c = 0; c < sa.config().numCores; ++c) {
+        expectStatsEqual(sa.caches().l1(c).stats(),
+                         sb.caches().l1(c).stats(),
                          what + ".l1." + std::to_string(c));
-        expectStatsEqual(sf.caches().l2(c).stats(),
-                         sr.caches().l2(c).stats(),
+        expectStatsEqual(sa.caches().l2(c).stats(),
+                         sb.caches().l2(c).stats(),
                          what + ".l2." + std::to_string(c));
     }
-    expectStatsEqual(sf.controller().stats(), sr.controller().stats(),
+    expectStatsEqual(sa.controller().stats(), sb.controller().stats(),
                      what + ".controller");
     if (scheme == Scheme::Hoop) {
         expectStatsEqual(
-            static_cast<HoopController &>(sf.controller()).gc().stats(),
-            static_cast<HoopController &>(sr.controller()).gc().stats(),
+            static_cast<HoopController &>(sa.controller()).gc().stats(),
+            static_cast<HoopController &>(sb.controller()).gc().stats(),
             what + ".gc");
     }
-    EXPECT_EQ(sf.nvm().bytesWritten(), sr.nvm().bytesWritten()) << what;
-    EXPECT_EQ(sf.nvm().bytesRead(), sr.nvm().bytesRead()) << what;
+    EXPECT_EQ(sa.nvm().bytesWritten(), sb.nvm().bytesWritten()) << what;
+    EXPECT_EQ(sa.nvm().bytesRead(), sb.nvm().bytesRead()) << what;
+}
+
+void
+compareCell(Scheme scheme, const std::string &workload,
+            const SystemConfig &cfg, CellShape shape = {})
+{
+    const std::string what =
+        std::string(schemeName(scheme)) + "/" + workload;
+    const CellResult fast = runCell(scheme, workload, true, cfg, shape);
+    const CellResult ref = runCell(scheme, workload, false, cfg, shape);
+    expectSameRun(fast, ref, scheme, what);
+    expectClocksMatchScan(*fast.sys, what + " fastPath");
+    expectClocksMatchScan(*ref.sys, what + " reference");
 }
 
 } // namespace
 
-// One test per workload keeps failures attributable and lets ctest
-// parallelize the matrix.
-
-TEST(FastPathEquivalence, AllSchemesVector)
+TEST(FastPathEquivalence, AllSchemesTableIIIWorkloads)
 {
-    for (Scheme s : kAllSchemes)
-        compareCell(s, "vector", testConfig(true));
+    for (const char *w : kTableIIIWorkloads) {
+        for (Scheme s : kAllSchemes)
+            compareCell(s, w, testConfig(true));
+    }
 }
 
-TEST(FastPathEquivalence, AllSchemesHashmap)
+// 1 KB values: the seq-scan role reads whole items through readBytes
+// and the writer roles write them through writeBytes, 16 lines of
+// eight words each, so the word memo serves seven of every eight of
+// those accesses.
+TEST(FastPathEquivalence, AllSchemesInterference)
 {
     for (Scheme s : kAllSchemes)
-        compareCell(s, "hashmap", testConfig(true));
-}
-
-TEST(FastPathEquivalence, AllSchemesQueue)
-{
-    for (Scheme s : kAllSchemes)
-        compareCell(s, "queue", testConfig(true));
+        compareCell(s, "interference", testConfig(true),
+                    {.txPerCore = 50, .valueBytes = 1024});
 }
 
 // Media-fault tolerance on: the scrubber's event-driven scheduling and
@@ -256,4 +291,28 @@ TEST(FastPathEquivalence, OnDemandGcPath)
     SystemConfig cfg = testConfig(true);
     cfg.gcEnabled = false;
     compareCell(Scheme::Hoop, "vector", cfg);
+}
+
+// Tracing and host profiling only observe a run: arming both must
+// leave every simulated quantity of a HOOP and an Opt-Redo cell
+// unchanged. The profiler has no off switch, so it stays on for the
+// rest of the binary — harmless, since that is what this test proves.
+TEST(ExecutionOnlyKnobs, TraceAndProfilerLeaveRunsUnchanged)
+{
+    Trace::setPath(""); // off even when HOOP_TRACE is set
+    const SystemConfig cfg = testConfig(true);
+    const Scheme schemes[] = {Scheme::Hoop, Scheme::OptRedo};
+    std::vector<CellResult> plain;
+    for (Scheme s : schemes)
+        plain.push_back(runCell(s, "hashmap", true, cfg));
+
+    Trace::setPath(::testing::TempDir() + "fastpath_equiv_trace.json");
+    HostProfiler::enable();
+    for (std::size_t i = 0; i < std::size(schemes); ++i) {
+        const CellResult observed = runCell(schemes[i], "hashmap", true, cfg);
+        expectSameRun(observed, plain[i], schemes[i],
+                      std::string(schemeName(schemes[i])) + " traced");
+    }
+    Trace::setPath("");
+    Trace::clearForTest();
 }

@@ -1,14 +1,11 @@
 /**
  * @file
- * Tests for the mixed-role interference suite (PR 10 tentpole).
+ * Tests for the mixed-role interference suite.
  *
- * Covers the role-assignment contract (workloads/interference_wl.hh),
- * the determinism acceptance property — bit-identical RunMetrics,
+ * Covers the role-assignment contract (workloads/interference_wl.hh)
+ * and the determinism acceptance property — bit-identical RunMetrics,
  * including the per-role block and the NVM channel gauges, whether
- * the cells run `-j1` or across a CellRunner pool — and the
- * miss-overlap knob: `missOverlapDepth = 1` must reproduce the
- * legacy single-outstanding-miss engine exactly (it is the same code
- * path), while a deeper window must actually change the timing.
+ * the cells run `-j1` or across a CellRunner pool.
  */
 
 #include <gtest/gtest.h>
@@ -111,10 +108,9 @@ sweep()
 }
 
 std::vector<Cell>
-runSweep(unsigned jobs, unsigned overlap_depth = 1)
+runSweep(unsigned jobs)
 {
-    SystemConfig cfg = bench::paperConfig();
-    cfg.missOverlapDepth = overlap_depth;
+    const SystemConfig cfg = bench::paperConfig();
     WorkloadParams params = bench::paperParams(64);
     params.scale = 256;
 
@@ -220,55 +216,6 @@ TEST(Interference, ChannelGaugesArePopulated)
         EXPECT_GT(m.channelBusyTicks, 0u);
         EXPECT_GT(m.channelUtilization, 0.0);
         EXPECT_LE(m.channelUtilization, 1.0);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The miss-overlap knob.
-// ---------------------------------------------------------------------
-
-TEST(MissOverlap, DepthOneIsTheDefaultEngineExactly)
-{
-    // Differential acceptance: a config that spells out
-    // missOverlapDepth = 1 takes the identical single-outstanding-miss
-    // code path as the default, so every metric is bit-identical.
-    const std::vector<Cell> dflt = runSweep(1);
-    const std::vector<Cell> explicit1 = runSweep(1, /*depth=*/1);
-    ASSERT_EQ(dflt.size(), explicit1.size());
-    for (std::size_t i = 0; i < dflt.size(); ++i) {
-        SCOPED_TRACE("cell " + std::to_string(i));
-        expectIdenticalMetrics(dflt[i].metrics, explicit1[i].metrics);
-    }
-}
-
-TEST(MissOverlap, DeeperWindowChangesTimingAndStaysCorrect)
-{
-    // depth = 4 lets a core keep up to four line fills in flight, so
-    // read-heavy cells must finish in fewer simulated ticks; the
-    // workload's own verify() (run inside runCell) proves the
-    // reordering never changed visible memory state.
-    const std::vector<Cell> base = runSweep(1, /*depth=*/1);
-    const std::vector<Cell> deep = runSweep(1, /*depth=*/4);
-    ASSERT_EQ(base.size(), deep.size());
-    bool any_differs = false;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_TRUE(deep[i].verified);
-        if (base[i].metrics.simTicks != deep[i].metrics.simTicks)
-            any_differs = true;
-    }
-    EXPECT_TRUE(any_differs)
-        << "missOverlapDepth=4 left every cell's timing untouched — "
-           "the knob is dead";
-}
-
-TEST(MissOverlap, DeeperWindowIsDeterministicToo)
-{
-    const std::vector<Cell> serial = runSweep(1, /*depth=*/4);
-    const std::vector<Cell> parallel = runSweep(4, /*depth=*/4);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE("cell " + std::to_string(i));
-        expectIdenticalMetrics(serial[i].metrics, parallel[i].metrics);
     }
 }
 

@@ -18,6 +18,15 @@ namespace hoopnvm
 namespace
 {
 
+/** Name of the i-th filler counter ("c<i>"). */
+std::string
+fillerName(int i)
+{
+    std::string name = "c";
+    name += std::to_string(i);
+    return name;
+}
+
 TEST(StatSet, CounterStartsAtZeroAndAccumulates)
 {
     StatSet s("test");
@@ -40,7 +49,7 @@ TEST(StatSet, ReferencesSurviveLaterInsertions)
 
     std::vector<Counter *> later;
     for (int i = 0; i < 1000; ++i)
-        later.push_back(&s.counter("c" + std::to_string(i)));
+        later.push_back(&s.counter(fillerName(i)));
 
     // The early reference still aliases the registry entry.
     ++early;
@@ -49,7 +58,7 @@ TEST(StatSet, ReferencesSurviveLaterInsertions)
 
     // And the later pointers also stayed put.
     for (int i = 0; i < 1000; ++i)
-        EXPECT_EQ(&s.counter("c" + std::to_string(i)), later[i]);
+        EXPECT_EQ(&s.counter(fillerName(i)), later[i]);
 }
 
 // Bumps through a cached reference and bumps through by-name lookup
