@@ -17,79 +17,61 @@ using namespace hoopnvm::bench;
 int
 main(int argc, char **argv)
 {
-    SystemConfig cfg = paperConfig();
-    banner("Ablation - GC coalescing on/off (HOOP)", cfg);
+    const SystemConfig cfg = paperConfig();
+    Bench bench(argc, argv, "ablation_coalescing",
+                "Ablation - GC coalescing on/off (HOOP)", cfg,
+                benchTxPerCore());
 
     const std::vector<const char *> wls = {"vector", "hashmap", "queue",
                                            "rbtree", "btree",  "ycsb"};
-    const std::uint64_t tx_per_core = benchTxPerCore();
 
-    struct Result
-    {
-        RunMetrics metrics;
-        std::uint64_t homeLines = 0;
-    };
-    std::vector<Result> coalesced(wls.size());
-    std::vector<Result> raw(wls.size());
-
-    CellRunner runner(benchJobs(argc, argv));
+    // Cell 2w is workload w coalesced, cell 2w + 1 the raw run; each
+    // records the GC's home-region line writes.
+    std::vector<std::uint64_t> home_lines(2 * wls.size());
     for (std::size_t w = 0; w < wls.size(); ++w) {
         const char *wl = wls[w];
         const std::size_t vb = std::string(wl) == "ycsb" ? 512 : 64;
         WorkloadParams p = paperParams(vb);
         p.scale = 512; // hot working set: coalescing opportunity
 
-        auto schedule = [&](bool coalesce, Result *out) {
+        for (const bool coalesce : {true, false}) {
             SystemConfig c = cfg;
             c.gcCoalescing = coalesce;
-            const std::string label =
-                std::string(wl) +
-                (coalesce ? "/coalesced" : "/raw");
-            const std::size_t idx = runner.add(label, [c, wl, p,
-                                                       tx_per_core,
-                                                       out] {
-                System sys(c, Scheme::Hoop);
-                const RunOutcome res =
-                    runWorkload(sys, makeWorkload(wl, p), tx_per_core);
-                if (!res.verified)
-                    HOOP_FATAL("verification failed");
-                auto &ctrl =
-                    static_cast<HoopController &>(sys.controller());
-                out->metrics = res.metrics;
-                out->homeLines =
-                    ctrl.gc().stats().value("home_lines_written");
-            });
-            runner.noteMetrics(idx, &out->metrics);
-        };
-        schedule(true, &coalesced[w]);
-        schedule(false, &raw[w]);
+            const std::size_t cell = 2 * w + (coalesce ? 0 : 1);
+            bench.add(std::string(wl) +
+                          (coalesce ? "/coalesced" : "/raw"),
+                      Scheme::Hoop, wl, p, c, bench.txPerCore(),
+                      [&home_lines, cell](System &sys) {
+                          auto &ctrl = static_cast<HoopController &>(
+                              sys.controller());
+                          home_lines[cell] = ctrl.gc().stats().value(
+                              "home_lines_written");
+                      });
+        }
     }
-    runner.run();
+    bench.run();
 
     TablePrinter table("GC migration traffic, coalescing vs none");
     table.setHeader({"workload", "home writes coalesced",
                      "home writes raw", "reduction", "bytes/tx ratio"});
     for (std::size_t w = 0; w < wls.size(); ++w) {
-        const Result &on = coalesced[w];
-        const Result &off = raw[w];
+        const std::uint64_t on = home_lines[2 * w];
+        const std::uint64_t off = home_lines[2 * w + 1];
         table.addRow(
-            {wls[w], std::to_string(on.homeLines),
-             std::to_string(off.homeLines),
+            {wls[w], std::to_string(on), std::to_string(off),
              TablePrinter::num(
-                 off.homeLines > 0
-                     ? 100.0 * (1.0 - static_cast<double>(on.homeLines) /
-                                          static_cast<double>(
-                                              off.homeLines))
+                 off > 0
+                     ? 100.0 * (1.0 - static_cast<double>(on) /
+                                          static_cast<double>(off))
                      : 0.0,
                  1) + "%",
-             TablePrinter::num(off.metrics.bytesWrittenPerTx /
-                                   on.metrics.bytesWrittenPerTx,
-                               2) + "x"});
+             TablePrinter::num(
+                 bench.metrics(2 * w + 1).bytesWrittenPerTx /
+                     bench.metrics(2 * w).bytesWrittenPerTx,
+                 2) + "x"});
     }
     table.print();
 
-    BenchReport report("ablation_coalescing", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

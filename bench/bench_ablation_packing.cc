@@ -16,55 +16,44 @@ using namespace hoopnvm::bench;
 int
 main(int argc, char **argv)
 {
-    SystemConfig cfg = paperConfig();
-    banner("Ablation - data packing on/off (HOOP)", cfg);
+    const SystemConfig cfg = paperConfig();
+    Bench bench(argc, argv, "ablation_packing",
+                "Ablation - data packing on/off (HOOP)", cfg,
+                benchTxPerCore());
 
     const std::vector<const char *> wls = {"vector", "hashmap", "queue",
                                            "rbtree", "btree",  "ycsb"};
-    const std::uint64_t tx_per_core = benchTxPerCore();
 
-    std::vector<Cell> packed(wls.size());
-    std::vector<Cell> unpacked(wls.size());
-
-    CellRunner runner(benchJobs(argc, argv));
-    for (std::size_t w = 0; w < wls.size(); ++w) {
-        const std::size_t vb =
-            std::string(wls[w]) == "ycsb" ? 512 : 64;
-        SystemConfig on = cfg;
-        on.dataPacking = true;
-        SystemConfig off = cfg;
-        off.dataPacking = false;
-        scheduleCell(runner, std::string(wls[w]) + "/packed",
-                     Scheme::Hoop, wls[w], paperParams(vb), on,
-                     tx_per_core, &packed[w]);
-        scheduleCell(runner, std::string(wls[w]) + "/unpacked",
-                     Scheme::Hoop, wls[w], paperParams(vb), off,
-                     tx_per_core, &unpacked[w]);
+    // Cell 2w is workload w packed, cell 2w + 1 unpacked.
+    for (const char *wl : wls) {
+        const std::size_t vb = std::string(wl) == "ycsb" ? 512 : 64;
+        for (const bool packing : {true, false}) {
+            SystemConfig c = cfg;
+            c.dataPacking = packing;
+            bench.add(std::string(wl) + (packing ? "/packed" : "/unpacked"),
+                      Scheme::Hoop, wl, paperParams(vb), c,
+                      bench.txPerCore());
+        }
     }
-    runner.run();
+    bench.run();
 
     TablePrinter table("write traffic and throughput, packing vs none");
     table.setHeader({"workload", "bytes/tx packed", "bytes/tx unpacked",
                      "traffic ratio", "tput ratio (packed/unpacked)"});
     for (std::size_t w = 0; w < wls.size(); ++w) {
-        const Cell &a = packed[w];
-        const Cell &b = unpacked[w];
+        const RunMetrics &a = bench.metrics(2 * w);
+        const RunMetrics &b = bench.metrics(2 * w + 1);
         table.addRow(
-            {wls[w], TablePrinter::num(a.metrics.bytesWrittenPerTx, 0),
-             TablePrinter::num(b.metrics.bytesWrittenPerTx, 0),
-             TablePrinter::num(b.metrics.bytesWrittenPerTx /
-                                   a.metrics.bytesWrittenPerTx,
+            {wls[w], TablePrinter::num(a.bytesWrittenPerTx, 0),
+             TablePrinter::num(b.bytesWrittenPerTx, 0),
+             TablePrinter::num(b.bytesWrittenPerTx / a.bytesWrittenPerTx,
                                2) + "x",
-             TablePrinter::num(a.metrics.txPerSecond /
-                                   b.metrics.txPerSecond,
-                               2) + "x"});
+             TablePrinter::num(a.txPerSecond / b.txPerSecond, 2) + "x"});
     }
     table.print();
     std::printf("packing should cut slice traffic by up to 8x on "
                 "multi-word updates.\n");
 
-    BenchReport report("ablation_packing", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

@@ -1,11 +1,12 @@
 /**
  * @file
- * Parallel cell runner and machine-readable bench reports.
+ * The bench driver: flags, parallel cell runner and machine-readable
+ * bench reports.
  *
  * Implementation notes on determinism: run() only decides *when* each
  * cell executes, never what it computes. Every cell builds its own
  * System from a by-value SystemConfig (per-cell seed included) and
- * touches only its own result slot, so any job count produces the same
+ * touches only its own slot, so any job count produces the same
  * per-cell RunMetrics and the same printed tables. All harness output
  * goes to stderr / the JSON file; stdout stays byte-identical to a
  * serial run.
@@ -13,13 +14,18 @@
 
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <thread>
 
 #include "common/host_profiler.hh"
+#include "common/json.hh"
+#include "common/logging.hh"
 
 namespace hoopnvm
 {
@@ -39,156 +45,224 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 unsigned
-envJobs()
-{
-    // lint: nondet-api-ok (HOOP_BENCH_JOBS picks host worker-thread count; cells stay deterministic)
-    if (const char *env = std::getenv("HOOP_BENCH_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<unsigned>(v);
-    }
-    return 0;
-}
-
-unsigned
 resolveJobs(unsigned requested)
 {
     if (requested >= 1)
         return requested;
-    if (const unsigned env = envJobs())
-        return env;
     // lint: nondet-api-ok (host parallelism default; affects scheduling only, not simulated results)
     const unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? hw : 1;
 }
 
-void
-fputJsonString(std::FILE *f, const std::string &s)
+/** The worker count from `-jN` / `-j N` (0 when absent); enables the
+ *  profiler on `--profile`; exits 2 on any other argument. */
+unsigned
+parseFlags(int argc, char **argv)
 {
-    std::fputc('"', f);
-    std::fputs(jsonEscape(s).c_str(), f);
-    std::fputc('"', f);
+    unsigned jobs = 0;
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg == "--profile") {
+            HostProfiler::enable();
+            continue;
+        }
+        std::string count;
+        if (arg == "-j" && i + 1 < argc)
+            count = argv[++i];
+        else if (arg.rfind("-j", 0) == 0)
+            count = arg.substr(2);
+        std::uint64_t v = 0;
+        if (!parseUint(count, &v) || v < 1 ||
+            v > std::numeric_limits<unsigned>::max()) {
+            std::fprintf(stderr,
+                         "%s: bad argument '%s'\n"
+                         "usage: %s [-jN | -j N] [--profile]\n",
+                         argv[0], argv[i], argv[0]);
+            std::exit(2);
+        }
+        jobs = static_cast<unsigned>(v);
+    }
+    return jobs;
 }
 
 void
-fputKey(std::FILE *f, const char *key)
+printBanner(const std::string &title, const SystemConfig &cfg)
 {
-    // lint: raw-json-ok (keys are compile-time identifiers; runtime values go through fputJsonString)
-    std::fprintf(f, "\"%s\": ", key);
+    std::printf("hoopnvm bench: %s\n", title.c_str());
+    std::printf("  config: %u cores @ %.1f GHz, L1 %lluK/L2 %lluK/LLC "
+                "%lluM, NVM r/w %.0f/%.0f ns, OOP %lluM (%llu x %lluM "
+                "blocks), mapping %lluK, GC period %.0f ms\n\n",
+                cfg.numCores, cfg.cpuGhz,
+                static_cast<unsigned long long>(cfg.cache.l1Size >> 10),
+                static_cast<unsigned long long>(cfg.cache.l2Size >> 10),
+                static_cast<unsigned long long>(cfg.cache.llcSize >> 20),
+                ticksToNs(cfg.nvm.readLatency),
+                ticksToNs(cfg.nvm.writeLatency),
+                static_cast<unsigned long long>(cfg.oopBytes >> 20),
+                static_cast<unsigned long long>(cfg.oopBytes /
+                                                cfg.oopBlockBytes),
+                static_cast<unsigned long long>(cfg.oopBlockBytes >> 20),
+                static_cast<unsigned long long>(
+                    cfg.mappingTableBytes >> 10),
+                ticksToMs(cfg.gcPeriod));
 }
 
-void
-fputNum(std::FILE *f, const char *key, double v)
+// ---- BENCH JSON: each object is written from one member list ----
+
+/** A JSON object member: its key and its value's JSON text. */
+using Member = std::pair<std::string, std::string>;
+using Members = std::vector<Member>;
+
+std::string
+num(double v)
 {
-    fputKey(f, key);
-    std::fprintf(f, "%.17g", v);
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
 }
 
-void
-fputNum(std::FILE *f, const char *key, std::uint64_t v)
+std::string
+num(std::uint64_t v)
 {
-    fputKey(f, key);
-    std::fprintf(f, "%llu", static_cast<unsigned long long>(v));
+    return std::to_string(v);
 }
 
-void
-fputSummary(std::FILE *f, const char *key, const LatencySummary &s)
+std::string
+join(const Members &members, const char *sep)
 {
-    fputKey(f, key);
-    std::fputc('{', f);
-    fputNum(f, "count", s.count);
-    std::fputs(", ", f);
-    fputNum(f, "p50_ns", s.p50Ns);
-    std::fputs(", ", f);
-    fputNum(f, "p95_ns", s.p95Ns);
-    std::fputs(", ", f);
-    fputNum(f, "p99_ns", s.p99Ns);
-    std::fputs(", ", f);
-    fputNum(f, "p999_ns", s.p999Ns);
-    std::fputs(", ", f);
-    fputNum(f, "max_ns", s.maxNs);
-    std::fputs(", ", f);
-    fputNum(f, "mean_ns", s.meanNs);
-    // Schema v5: saturation markers (0/1) — the matching quantile is
-    // the exact max under Histogram's small-population rule, not a
-    // resolved quantile.
-    std::fputs(", ", f);
-    fputNum(f, "p50_saturated", std::uint64_t{s.p50Saturated});
-    std::fputs(", ", f);
-    fputNum(f, "p95_saturated", std::uint64_t{s.p95Saturated});
-    std::fputs(", ", f);
-    fputNum(f, "p99_saturated", std::uint64_t{s.p99Saturated});
-    std::fputs(", ", f);
-    fputNum(f, "p999_saturated", std::uint64_t{s.p999Saturated});
-    std::fputc('}', f);
+    std::string out;
+    for (const auto &[key, value] : members) {
+        if (!out.empty())
+            out += sep;
+        out += jsonQuote(key) + ": " + value;
+    }
+    return out;
 }
 
-void
-fputRoles(std::FILE *f, const std::vector<RoleMetrics> &roles)
+/** An object on one line. */
+std::string
+object(const Members &members)
+{
+    return "{" + join(members, ", ") + "}";
+}
+
+/** An object whose rows of members continue on new lines. */
+std::string
+object(const std::vector<Members> &rows)
+{
+    std::string out = "{";
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        out += (r > 0 ? ",\n     " : "") + join(rows[r], ", ");
+    return out + "}";
+}
+
+std::string
+array(const std::vector<std::string> &items)
+{
+    std::string out = "[";
+    for (std::size_t i = 0; i < items.size(); ++i)
+        out += (i > 0 ? ", " : "") + items[i];
+    return out + "]";
+}
+
+std::string
+summaryJson(const LatencySummary &s)
+{
+    // Schema v5: the saturation markers (0/1) say the matching
+    // quantile is the exact max under Histogram's small-population
+    // rule, not a resolved quantile.
+    return object(Members{
+        {"count", num(s.count)},
+        {"p50_ns", num(s.p50Ns)},
+        {"p95_ns", num(s.p95Ns)},
+        {"p99_ns", num(s.p99Ns)},
+        {"p999_ns", num(s.p999Ns)},
+        {"max_ns", num(s.maxNs)},
+        {"mean_ns", num(s.meanNs)},
+        {"p50_saturated", num(std::uint64_t{s.p50Saturated})},
+        {"p95_saturated", num(std::uint64_t{s.p95Saturated})},
+        {"p99_saturated", num(std::uint64_t{s.p99Saturated})},
+        {"p999_saturated", num(std::uint64_t{s.p999Saturated})},
+    });
+}
+
+std::string
+metricsJson(const RunMetrics &m)
 {
     // Schema v5: per-role interference slices. Always emitted; empty
     // for every workload outside the interference suite so the schema
     // stays uniform across benches.
-    fputKey(f, "roles");
-    std::fputc('[', f);
-    bool first = true;
-    for (const RoleMetrics &r : roles) {
-        std::fputs(first ? "{" : ", {", f);
-        first = false;
-        fputKey(f, "role");
-        fputJsonString(f, r.name);
-        std::fputs(", ", f);
-        fputNum(f, "transactions", r.transactions);
-        std::fputs(", ", f);
-        fputNum(f, "tx_per_second", r.txPerSecond);
-        std::fputs(", ", f);
-        fputSummary(f, "latency", r.latency);
-        std::fputc('}', f);
+    std::vector<std::string> roles;
+    for (const RoleMetrics &r : m.roles) {
+        roles.push_back(object(Members{
+            {"role", jsonQuote(r.name)},
+            {"transactions", num(r.transactions)},
+            {"tx_per_second", num(r.txPerSecond)},
+            {"latency", summaryJson(r.latency)},
+        }));
     }
-    std::fputc(']', f);
+    std::vector<std::string> epochs;
+    for (const EpochSample &e : m.epochs) {
+        epochs.push_back(object(Members{
+            {"at_ticks", num(e.at)},
+            {"mapping_entries", num(e.mappingEntries)},
+            {"struct_bytes", num(e.structBytes)},
+            {"backpressure_stalls", num(e.backpressureStalls)},
+            {"inflight_writes", num(e.inflightWrites)},
+            {"retired_units", num(e.retiredUnits)},
+            {"corrected_words", num(e.correctedWords)},
+            {"degraded_fraction", num(e.degradedFraction)},
+            {"tx_rejected", num(e.txRejected)},
+            {"client_retry_attempts", num(e.clientRetryAttempts)},
+            {"client_backoff_ticks", num(e.clientBackoffTicks)},
+            {"client_deadline_misses", num(e.clientDeadlineMisses)},
+            {"client_shed_admissions", num(e.clientShedAdmissions)},
+            {"channel_busy_ticks", num(e.channelBusyTicks)},
+            {"channel_wait_ticks", num(e.channelWaitTicks)},
+        }));
+    }
+    return object(std::vector<Members>{
+        {{"transactions", num(m.transactions)},
+         {"sim_ticks", num(m.simTicks)},
+         {"tx_per_second", num(m.txPerSecond)},
+         {"avg_critical_path_ns", num(m.avgCriticalPathNs)},
+         {"nvm_bytes_written", num(m.nvmBytesWritten)},
+         {"nvm_bytes_read", num(m.nvmBytesRead)},
+         {"bytes_written_per_tx", num(m.bytesWrittenPerTx)},
+         {"energy_pj", num(m.energyPj)},
+         {"llc_miss_ratio", num(m.llcMissRatio)}},
+        {{"crit_path", summaryJson(m.critPath)}},
+        {{"llc_miss_lat", summaryJson(m.llcMiss)}},
+        {{"gc_pause", summaryJson(m.gcPause)}},
+        {{"scrub_pause", summaryJson(m.scrubPause)}},
+        {{"ecc_corrected_words", num(m.eccCorrectedWords)},
+         {"uncorrectable_reads", num(m.uncorrectableReads)},
+         {"read_retries", num(m.readRetries)},
+         {"retired_units", num(m.retiredUnits)},
+         {"tx_rejected", num(m.txRejected)},
+         {"degraded_fraction", num(m.degradedFraction)}},
+        {{"channel_busy_ticks", num(m.channelBusyTicks)},
+         {"channel_wait_ticks", num(m.channelWaitTicks)},
+         {"drain_fences", num(m.drainFences)},
+         {"channel_utilization", num(m.channelUtilization)}},
+        {{"roles", array(roles)}},
+        {{"epochs", array(epochs)}},
+    });
 }
 
-void
-fputEpochs(std::FILE *f, const std::vector<EpochSample> &epochs)
+/** One cell's record; @p metrics is null for a cell timed outside
+ *  the pool. */
+std::string
+cellJson(const std::string &label, double seconds,
+         const RunMetrics *metrics, const CellValues &values)
 {
-    fputKey(f, "epochs");
-    std::fputc('[', f);
-    bool first = true;
-    for (const EpochSample &e : epochs) {
-        std::fputs(first ? "{" : ", {", f);
-        first = false;
-        fputNum(f, "at_ticks", e.at);
-        std::fputs(", ", f);
-        fputNum(f, "mapping_entries", e.mappingEntries);
-        std::fputs(", ", f);
-        fputNum(f, "struct_bytes", e.structBytes);
-        std::fputs(", ", f);
-        fputNum(f, "backpressure_stalls", e.backpressureStalls);
-        std::fputs(", ", f);
-        fputNum(f, "inflight_writes", e.inflightWrites);
-        std::fputs(", ", f);
-        fputNum(f, "retired_units", e.retiredUnits);
-        std::fputs(", ", f);
-        fputNum(f, "corrected_words", e.correctedWords);
-        std::fputs(", ", f);
-        fputNum(f, "degraded_fraction", e.degradedFraction);
-        std::fputs(", ", f);
-        fputNum(f, "tx_rejected", e.txRejected);
-        std::fputs(", ", f);
-        fputNum(f, "client_retry_attempts", e.clientRetryAttempts);
-        std::fputs(", ", f);
-        fputNum(f, "client_backoff_ticks", e.clientBackoffTicks);
-        std::fputs(", ", f);
-        fputNum(f, "client_deadline_misses", e.clientDeadlineMisses);
-        std::fputs(", ", f);
-        fputNum(f, "client_shed_admissions", e.clientShedAdmissions);
-        std::fputs(", ", f);
-        fputNum(f, "channel_busy_ticks", e.channelBusyTicks);
-        std::fputs(", ", f);
-        fputNum(f, "channel_wait_ticks", e.channelWaitTicks);
-        std::fputc('}', f);
-    }
-    std::fputc(']', f);
+    std::vector<Members> rows = {
+        {{"label", jsonQuote(label)}, {"seconds", num(seconds)}}};
+    if (metrics)
+        rows.push_back({{"metrics", metricsJson(*metrics)}});
+    for (const auto &[key, v] : values)
+        rows.back().emplace_back(key, num(v));
+    return object(rows);
 }
 
 } // namespace
@@ -205,42 +279,43 @@ benchTxPerCore(std::uint64_t dflt)
     return dflt;
 }
 
-unsigned
-benchJobs(int argc, char **argv)
+RunMetrics
+runCell(Scheme scheme, const std::string &workload,
+        const WorkloadParams &params, const SystemConfig &cfg,
+        std::uint64_t tx_per_core, const Probe &probe)
 {
-    // Scan every argument: flags may come in any order.
-    unsigned jobs = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--profile") == 0) {
-            HostProfiler::enable();
-            continue;
-        }
-        if (std::strncmp(argv[i], "-j", 2) != 0)
-            continue;
-        const char *num = argv[i] + 2;
-        if (*num == '\0' && i + 1 < argc)
-            num = argv[++i];
-        const long v = std::strtol(num, nullptr, 10);
-        if (v >= 1 && jobs == 0)
-            jobs = static_cast<unsigned>(v);
+    System sys(cfg, scheme);
+    const RunOutcome out =
+        runWorkload(sys, makeWorkload(workload, params), tx_per_core);
+    if (!out.verified) {
+        HOOP_FATAL("verification failed for %s/%s", schemeName(scheme),
+                   workload.c_str());
     }
-    return jobs;
+    if (probe)
+        probe(sys);
+    return out.metrics;
 }
 
 CellRunner::CellRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}
 
 std::size_t
-CellRunner::add(std::string label, std::function<void()> task)
+CellRunner::add(std::string label, std::function<void(RunMetrics &)> task)
 {
-    slots.push_back(Slot{std::move(label), std::move(task), 0.0,
-                         nullptr});
+    slots.push_back(Slot{std::move(label), std::move(task), 0.0, {}});
     return slots.size() - 1;
 }
 
-void
-CellRunner::noteMetrics(std::size_t idx, const RunMetrics *m)
+std::size_t
+CellRunner::add(std::string label, Scheme scheme,
+                const std::string &workload, const WorkloadParams &params,
+                const SystemConfig &cfg, std::uint64_t tx_per_core,
+                Probe probe)
 {
-    slots[idx].metrics = m;
+    return add(std::move(label),
+               [=, probe = std::move(probe)](RunMetrics &m) {
+                   m = runCell(scheme, workload, params, cfg, tx_per_core,
+                               probe);
+               });
 }
 
 double
@@ -258,7 +333,7 @@ CellRunner::run()
                 return;
             // lint: nondet-api-ok (host wall-clock for per-cell wall-time reporting; never feeds simulated state)
             const auto c0 = std::chrono::steady_clock::now();
-            slots[i].task();
+            slots[i].task(slots[i].metrics);
             slots[i].seconds = secondsSince(c0);
         }
     };
@@ -278,57 +353,32 @@ CellRunner::run()
     return totalSeconds_;
 }
 
-BenchReport::BenchReport(std::string name, const SystemConfig &cfg,
-                         std::uint64_t tx_per_core)
-    : name_(std::move(name)), cfg_(cfg), txPerCore_(tx_per_core)
+Bench::Bench(int argc, char **argv, std::string name,
+             const std::string &title, const SystemConfig &cfg,
+             std::uint64_t tx_per_core)
+    : CellRunner(parseFlags(argc, argv)), name_(std::move(name)),
+      cfg_(cfg), txPerCore_(tx_per_core)
 {
+    if (!title.empty())
+        printBanner(title, cfg);
 }
 
 void
-BenchReport::addCells(const CellRunner &runner)
+Bench::value(std::size_t i, std::string key, double v)
 {
-    for (std::size_t i = 0; i < runner.cells(); ++i)
-        addCell(runner.label(i), runner.cellSeconds(i),
-                runner.metrics(i));
-    jobs_ = runner.jobs();
-    wallSeconds_ += runner.totalSeconds();
+    if (values_.size() <= i)
+        values_.resize(i + 1);
+    values_[i].emplace_back(std::move(key), v);
 }
 
 void
-BenchReport::addCell(std::string label, double seconds,
-                     const RunMetrics *m)
+Bench::addTimed(std::string label, double seconds, CellValues values)
 {
-    CellRecord rec;
-    rec.label = std::move(label);
-    rec.seconds = seconds;
-    if (m) {
-        rec.hasMetrics = true;
-        rec.metrics = *m;
-    }
-    cells_.push_back(std::move(rec));
+    timed_.push_back({std::move(label), seconds, std::move(values)});
 }
 
 void
-BenchReport::cellValue(const std::string &label, std::string key,
-                       double value)
-{
-    for (CellRecord &rec : cells_) {
-        if (rec.label == label) {
-            rec.values.emplace_back(std::move(key), value);
-            return;
-        }
-    }
-    HOOP_FATAL("BenchReport: no cell labelled '%s'", label.c_str());
-}
-
-void
-BenchReport::value(std::string key, double v)
-{
-    values_.emplace_back(std::move(key), v);
-}
-
-void
-BenchReport::write() const
+Bench::write() const
 {
     std::string dir = ".";
     // lint: nondet-api-ok (HOOP_BENCH_JSON_DIR selects the report output directory only)
@@ -336,175 +386,96 @@ BenchReport::write() const
         dir = env;
     const std::string path = dir + "/BENCH_" + name_ + ".json";
 
+    // HOOP_BENCH_DETERMINISTIC=1 zeroes every host-wall-clock field
+    // (jobs, wall seconds, per-cell seconds, derived rates) so the
+    // whole JSON is byte-comparable across runs and job counts — the
+    // simulated content already is; the host timings are the only
+    // nondeterministic bytes. CI's bench-smoke diffs -j1 against -j4
+    // this way.
+    // lint: nondet-api-ok (HOOP_BENCH_DETERMINISTIC selects report normalization only; never feeds simulated state)
+    const char *det_env = std::getenv("HOOP_BENCH_DETERMINISTIC");
+    const bool deterministic =
+        det_env != nullptr && det_env[0] != '\0' && det_env[0] != '0';
+    auto hostTime = [deterministic](double seconds) {
+        return deterministic ? 0.0 : seconds;
+    };
+
+    std::vector<std::string> records;
+    std::uint64_t sim_ticks = 0;
+    static const CellValues kNoValues;
+    for (std::size_t i = 0; i < cells(); ++i) {
+        sim_ticks += metrics(i).simTicks;
+        records.push_back(cellJson(label(i), hostTime(cellSeconds(i)),
+                                   &metrics(i),
+                                   i < values_.size() ? values_[i]
+                                                      : kNoValues));
+    }
+    for (const TimedCell &c : timed_) {
+        records.push_back(
+            cellJson(c.label, hostTime(c.seconds), nullptr, c.values));
+    }
+
+    const double wall_seconds = totalSeconds();
+    const double wall = wall_seconds > 0.0 ? wall_seconds : 1e-9;
+    const double cells_per_sec = hostTime(records.size() / wall);
+    const double ticks_per_sec = hostTime(sim_ticks / wall);
+
+    Members top = {
+        {"schema_version", num(std::uint64_t{5})},
+        {"bench", jsonQuote(name_)},
+        {"config",
+         object(Members{
+             {"num_cores", num(std::uint64_t{cfg_.numCores})},
+             {"cpu_ghz", num(cfg_.cpuGhz)},
+             {"l1_bytes", num(cfg_.cache.l1Size)},
+             {"l2_bytes", num(cfg_.cache.l2Size)},
+             {"llc_bytes", num(cfg_.cache.llcSize)},
+             {"oop_bytes", num(cfg_.oopBytes)},
+             {"oop_block_bytes", num(cfg_.oopBlockBytes)},
+             {"mapping_table_bytes", num(cfg_.mappingTableBytes)},
+             {"nvm_read_ns", num(ticksToNs(cfg_.nvm.readLatency))},
+             {"nvm_write_ns", num(ticksToNs(cfg_.nvm.writeLatency))},
+             {"tx_per_core", num(txPerCore_)},
+         })},
+        {"host",
+         object(Members{
+             {"jobs", num(deterministic ? 0 : std::uint64_t{jobs()})},
+             {"wall_seconds", num(hostTime(wall_seconds))},
+             {"cells", num(std::uint64_t{records.size()})},
+             {"cells_per_sec", num(cells_per_sec)},
+             {"sim_ticks", num(sim_ticks)},
+             {"sim_ticks_per_sec", num(ticks_per_sec)},
+         })},
+    };
+    // Host-side per-component wall-time breakdown (--profile only, so
+    // the JSON layout is unchanged for unprofiled runs).
+    if (HostProfiler::enabled()) {
+        Members profile;
+        for (int c = 0; c < HostProfiler::kNumComponents; ++c) {
+            profile.emplace_back(
+                std::string(HostProfiler::name(c)) + "_seconds",
+                num(static_cast<double>(HostProfiler::totalNs(c)) *
+                    1e-9));
+        }
+        top.emplace_back("host_profile", object(profile));
+    }
+    std::string cells_json = "[";
+    for (std::size_t i = 0; i < records.size(); ++i)
+        cells_json += (i > 0 ? ",\n    " : "\n    ") + records[i];
+    top.emplace_back("cells", cells_json + "\n  ]");
+
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
         return;
     }
-
-    std::uint64_t sim_ticks = 0;
-    for (const CellRecord &rec : cells_) {
-        if (rec.hasMetrics)
-            sim_ticks += rec.metrics.simTicks;
-    }
-    // HOOP_BENCH_DETERMINISTIC=1 zeroes every host-wall-clock field
-    // (jobs, wall seconds, per-cell seconds, derived rates) so the
-    // whole JSON is byte-comparable across runs and job counts — the
-    // simulated content already is; the host timings are the only
-    // nondeterministic bytes. CI's interference-smoke diffs -j1
-    // against -jN this way.
-    // lint: nondet-api-ok (HOOP_BENCH_DETERMINISTIC selects report normalization only; never feeds simulated state)
-    const char *det_env = std::getenv("HOOP_BENCH_DETERMINISTIC");
-    const bool deterministic =
-        det_env != nullptr && det_env[0] != '\0' && det_env[0] != '0';
-    const double wall = wallSeconds_ > 0.0 ? wallSeconds_ : 1e-9;
-    const double cells_per_sec =
-        deterministic ? 0.0 : cells_.size() / wall;
-    const double ticks_per_sec = deterministic ? 0.0 : sim_ticks / wall;
-
-    std::fputs("{\n  ", f);
-    fputNum(f, "schema_version", std::uint64_t{5});
-    std::fputs(",\n  ", f);
-    fputKey(f, "bench");
-    fputJsonString(f, name_);
-
-    std::fputs(",\n  \"config\": {", f);
-    fputNum(f, "num_cores", std::uint64_t{cfg_.numCores});
-    std::fputs(", ", f);
-    fputNum(f, "cpu_ghz", cfg_.cpuGhz);
-    std::fputs(", ", f);
-    fputNum(f, "l1_bytes", cfg_.cache.l1Size);
-    std::fputs(", ", f);
-    fputNum(f, "l2_bytes", cfg_.cache.l2Size);
-    std::fputs(", ", f);
-    fputNum(f, "llc_bytes", cfg_.cache.llcSize);
-    std::fputs(", ", f);
-    fputNum(f, "oop_bytes", cfg_.oopBytes);
-    std::fputs(", ", f);
-    fputNum(f, "oop_block_bytes", cfg_.oopBlockBytes);
-    std::fputs(", ", f);
-    fputNum(f, "mapping_table_bytes", cfg_.mappingTableBytes);
-    std::fputs(", ", f);
-    fputNum(f, "nvm_read_ns", ticksToNs(cfg_.nvm.readLatency));
-    std::fputs(", ", f);
-    fputNum(f, "nvm_write_ns", ticksToNs(cfg_.nvm.writeLatency));
-    std::fputs(", ", f);
-    fputNum(f, "tx_per_core", txPerCore_);
-    std::fputs("}", f);
-
-    std::fputs(",\n  \"host\": {", f);
-    fputNum(f, "jobs", deterministic ? 0 : std::uint64_t{jobs_});
-    std::fputs(", ", f);
-    fputNum(f, "wall_seconds", deterministic ? 0.0 : wallSeconds_);
-    std::fputs(", ", f);
-    fputNum(f, "cells", std::uint64_t{cells_.size()});
-    std::fputs(", ", f);
-    fputNum(f, "cells_per_sec", cells_per_sec);
-    std::fputs(", ", f);
-    fputNum(f, "sim_ticks", sim_ticks);
-    std::fputs(", ", f);
-    fputNum(f, "sim_ticks_per_sec", ticks_per_sec);
-    std::fputs("}", f);
-
-    for (const auto &[key, v] : values_) {
-        std::fputs(",\n  ", f);
-        fputJsonString(f, key);
-        std::fprintf(f, ": %.17g", v);
-    }
-
-    // Host-side per-component wall-time breakdown (--profile only, so
-    // the JSON layout is unchanged for unprofiled runs).
-    if (HostProfiler::enabled()) {
-        std::fputs(",\n  \"host_profile\": {", f);
-        for (int c = 0; c < HostProfiler::kNumComponents; ++c) {
-            if (c > 0)
-                std::fputs(", ", f);
-            const std::string key =
-                std::string(HostProfiler::name(c)) + "_seconds";
-            fputNum(f, key.c_str(),
-                    static_cast<double>(HostProfiler::totalNs(c)) *
-                        1e-9);
-        }
-        std::fputs("}", f);
-    }
-
-    std::fputs(",\n  \"cells\": [", f);
-    bool first_cell = true;
-    for (const CellRecord &rec : cells_) {
-        std::fputs(first_cell ? "\n    {" : ",\n    {", f);
-        first_cell = false;
-        fputKey(f, "label");
-        fputJsonString(f, rec.label);
-        std::fputs(", ", f);
-        fputNum(f, "seconds", deterministic ? 0.0 : rec.seconds);
-        if (rec.hasMetrics) {
-            const RunMetrics &m = rec.metrics;
-            std::fputs(",\n     \"metrics\": {", f);
-            fputNum(f, "transactions", m.transactions);
-            std::fputs(", ", f);
-            fputNum(f, "sim_ticks", m.simTicks);
-            std::fputs(", ", f);
-            fputNum(f, "tx_per_second", m.txPerSecond);
-            std::fputs(", ", f);
-            fputNum(f, "avg_critical_path_ns", m.avgCriticalPathNs);
-            std::fputs(", ", f);
-            fputNum(f, "nvm_bytes_written", m.nvmBytesWritten);
-            std::fputs(", ", f);
-            fputNum(f, "nvm_bytes_read", m.nvmBytesRead);
-            std::fputs(", ", f);
-            fputNum(f, "bytes_written_per_tx", m.bytesWrittenPerTx);
-            std::fputs(", ", f);
-            fputNum(f, "energy_pj", m.energyPj);
-            std::fputs(", ", f);
-            fputNum(f, "llc_miss_ratio", m.llcMissRatio);
-            std::fputs(",\n     ", f);
-            fputSummary(f, "crit_path", m.critPath);
-            std::fputs(",\n     ", f);
-            fputSummary(f, "llc_miss_lat", m.llcMiss);
-            std::fputs(",\n     ", f);
-            fputSummary(f, "gc_pause", m.gcPause);
-            std::fputs(",\n     ", f);
-            fputSummary(f, "scrub_pause", m.scrubPause);
-            std::fputs(",\n     ", f);
-            fputNum(f, "ecc_corrected_words", m.eccCorrectedWords);
-            std::fputs(", ", f);
-            fputNum(f, "uncorrectable_reads", m.uncorrectableReads);
-            std::fputs(", ", f);
-            fputNum(f, "read_retries", m.readRetries);
-            std::fputs(", ", f);
-            fputNum(f, "retired_units", m.retiredUnits);
-            std::fputs(", ", f);
-            fputNum(f, "tx_rejected", m.txRejected);
-            std::fputs(", ", f);
-            fputNum(f, "degraded_fraction", m.degradedFraction);
-            std::fputs(",\n     ", f);
-            fputNum(f, "channel_busy_ticks", m.channelBusyTicks);
-            std::fputs(", ", f);
-            fputNum(f, "channel_wait_ticks", m.channelWaitTicks);
-            std::fputs(", ", f);
-            fputNum(f, "drain_fences", m.drainFences);
-            std::fputs(", ", f);
-            fputNum(f, "channel_utilization", m.channelUtilization);
-            std::fputs(",\n     ", f);
-            fputRoles(f, m.roles);
-            std::fputs(",\n     ", f);
-            fputEpochs(f, m.epochs);
-            std::fputs("}", f);
-        }
-        for (const auto &[key, v] : rec.values) {
-            std::fputs(", ", f);
-            fputJsonString(f, key);
-            std::fprintf(f, ": %.17g", v);
-        }
-        std::fputs("}", f);
-    }
-    std::fputs("\n  ]\n}\n", f);
+    std::fputs(("{\n  " + join(top, ",\n  ") + "\n}\n").c_str(), f);
     std::fclose(f);
 
     std::fprintf(stderr,
                  "[bench %s] %zu cells, jobs=%u, wall=%.2fs "
                  "(%.2f cells/s, %.3g sim ticks/s) -> %s\n",
-                 name_.c_str(), cells_.size(), jobs_, wallSeconds_,
+                 name_.c_str(), records.size(), jobs(), wall_seconds,
                  cells_per_sec, ticks_per_sec, path.c_str());
     if (HostProfiler::enabled()) {
         std::fprintf(stderr, "[bench %s] host profile:", name_.c_str());
@@ -515,6 +486,77 @@ BenchReport::write() const
         }
         std::fputc('\n', stderr);
     }
+}
+
+FigureMatrix::FigureMatrix(Bench &bench, const SystemConfig &cfg,
+                           Probe read_profile)
+    : bench_(bench)
+{
+    for (const char *w :
+         {"vector", "hashmap", "queue", "rbtree", "btree"}) {
+        cols_.push_back({std::string(w) + "-64B", w, 64});
+        cols_.push_back({std::string(w) + "-1KB", w, 1024});
+    }
+    cols_.push_back({"ycsb-512B", "ycsb", 512});
+    cols_.push_back({"ycsb-1KB", "ycsb", 1024});
+    cols_.push_back({"tpcc", "tpcc", 64});
+
+    for (Scheme s : kAllSchemes) {
+        for (const WorkloadCol &c : cols_) {
+            const bool profiled =
+                s == Scheme::Hoop && c.label == "ycsb-1KB";
+            bench.add(std::string(schemeName(s)) + "/" + c.label, s,
+                      c.name, paperParams(c.valueBytes), cfg,
+                      bench.txPerCore(),
+                      profiled ? read_profile : Probe{});
+        }
+    }
+}
+
+const RunMetrics &
+FigureMatrix::at(Scheme s, std::size_t w) const
+{
+    const std::size_t row = static_cast<std::size_t>(
+        std::find(std::begin(kAllSchemes), std::end(kAllSchemes), s) -
+        std::begin(kAllSchemes));
+    return bench_.metrics(row * cols_.size() + w);
+}
+
+const RunMetrics &
+FigureMatrix::at(Scheme s, const std::string &col) const
+{
+    const auto it =
+        std::find_if(cols_.begin(), cols_.end(),
+                     [&](const WorkloadCol &c) { return c.label == col; });
+    return at(s, static_cast<std::size_t>(it - cols_.begin()));
+}
+
+std::map<Scheme, double>
+FigureMatrix::printNormalized(const std::string &title, Scheme base,
+                              double (*value)(const RunMetrics &)) const
+{
+    TablePrinter table(title);
+    std::vector<std::string> header = {"scheme"};
+    for (const WorkloadCol &c : cols_)
+        header.push_back(c.label);
+    header.push_back("geomean");
+    table.setHeader(header);
+
+    std::map<Scheme, double> geo;
+    for (Scheme s : kAllSchemes) {
+        std::vector<std::string> row = {schemeName(s)};
+        double g = 0.0;
+        for (std::size_t w = 0; w < cols_.size(); ++w) {
+            const double norm = value(at(s, w)) / value(at(base, w));
+            row.push_back(TablePrinter::num(norm, 2));
+            g += std::log(norm);
+        }
+        geo[s] = std::exp(g / static_cast<double>(cols_.size()));
+        row.push_back(TablePrinter::num(geo[s], 2));
+        table.addRow(row);
+    }
+    table.print();
+    return geo;
 }
 
 } // namespace bench

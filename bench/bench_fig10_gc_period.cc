@@ -27,30 +27,26 @@ main(int argc, char **argv)
     cfg.oopBytes = miB(2);
     cfg.oopBlockBytes = miB(1) / 8;
     cfg.cache.llcSize = kiB(512);
-    banner("Figure 10 - GC efficiency vs trigger period", cfg);
+    Bench bench(argc, argv, "fig10_gc_period",
+                "Figure 10 - GC efficiency vs trigger period", cfg,
+                benchTxPerCore(250));
 
     const double periods_us[] = {10, 20, 40, 80, 120, 160, 240};
     const std::vector<const char *> workloads = {
         "vector", "hashmap", "queue", "rbtree", "btree"};
-    const std::uint64_t tx_per_core = benchTxPerCore(250);
 
-    // cells[workload][period]
-    std::vector<std::vector<Cell>> cells(
-        workloads.size(), std::vector<Cell>(std::size(periods_us)));
-
-    CellRunner runner(benchJobs(argc, argv));
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        for (std::size_t p = 0; p < std::size(periods_us); ++p) {
+    // Cell w * periods + p: workload w at period p.
+    for (const char *w : workloads) {
+        for (const double period : periods_us) {
             SystemConfig c = cfg;
-            c.gcPeriod = nsToTicks(periods_us[p] * 1000.0);
-            scheduleCell(runner,
-                         std::string(workloads[w]) + "/" +
-                             TablePrinter::num(periods_us[p], 0) + "us",
-                         Scheme::Hoop, workloads[w], paperParams(64), c,
-                         tx_per_core, &cells[w][p]);
+            c.gcPeriod = nsToTicks(period * 1000.0);
+            bench.add(std::string(w) + "/" +
+                          TablePrinter::num(period, 0) + "us",
+                      Scheme::Hoop, w, paperParams(64), c,
+                      bench.txPerCore());
         }
     }
-    runner.run();
+    bench.run();
 
     TablePrinter table(
         "Fig. 10: throughput (tx/s) vs GC trigger period "
@@ -66,11 +62,11 @@ main(int argc, char **argv)
         double best_tput = 0.0;
         double best_period = 0.0;
         for (std::size_t p = 0; p < std::size(periods_us); ++p) {
-            const Cell &cell = cells[w][p];
-            row.push_back(
-                TablePrinter::num(cell.metrics.txPerSecond / 1e6, 3));
-            if (cell.metrics.txPerSecond > best_tput) {
-                best_tput = cell.metrics.txPerSecond;
+            const RunMetrics &m =
+                bench.metrics(w * std::size(periods_us) + p);
+            row.push_back(TablePrinter::num(m.txPerSecond / 1e6, 3));
+            if (m.txPerSecond > best_tput) {
+                best_tput = m.txPerSecond;
                 best_period = periods_us[p];
             }
         }
@@ -82,8 +78,6 @@ main(int argc, char **argv)
                 "8-10 ms with its second-long runs — the same interior "
                 "maximum appears here at the scaled period.\n");
 
-    BenchReport report("fig10_gc_period", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

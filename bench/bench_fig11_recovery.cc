@@ -58,23 +58,20 @@ main(int argc, char **argv)
     cfg.oopBytes = miB(64);
     cfg.auxBytes = miB(512) + miB(64);
     cfg.gcPeriod = nsToTicks(1e12); // keep everything in the region
-    banner("Figure 11 - recovery time vs threads and NVM bandwidth",
-           cfg);
+    // The cells fill the region directly: no per-core transactions.
+    Bench bench(argc, argv, "fig11_recovery",
+                "Figure 11 - recovery time vs threads and NVM bandwidth",
+                cfg, 0);
 
     const double bandwidths[] = {10e9, 15e9, 20e9, 25e9};
     const unsigned threads[] = {1, 2, 4, 8, 16};
     const std::uint64_t target_slices =
         cfg.oopBytes / MemorySlice::kSliceBytes * 9 / 10;
 
-    struct Result
-    {
-        RunMetrics metrics; // simTicks = modelled recovery time
-        double recoveryMs = 0.0;
-        RecoveryResult integrity{};
-    };
-    std::vector<std::vector<Result>> res(
-        std::size(bandwidths),
-        std::vector<Result>(std::size(threads)));
+    // Cell b * threads + t: bandwidth b with recovery thread count t;
+    // its simTicks is the modelled recovery time.
+    std::vector<RecoveryResult> recoveries(std::size(bandwidths) *
+                                           std::size(threads));
 
     // The filled, crashed image depends only on the bandwidth — the
     // thread count enters nothing but the recovery-time formula. Each
@@ -97,7 +94,6 @@ main(int argc, char **argv)
     for (SharedFill &f : fills)
         f.remaining = static_cast<unsigned>(std::size(threads));
 
-    CellRunner runner(benchJobs(argc, argv));
     for (std::size_t b = 0; b < std::size(bandwidths); ++b) {
         for (std::size_t t = 0; t < std::size(threads); ++t) {
             const double bw = bandwidths[b];
@@ -105,8 +101,8 @@ main(int argc, char **argv)
             const std::string label =
                 TablePrinter::num(bw / 1e9, 0) + "GB/s/" +
                 std::to_string(thr) + "thr";
-            const std::size_t idx = runner.add(label, [&, b, t, bw,
-                                                       thr] {
+            const std::size_t cell = b * std::size(threads) + t;
+            bench.add(label, [&, b, cell, bw, thr](RunMetrics &m) {
                 SharedFill &fill = fills[b];
                 std::lock_guard<std::mutex> lk(fill.mu);
                 if (!fill.sys) {
@@ -117,19 +113,20 @@ main(int argc, char **argv)
                 }
                 auto &ctrl = static_cast<HoopController &>(
                     fill.sys->controller());
-                const Tick time = ctrl.modelRecovery(thr);
-                res[b][t].metrics.simTicks = time;
-                res[b][t].recoveryMs = ticksToMs(time);
-                res[b][t].integrity = ctrl.lastRecovery();
+                m.simTicks = ctrl.modelRecovery(thr);
+                recoveries[cell] = ctrl.lastRecovery();
                 // Free the ~hundreds of MB of functional NVM pages as
                 // soon as the last thread-count cell has used them.
                 if (--fill.remaining == 0)
                     fill.sys.reset();
             });
-            runner.noteMetrics(idx, &res[b][t].metrics);
         }
     }
-    runner.run();
+    bench.run();
+    auto recoveryMs = [&](std::size_t b, std::size_t t) {
+        return ticksToMs(
+            bench.metrics(b * std::size(threads) + t).simTicks);
+    };
 
     TablePrinter table("Fig. 11: modelled recovery time (ms), "
                        "~58 MB of committed OOP slices");
@@ -142,14 +139,14 @@ main(int argc, char **argv)
         std::vector<std::string> row = {
             TablePrinter::num(bandwidths[b] / 1e9, 0) + "GB/s"};
         for (std::size_t t = 0; t < std::size(threads); ++t)
-            row.push_back(TablePrinter::num(res[b][t].recoveryMs, 2));
+            row.push_back(TablePrinter::num(recoveryMs(b, t), 2));
         table.addRow(row);
     }
     table.print();
 
-    const double t_10_16 = res[0][4].recoveryMs;
-    const double t_25_16 = res[3][4].recoveryMs;
-    const RecoveryResult &integrity = res[3][4].integrity;
+    const double t_10_16 = recoveryMs(0, 4);
+    const double t_25_16 = recoveryMs(3, 4);
+    const RecoveryResult &integrity = recoveries.back();
 
     std::printf("scaled to the paper's 1 GB region this corresponds to "
                 "%.0f ms at 25 GB/s (paper: 47 ms); 10 GB/s is %.1fx "
@@ -183,16 +180,10 @@ main(int argc, char **argv)
                           static_cast<double>(integrity.time)
                     : 0.0);
 
-    BenchReport report("fig11_recovery", cfg, benchTxPerCore());
-    report.addCells(runner);
-    for (std::size_t b = 0; b < std::size(bandwidths); ++b) {
-        for (std::size_t t = 0; t < std::size(threads); ++t) {
-            report.cellValue(TablePrinter::num(bandwidths[b] / 1e9, 0) +
-                                 "GB/s/" + std::to_string(threads[t]) +
-                                 "thr",
-                             "recovery_ms", res[b][t].recoveryMs);
-        }
+    for (std::size_t i = 0; i < bench.cells(); ++i) {
+        bench.value(i, "recovery_ms",
+                    ticksToMs(bench.metrics(i).simTicks));
     }
-    report.write();
+    bench.write();
     return 0;
 }

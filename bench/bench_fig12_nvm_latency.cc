@@ -18,76 +18,52 @@ using namespace hoopnvm::bench;
 int
 main(int argc, char **argv)
 {
-    SystemConfig cfg = paperConfig();
-    banner("Figure 12 - YCSB throughput vs NVM latency (HOOP)", cfg);
+    const SystemConfig cfg = paperConfig();
+    Bench bench(argc, argv, "fig12_nvm_latency",
+                "Figure 12 - YCSB throughput vs NVM latency (HOOP)", cfg,
+                benchTxPerCore());
 
     const WorkloadParams params = paperParams(1024);
-    const std::uint64_t tx_per_core = benchTxPerCore();
+    constexpr std::size_t kPoints = 5;
+    const double read_ns[kPoints] = {50, 100, 150, 200, 250};
+    const double write_ns[kPoints] = {150, 200, 250, 300, 350};
 
-    const double read_ns[] = {50, 100, 150, 200, 250};
-    const double write_ns[] = {150, 200, 250, 300, 350};
-    std::vector<Cell> read_cells(std::size(read_ns));
-    std::vector<Cell> write_cells(std::size(write_ns));
-
-    CellRunner runner(benchJobs(argc, argv));
-    for (std::size_t i = 0; i < std::size(read_ns); ++i) {
+    // The read sweep's cells come first, then the write sweep's.
+    for (const double ns : read_ns) {
         SystemConfig c = cfg;
-        c.nvm.readLatency = nsToTicks(read_ns[i]);
-        scheduleCell(runner,
-                     "read/" + TablePrinter::num(read_ns[i], 0) + "ns",
-                     Scheme::Hoop, "ycsb", params, c, tx_per_core,
-                     &read_cells[i]);
+        c.nvm.readLatency = nsToTicks(ns);
+        bench.add("read/" + TablePrinter::num(ns, 0) + "ns", Scheme::Hoop,
+                  "ycsb", params, c, bench.txPerCore());
     }
-    for (std::size_t i = 0; i < std::size(write_ns); ++i) {
+    for (const double ns : write_ns) {
         SystemConfig c = cfg;
-        c.nvm.writeLatency = nsToTicks(write_ns[i]);
+        c.nvm.writeLatency = nsToTicks(ns);
         // Slower cells also hold the bank longer: scale the write
         // occupancy with the array write time.
-        c.nvm.writeBusy = nsToTicks(write_ns[i] / 7.5);
-        scheduleCell(runner,
-                     "write/" + TablePrinter::num(write_ns[i], 0) +
-                         "ns",
-                     Scheme::Hoop, "ycsb", params, c, tx_per_core,
-                     &write_cells[i]);
+        c.nvm.writeBusy = nsToTicks(ns / 7.5);
+        bench.add("write/" + TablePrinter::num(ns, 0) + "ns",
+                  Scheme::Hoop, "ycsb", params, c, bench.txPerCore());
     }
-    runner.run();
+    bench.run();
 
-    TablePrinter reads("Fig. 12a: read latency sweep "
-                       "(write fixed at 150 ns)");
-    reads.setHeader({"read latency", "tx/s (M)", "normalized"});
-    double base = 0.0;
-    for (std::size_t i = 0; i < std::size(read_ns); ++i) {
-        const Cell &cell = read_cells[i];
-        // lint: float-eq-ok (0.0 is a first-iteration "unset" sentinel, never a computed value)
-        if (base == 0.0)
-            base = cell.metrics.txPerSecond;
-        reads.addRow({TablePrinter::num(read_ns[i], 0) + "ns",
-                      TablePrinter::num(
-                          cell.metrics.txPerSecond / 1e6, 3),
-                      TablePrinter::num(
-                          cell.metrics.txPerSecond / base, 2)});
-    }
-    reads.print();
+    auto sweep = [&](const std::string &title, const char *column,
+                     const double *ns, std::size_t first) {
+        TablePrinter t(title);
+        t.setHeader({column, "tx/s (M)", "normalized"});
+        const double base = bench.metrics(first).txPerSecond;
+        for (std::size_t i = 0; i < kPoints; ++i) {
+            const double tput = bench.metrics(first + i).txPerSecond;
+            t.addRow({TablePrinter::num(ns[i], 0) + "ns",
+                      TablePrinter::num(tput / 1e6, 3),
+                      TablePrinter::num(tput / base, 2)});
+        }
+        t.print();
+    };
+    sweep("Fig. 12a: read latency sweep (write fixed at 150 ns)",
+          "read latency", read_ns, 0);
+    sweep("Fig. 12b: write latency sweep (read fixed at 50 ns)",
+          "write latency", write_ns, kPoints);
 
-    TablePrinter writes("Fig. 12b: write latency sweep "
-                        "(read fixed at 50 ns)");
-    writes.setHeader({"write latency", "tx/s (M)", "normalized"});
-    base = 0.0;
-    for (std::size_t i = 0; i < std::size(write_ns); ++i) {
-        const Cell &cell = write_cells[i];
-        // lint: float-eq-ok (0.0 is a first-iteration "unset" sentinel, never a computed value)
-        if (base == 0.0)
-            base = cell.metrics.txPerSecond;
-        writes.addRow({TablePrinter::num(write_ns[i], 0) + "ns",
-                       TablePrinter::num(
-                           cell.metrics.txPerSecond / 1e6, 3),
-                       TablePrinter::num(
-                           cell.metrics.txPerSecond / base, 2)});
-    }
-    writes.print();
-
-    BenchReport report("fig12_nvm_latency", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

@@ -11,8 +11,6 @@
 
 #include "bench_common.hh"
 
-#include "hoop/hoop_controller.hh"
-
 using namespace hoopnvm;
 using namespace hoopnvm::bench;
 
@@ -24,21 +22,14 @@ main(int argc, char **argv)
     // frequent enough to exercise the table-pressure mechanism at
     // bench scale.
     cfg.cache.llcSize = kiB(256);
-    banner("Figure 13 - YCSB throughput vs mapping table size (HOOP)",
-           cfg);
-
-    const WorkloadParams params = paperParams(1024);
-    const std::uint64_t tx_per_core = benchTxPerCore();
+    Bench bench(argc, argv, "fig13_mapping_table",
+                "Figure 13 - YCSB throughput vs mapping table size (HOOP)",
+                cfg, benchTxPerCore());
 
     const std::uint64_t sizes[] = {kiB(8),   kiB(16),  kiB(32),
                                    kiB(64),  kiB(128), kiB(512),
                                    miB(2)};
-    struct Result
-    {
-        RunMetrics metrics;
-        std::uint64_t pressure = 0;
-    };
-    std::vector<Result> res(std::size(sizes));
+    std::vector<std::uint64_t> pressure(std::size(sizes));
 
     auto sizeLabel = [](std::uint64_t bytes) {
         return bytes >= miB(1)
@@ -48,49 +39,35 @@ main(int argc, char **argv)
                          static_cast<double>(bytes) / kiB(1), 0) + "KB";
     };
 
-    CellRunner runner(benchJobs(argc, argv));
     for (std::size_t i = 0; i < std::size(sizes); ++i) {
         SystemConfig c = cfg;
         c.mappingTableBytes = sizes[i];
-        const std::size_t idx = runner.add(sizeLabel(sizes[i]), [&, c,
-                                                                 i] {
-            System sys(c, Scheme::Hoop);
-            const RunOutcome out = runWorkload(
-                sys, makeWorkload("ycsb", params), tx_per_core);
-            if (!out.verified)
-                HOOP_FATAL("verification failed");
-            auto &ctrl =
-                static_cast<HoopController &>(sys.controller());
-            res[i].metrics = out.metrics;
-            res[i].pressure = ctrl.stats().value("gc_mapping_full") +
-                              ctrl.stats().value("gc_pressure");
-        });
-        runner.noteMetrics(idx, &res[i].metrics);
+        bench.add(sizeLabel(sizes[i]), Scheme::Hoop, "ycsb",
+                  paperParams(1024), c, bench.txPerCore(),
+                  [&pressure, i](System &sys) {
+                      const StatSet &st = sys.controller().stats();
+                      pressure[i] = st.value("gc_mapping_full") +
+                                    st.value("gc_pressure");
+                  });
     }
-    runner.run();
+    bench.run();
 
     TablePrinter table("Fig. 13: mapping table size sweep");
     table.setHeader({"table size", "tx/s (M)", "normalized",
                      "gc runs (pressure)"});
-    double base = 0.0;
+    const double base = bench.metrics(0).txPerSecond;
     for (std::size_t i = 0; i < std::size(sizes); ++i) {
-        // lint: float-eq-ok (0.0 is a first-iteration "unset" sentinel, never a computed value)
-        if (base == 0.0)
-            base = res[i].metrics.txPerSecond;
+        const double tput = bench.metrics(i).txPerSecond;
         table.addRow({sizeLabel(sizes[i]),
-                      TablePrinter::num(
-                          res[i].metrics.txPerSecond / 1e6, 3),
-                      TablePrinter::num(
-                          res[i].metrics.txPerSecond / base, 2),
-                      std::to_string(res[i].pressure)});
+                      TablePrinter::num(tput / 1e6, 3),
+                      TablePrinter::num(tput / base, 2),
+                      std::to_string(pressure[i])});
     }
     table.print();
     std::printf("(the paper sweeps 512 KB-8 MB at full scale; the "
                 "bench shrinks the LLC so the same pressure mechanism "
                 "appears at smaller table sizes)\n");
 
-    BenchReport report("fig13_mapping_table", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

@@ -14,7 +14,6 @@
  */
 
 #include <cmath>
-#include <map>
 
 #include "bench_common.hh"
 
@@ -25,106 +24,32 @@ int
 main(int argc, char **argv)
 {
     const SystemConfig cfg = paperConfig();
-    banner("Figure 7 - transaction throughput & critical-path latency",
-           cfg);
+    Bench bench(argc, argv, "fig7_throughput",
+                "Figure 7 - transaction throughput & critical-path "
+                "latency",
+                cfg, benchTxPerCore());
 
-    const auto cols = figureWorkloads();
-    const auto schemes = figureSchemes();
-    const std::uint64_t tx_per_core = benchTxPerCore();
-
-    // metric[scheme][workload], filled in parallel.
-    std::map<Scheme, std::vector<Cell>> results;
-    for (Scheme s : schemes)
-        results[s].resize(cols.size());
-
-    CellRunner runner(benchJobs(argc, argv));
-    for (Scheme s : schemes) {
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            scheduleCell(runner,
-                         std::string(schemeName(s)) + "/" +
-                             cols[w].label,
-                         s, cols[w].name,
-                         paperParams(cols[w].valueBytes), cfg,
-                         tx_per_core, &results[s][w]);
-        }
-    }
-
-    // §IV-C read-path profile for HOOP on the full suite: needs the
-    // System's internal stats, so it runs as a custom cell.
-    RunMetrics profile_metrics;
+    // §IV-C read-path profile for HOOP on YCSB-1KB: needs the System's
+    // internal stats, read off that matrix cell.
     double profile_fills = 0.0;
     double profile_parallel_reads = 0.0;
-    {
-        const std::size_t idx =
-            runner.add("hoop-read-path/ycsb-1KB", [&] {
-                System sys(cfg, Scheme::Hoop);
-                const RunOutcome out = runWorkload(
-                    sys, makeWorkload("ycsb", paperParams(1024)),
-                    tx_per_core);
-                profile_metrics = out.metrics;
-                profile_fills = static_cast<double>(
-                    sys.caches().stats().value("llc_fills"));
-                profile_parallel_reads = static_cast<double>(
-                    sys.controller().stats().value("parallel_reads"));
-            });
-        runner.noteMetrics(idx, &profile_metrics);
-    }
-    runner.run();
+    const FigureMatrix matrix(bench, cfg, [&](System &sys) {
+        profile_fills =
+            static_cast<double>(sys.caches().stats().value("llc_fills"));
+        profile_parallel_reads = static_cast<double>(
+            sys.controller().stats().value("parallel_reads"));
+    });
+    bench.run();
 
-    TablePrinter tput(
-        "Fig. 7a: throughput normalized to Opt-Redo (higher is better)");
-    {
-        std::vector<std::string> header = {"scheme"};
-        for (const auto &c : cols)
-            header.push_back(c.label);
-        header.push_back("geomean");
-        tput.setHeader(header);
-    }
-    std::map<Scheme, double> tput_geo;
-    for (Scheme s : schemes) {
-        std::vector<std::string> row = {schemeName(s)};
-        double geo = 0.0;
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            const double norm =
-                results[s][w].metrics.txPerSecond /
-                results[Scheme::OptRedo][w].metrics.txPerSecond;
-            row.push_back(TablePrinter::num(norm, 2));
-            geo += std::log(norm);
-        }
-        geo = std::exp(geo / static_cast<double>(cols.size()));
-        tput_geo[s] = geo;
-        row.push_back(TablePrinter::num(geo, 2));
-        tput.addRow(row);
-    }
-    tput.print();
-
-    TablePrinter lat(
+    std::map<Scheme, double> tput_geo = matrix.printNormalized(
+        "Fig. 7a: throughput normalized to Opt-Redo (higher is better)",
+        Scheme::OptRedo,
+        [](const RunMetrics &m) { return m.txPerSecond; });
+    std::map<Scheme, double> lat_geo = matrix.printNormalized(
         "Fig. 7b: critical-path latency normalized to Ideal (lower is "
-        "better)");
-    {
-        std::vector<std::string> header = {"scheme"};
-        for (const auto &c : cols)
-            header.push_back(c.label);
-        header.push_back("geomean");
-        lat.setHeader(header);
-    }
-    std::map<Scheme, double> lat_geo;
-    for (Scheme s : schemes) {
-        std::vector<std::string> row = {schemeName(s)};
-        double geo = 0.0;
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            const double norm =
-                results[s][w].metrics.avgCriticalPathNs /
-                results[Scheme::Native][w].metrics.avgCriticalPathNs;
-            row.push_back(TablePrinter::num(norm, 2));
-            geo += std::log(norm);
-        }
-        geo = std::exp(geo / static_cast<double>(cols.size()));
-        lat_geo[s] = geo;
-        row.push_back(TablePrinter::num(geo, 2));
-        lat.addRow(row);
-    }
-    lat.print();
+        "better)",
+        Scheme::Native,
+        [](const RunMetrics &m) { return m.avgCriticalPathNs; });
 
     // Latency tails: the mean in Fig. 7b hides GC- and log-induced
     // spikes; the per-scheme quantiles (geomean across workloads, in
@@ -132,16 +57,16 @@ main(int argc, char **argv)
     TablePrinter tails("Critical-path latency quantiles "
                        "(geomean across workloads, ns)");
     tails.setHeader({"scheme", "p50", "p95", "p99", "max"});
-    for (Scheme s : schemes) {
+    for (Scheme s : kAllSchemes) {
         double g50 = 0.0, g95 = 0.0, g99 = 0.0, gmax = 0.0;
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            const LatencySummary &q = results[s][w].metrics.critPath;
+        for (std::size_t w = 0; w < matrix.cols().size(); ++w) {
+            const LatencySummary &q = matrix.at(s, w).critPath;
             g50 += std::log(q.p50Ns);
             g95 += std::log(q.p95Ns);
             g99 += std::log(q.p99Ns);
             gmax += std::log(q.maxNs);
         }
-        const double n = static_cast<double>(cols.size());
+        const double n = static_cast<double>(matrix.cols().size());
         tails.addRow({schemeName(s),
                       TablePrinter::num(std::exp(g50 / n), 0),
                       TablePrinter::num(std::exp(g95 / n), 0),
@@ -182,13 +107,11 @@ main(int argc, char **argv)
                 "%.1f%% (paper 12.1%%), parallel reads %.1f%% of "
                 "fills (paper: 28.3%% of misses incur them, 3.4%% "
                 "of accesses)\n",
-                profile_metrics.llcMissRatio * 100.0,
+                matrix.at(Scheme::Hoop, "ycsb-1KB").llcMissRatio * 100.0,
                 profile_fills > 0.0
                     ? 100.0 * profile_parallel_reads / profile_fills
                     : 0.0);
 
-    BenchReport report("fig7_throughput", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

@@ -9,9 +9,6 @@
  * thanks to word-granularity packing and GC coalescing.
  */
 
-#include <cmath>
-#include <map>
-
 #include "bench_common.hh"
 
 using namespace hoopnvm;
@@ -21,60 +18,16 @@ int
 main(int argc, char **argv)
 {
     const SystemConfig cfg = paperConfig();
-    banner("Figure 8 - write traffic to NVM", cfg);
+    Bench bench(argc, argv, "fig8_write_traffic",
+                "Figure 8 - write traffic to NVM", cfg, benchTxPerCore());
+    const FigureMatrix matrix(bench, cfg);
+    bench.run();
 
-    const auto cols = figureWorkloads();
-    const auto schemes = figureSchemes();
-    const std::uint64_t tx_per_core = benchTxPerCore();
-
-    std::map<Scheme, std::vector<Cell>> results;
-    for (Scheme s : schemes)
-        results[s].resize(cols.size());
-
-    CellRunner runner(benchJobs(argc, argv));
-    for (Scheme s : schemes) {
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            scheduleCell(runner,
-                         std::string(schemeName(s)) + "/" +
-                             cols[w].label,
-                         s, cols[w].name,
-                         paperParams(cols[w].valueBytes), cfg,
-                         tx_per_core, &results[s][w]);
-        }
-    }
-    runner.run();
-
-    std::map<Scheme, std::vector<double>> bytes_per_tx;
-    for (Scheme s : schemes) {
-        for (std::size_t w = 0; w < cols.size(); ++w)
-            bytes_per_tx[s].push_back(
-                results[s][w].metrics.bytesWrittenPerTx);
-    }
-
-    TablePrinter table(
+    std::map<Scheme, double> geo = matrix.printNormalized(
         "Fig. 8: NVM bytes written per tx, normalized to Ideal "
-        "(lower is better)");
-    std::vector<std::string> header = {"scheme"};
-    for (const auto &c : cols)
-        header.push_back(c.label);
-    header.push_back("geomean");
-    table.setHeader(header);
-
-    std::map<Scheme, double> geo;
-    for (Scheme s : schemes) {
-        std::vector<std::string> row = {schemeName(s)};
-        double g = 0.0;
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            const double norm = bytes_per_tx[s][w] /
-                                bytes_per_tx[Scheme::Native][w];
-            row.push_back(TablePrinter::num(norm, 2));
-            g += std::log(norm);
-        }
-        geo[s] = std::exp(g / static_cast<double>(cols.size()));
-        row.push_back(TablePrinter::num(geo[s], 2));
-        table.addRow(row);
-    }
-    table.print();
+        "(lower is better)",
+        Scheme::Native,
+        [](const RunMetrics &m) { return m.bytesWrittenPerTx; });
 
     std::printf("paper-vs-measured traffic ratios (scheme / HOOP):\n");
     auto ratio = [&](Scheme s) { return geo[s] / geo[Scheme::Hoop]; };
@@ -89,8 +42,6 @@ main(int argc, char **argv)
     std::printf("  LAD:      paper 1.12x, measured %.2fx\n",
                 ratio(Scheme::Lad));
 
-    BenchReport report("fig8_write_traffic", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

@@ -9,9 +9,6 @@
  * than reads; paper reductions vs OSP/LSM/LAD are 37.6%/29.6%/10.8%.
  */
 
-#include <cmath>
-#include <map>
-
 #include "bench_common.hh"
 
 using namespace hoopnvm;
@@ -21,61 +18,18 @@ int
 main(int argc, char **argv)
 {
     const SystemConfig cfg = paperConfig();
-    banner("Figure 9 - NVM energy consumption", cfg);
+    Bench bench(argc, argv, "fig9_energy",
+                "Figure 9 - NVM energy consumption", cfg,
+                benchTxPerCore());
+    const FigureMatrix matrix(bench, cfg);
+    bench.run();
 
-    const auto cols = figureWorkloads();
-    const auto schemes = figureSchemes();
-    const std::uint64_t tx_per_core = benchTxPerCore();
-
-    std::map<Scheme, std::vector<Cell>> results;
-    for (Scheme s : schemes)
-        results[s].resize(cols.size());
-
-    CellRunner runner(benchJobs(argc, argv));
-    for (Scheme s : schemes) {
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            scheduleCell(runner,
-                         std::string(schemeName(s)) + "/" +
-                             cols[w].label,
-                         s, cols[w].name,
-                         paperParams(cols[w].valueBytes), cfg,
-                         tx_per_core, &results[s][w]);
-        }
-    }
-    runner.run();
-
-    std::map<Scheme, std::vector<double>> energy;
-    for (Scheme s : schemes) {
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            const RunMetrics &m = results[s][w].metrics;
-            energy[s].push_back(
-                m.energyPj / static_cast<double>(m.transactions));
-        }
-    }
-
-    TablePrinter table("Fig. 9: NVM energy per tx, normalized to Ideal "
-                       "(lower is better)");
-    std::vector<std::string> header = {"scheme"};
-    for (const auto &c : cols)
-        header.push_back(c.label);
-    header.push_back("geomean");
-    table.setHeader(header);
-
-    std::map<Scheme, double> geo;
-    for (Scheme s : schemes) {
-        std::vector<std::string> row = {schemeName(s)};
-        double g = 0.0;
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            const double norm =
-                energy[s][w] / energy[Scheme::Native][w];
-            row.push_back(TablePrinter::num(norm, 2));
-            g += std::log(norm);
-        }
-        geo[s] = std::exp(g / static_cast<double>(cols.size()));
-        row.push_back(TablePrinter::num(geo[s], 2));
-        table.addRow(row);
-    }
-    table.print();
+    std::map<Scheme, double> geo = matrix.printNormalized(
+        "Fig. 9: NVM energy per tx, normalized to Ideal "
+        "(lower is better)",
+        Scheme::Native, [](const RunMetrics &m) {
+            return m.energyPj / static_cast<double>(m.transactions);
+        });
 
     auto saving = [&](Scheme s) {
         return (1.0 - geo[Scheme::Hoop] / geo[s]) * 100.0;
@@ -88,8 +42,6 @@ main(int argc, char **argv)
     std::printf("  vs LAD: paper 10.8%%, measured %.1f%%\n",
                 saving(Scheme::Lad));
 
-    BenchReport report("fig9_energy", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

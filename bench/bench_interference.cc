@@ -12,63 +12,27 @@
  * scheme's *tail* degrade as mixed traffic fills the channel, and
  * does HOOP's out-of-place batching hold its ordering against the
  * log-based baselines once readers fight the persistence stream?
- *
- * Flags: the standard -jN plus `--schemes=hoop,redo,...` to restrict
- * the scheme axis (CI's interference-smoke runs the hoop+redo pair).
  */
-
-#include <cstring>
 
 #include "bench_common.hh"
 
 using namespace hoopnvm;
 using namespace hoopnvm::bench;
 
-namespace
-{
-
-/** Schemes from a `--schemes=a,b,c` flag, or the full figure set. */
-std::vector<Scheme>
-schemesFromArgs(int argc, char **argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (std::strncmp(arg, "--schemes=", 10) != 0)
-            continue;
-        std::vector<Scheme> out;
-        std::string tok;
-        for (const char *p = arg + 10;; ++p) {
-            if (*p == ',' || *p == '\0') {
-                // Scheme tokens, plus "ideal" as the figures name Native.
-                Scheme s = Scheme::Native;
-                if (tok == "ideal" || schemeFromToken(tok, &s))
-                    out.push_back(s);
-                else if (!tok.empty())
-                    HOOP_FATAL("unknown scheme token '%s'",
-                               tok.c_str());
-                tok.clear();
-                if (*p == '\0')
-                    break;
-            } else {
-                tok += *p;
-            }
-        }
-        if (!out.empty())
-            return out;
-    }
-    return figureSchemes(false);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    SystemConfig cfg = paperConfig();
-    banner("Interference - mixed-role saturation sweep", cfg);
+    const SystemConfig cfg = paperConfig();
+    Bench bench(argc, argv, "interference",
+                "Interference - mixed-role saturation sweep", cfg,
+                benchTxPerCore());
 
-    const std::uint64_t tx_per_core = benchTxPerCore();
-    const std::vector<Scheme> schemes = schemesFromArgs(argc, argv);
+    // The six durable schemes, in figure order.
+    std::vector<Scheme> schemes;
+    for (const Scheme s : kAllSchemes) {
+        if (s != Scheme::Native)
+            schemes.push_back(s);
+    }
 
     // Saturation is the duty-cycle target (1 = flat out); the read
     // mix is the fraction of cores running reader roles. Values are
@@ -76,80 +40,67 @@ main(int argc, char **argv)
     const double saturations[] = {0.25, 0.5, 1.0};
     const double read_mixes[] = {0.25, 0.75};
 
-    struct Point
-    {
-        Scheme scheme;
-        double saturation;
-        double readMix;
-        Cell cell;
-    };
-    std::vector<Point> points;
-    points.reserve(schemes.size() * std::size(saturations) *
-                   std::size(read_mixes));
     for (const Scheme s : schemes) {
         for (const double sat : saturations) {
-            for (const double mix : read_mixes)
-                points.push_back({s, sat, mix, Cell{}});
+            for (const double mix : read_mixes) {
+                WorkloadParams params = paperParams(64);
+                params.scale = 1024;
+                params.interferenceSaturation = sat;
+                params.interferenceReadMix = mix;
+                bench.add(std::string(schemeName(s)) + "/s" +
+                              TablePrinter::num(sat * 100, 0) + "/r" +
+                              TablePrinter::num(mix * 100, 0),
+                          s, "interference", params, cfg,
+                          bench.txPerCore());
+            }
         }
     }
+    bench.run();
 
-    CellRunner runner(benchJobs(argc, argv));
-    for (Point &pt : points) {
-        WorkloadParams params = paperParams(64);
-        params.scale = 1024;
-        params.interferenceSaturation = pt.saturation;
-        params.interferenceReadMix = pt.readMix;
-        const std::string label =
-            std::string(schemeName(pt.scheme)) + "/s" +
-            TablePrinter::num(pt.saturation * 100, 0) + "/r" +
-            TablePrinter::num(pt.readMix * 100, 0);
-        scheduleCell(runner, label, pt.scheme, "interference", params,
-                     cfg, tx_per_core, &pt.cell);
-    }
-    runner.run();
-
-    for (const double mix : read_mixes) {
+    const char *roles[] = {"log_append", "point_read", "seq_scan",
+                           "gc_pressure"};
+    auto p99 = [](const RunMetrics &m, const char *role) {
+        std::string v = "-";
+        for (const RoleMetrics &rm : m.roles) {
+            if (rm.name == role) {
+                v = TablePrinter::num(rm.latency.p99Ns / 1e3, 2);
+                if (rm.latency.p99Saturated)
+                    v += "*";
+            }
+        }
+        return v;
+    };
+    for (std::size_t mix = 0; mix < std::size(read_mixes); ++mix) {
         TablePrinter t("Saturation sweep, read mix " +
-                       TablePrinter::num(mix * 100, 0) +
+                       TablePrinter::num(read_mixes[mix] * 100, 0) +
                        "% (per-role p99 in us; channel util)");
         std::vector<std::string> header{"scheme", "saturation",
                                         "tx/s (M)", "util"};
-        for (const char *r :
-             {"log_append", "point_read", "seq_scan", "gc_pressure"})
+        for (const char *r : roles)
             header.push_back(std::string(r) + " p99");
         t.setHeader(header);
-        for (const Point &pt : points) {
-            // lint: float-eq-ok (selecting the sweep slice by its own exact literal, not a computed value)
-            if (pt.readMix != mix)
-                continue;
-            std::vector<std::string> row{
-                schemeName(pt.scheme),
-                TablePrinter::num(pt.saturation * 100, 0) + "%",
-                TablePrinter::num(
-                    pt.cell.metrics.txPerSecond / 1e6, 3),
-                TablePrinter::num(
-                    pt.cell.metrics.channelUtilization, 3)};
-            for (const char *r : {"log_append", "point_read",
-                                  "seq_scan", "gc_pressure"}) {
-                std::string v = "-";
-                for (const RoleMetrics &rm : pt.cell.metrics.roles) {
-                    if (rm.name == r) {
-                        v = TablePrinter::num(
-                            rm.latency.p99Ns / 1e3, 2);
-                        if (rm.latency.p99Saturated)
-                            v += "*";
-                    }
-                }
-                row.push_back(v);
+        for (std::size_t s = 0; s < schemes.size(); ++s) {
+            for (std::size_t sat = 0; sat < std::size(saturations);
+                 ++sat) {
+                // Cells run scheme-major, then saturation, then mix.
+                const RunMetrics &m = bench.metrics(
+                    (s * std::size(saturations) + sat) *
+                        std::size(read_mixes) +
+                    mix);
+                std::vector<std::string> row{
+                    schemeName(schemes[s]),
+                    TablePrinter::num(saturations[sat] * 100, 0) + "%",
+                    TablePrinter::num(m.txPerSecond / 1e6, 3),
+                    TablePrinter::num(m.channelUtilization, 3)};
+                for (const char *r : roles)
+                    row.push_back(p99(m, r));
+                t.addRow(row);
             }
-            t.addRow(row);
         }
         t.print();
     }
     std::printf("(* = under-populated quantile: exact max reported)\n");
 
-    BenchReport report("interference", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

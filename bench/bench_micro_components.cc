@@ -135,21 +135,19 @@ class CapturingReporter : public benchmark::ConsoleReporter
 int
 main(int argc, char **argv)
 {
+    // google-benchmark takes its own --benchmark_* flags first; the
+    // bench flags are whatever it leaves.
     benchmark::Initialize(&argc, argv);
-    if (benchmark::ReportUnrecognizedArguments(argc, argv))
-        return 1;
+    hoopnvm::bench::Bench bench(argc, argv, "micro_components", "",
+                                hoopnvm::bench::paperConfig(), 0);
     CapturingReporter reporter;
     benchmark::RunSpecifiedBenchmarks(&reporter);
 
-    hoopnvm::bench::BenchReport report(
-        "micro_components", hoopnvm::bench::paperConfig(), 0);
     for (const auto &item : reporter.items) {
-        report.addCell(item.name, item.realNsPerIter * 1e-9, nullptr);
-        report.cellValue(item.name, "real_ns_per_iter",
-                         item.realNsPerIter);
-        report.cellValue(item.name, "cpu_ns_per_iter",
-                         item.cpuNsPerIter);
+        bench.addTimed(item.name, item.realNsPerIter * 1e-9,
+                       {{"real_ns_per_iter", item.realNsPerIter},
+                        {"cpu_ns_per_iter", item.cpuNsPerIter}});
     }
-    report.write();
+    bench.write();
     return 0;
 }

@@ -23,7 +23,10 @@ main(int argc, char **argv)
 {
     SystemConfig cfg = paperConfig();
     cfg.numCores = 2; // Table IV counts transactions, not threads
-    banner("Table IV - GC data reduction vs transaction count", cfg);
+    // Each cell sizes its own run from its transaction count.
+    Bench bench(argc, argv, "table4_data_reduction",
+                "Table IV - GC data reduction vs transaction count", cfg,
+                0);
 
     const std::uint64_t tx_counts[] = {10, 100, 1000, 10000};
     const char *wls[] = {"vector", "queue",  "rbtree", "btree",
@@ -32,40 +35,27 @@ main(int argc, char **argv)
     // reduction[tx_count][workload], percent.
     std::vector<std::vector<double>> reduction(
         std::size(tx_counts), std::vector<double>(std::size(wls)));
-    std::vector<std::vector<RunMetrics>> metrics(
-        std::size(tx_counts),
-        std::vector<RunMetrics>(std::size(wls)));
 
-    CellRunner runner(benchJobs(argc, argv));
     for (std::size_t t = 0; t < std::size(tx_counts); ++t) {
         const std::uint64_t n = tx_counts[t];
         for (std::size_t w = 0; w < std::size(wls); ++w) {
-            const char *wl = wls[w];
             WorkloadParams p = paperParams(64);
             // Keep the structure small relative to the tx count so
             // update locality (the source of coalescing) matches the
             // paper's setup, but large enough that insert-heavy
             // workloads never exhaust their key space.
             p.scale = std::max<std::uint64_t>(256, n / 4);
-            const std::size_t idx = runner.add(
-                std::string(wl) + "/" + std::to_string(n),
-                [&, t, w, wl, p, n] {
-                    SystemConfig c = cfg;
-                    System sys(c, Scheme::Hoop);
-                    const RunOutcome out = runWorkload(
-                        sys, makeWorkload(wl, p), n / c.numCores + 1);
-                    if (!out.verified)
-                        HOOP_FATAL("verification failed");
-                    auto &ctrl = static_cast<HoopController &>(
-                        sys.controller());
-                    metrics[t][w] = out.metrics;
-                    reduction[t][w] =
-                        ctrl.gc().dataReductionRatio() * 100.0;
-                });
-            runner.noteMetrics(idx, &metrics[t][w]);
+            bench.add(std::string(wls[w]) + "/" + std::to_string(n),
+                      Scheme::Hoop, wls[w], p, cfg, n / cfg.numCores + 1,
+                      [&reduction, t, w](System &sys) {
+                          auto &ctrl = static_cast<HoopController &>(
+                              sys.controller());
+                          reduction[t][w] =
+                              ctrl.gc().dataReductionRatio() * 100.0;
+                      });
         }
     }
-    runner.run();
+    bench.run();
 
     TablePrinter table("Table IV: average data reduction in GC");
     table.setHeader({"tx", "vector", "queue", "rbtree", "btree",
@@ -80,9 +70,6 @@ main(int argc, char **argv)
     std::printf("paper Table IV: ~25%% at 10 tx, ~50%% at 100, ~73%% "
                 "at 1000, ~83%% at 10000\n");
 
-    BenchReport report("table4_data_reduction", cfg,
-                       benchTxPerCore());
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

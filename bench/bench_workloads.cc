@@ -12,8 +12,10 @@ using namespace hoopnvm::bench;
 int
 main(int argc, char **argv)
 {
-    SystemConfig cfg = paperConfig();
-    banner("Table III - benchmark suite footprint", cfg);
+    const SystemConfig cfg = paperConfig();
+    Bench bench(argc, argv, "workloads",
+                "Table III - benchmark suite footprint", cfg,
+                benchTxPerCore());
 
     struct Row
     {
@@ -33,35 +35,20 @@ main(int argc, char **argv)
     };
     constexpr std::size_t kRows = std::size(rows);
 
-    const std::uint64_t tx_per_core = benchTxPerCore();
-
-    struct Result
-    {
-        RunMetrics metrics;
-        double stores = 0.0;
-        double loads = 0.0;
-    };
-    std::vector<Result> res(kRows);
-
-    CellRunner runner(benchJobs(argc, argv));
+    // Word stores and loads of each row's cell.
+    std::vector<double> stores(kRows);
+    std::vector<double> loads(kRows);
     for (std::size_t i = 0; i < kRows; ++i) {
         const Row &r = rows[i];
-        const std::size_t idx = runner.add(r.name, [&, i, r] {
-            System sys(cfg, Scheme::Native);
-            const RunOutcome out = runWorkload(
-                sys, makeWorkload(r.name, paperParams(r.valueBytes)),
-                tx_per_core);
-            if (!out.verified)
-                HOOP_FATAL("verification failed for %s", r.name);
-            res[i].metrics = out.metrics;
-            res[i].stores = static_cast<double>(
-                sys.caches().stats().value("stores"));
-            res[i].loads = static_cast<double>(
-                sys.caches().stats().value("loads"));
-        });
-        runner.noteMetrics(idx, &res[i].metrics);
+        bench.add(r.name, Scheme::Native, r.name,
+                  paperParams(r.valueBytes), cfg, bench.txPerCore(),
+                  [&stores, &loads, i](System &sys) {
+                      const StatSet &st = sys.caches().stats();
+                      stores[i] = static_cast<double>(st.value("stores"));
+                      loads[i] = static_cast<double>(st.value("loads"));
+                  });
     }
-    runner.run();
+    bench.run();
 
     TablePrinter table("Table III: measured footprint per transaction");
     table.setHeader({"workload", "paper stores/tx", "measured ops/tx",
@@ -70,16 +57,14 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < kRows; ++i) {
         const Row &r = rows[i];
         const double tx =
-            static_cast<double>(res[i].metrics.transactions);
-        const double stores = res[i].stores;
-        const double loads = res[i].loads;
+            static_cast<double>(bench.metrics(i).transactions);
         // Item-level operation counts: word stores divided by the
         // words per item give the paper's "stores/tx" notion.
         const double item_words = static_cast<double>(
             r.valueBytes) / kWordSize;
-        const double ops_per_tx = stores / tx / item_words;
+        const double ops_per_tx = stores[i] / tx / item_words;
         const double wr =
-            100.0 * stores / std::max(1.0, stores + loads);
+            100.0 * stores[i] / std::max(1.0, stores[i] + loads[i]);
         table.addRow({r.name, r.paperStores,
                       TablePrinter::num(ops_per_tx, 1), r.paperMix,
                       TablePrinter::num(wr, 0) + "%/" +
@@ -90,8 +75,6 @@ main(int argc, char **argv)
                 "workloads also issue single-word metadata stores, so "
                 "their value exceeds 1 accordingly)\n");
 
-    BenchReport report("workloads", cfg, tx_per_core);
-    report.addCells(runner);
-    report.write();
+    bench.write();
     return 0;
 }

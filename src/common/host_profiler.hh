@@ -6,8 +6,9 @@
  * scoped timers at the engine's phase boundaries (transaction
  * execution, controller maintenance, GC runs, recovery replay, the
  * end-of-run drain and workload verification) accumulate wall
- * nanoseconds into process-wide atomic counters, and BenchReport
- * emits the breakdown into the bench JSON plus a stderr summary.
+ * nanoseconds into process-wide atomic counters, and the bench
+ * driver (bench::Bench::write) emits the breakdown into the bench JSON
+ * plus a stderr summary.
  *
  * Disabled (the default) the timers cost one predictable branch per
  * phase entry — no clock reads — so bench timing without the flag is

@@ -28,8 +28,8 @@
  *   - txn/sim_allocator.cc      arena sized too small for the workload.
  *   - workloads/registry.cc     unknown workload name (CLI input).
  *   - workloads/hashmap_wl.cc   table sized too small for the key space.
- *   - bench/ *.cc               driver-level verification assertions
- *     (a failed bench verification is a test failure, not service).
+ *   - bench/bench_common.cc     bench::runCell, the one place a
+ *     failed bench verification aborts (a test failure, not service).
  */
 
 #ifndef HOOPNVM_COMMON_LOGGING_HH

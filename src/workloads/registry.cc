@@ -104,23 +104,6 @@ workloadKnown(const std::string &name)
                      name) != std::end(kTableIIIWorkloads);
 }
 
-std::vector<WorkloadSpec>
-syntheticSuite(const WorkloadParams &p)
-{
-    std::vector<WorkloadSpec> suite = fullSuite(p);
-    suite.resize(5); // YCSB and TPC-C close the Table III list
-    return suite;
-}
-
-std::vector<WorkloadSpec>
-fullSuite(const WorkloadParams &p)
-{
-    std::vector<WorkloadSpec> suite;
-    for (const char *name : kTableIIIWorkloads)
-        suite.push_back({name, makeWorkload(name, p)});
-    return suite;
-}
-
 RunOutcome
 runWorkload(System &sys, const WorkloadFactory &factory,
             std::uint64_t tx_per_core)

@@ -21,13 +21,6 @@
 namespace hoopnvm
 {
 
-/** Named workload factory (one Table III row). */
-struct WorkloadSpec
-{
-    std::string id;
-    WorkloadFactory factory;
-};
-
 /** Sizing knobs for registry-built workloads. */
 struct WorkloadParams
 {
@@ -76,12 +69,6 @@ bool workloadKnown(const std::string &name);
 /** Build the factory for workload @p name (workloadKnown() must hold). */
 WorkloadFactory makeWorkload(const std::string &name,
                              const WorkloadParams &params);
-
-/** The five synthetic Table III workloads. */
-std::vector<WorkloadSpec> syntheticSuite(const WorkloadParams &params);
-
-/** The full Table III suite (synthetic + YCSB + TPC-C). */
-std::vector<WorkloadSpec> fullSuite(const WorkloadParams &params);
 
 /** Result of one measured run. */
 struct RunOutcome

@@ -10,14 +10,12 @@
 
 #include <string>
 
-#include "bench_common.hh"
+#include "common/json.hh"
 
 namespace hoopnvm
 {
 namespace
 {
-
-using bench::jsonEscape;
 
 TEST(JsonEscape, PlainAsciiPassesThrough)
 {

@@ -1,8 +1,9 @@
 /**
  * @file
- * End-to-end smoke test for a bench binary: runs it with a tiny
- * transaction count (HOOP_BENCH_TX) on a 2-thread pool and validates
- * the machine-readable BENCH_<name>.json it emits against the schema —
+ * End-to-end smoke test for a bench binary: an unknown flag must end
+ * in exit 2 with no report written; then a run with a tiny transaction
+ * count (HOOP_BENCH_TX) on a 2-thread pool (-j2) must emit a
+ * machine-readable BENCH_<name>.json that matches the schema —
  * well-formed JSON, schema_version, the config/host summary blocks,
  * and per-cell records with labels, wall seconds, and metrics.
  *
@@ -16,6 +17,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include <sys/wait.h>
 
 #include "common/json.hh"
 
@@ -66,13 +69,23 @@ main(int argc, char **argv)
     // Tiny run: a handful of transactions on a 2-thread pool, JSON
     // into the CWD (the ctest working directory).
     ::setenv("HOOP_BENCH_TX", "3", 1);
-    ::setenv("HOOP_BENCH_JOBS", "2", 1);
     ::setenv("HOOP_BENCH_JSON_DIR", ".", 1);
     std::remove(jsonName.c_str());
 
-    // lint: raw-json-ok (shell-command quoting for std::system, not JSON emission)
-    const std::string cmd = "\"" + bench + "\" > bench_smoke_stdout.txt";
-    const int rc = std::system(cmd.c_str());
+    const std::string exe = "'" + bench + "'";
+    const int bad =
+        std::system((exe + " --profle > bench_smoke_usage.txt 2>&1").c_str());
+    CHECK(WIFEXITED(bad) && WEXITSTATUS(bad) == 2,
+          "an unknown flag should exit 2, got status %d", bad);
+    std::stringstream usage;
+    usage << std::ifstream("bench_smoke_usage.txt").rdbuf();
+    CHECK(usage.str().find("usage: ") != std::string::npos,
+          "an unknown flag printed no usage line");
+    CHECK(!std::ifstream(jsonName).good(),
+          "the unknown flag still wrote %s", jsonName.c_str());
+
+    const int rc =
+        std::system((exe + " -j2 > bench_smoke_stdout.txt").c_str());
     CHECK(rc == 0, "bench exited with status %d", rc);
 
     std::ifstream in(jsonName);
@@ -117,8 +130,8 @@ main(int argc, char **argv)
             requireNum(*host, k, "host");
         const Json *jobs = host->find("jobs");
         if (jobs)
-            CHECK(jobs->number() == 2.0, "host.jobs should honour "
-                  "HOOP_BENCH_JOBS=2, got %g", jobs->number());
+            CHECK(jobs->number() == 2.0,
+                  "host.jobs should honour -j2, got %g", jobs->number());
     }
 
     const Json *cells = root.find("cells");

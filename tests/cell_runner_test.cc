@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel bench harness: CellRunner must produce
- * exactly the same per-cell RunMetrics at any job count as a serial
- * `-j1` run (each cell owns a fully independent System), and the
- * -jN / environment-variable plumbing must resolve as documented.
+ * Tests for the bench driver: CellRunner must produce exactly the
+ * same per-cell RunMetrics at any job count as a serial `-j1` run
+ * (each cell owns a fully independent System), and the bench flags and
+ * environment variables must resolve as documented.
  */
 
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@ namespace hoopnvm
 namespace
 {
 
-using bench::Cell;
 using bench::CellRunner;
 
 // Small but real scheme x workload matrix: enough cells to actually
@@ -40,7 +39,7 @@ matrix()
             {Scheme::OptUndo, "queue"}, {Scheme::Lad, "vector"}};
 }
 
-std::vector<Cell>
+std::vector<RunMetrics>
 runMatrix(unsigned jobs, bool fast_path = true)
 {
     SystemConfig cfg = bench::paperConfig();
@@ -48,17 +47,16 @@ runMatrix(unsigned jobs, bool fast_path = true)
     WorkloadParams params = bench::paperParams(64);
     params.scale = 256;
 
-    const auto cells = matrix();
-    std::vector<Cell> out(cells.size());
     CellRunner runner(jobs);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        bench::scheduleCell(runner,
-                            std::string(schemeName(cells[i].scheme)) +
-                                "/" + cells[i].workload,
-                            cells[i].scheme, cells[i].workload, params,
-                            cfg, /*tx_per_core=*/20, &out[i]);
+    for (const MatrixCell &c : matrix()) {
+        runner.add(std::string(schemeName(c.scheme)) + "/" + c.workload,
+                   c.scheme, c.workload, params, cfg,
+                   /*tx_per_core=*/20);
     }
     runner.run();
+    std::vector<RunMetrics> out;
+    for (std::size_t i = 0; i < runner.cells(); ++i)
+        out.push_back(runner.metrics(i));
     return out;
 }
 
@@ -111,18 +109,15 @@ expectIdenticalMetrics(const RunMetrics &a, const RunMetrics &b)
 // bit-identical whether cells run serially or across a pool.
 TEST(CellRunner, ParallelMatchesSerialExactly)
 {
-    const std::vector<Cell> serial = runMatrix(1);
-    const std::vector<Cell> parallel = runMatrix(4);
+    const std::vector<RunMetrics> serial = runMatrix(1);
+    const std::vector<RunMetrics> parallel = runMatrix(4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i));
-        EXPECT_TRUE(serial[i].verified);
-        EXPECT_TRUE(parallel[i].verified);
         // Not vacuous: every committed tx lands in the histogram.
-        EXPECT_EQ(serial[i].metrics.critPath.count,
-                  serial[i].metrics.transactions);
-        EXPECT_GT(serial[i].metrics.critPath.count, 0u);
-        expectIdenticalMetrics(serial[i].metrics, parallel[i].metrics);
+        EXPECT_EQ(serial[i].critPath.count, serial[i].transactions);
+        EXPECT_GT(serial[i].critPath.count, 0u);
+        expectIdenticalMetrics(serial[i], parallel[i]);
     }
 }
 
@@ -134,15 +129,12 @@ TEST(CellRunner, ParallelMatchesSerialOnBothEngines)
 {
     for (const bool fast : {true, false}) {
         SCOPED_TRACE(fast ? "fastPath" : "reference");
-        const std::vector<Cell> serial = runMatrix(1, fast);
-        const std::vector<Cell> parallel = runMatrix(4, fast);
+        const std::vector<RunMetrics> serial = runMatrix(1, fast);
+        const std::vector<RunMetrics> parallel = runMatrix(4, fast);
         ASSERT_EQ(serial.size(), parallel.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE("cell " + std::to_string(i));
-            EXPECT_TRUE(serial[i].verified);
-            EXPECT_TRUE(parallel[i].verified);
-            expectIdenticalMetrics(serial[i].metrics,
-                                   parallel[i].metrics);
+            expectIdenticalMetrics(serial[i], parallel[i]);
         }
     }
 }
@@ -150,12 +142,12 @@ TEST(CellRunner, ParallelMatchesSerialOnBothEngines)
 // And so is a re-run at the same job count (seeds are per-cell).
 TEST(CellRunner, ParallelRunIsRepeatable)
 {
-    const std::vector<Cell> a = runMatrix(3);
-    const std::vector<Cell> b = runMatrix(3);
+    const std::vector<RunMetrics> a = runMatrix(3);
+    const std::vector<RunMetrics> b = runMatrix(3);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i));
-        expectIdenticalMetrics(a[i].metrics, b[i].metrics);
+        expectIdenticalMetrics(a[i], b[i]);
     }
 }
 
@@ -165,7 +157,7 @@ TEST(CellRunner, RunsEveryCellExactlyOnce)
     std::atomic<int> counts[8] = {};
     for (int i = 0; i < 8; ++i) {
         runner.add("cell" + std::to_string(i),
-                   [&counts, i] { ++counts[i]; });
+                   [&counts, i](RunMetrics &) { ++counts[i]; });
     }
     EXPECT_EQ(runner.cells(), 8u);
     runner.run();
@@ -175,36 +167,44 @@ TEST(CellRunner, RunsEveryCellExactlyOnce)
     EXPECT_GE(runner.totalSeconds(), 0.0);
 }
 
-TEST(CellRunner, JobFlagParsing)
+unsigned
+jobsFromFlags(std::vector<const char *> args)
 {
-    {
-        const char *argv[] = {"bench", "-j4"};
-        EXPECT_EQ(bench::benchJobs(2, const_cast<char **>(argv)), 4u);
-    }
-    {
-        const char *argv[] = {"bench", "-j", "7"};
-        EXPECT_EQ(bench::benchJobs(3, const_cast<char **>(argv)), 7u);
-    }
-    {
-        const char *argv[] = {"bench"};
-        EXPECT_EQ(bench::benchJobs(1, const_cast<char **>(argv)), 0u);
-    }
-    {
-        // --profile after -jN still enables profiling.
-        const char *argv[] = {"bench", "-j4", "--profile"};
-        EXPECT_EQ(bench::benchJobs(3, const_cast<char **>(argv)), 4u);
-        EXPECT_TRUE(HostProfiler::enabled());
-    }
+    args.insert(args.begin(), "bench");
+    return bench::Bench(static_cast<int>(args.size()),
+                        const_cast<char **>(args.data()), "flags", "",
+                        bench::paperConfig(), 0)
+        .jobs();
 }
 
-TEST(CellRunner, JobsResolveFromEnvironment)
+TEST(CellRunner, JobFlagParsing)
 {
-    ::setenv("HOOP_BENCH_JOBS", "3", 1);
-    EXPECT_EQ(CellRunner(0).jobs(), 3u);
-    // An explicit request beats the environment.
+    EXPECT_EQ(jobsFromFlags({"-j4"}), 4u);
+    EXPECT_EQ(jobsFromFlags({"-j", "7"}), 7u);
+    // No -jN: one worker per hardware thread.
+    EXPECT_GE(jobsFromFlags({}), 1u);
     EXPECT_EQ(CellRunner(2).jobs(), 2u);
-    ::unsetenv("HOOP_BENCH_JOBS");
-    EXPECT_GE(CellRunner(0).jobs(), 1u);
+    // --profile after -jN still enables profiling.
+    EXPECT_EQ(jobsFromFlags({"-j4", "--profile"}), 4u);
+    EXPECT_TRUE(HostProfiler::enabled());
+}
+
+// Anything but -jN / -j N (N >= 1) and --profile is a usage error,
+// reported before a single cell runs.
+TEST(CellRunnerDeathTest, BadFlagsExitWithUsage)
+{
+    for (const std::vector<const char *> &bad :
+         std::vector<std::vector<const char *>>{{"--profle"},
+                                                {"-j", "four"},
+                                                {"-j0"},
+                                                {"-j"},
+                                                {"-j4x"},
+                                                {"--help"},
+                                                {"-j2", "extra"}}) {
+        SCOPED_TRACE(bad.back());
+        EXPECT_EXIT(jobsFromFlags(bad), ::testing::ExitedWithCode(2),
+                    "usage: bench \\[-jN");
+    }
 }
 
 TEST(CellRunner, TxPerCoreEnvOverride)

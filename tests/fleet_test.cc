@@ -145,7 +145,7 @@ TEST(ArrivalStream, BitIdenticalSeriallyAndOnWorkerPool)
     std::vector<std::vector<Arrival>> pooled(kStreams);
     CellRunner runner(4);
     for (std::size_t s = 0; s < kStreams; ++s) {
-        runner.add("stream" + std::to_string(s), [&pooled, s] {
+        runner.add("stream" + std::to_string(s), [&pooled, s](RunMetrics &) {
             ArrivalConfig cfg;
             cfg.seed = 1000 + s;
             cfg.churnProb = 0.1;

@@ -92,7 +92,8 @@ TEST(ThreadStress, CellRunnerPoolMatchesSerial)
         std::vector<std::uint64_t> results(kCells, 0);
         bench::CellRunner runner(jobs);
         for (std::size_t i = 0; i < kCells; ++i) {
-            runner.add("cell-" + std::to_string(i), [&results, i] {
+            runner.add("cell-" + std::to_string(i),
+                       [&results, i](RunMetrics &) {
                 Rng rng(0x9e3779b9ull + i);
                 std::uint64_t acc = 0;
                 for (unsigned k = 0; k < 10000; ++k)

@@ -77,13 +77,6 @@ INSTANTIATE_TEST_SUITE_P(
                std::to_string(std::get<1>(info.param)) + "B";
     });
 
-TEST(WorkloadSuite, RegistryBuildsAllSuites)
-{
-    const WorkloadParams p = smallParams(64);
-    EXPECT_EQ(syntheticSuite(p).size(), 5u);
-    EXPECT_EQ(fullSuite(p).size(), 7u);
-}
-
 TEST(WorkloadSuite, DeterministicAcrossRuns)
 {
     SystemConfig cfg = wlConfig();
