@@ -1,7 +1,5 @@
 #include "baselines/lad_controller.hh"
 
-#include <cstring>
-
 #include "analysis/ordering_tracker.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
@@ -11,7 +9,7 @@ namespace hoopnvm
 
 LadController::LadController(NvmDevice &nvm, const SystemConfig &cfg_)
     : PersistenceController("lad", nvm, cfg_),
-      txWrites(cfg_.numCores),
+      writes_(cfg_.numCores),
       queueInsertCost(4 * cfg_.cycle()),
       queueDrainsC_(stats_.counter("queue_drains")),
       txCommittedC_(stats_.counter("tx_committed")),
@@ -33,28 +31,23 @@ TxId
 LadController::txBegin(CoreId core, Tick now)
 {
     const TxId tx = PersistenceController::txBegin(core, now);
-    txWrites[core].clear();
+    writes_.begin(core, tx);
     return tx;
 }
 
 Tick
 LadController::storeWord(CoreId core, Addr addr,
-                         const std::uint8_t *data, Tick now)
+                         const std::uint8_t *data, Tick)
 {
-    std::uint64_t value;
-    std::memcpy(&value, data, kWordSize);
-    const Addr line = lineAddr(addr);
-    txWrites[core][line].setWord(
-        static_cast<unsigned>((addr - line) / kWordSize), value);
+    writes_.stage(core, addr, data);
     return cfg.cycle();
-    (void)now;
 }
 
 Tick
 LadController::txEnd(CoreId core, Tick now)
 {
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
-    auto &writes = txWrites[core];
+    const TxWriteSet::Lines &writes = writes_.lines(core);
 
     // Commit = the updated lines are persisted at cache-line
     // granularity through the controller queues (§IV-C: LAD "still
@@ -94,7 +87,7 @@ LadController::txEnd(CoreId core, Tick now)
     if (!writes.empty())
         crashStep(CrashPointKind::GcStep);
 
-    writes.clear();
+    writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
     return t;
@@ -107,22 +100,7 @@ LadController::fillLine(CoreId, Addr line, std::uint8_t *buf, Tick now)
     fr.completion = nvm_.read(now, line, buf, kCacheLineSize);
 
     // An evicted line of a running transaction: overlay staged words.
-    std::uint8_t mask = 0;
-    TxId owner = kInvalidTxId;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end()) {
-            it->second.overlay(buf);
-            mask |= it->second.mask;
-            owner = coreTx[c].txId;
-        }
-    }
-    if (mask) {
-        fr.dirty = true;
-        fr.persistent = true;
-        fr.txId = owner;
-        fr.wordMask = mask;
-    }
+    writes_.overlayFill(line, buf, fr);
     return fr;
 }
 
@@ -146,11 +124,8 @@ LadController::sampleGauges() const
     // LAD's only persistence structure is the staged write set of each
     // open transaction (the controller's persistent queues).
     ControllerGauges g;
-    // lint: unordered-iter-ok (outer std::vector of per-core maps; commutative size sum)
-    for (const auto &w : txWrites) {
-        g.mappingEntries += w.size();
-        g.structBytes += w.size() * kCacheLineSize;
-    }
+    g.mappingEntries = writes_.size();
+    g.structBytes = g.mappingEntries * kCacheLineSize;
     return g;
 }
 
@@ -159,9 +134,7 @@ LadController::crash()
 {
     // Uncommitted staging buffers vanish; the persistent queue already
     // drained its committed lines to the home region.
-    // lint: unordered-iter-ok (outer std::vector of per-core maps; clearing is order-insensitive)
-    for (auto &w : txWrites)
-        w.clear();
+    writes_.clear();
     for (auto &t : coreTx)
         t = CoreTxState{};
 }
@@ -180,11 +153,7 @@ void
 LadController::debugReadLine(Addr line, std::uint8_t *buf) const
 {
     nvm_.peek(line, buf, kCacheLineSize);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end())
-            it->second.overlay(buf);
-    }
+    writes_.overlay(line, buf);
 }
 
 } // namespace hoopnvm

@@ -18,10 +18,7 @@
 #ifndef HOOPNVM_BASELINES_LAD_CONTROLLER_HH
 #define HOOPNVM_BASELINES_LAD_CONTROLLER_HH
 
-#include <unordered_map>
-#include <vector>
-
-#include "baselines/redo_controller.hh" // LineImage
+#include "baselines/tx_write_set.hh"
 #include "controller/persistence_controller.hh"
 
 namespace hoopnvm
@@ -52,7 +49,7 @@ class LadController : public PersistenceController
 
   private:
     /** Per-core staged words of the running transaction (volatile). */
-    std::vector<std::unordered_map<Addr, LineImage>> txWrites;
+    TxWriteSet writes_;
 
     /** Cost of accepting one line into the persistent queue. */
     Tick queueInsertCost;

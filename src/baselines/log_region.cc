@@ -78,15 +78,9 @@ LogEntry::decode(const std::uint8_t *in)
 }
 
 LogRegion::LogRegion(NvmDevice &nvm_, Addr base_, std::uint64_t bytes,
-                     const std::string &name, const SystemConfig *cfg)
+                     const SystemConfig *cfg)
     : nvm(nvm_), base(base_),
-      capacity_((bytes - kSuperBytes) / LogEntry::kEntryBytes),
-      stats_(name),
-      superblockWritesC_(stats_.counter("superblock_writes")),
-      appendsC_(stats_.counter("appends")),
-      truncatedC_(stats_.counter("truncated")),
-      slotsBurnedC_(stats_.counter("slots_burned")),
-      slotsRetiredC_(stats_.counter("slots_retired"))
+      capacity_((bytes - kSuperBytes) / LogEntry::kEntryBytes)
 {
     if (cfg && cfg->ft.enabled) {
         // Carve the durable retirement bitmap from the area's tail.
@@ -126,7 +120,6 @@ LogRegion::retireSlot(std::uint64_t slot, Tick now)
         nvm.faults().settleUpTo(done);
     if (ordering_)
         ordering_->trigger("log-retire-bitmap", 0, done, 1, true);
-    ++slotsRetiredC_;
     return done;
 }
 
@@ -148,7 +141,6 @@ LogRegion::skipBadHead(Tick now)
         // scans keep seeing seq == logical index + 1 in lockstep.
         ++head;
         ++nextSeq;
-        ++slotsBurnedC_;
     }
     return now;
 }
@@ -253,7 +245,6 @@ LogRegion::writeSuperblock(Tick now)
     sb.magic = kSuperMagic;
     sb.tailIdx = tail;
     nvm.write(now, base, &sb, sizeof(sb));
-    ++superblockWritesC_;
 }
 
 Tick
@@ -275,7 +266,6 @@ LogRegion::append(Tick now, LogEntry e)
     const Tick done =
         nvm.write(now, entryAddr(head), buf, LogEntry::kEntryBytes);
     ++head;
-    ++appendsC_;
     return done;
 }
 
@@ -300,7 +290,6 @@ LogRegion::truncate(Tick now, std::uint64_t n)
             ++tail;
     }
     writeSuperblock(now);
-    truncatedC_ += n;
     return now;
 }
 

@@ -2,14 +2,15 @@
  * @file
  * Durable append-only log substrate shared by the baseline schemes.
  *
- * Opt-Redo, Opt-Undo and OSP all need a persistent, crash-scannable
- * log: redo data images, undo (old) images, commit records, and OSP's
- * shadow-flip records. The log is a ring of 128-byte entries in the
- * auxiliary NVM region. Entries carry a monotonic sequence number; a
- * small superblock persists the ring tail on every truncation, so a
- * post-crash scan can walk forward from the durable tail while entry
- * sequence numbers keep ascending, recovering exactly the live suffix
- * (the standard head/tail-pointer discipline of hardware log units).
+ * Opt-Redo, Opt-Undo, LSM and OSP all need a persistent,
+ * crash-scannable log: redo data images, undo (old) images, LSM's
+ * appended line images, commit records, and OSP's shadow-flip records.
+ * The log is a ring of 128-byte entries in the auxiliary NVM region.
+ * Entries carry a monotonic sequence number; a small superblock
+ * persists the ring tail on every truncation, so a post-crash scan can
+ * walk forward from the durable tail while entry sequence numbers keep
+ * ascending, recovering exactly the live suffix (the standard
+ * head/tail-pointer discipline of hardware log units).
  */
 
 #ifndef HOOPNVM_BASELINES_LOG_REGION_HH
@@ -18,13 +19,13 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.hh"
 #include "nvm/nvm_device.hh"
 #include "nvm/retirement_map.hh"
 #include "sim/system_config.hh"
-#include "stats/stat_set.hh"
 
 namespace hoopnvm
 {
@@ -85,7 +86,6 @@ class LogRegion
      *              skipped — never cut — by post-crash scans.
      */
     LogRegion(NvmDevice &nvm, Addr base, std::uint64_t bytes,
-              const std::string &name,
               const SystemConfig *cfg = nullptr);
 
     /** Entries the ring can hold. */
@@ -129,8 +129,6 @@ class LogRegion
     /** Visit live entries oldest-first from host state (no crash). */
     void forEachLive(const std::function<void(const LogEntry &)> &fn)
         const;
-
-    StatSet &stats() { return stats_; }
 
     // ---- Runtime fault tolerance (inert unless cfg.ft.enabled) ----
 
@@ -193,15 +191,6 @@ class LogRegion
     NvmDevice &nvm;
     Addr base;
     std::uint64_t capacity_;
-    StatSet stats_;
-
-    // Hot-path counters resolved once; StatSet references stay valid
-    // for the StatSet's lifetime.
-    Counter &superblockWritesC_;
-    Counter &appendsC_;
-    Counter &truncatedC_;
-    Counter &slotsBurnedC_;
-    Counter &slotsRetiredC_;
 
     /** Monotonic logical indices; slot = idx % capacity. */
     std::uint64_t head = 0;

@@ -1,11 +1,8 @@
 #include "baselines/lsm_controller.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <map>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/errors.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 
@@ -13,25 +10,14 @@ namespace hoopnvm
 {
 
 LsmController::LsmController(NvmDevice &nvm, const SystemConfig &cfg_)
-    : PersistenceController("lsm", nvm, cfg_),
-      log_(nvm, cfg_.auxBase(), cfg_.auxBytes, "lsm_log", &cfg_),
-      txWrites(cfg_.numCores),
+    : LogController("lsm", nvm, cfg_, cfg_.auxBase(), cfg_.auxBytes),
       indexWalksC_(stats_.counter("index_walks")),
       logEntriesC_(stats_.counter("log_entries")),
       commitRecordsC_(stats_.counter("commit_records")),
-      txCommittedC_(stats_.counter("tx_committed")),
       logReadsC_(stats_.counter("log_reads")),
       evictionsAbsorbedC_(stats_.counter("evictions_absorbed")),
-      homeWritebacksC_(stats_.counter("home_writebacks")),
       gcRunsC_(stats_.counter("gc_runs")),
-      migratedLinesC_(stats_.counter("migrated_lines")),
-      logBackpressureStallsC_(
-          stats_.counter("log_backpressure_stalls")),
-      txRejectedC_(stats_.counter("tx_rejected")),
-      scrubCorrectedC_(stats_.counter("scrub_corrected_words")),
-      scrubPassesC_(stats_.counter("scrub_passes")),
-      scrubPauseH_(stats_.histogram("scrub_pause_ticks")),
-      recoveriesC_(stats_.counter("recoveries"))
+      migratedLinesC_(stats_.counter("migrated_lines"))
 {
 }
 
@@ -54,46 +40,18 @@ LsmController::declareOrderingRules(OrderingTracker &t)
     t.rule("lsm-log-truncate")
         .requiresSettled("home-migration writes before the log entries "
                          "that redo them are truncated");
-    if (cfg.ft.enabled) {
-        t.rule("log-retire-bitmap")
-            .requiresSettled("the durable slot-retirement bitmap before "
-                             "the retirement is acted upon");
-    }
-}
-
-TxId
-LsmController::txBegin(CoreId core, Tick now)
-{
-    if (cfg.ft.enabled &&
-        log_.degradedFraction() >= cfg.ft.rejectCapacityFraction) {
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::CapacityDegraded,
-                         "lsm log degraded past the admission "
-                         "threshold by bad-slot retirement"};
-    }
-    const TxId tx = PersistenceController::txBegin(core, now);
-    txWrites[core].clear();
-    return tx;
+    LogController::declareOrderingRules(t);
 }
 
 Tick
 LsmController::storeWord(CoreId core, Addr addr,
-                         const std::uint8_t *data, Tick now)
+                         const std::uint8_t *data, Tick)
 {
-    std::uint64_t value;
-    std::memcpy(&value, data, kWordSize);
-    const Addr line = lineAddr(addr);
-    auto &writes = txWrites[core];
-    auto it = writes.find(line);
-    const bool first_touch = it == writes.end();
-    if (first_touch)
-        it = writes.emplace(line, LineImage{}).first;
-    it->second.setWord(
-        static_cast<unsigned>((addr - line) / kWordSize), value);
     // Software write-path bookkeeping (allocation, index preparation)
     // is paid once per appended extent, i.e. per line.
-    return first_touch ? cfg.lsmIndexCycles * cfg.cycle() : 0;
-    (void)now;
+    return writes_.stage(core, addr, data)
+               ? cfg.lsmIndexCycles * cfg.cycle()
+               : 0;
 }
 
 Tick
@@ -110,7 +68,7 @@ LsmController::txEnd(CoreId core, Tick now)
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
     const TxId tx = coreTx[core].txId;
     const std::uint64_t cid = allocCommitId();
-    auto &writes = txWrites[core];
+    const TxWriteSet::Lines &writes = writes_.lines(core);
 
     Tick t = now;
     // Address order: log append order is observable durable state.
@@ -136,15 +94,7 @@ LsmController::txEnd(CoreId core, Tick now)
     }
 
     if (!writes.empty()) {
-        if (log_.full())
-            t = std::max(t, stallForLogSpace(t));
-        LogEntry rec;
-        rec.type = LogEntryType::Commit;
-        rec.txId = tx;
-        rec.commitId = cid;
-        rec.mask = 1;
-        t = std::max(t, log_.append(now, rec));
-        orderDep("lsm-commit-record", tx);
+        t = appendCommitRecord("lsm-commit-record", tx, cid, now, t);
         ++commitRecordsC_;
     }
 
@@ -152,7 +102,7 @@ LsmController::txEnd(CoreId core, Tick now)
     // appends are still in flight (checker validation only).
     const Tick ack = cfg.debugEarlyCommitAck ? now : t;
     orderTrigger("lsm-commit-record", tx, ack);
-    writes.clear();
+    writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
     markLogPressure();
@@ -170,28 +120,13 @@ LsmController::fillLine(CoreId, Addr line, std::uint8_t *buf, Tick now)
     if (lit != liveImage.end()) {
         // The newest version lives in the log: extra log read.
         lit->second.overlay(buf);
-        mask |= lit->second.mask;
+        mask = lit->second.mask;
         fr.completion = std::max(
             fr.completion,
             nvm_.readAccounting(now, LogEntry::kEntryBytes));
         ++logReadsC_;
     }
-
-    TxId owner = kInvalidTxId;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end()) {
-            it->second.overlay(buf);
-            mask |= it->second.mask;
-            owner = coreTx[c].txId;
-        }
-    }
-    if (mask) {
-        fr.dirty = true;
-        fr.persistent = true;
-        fr.txId = owner;
-        fr.wordMask = mask;
-    }
+    writes_.overlayFill(line, buf, fr, mask);
     return fr;
 }
 
@@ -209,14 +144,12 @@ LsmController::evictLine(CoreId, Addr line, const std::uint8_t *data,
 }
 
 Tick
-LsmController::gc(Tick now)
+LsmController::reclaim(Tick now)
 {
     // Cannot truncate while a transaction's entries are still
     // uncommitted in the log tail.
-    for (const auto &t : coreTx) {
-        if (t.active)
-            return now;
-    }
+    if (anyTxOpen())
+        return now;
     if (liveImage.empty() && log_.size() == 0)
         return now;
     ++gcRunsC_;
@@ -253,84 +186,24 @@ LsmController::gc(Tick now)
     return last;
 }
 
-Tick
-LsmController::stallForLogSpace(Tick now)
-{
-    // Log full on the commit path: the writer stalls for compaction
-    // (modelled backpressure, counted). Whole-log truncation cannot
-    // run while this transaction's own entries are live, so a full log
-    // here means open transactions outgrew it — configuration error.
-    ++logBackpressureStallsC_;
-    const Tick done = gc(now);
-    if (log_.full()) {
-        // Degrade, don't die: the offending transaction carries no
-        // commit record, so crash+recovery discards it whole.
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::LogExhausted,
-                         "lsm log wedged: all entries belong to open "
-                         "transactions; increase auxBytes"};
-    }
-    return done;
-}
-
-Tick
-LsmController::scrub(Tick now)
-{
-    std::uint64_t corrected = 0;
-    const Tick done =
-        log_.scrubSlots(now, cfg.ft.scrubChunks, &corrected);
-    scrubCorrectedC_ += corrected;
-    scrubPassesC_ += 1;
-    scrubPauseH_.record(done - now);
-    return done;
-}
-
-void
-LsmController::maintenance(Tick now)
-{
-    maintDirty_ = false;
-    if (now - lastGc >= cfg.gcPeriod ||
-        log_.size() * 4 >= log_.capacity() * 3) {
-        // Stay armed while GC runs (a SimCrash unwinding out of it
-        // must leave the poll re-armed), then settle to the exact
-        // post-GC occupancy predicate.
-        maintDirty_ = true;
-        lastGc = now;
-        gc(now);
-        maintDirty_ = log_.size() * 4 >= log_.capacity() * 3;
-    }
-}
-
 ControllerGauges
 LsmController::sampleGauges() const
 {
-    ControllerGauges g;
+    ControllerGauges g = LogController::sampleGauges();
     g.mappingEntries = index_.size();
-    g.structBytes = log_.size() * LogEntry::kEntryBytes;
-    g.backpressureStalls = stats_.value("log_backpressure_stalls");
-    if (log_.faultToleranceEnabled()) {
-        g.retiredUnits = log_.retiredSlots();
-        g.correctedWords = nvm_.faults().wordsEccCorrected();
-        g.degradedFraction = log_.degradedFraction();
-    }
-    g.txRejected = stats_.value("tx_rejected");
     return g;
 }
 
 Tick
 LsmController::drain(Tick now)
 {
-    return gc(now);
+    return reclaim(now);
 }
 
 void
 LsmController::crash()
 {
-    // lint: unordered-iter-ok (outer std::vector of per-core maps; clearing is order-insensitive)
-    for (auto &w : txWrites)
-        w.clear();
-    for (auto &t : coreTx)
-        t = CoreTxState{};
+    LogController::crash();
     liveImage.clear();
     index_.clear();
 }
@@ -338,49 +211,11 @@ LsmController::crash()
 Tick
 LsmController::recover(unsigned)
 {
-    // Adopt the durable slot-retirement bitmap before the scan: retired
-    // slots are burned, not read — their garbage would cut the suffix.
-    log_.loadRetirement();
     // Apply committed cumulative images in commit order.
-    std::unordered_map<TxId, bool> has_record;
-    std::map<std::uint64_t, std::vector<LogEntry>> by_commit;
-    std::uint64_t entries = 0;
-    log_.scan([&](const LogEntry &e) {
-        ++entries;
-        if (e.type == LogEntryType::Commit)
-            has_record[e.txId] = true;
-        else if (e.type == LogEntryType::LsmData)
-            by_commit[e.commitId].push_back(e);
-    });
-
-    std::uint64_t lines = 0;
-    for (const auto &kv : by_commit) {
-        for (const LogEntry &e : kv.second) {
-            if (!has_record.contains(e.txId))
-                continue;
-            // Crash point: between replay writes; the log survives
-            // until the clear below, so replay is re-runnable.
-            crashStep(CrashPointKind::RecoveryStep);
-            std::uint8_t buf[kCacheLineSize];
-            nvm_.peek(e.line, buf, kCacheLineSize);
-            LineImage img;
-            img.mask = e.mask;
-            img.words = e.words;
-            img.overlay(buf);
-            nvm_.poke(e.line, buf, kCacheLineSize);
-            ++lines;
-        }
-    }
-    // Crash point: replay done, log not yet cleared.
-    crashStep(CrashPointKind::RecoveryStep);
-    log_.clear(0);
+    const Tick t = replayCommitted(LogEntryType::LsmData, nsToTicks(60));
     liveImage.clear();
     index_.clear();
-    recoveriesC_ += 1;
-
-    const Tick channel = nvm_.timing().transferTicks(
-        entries * LogEntry::kEntryBytes + lines * kCacheLineSize);
-    return channel + entries * nsToTicks(60);
+    return t;
 }
 
 void
@@ -390,11 +225,7 @@ LsmController::debugReadLine(Addr line, std::uint8_t *buf) const
     auto lit = liveImage.find(line);
     if (lit != liveImage.end())
         lit->second.overlay(buf);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end())
-            it->second.overlay(buf);
-    }
+    writes_.overlay(line, buf);
 }
 
 } // namespace hoopnvm

@@ -19,25 +19,21 @@
 #define HOOPNVM_BASELINES_LSM_CONTROLLER_HH
 
 #include <unordered_map>
-#include <vector>
 
-#include "baselines/log_region.hh"
-#include "baselines/redo_controller.hh" // LineImage
+#include "baselines/log_controller.hh"
 #include "baselines/skiplist.hh"
-#include "controller/persistence_controller.hh"
 
 namespace hoopnvm
 {
 
 /** Software log-structured NVM with a skip-list address index. */
-class LsmController : public PersistenceController
+class LsmController : public LogController
 {
   public:
     LsmController(NvmDevice &nvm, const SystemConfig &cfg);
 
     Scheme scheme() const override { return Scheme::Lsm; }
 
-    TxId txBegin(CoreId core, Tick now) override;
     Tick txEnd(CoreId core, Tick now) override;
     Tick storeWord(CoreId core, Addr addr, const std::uint8_t *data,
                    Tick now) override;
@@ -47,15 +43,6 @@ class LsmController : public PersistenceController
     void evictLine(CoreId core, Addr line, const std::uint8_t *data,
                    bool persistent, TxId tx, std::uint8_t word_mask,
                    Tick now) override;
-    void maintenance(Tick now) override;
-
-    /** Next periodic trigger tick of the maintenance hook. */
-    Tick
-    nextMaintenanceDue() const override
-    {
-        return lastGc + cfg.gcPeriod;
-    }
-    Tick scrub(Tick now) override;
     ControllerGauges sampleGauges() const override;
     Tick drain(Tick now) override;
     void crash() override;
@@ -63,56 +50,20 @@ class LsmController : public PersistenceController
     void debugReadLine(Addr line, std::uint8_t *buf) const override;
     void declareOrderingRules(OrderingTracker &t) override;
 
-    /** Forward the tracker to the log's retirement machinery. */
-    void
-    setOrderingTracker(OrderingTracker *t) override
-    {
-        PersistenceController::setOrderingTracker(t);
-        log_.setOrdering(t);
-    }
-
-    /** Free log-ring slots: wear-out fault-injection targets. */
-    std::vector<std::pair<Addr, Addr>>
-    freeMediaRanges() const override
-    {
-        return log_.freeSlotRanges();
-    }
-
     SkipList &index() { return index_; }
-    LogRegion &log() { return log_; }
 
   private:
-    /** Migrate all committed live images home and truncate the log. */
-    Tick gc(Tick now);
-
-    /** Backpressure: stall until compaction frees log space. */
-    Tick stallForLogSpace(Tick now);
+    /** GC: migrate all committed live images home and truncate the
+     *  log. */
+    Tick reclaim(Tick now) override;
 
     /** Cost of one index walk at the current tree size. */
     Tick indexWalkCost() const;
 
-    LogRegion log_;
     SkipList index_; ///< home line -> newest log entry (DRAM-cached).
 
     /** Words newer than the home region, cumulative per line. */
     std::unordered_map<Addr, LineImage> liveImage;
-
-    /** Per-core words of the running transaction. */
-    std::vector<std::unordered_map<Addr, LineImage>> txWrites;
-
-    Tick lastGc = 0;
-
-    /**
-     * Arm maintenancePressure() when log occupancy crosses the
-     * maintenance threshold; called after every append burst so the
-     * engine's event-driven poll skip never misses pressure onset.
-     */
-    void
-    markLogPressure()
-    {
-        if (log_.size() * 4 >= log_.capacity() * 3)
-            maintDirty_ = true;
-    }
 
     std::uint64_t logicalEntryIdx = 0;
 
@@ -120,18 +71,10 @@ class LsmController : public PersistenceController
     Counter &indexWalksC_;
     Counter &logEntriesC_;
     Counter &commitRecordsC_;
-    Counter &txCommittedC_;
     Counter &logReadsC_;
     Counter &evictionsAbsorbedC_;
-    Counter &homeWritebacksC_;
     Counter &gcRunsC_;
     Counter &migratedLinesC_;
-    Counter &logBackpressureStallsC_;
-    Counter &txRejectedC_;
-    Counter &scrubCorrectedC_;
-    Counter &scrubPassesC_;
-    Histogram &scrubPauseH_;
-    Counter &recoveriesC_;
 };
 
 } // namespace hoopnvm

@@ -1,10 +1,8 @@
 #include "baselines/osp_controller.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/errors.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 
@@ -39,24 +37,14 @@ ospLogBytes(const SystemConfig &cfg)
 } // namespace
 
 OspController::OspController(NvmDevice &nvm, const SystemConfig &cfg_)
-    : PersistenceController("osp", nvm, cfg_),
-      log_(nvm, ospLogBase(cfg_), ospLogBytes(cfg_), "osp_log", &cfg_),
-      txWrites(cfg_.numCores),
+    : LogController("osp", nvm, cfg_, ospLogBase(cfg_),
+                    ospLogBytes(cfg_)),
       selectorWritesC_(stats_.counter("selector_writes")),
       shadowWritesC_(stats_.counter("shadow_writes")),
-      txCommittedC_(stats_.counter("tx_committed")),
       flipRecordsC_(stats_.counter("flip_records")),
       tlbShootdownsC_(stats_.counter("tlb_shootdowns")),
       consolidationCopiesC_(stats_.counter("consolidation_copies")),
-      inactiveWritebacksC_(stats_.counter("inactive_writebacks")),
-      homeWritebacksC_(stats_.counter("home_writebacks")),
-      logBackpressureStallsC_(
-          stats_.counter("log_backpressure_stalls")),
-      txRejectedC_(stats_.counter("tx_rejected")),
-      scrubCorrectedC_(stats_.counter("scrub_corrected_words")),
-      scrubPassesC_(stats_.counter("scrub_passes")),
-      scrubPauseH_(stats_.histogram("scrub_pause_ticks")),
-      recoveriesC_(stats_.counter("recoveries"))
+      inactiveWritebacksC_(stats_.counter("inactive_writebacks"))
 {
 }
 
@@ -66,11 +54,7 @@ OspController::declareOrderingRules(OrderingTracker &t)
     t.rule("osp-flip-record")
         .requiresDurable("inactive-copy data writes and the flip "
                          "records of an acknowledged transaction");
-    if (cfg.ft.enabled) {
-        t.rule("log-retire-bitmap")
-            .requiresSettled("the durable slot-retirement bitmap before "
-                             "the retirement is acted upon");
-    }
+    LogController::declareOrderingRules(t);
 }
 
 Addr
@@ -97,32 +81,12 @@ OspController::currentCopy(Addr line) const
     return shadowIsCurrent(line) ? shadowOf(line) : line;
 }
 
-TxId
-OspController::txBegin(CoreId core, Tick now)
-{
-    if (cfg.ft.enabled &&
-        log_.degradedFraction() >= cfg.ft.rejectCapacityFraction) {
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::CapacityDegraded,
-                         "osp flip log degraded past the admission "
-                         "threshold by bad-slot retirement"};
-    }
-    const TxId tx = PersistenceController::txBegin(core, now);
-    txWrites[core].clear();
-    return tx;
-}
-
 Tick
 OspController::storeWord(CoreId core, Addr addr,
-                         const std::uint8_t *data, Tick now)
+                         const std::uint8_t *data, Tick)
 {
-    std::uint64_t value;
-    std::memcpy(&value, data, kWordSize);
-    const Addr line = lineAddr(addr);
-    txWrites[core][line].setWord(
-        static_cast<unsigned>((addr - line) / kWordSize), value);
+    writes_.stage(core, addr, data);
     return cfg.cycle();
-    (void)now;
 }
 
 Tick
@@ -151,7 +115,7 @@ OspController::txEnd(CoreId core, Tick now)
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
     const TxId tx = coreTx[core].txId;
     const std::uint64_t cid = allocCommitId();
-    auto &writes = txWrites[core];
+    const TxWriteSet::Lines &writes = writes_.lines(core);
 
     // 1. Eagerly persist each modified line into its inactive copy.
     Tick data_done = now;
@@ -189,10 +153,9 @@ OspController::txEnd(CoreId core, Tick now)
         ++logBackpressureStallsC_;
         // Degrade, don't die: no flip record was appended, so the old
         // copies stay live and the commit vanishes atomically.
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::LogExhausted,
-                         "osp flip log wedged by open transactions; "
-                         "increase auxBytes"};
+        reject(RejectCause::LogExhausted,
+               "osp flip log wedged by open transactions; increase "
+               "auxBytes");
     }
     Tick rec_done = data_done;
     for (std::size_t i = 0; i < flipped.size(); i += 8) {
@@ -247,16 +210,13 @@ OspController::txEnd(CoreId core, Tick now)
         consolidationCopiesC_ += copied;
     }
 
-    writes.clear();
+    writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
     // The flip records appended above become dead the moment no region
     // is open — exactly the condition maintenance() truncates on, and
     // closing a region is the only way it can newly become true.
-    bool any_open = false;
-    for (const auto &s : coreTx)
-        any_open |= s.active;
-    if (!any_open && log_.size() > 0)
+    if (!anyTxOpen() && log_.size() > 0)
         maintDirty_ = true;
     return done;
 }
@@ -270,34 +230,16 @@ OspController::fillLine(CoreId, Addr line, std::uint8_t *buf, Tick now)
 
     // Overlay any open transaction's buffered words (covers the case
     // where the line was evicted mid-transaction).
-    std::uint8_t mask = 0;
-    TxId owner = kInvalidTxId;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end()) {
-            it->second.overlay(buf);
-            mask |= it->second.mask;
-            owner = coreTx[c].txId;
-        }
-    }
-    if (mask) {
-        fr.dirty = true;
-        fr.persistent = true;
-        fr.txId = owner;
-        fr.wordMask = mask;
-    }
+    writes_.overlayFill(line, buf, fr);
     return fr;
 }
 
 void
-OspController::evictLine(CoreId core, Addr line, const std::uint8_t *data,
+OspController::evictLine(CoreId, Addr line, const std::uint8_t *data,
                          bool persistent, TxId, std::uint8_t, Tick now)
 {
     if (persistent) {
-        bool open = false;
-        for (unsigned c = 0; c < cfg.numCores && !open; ++c)
-            open = txWrites[c].contains(line);
-        if (open) {
+        if (writes_.contains(line)) {
             // Uncommitted data parks in the inactive copy; the old copy
             // stays intact for crash safety.
             const Addr target =
@@ -311,65 +253,33 @@ OspController::evictLine(CoreId core, Addr line, const std::uint8_t *data,
     }
     nvm_.write(now, currentCopy(line), data, kCacheLineSize);
     ++homeWritebacksC_;
-    (void)core;
+}
+
+Tick
+OspController::reclaim(Tick now)
+{
+    // Flip records are applied synchronously at commit, so between
+    // transactions the whole record log is dead: every live record was
+    // already applied to the durable selector table, and re-applying
+    // one is idempotent.
+    truncateIdleLog(now);
+    return now;
 }
 
 void
 OspController::maintenance(Tick now)
 {
-    // Flip records are applied synchronously at commit; between
-    // transactions the whole record log is dead.
+    maintDirty_ = true; // re-armed if the crash point fires
+    reclaim(now);
+    // Exact: the log is now empty, or a region is open and its txEnd()
+    // re-arms the poll.
     maintDirty_ = false;
-    bool any_open = false;
-    for (const auto &t : coreTx)
-        any_open |= t.active;
-    if (!any_open && log_.size() > 0) {
-        maintDirty_ = true; // re-armed if the crash point fires
-        // Crash point: before the flip-log tail moves. Every live
-        // record was already applied to the durable selector table and
-        // re-applying is idempotent.
-        crashStep(CrashPointKind::GcStep);
-        log_.truncate(now, log_.size());
-        maintDirty_ = false; // the whole log was just truncated
-    }
-}
-
-Tick
-OspController::scrub(Tick now)
-{
-    std::uint64_t corrected = 0;
-    const Tick done =
-        log_.scrubSlots(now, cfg.ft.scrubChunks, &corrected);
-    scrubCorrectedC_ += corrected;
-    scrubPassesC_ += 1;
-    scrubPauseH_.record(done - now);
-    return done;
-}
-
-ControllerGauges
-OspController::sampleGauges() const
-{
-    ControllerGauges g;
-    g.mappingEntries = log_.size();
-    g.structBytes = log_.size() * LogEntry::kEntryBytes;
-    g.backpressureStalls = stats_.value("log_backpressure_stalls");
-    if (log_.faultToleranceEnabled()) {
-        g.retiredUnits = log_.retiredSlots();
-        g.correctedWords = nvm_.faults().wordsEccCorrected();
-        g.degradedFraction = log_.degradedFraction();
-    }
-    g.txRejected = stats_.value("tx_rejected");
-    return g;
 }
 
 void
 OspController::crash()
 {
-    // lint: unordered-iter-ok (outer std::vector of per-core maps; clearing is order-insensitive)
-    for (auto &w : txWrites)
-        w.clear();
-    for (auto &t : coreTx)
-        t = CoreTxState{};
+    LogController::crash();
     // shadowCurrent mirrors the durable selector table; recovery will
     // rebuild it from NVM.
     shadowCurrent.clear();
@@ -435,11 +345,7 @@ void
 OspController::debugReadLine(Addr line, std::uint8_t *buf) const
 {
     nvm_.peek(currentCopy(line), buf, kCacheLineSize);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end())
-            it->second.overlay(buf);
-    }
+    writes_.overlay(line, buf);
 }
 
 } // namespace hoopnvm

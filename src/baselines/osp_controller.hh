@@ -16,26 +16,22 @@
 #ifndef HOOPNVM_BASELINES_OSP_CONTROLLER_HH
 #define HOOPNVM_BASELINES_OSP_CONTROLLER_HH
 
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "baselines/log_region.hh"
-#include "baselines/redo_controller.hh" // LineImage
-#include "controller/persistence_controller.hh"
+#include "baselines/log_controller.hh"
 
 namespace hoopnvm
 {
 
 /** Cache-line-granularity shadow paging. */
-class OspController : public PersistenceController
+class OspController : public LogController
 {
   public:
     OspController(NvmDevice &nvm, const SystemConfig &cfg);
 
     Scheme scheme() const override { return Scheme::Osp; }
 
-    TxId txBegin(CoreId core, Tick now) override;
     Tick txEnd(CoreId core, Tick now) override;
     Tick storeWord(CoreId core, Addr addr, const std::uint8_t *data,
                    Tick now) override;
@@ -44,28 +40,17 @@ class OspController : public PersistenceController
     void evictLine(CoreId core, Addr line, const std::uint8_t *data,
                    bool persistent, TxId tx, std::uint8_t word_mask,
                    Tick now) override;
+
+    /** Truncate the flip log as soon as no region is open. */
     void maintenance(Tick now) override;
-    Tick scrub(Tick now) override;
-    ControllerGauges sampleGauges() const override;
+
+    /** State-triggered only: txEnd() arms maintenancePressure(). */
+    Tick nextMaintenanceDue() const override { return kNeverTick; }
+
     void crash() override;
     Tick recover(unsigned threads) override;
     void debugReadLine(Addr line, std::uint8_t *buf) const override;
     void declareOrderingRules(OrderingTracker &t) override;
-
-    /** Forward the tracker to the log's retirement machinery. */
-    void
-    setOrderingTracker(OrderingTracker *t) override
-    {
-        PersistenceController::setOrderingTracker(t);
-        log_.setOrdering(t);
-    }
-
-    /** Free log-ring slots: wear-out fault-injection targets. */
-    std::vector<std::pair<Addr, Addr>>
-    freeMediaRanges() const override
-    {
-        return log_.freeSlotRanges();
-    }
 
     /** NVM address of the line's shadow copy. */
     Addr shadowOf(Addr line) const;
@@ -74,6 +59,9 @@ class OspController : public PersistenceController
     bool shadowIsCurrent(Addr line) const;
 
   private:
+    /** Drop the flip records, all dead once no region is open. */
+    Tick reclaim(Tick now) override;
+
     /** NVM address of @p line's entry in the selector table. */
     Addr selectorAddr(Addr line) const;
 
@@ -83,13 +71,8 @@ class OspController : public PersistenceController
     /** Persist selector bytes for @p lines and update the host view. */
     Tick applyFlips(Tick now, const std::vector<Addr> &lines);
 
-    LogRegion log_; ///< Flip records (atomic multi-line commit).
-
     /** Host view of the NVM selector table (shadow-current lines). */
     std::unordered_set<Addr> shadowCurrent;
-
-    /** Per-core words written by the running transaction. */
-    std::vector<std::unordered_map<Addr, LineImage>> txWrites;
 
     /** Commits since the last page consolidation pass. */
     std::uint64_t commitsSinceConsolidation = 0;
@@ -97,18 +80,10 @@ class OspController : public PersistenceController
     // Hot-path counters resolved once against the inherited stats_.
     Counter &selectorWritesC_;
     Counter &shadowWritesC_;
-    Counter &txCommittedC_;
     Counter &flipRecordsC_;
     Counter &tlbShootdownsC_;
     Counter &consolidationCopiesC_;
     Counter &inactiveWritebacksC_;
-    Counter &homeWritebacksC_;
-    Counter &logBackpressureStallsC_;
-    Counter &txRejectedC_;
-    Counter &scrubCorrectedC_;
-    Counter &scrubPassesC_;
-    Histogram &scrubPauseH_;
-    Counter &recoveriesC_;
 };
 
 } // namespace hoopnvm

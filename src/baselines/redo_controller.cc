@@ -1,55 +1,21 @@
 #include "baselines/redo_controller.hh"
 
 #include <algorithm>
-#include <cstring>
-#include <map>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/errors.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 
 namespace hoopnvm
 {
 
-void
-LineImage::overlay(std::uint8_t *buf) const
-{
-    for (unsigned i = 0; i < kWordsPerLine; ++i) {
-        if (mask & (1u << i))
-            std::memcpy(buf + i * kWordSize, &words[i], kWordSize);
-    }
-}
-
-void
-LineImage::merge(const LineImage &other)
-{
-    for (unsigned i = 0; i < kWordsPerLine; ++i) {
-        if (other.mask & (1u << i))
-            setWord(i, other.words[i]);
-    }
-}
-
 RedoController::RedoController(NvmDevice &nvm, const SystemConfig &cfg_)
-    : PersistenceController("redo", nvm, cfg_),
-      log_(nvm, cfg_.auxBase(), cfg_.auxBytes, "redo_log", &cfg_),
-      txWrites(cfg_.numCores),
-      outstanding(cfg_.numCores, 0),
-      logLookupCost(nsToTicks(20)),
+    : LogController("redo", nvm, cfg_, cfg_.auxBase(), cfg_.auxBytes),
       logEntriesC_(stats_.counter("log_entries")),
       commitRecordsC_(stats_.counter("commit_records")),
       checkpointWritesC_(stats_.counter("checkpoint_writes")),
-      txCommittedC_(stats_.counter("tx_committed")),
       evictionsAbsorbedC_(stats_.counter("evictions_absorbed")),
-      homeWritebacksC_(stats_.counter("home_writebacks")),
-      truncationsC_(stats_.counter("truncations")),
-      logBackpressureStallsC_(
-          stats_.counter("log_backpressure_stalls")),
-      txRejectedC_(stats_.counter("tx_rejected")),
-      scrubCorrectedC_(stats_.counter("scrub_corrected_words")),
-      scrubPassesC_(stats_.counter("scrub_passes")),
-      scrubPauseH_(stats_.histogram("scrub_pause_ticks")),
-      recoveriesC_(stats_.counter("recoveries"))
+      truncationsC_(stats_.counter("truncations"))
 {
 }
 
@@ -62,46 +28,15 @@ RedoController::declareOrderingRules(OrderingTracker &t)
     t.rule("redo-log-truncate")
         .requiresSettled("asynchronous checkpoint writes before the log "
                          "entries that redo them are truncated");
-    // Declared only when the subsystem can fire it: a rule that cannot
-    // fire would (correctly) be reported dead by clean-run sweeps.
-    if (cfg.ft.enabled) {
-        t.rule("log-retire-bitmap")
-            .requiresSettled("the durable slot-retirement bitmap before "
-                             "the retirement is acted upon");
-    }
-}
-
-TxId
-RedoController::txBegin(CoreId core, Tick now)
-{
-    // Graceful degradation: once slot retirement has eaten past the
-    // configured fraction of the log ring, stop admitting transactions
-    // (ENOSPC-style) instead of wedging mid-commit.
-    if (cfg.ft.enabled &&
-        log_.degradedFraction() >= cfg.ft.rejectCapacityFraction) {
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::CapacityDegraded,
-                         "redo log degraded past the admission "
-                         "threshold by bad-slot retirement"};
-    }
-    const TxId tx = PersistenceController::txBegin(core, now);
-    txWrites[core].clear();
-    outstanding[core] = now;
-    return tx;
+    LogController::declareOrderingRules(t);
 }
 
 Tick
 RedoController::storeWord(CoreId core, Addr addr,
-                          const std::uint8_t *data, Tick now)
+                          const std::uint8_t *data, Tick)
 {
-    std::uint64_t value;
-    std::memcpy(&value, data, kWordSize);
-    const Addr line = lineAddr(addr);
-    const unsigned idx =
-        static_cast<unsigned>((addr - line) / kWordSize);
-    txWrites[core][line].setWord(idx, value);
+    writes_.stage(core, addr, data);
     return cfg.cycle();
-    (void)now;
 }
 
 Tick
@@ -110,12 +45,14 @@ RedoController::txEnd(CoreId core, Tick now)
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
     const TxId tx = coreTx[core].txId;
     const std::uint64_t cid = allocCommitId();
+    const TxWriteSet::Lines &writes = writes_.lines(core);
+    // Address order: log append order is observable durable state.
+    const std::vector<Addr> lines = sortedKeys(writes);
     Tick t = now;
 
-    // Stream one redo entry per modified line (data + metadata line),
-    // in address order: log append order is observable durable state.
-    for (const Addr line : sortedKeys(txWrites[core])) {
-        const LineImage &img = txWrites[core].at(line);
+    // Stream one redo entry per modified line (data + metadata line).
+    for (const Addr line : lines) {
+        const LineImage &img = writes.at(line);
         if (log_.full())
             t = std::max(t, stallForLogSpace(t));
         LogEntry e;
@@ -133,44 +70,35 @@ RedoController::txEnd(CoreId core, Tick now)
     }
 
     // Commit record makes the transaction durable.
-    if (!txWrites[core].empty()) {
-        if (log_.full())
-            t = std::max(t, stallForLogSpace(t));
-        LogEntry rec;
-        rec.type = LogEntryType::Commit;
-        rec.txId = tx;
-        rec.commitId = cid;
-        rec.mask = 1;
-        t = std::max(t, log_.append(now, rec));
-        orderDep("redo-commit-record", tx);
+    if (!lines.empty()) {
+        t = appendCommitRecord("redo-commit-record", tx, cid, now, t);
         ++commitRecordsC_;
 
         // Asynchronous checkpointing (WrAP): each logged line is
         // retired to its home address in place. The commit does not
         // wait, but the double write consumes NVM bandwidth — the
         // scheme's fundamental cost (§II-B).
-        for (const Addr line : sortedKeys(txWrites[core])) {
+        for (const Addr line : lines) {
             // Crash point: between checkpoint (migration-home) writes.
             // The log still holds the full redo image, so recovery
             // redoes any torn checkpoint.
             crashStep(CrashPointKind::GcStep);
             std::uint8_t buf[kCacheLineSize];
             nvm_.peek(line, buf, kCacheLineSize);
-            txWrites[core].at(line).overlay(buf);
+            writes.at(line).overlay(buf);
             nvm_.write(t, line, buf, kCacheLineSize);
             orderDep("redo-log-truncate", 0);
             ++checkpointWritesC_;
         }
-        truncatableEntries += txWrites[core].size() + 1;
+        truncatableEntries += lines.size() + 1;
     }
 
-    t = std::max(t, outstanding[core]);
     // debugEarlyCommitAck acknowledges at issue time while the log
     // appends are still in flight — the durable-by-ack rule must flag
     // every such commit (checker validation only).
     const Tick ack = cfg.debugEarlyCommitAck ? now : t;
     orderTrigger("redo-commit-record", tx, ack);
-    txWrites[core].clear();
+    writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
     markLogPressure();
@@ -178,31 +106,13 @@ RedoController::txEnd(CoreId core, Tick now)
 }
 
 FillResult
-RedoController::fillLine(CoreId core, Addr line, std::uint8_t *buf,
-                         Tick now)
+RedoController::fillLine(CoreId, Addr line, std::uint8_t *buf, Tick now)
 {
-    (void)core;
     FillResult fr;
     fr.completion = nvm_.read(now, line, buf, kCacheLineSize);
-
     // An evicted line of a still-running transaction: its newest words
     // exist only in the controller's transaction buffer.
-    std::uint8_t mask = 0;
-    TxId owner = kInvalidTxId;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end()) {
-            it->second.overlay(buf);
-            mask |= it->second.mask;
-            owner = coreTx[c].txId;
-        }
-    }
-    if (mask) {
-        fr.dirty = true;
-        fr.persistent = true;
-        fr.txId = owner;
-        fr.wordMask = mask;
-    }
+    writes_.overlayFill(line, buf, fr);
     return fr;
 }
 
@@ -221,7 +131,7 @@ RedoController::evictLine(CoreId, Addr line, const std::uint8_t *data,
 }
 
 Tick
-RedoController::truncateRetired(Tick now)
+RedoController::reclaim(Tick now)
 {
     if (truncatableEntries == 0)
         return now;
@@ -247,141 +157,18 @@ RedoController::truncateRetired(Tick now)
 }
 
 Tick
-RedoController::stallForLogSpace(Tick now)
-{
-    // Log full on the commit path: the writer stalls until retired
-    // entries are truncated (modelled backpressure, counted). If
-    // truncation frees nothing every live entry belongs to open
-    // transactions and no progress is possible — configuration error.
-    ++logBackpressureStallsC_;
-    const Tick done = truncateRetired(now);
-    if (log_.full()) {
-        // Degrade, don't die: the offending transaction carries no
-        // commit record, so crash+recovery discards it whole.
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::LogExhausted,
-                         "redo log wedged: all entries belong to open "
-                         "transactions; increase auxBytes"};
-    }
-    return done;
-}
-
-Tick
-RedoController::scrub(Tick now)
-{
-    std::uint64_t corrected = 0;
-    const Tick done =
-        log_.scrubSlots(now, cfg.ft.scrubChunks, &corrected);
-    scrubCorrectedC_ += corrected;
-    scrubPassesC_ += 1;
-    scrubPauseH_.record(done - now);
-    return done;
-}
-
-void
-RedoController::maintenance(Tick now)
-{
-    maintDirty_ = false;
-    if (now - lastCkpt >= cfg.gcPeriod ||
-        log_.size() * 4 >= log_.capacity() * 3) {
-        maintDirty_ = true; // re-armed if truncation unwinds on crash
-        lastCkpt = now;
-        truncateRetired(now);
-        maintDirty_ = log_.size() * 4 >= log_.capacity() * 3;
-    }
-}
-
-ControllerGauges
-RedoController::sampleGauges() const
-{
-    ControllerGauges g;
-    g.mappingEntries = log_.size();
-    g.structBytes = log_.size() * LogEntry::kEntryBytes;
-    g.backpressureStalls = stats_.value("log_backpressure_stalls");
-    if (log_.faultToleranceEnabled()) {
-        g.retiredUnits = log_.retiredSlots();
-        g.correctedWords = nvm_.faults().wordsEccCorrected();
-        g.degradedFraction = log_.degradedFraction();
-    }
-    g.txRejected = stats_.value("tx_rejected");
-    return g;
-}
-
-Tick
 RedoController::drain(Tick now)
 {
-    return truncateRetired(now);
-}
-
-void
-RedoController::crash()
-{
-    // lint: unordered-iter-ok (outer std::vector of per-core maps; clearing is order-insensitive)
-    for (auto &w : txWrites)
-        w.clear();
-    for (auto &t : coreTx)
-        t = CoreTxState{};
+    return reclaim(now);
 }
 
 Tick
 RedoController::recover(unsigned)
 {
-    // Adopt the durable slot-retirement bitmap before the scan: retired
-    // slots are burned, not read — their garbage would cut the suffix.
-    log_.loadRetirement();
     // Replay committed transactions' redo images in commit order.
-    std::map<std::uint64_t, std::vector<LogEntry>> by_commit;
-    std::unordered_map<TxId, bool> has_record;
-    std::uint64_t entries = 0;
-    log_.scan([&](const LogEntry &e) {
-        ++entries;
-        if (e.type == LogEntryType::Commit)
-            has_record[e.txId] = true;
-        else if (e.type == LogEntryType::RedoData)
-            by_commit[e.commitId].push_back(e);
-    });
-
-    std::uint64_t lines = 0;
-    for (const auto &kv : by_commit) {
-        for (const LogEntry &e : kv.second) {
-            if (!has_record.contains(e.txId))
-                continue; // uncommitted: discard
-            // Crash point: between replay writes. The log is cleared
-            // only after the loop, so a second recovery replays the
-            // same committed images idempotently.
-            crashStep(CrashPointKind::RecoveryStep);
-            std::uint8_t buf[kCacheLineSize];
-            nvm_.peek(e.line, buf, kCacheLineSize);
-            LineImage img;
-            img.mask = e.mask;
-            img.words = e.words;
-            img.overlay(buf);
-            nvm_.poke(e.line, buf, kCacheLineSize);
-            ++lines;
-        }
-    }
-    // Crash point: replay done, log not yet cleared — re-entering
-    // recovery replays everything again with the same result.
-    crashStep(CrashPointKind::RecoveryStep);
-    log_.clear(0);
+    const Tick t = replayCommitted(LogEntryType::RedoData, nsToTicks(40));
     truncatableEntries = 0;
-    recoveriesC_ += 1;
-
-    // Single-threaded log replay, channel-bound plus per-entry work.
-    const Tick channel = nvm_.timing().transferTicks(
-        entries * LogEntry::kEntryBytes + lines * kCacheLineSize);
-    return channel + entries * nsToTicks(40);
-}
-
-void
-RedoController::debugReadLine(Addr line, std::uint8_t *buf) const
-{
-    nvm_.peek(line, buf, kCacheLineSize);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end())
-            it->second.overlay(buf);
-    }
+    return t;
 }
 
 } // namespace hoopnvm

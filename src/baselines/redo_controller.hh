@@ -7,55 +7,33 @@
  * paper notes WrAP "persists both the data and metadata for a single
  * update using two cache lines"). Commit waits for the outstanding log
  * writes plus a commit record. Data reaches its home address only via
- * asynchronous checkpointing: a background pass periodically retires
- * the latest committed image of every logged line to the home region
- * and truncates the log — the scheme's unavoidable double write.
+ * checkpointing, the scheme's unavoidable double write: commit issues
+ * the checkpoint write of every logged line without waiting for it,
+ * and a background pass truncates the log once those writes settle.
  *
- * Reads of logged-but-not-yet-checkpointed lines must consult the log
- * (Table I classifies WrAP's read latency as High).
+ * Table I classifies WrAP's read latency as High because reads of
+ * logged lines that are not yet checkpointed must consult the log.
+ * This model has no such read-side log lookup: commit writes every
+ * line home at once, so fillLine() reads the home region and charges
+ * no log read.
  */
 
 #ifndef HOOPNVM_BASELINES_REDO_CONTROLLER_HH
 #define HOOPNVM_BASELINES_REDO_CONTROLLER_HH
 
-#include <unordered_map>
-#include <vector>
-
-#include "baselines/log_region.hh"
-#include "controller/persistence_controller.hh"
+#include "baselines/log_controller.hh"
 
 namespace hoopnvm
 {
 
-/** Buffered image of one line touched by a transaction. */
-struct LineImage
-{
-    std::uint8_t mask = 0;
-    std::array<std::uint64_t, kWordsPerLine> words{};
-
-    void
-    setWord(unsigned idx, std::uint64_t v)
-    {
-        words[idx] = v;
-        mask |= static_cast<std::uint8_t>(1u << idx);
-    }
-
-    /** Overlay this image's valid words onto @p buf (a full line). */
-    void overlay(std::uint8_t *buf) const;
-
-    /** Merge @p other on top of this image. */
-    void merge(const LineImage &other);
-};
-
 /** Hardware redo logging with asynchronous checkpointing. */
-class RedoController : public PersistenceController
+class RedoController : public LogController
 {
   public:
     RedoController(NvmDevice &nvm, const SystemConfig &cfg);
 
     Scheme scheme() const override { return Scheme::OptRedo; }
 
-    TxId txBegin(CoreId core, Tick now) override;
     Tick txEnd(CoreId core, Tick now) override;
     Tick storeWord(CoreId core, Addr addr, const std::uint8_t *data,
                    Tick now) override;
@@ -64,88 +42,23 @@ class RedoController : public PersistenceController
     void evictLine(CoreId core, Addr line, const std::uint8_t *data,
                    bool persistent, TxId tx, std::uint8_t word_mask,
                    Tick now) override;
-    void maintenance(Tick now) override;
-
-    /** Next periodic trigger tick of the maintenance hook. */
-    Tick
-    nextMaintenanceDue() const override
-    {
-        return lastCkpt + cfg.gcPeriod;
-    }
-    Tick scrub(Tick now) override;
-    ControllerGauges sampleGauges() const override;
     Tick drain(Tick now) override;
-    void crash() override;
     Tick recover(unsigned threads) override;
-    void debugReadLine(Addr line, std::uint8_t *buf) const override;
     void declareOrderingRules(OrderingTracker &t) override;
 
-    /** Forward the tracker to the log's retirement machinery. */
-    void
-    setOrderingTracker(OrderingTracker *t) override
-    {
-        PersistenceController::setOrderingTracker(t);
-        log_.setOrdering(t);
-    }
-
-    /** Free log-ring slots: wear-out fault-injection targets. */
-    std::vector<std::pair<Addr, Addr>>
-    freeMediaRanges() const override
-    {
-        return log_.freeSlotRanges();
-    }
-
-    LogRegion &log() { return log_; }
-
   private:
-    /** Truncate retired log entries. */
-    Tick truncateRetired(Tick now);
-
-    /** Backpressure: stall the committer until truncation frees log
-     *  space; fatal if nothing is truncatable (wedged). */
-    Tick stallForLogSpace(Tick now);
-
-    LogRegion log_;
-
-    /** Per-core in-flight transaction writes. */
-    std::vector<std::unordered_map<Addr, LineImage>> txWrites;
-
-    /** Completion tick of each core's newest posted log write. */
-    std::vector<Tick> outstanding;
+    /** Truncate the checkpointed (retired) log entries. */
+    Tick reclaim(Tick now) override;
 
     /** Log entries that the next truncation may drop. */
     std::uint64_t truncatableEntries = 0;
-
-    Tick lastCkpt = 0;
-
-    /**
-     * Arm maintenancePressure() when log occupancy crosses the
-     * maintenance threshold; called after every append burst so the
-     * engine's event-driven poll skip never misses pressure onset.
-     */
-    void
-    markLogPressure()
-    {
-        if (log_.size() * 4 >= log_.capacity() * 3)
-            maintDirty_ = true;
-    }
-
-    Tick logLookupCost;
 
     // Hot-path counters resolved once against the inherited stats_.
     Counter &logEntriesC_;
     Counter &commitRecordsC_;
     Counter &checkpointWritesC_;
-    Counter &txCommittedC_;
     Counter &evictionsAbsorbedC_;
-    Counter &homeWritebacksC_;
     Counter &truncationsC_;
-    Counter &logBackpressureStallsC_;
-    Counter &txRejectedC_;
-    Counter &scrubCorrectedC_;
-    Counter &scrubPassesC_;
-    Histogram &scrubPauseH_;
-    Counter &recoveriesC_;
 };
 
 } // namespace hoopnvm

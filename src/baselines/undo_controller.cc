@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
+#include <unordered_set>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/errors.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 
@@ -13,22 +12,11 @@ namespace hoopnvm
 {
 
 UndoController::UndoController(NvmDevice &nvm, const SystemConfig &cfg_)
-    : PersistenceController("undo", nvm, cfg_),
-      log_(nvm, cfg_.auxBase(), cfg_.auxBytes, "undo_log", &cfg_),
-      txWrites(cfg_.numCores),
+    : LogController("undo", nvm, cfg_, cfg_.auxBase(), cfg_.auxBytes),
       outstanding(cfg_.numCores, 0),
       logEntriesC_(stats_.counter("log_entries")),
       commitFlushesC_(stats_.counter("commit_flushes")),
-      commitRecordsC_(stats_.counter("commit_records")),
-      txCommittedC_(stats_.counter("tx_committed")),
-      homeWritebacksC_(stats_.counter("home_writebacks")),
-      logBackpressureStallsC_(
-          stats_.counter("log_backpressure_stalls")),
-      txRejectedC_(stats_.counter("tx_rejected")),
-      scrubCorrectedC_(stats_.counter("scrub_corrected_words")),
-      scrubPassesC_(stats_.counter("scrub_passes")),
-      scrubPauseH_(stats_.histogram("scrub_pause_ticks")),
-      recoveriesC_(stats_.counter("recoveries"))
+      commitRecordsC_(stats_.counter("commit_records"))
 {
 }
 
@@ -41,25 +29,13 @@ UndoController::declareOrderingRules(OrderingTracker &t)
     t.rule("undo-commit-record")
         .requiresDurable("in-place data flushes and the commit record "
                          "of an acknowledged transaction");
-    if (cfg.ft.enabled) {
-        t.rule("log-retire-bitmap")
-            .requiresSettled("the durable slot-retirement bitmap before "
-                             "the retirement is acted upon");
-    }
+    LogController::declareOrderingRules(t);
 }
 
 TxId
 UndoController::txBegin(CoreId core, Tick now)
 {
-    if (cfg.ft.enabled &&
-        log_.degradedFraction() >= cfg.ft.rejectCapacityFraction) {
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::CapacityDegraded,
-                         "undo log degraded past the admission "
-                         "threshold by bad-slot retirement"};
-    }
-    const TxId tx = PersistenceController::txBegin(core, now);
-    txWrites[core].clear();
+    const TxId tx = LogController::txBegin(core, now);
     outstanding[core] = now;
     return tx;
 }
@@ -68,41 +44,32 @@ Tick
 UndoController::storeWord(CoreId core, Addr addr,
                           const std::uint8_t *data, Tick now)
 {
-    std::uint64_t value;
-    std::memcpy(&value, data, kWordSize);
     const Addr line = lineAddr(addr);
-    auto &writes = txWrites[core];
-    auto it = writes.find(line);
-    if (it == writes.end()) {
-        // First touch: capture the old image and append the undo entry
-        // before any in-place update may reach the home region. ATOM
-        // enforces the ordering in the controller, so the store itself
-        // is not delayed; the commit waits for the log instead.
-        // debugSkipUndoLog drops the entry, breaking write-ahead
-        // logging so the issued-before-trigger rule can be validated.
-        if (!cfg.debugSkipUndoLog) {
-            if (log_.full())
-                stallForLogSpace(now);
-            std::uint8_t old_line[kCacheLineSize];
-            nvm_.read(now, line, old_line, kCacheLineSize);
-            LogEntry e;
-            e.type = LogEntryType::UndoImage;
-            e.txId = coreTx[core].txId;
-            e.line = line;
-            e.mask = 0xff;
-            std::memcpy(e.words.data(), old_line, kCacheLineSize);
-            outstanding[core] =
-                std::max(outstanding[core], log_.append(now, e));
-            orderDep("undo-home-write", line);
-            // Metadata companion line of the undo entry.
-            nvm_.writeAccounting(now, kCacheLineSize);
-            ++openEntries;
-            ++logEntriesC_;
-        }
-        it = writes.emplace(line, LineImage{}).first;
+    // First touch: capture the old image and append the undo entry
+    // before any in-place update may reach the home region. ATOM
+    // enforces the ordering in the controller, so the store itself is
+    // not delayed; the commit waits for the log instead.
+    // debugSkipUndoLog drops the entry, breaking write-ahead logging so
+    // the issued-before-trigger rule can be validated.
+    if (!cfg.debugSkipUndoLog && !writes_.lines(core).contains(line)) {
+        if (log_.full())
+            stallForLogSpace(now);
+        std::uint8_t old_line[kCacheLineSize];
+        nvm_.read(now, line, old_line, kCacheLineSize);
+        LogEntry e;
+        e.type = LogEntryType::UndoImage;
+        e.txId = coreTx[core].txId;
+        e.line = line;
+        e.mask = 0xff;
+        std::memcpy(e.words.data(), old_line, kCacheLineSize);
+        outstanding[core] =
+            std::max(outstanding[core], log_.append(now, e));
+        orderDep("undo-home-write", line);
+        // Metadata companion line of the undo entry.
+        nvm_.writeAccounting(now, kCacheLineSize);
+        ++logEntriesC_;
     }
-    it->second.setWord(
-        static_cast<unsigned>((addr - line) / kWordSize), value);
+    writes_.stage(core, addr, data);
     markLogPressure();
     return cfg.cycle();
 }
@@ -113,16 +80,17 @@ UndoController::txEnd(CoreId core, Tick now)
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
     const TxId tx = coreTx[core].txId;
     const std::uint64_t cid = allocCommitId();
+    const TxWriteSet::Lines &writes = writes_.lines(core);
 
     // Undo logging must make every data update durable in place before
     // the commit record retires the log — the strict persist ordering
     // that stretches the critical path (Fig. 4a).
     Tick t = std::max(now, outstanding[core]);
     Tick data_done = t;
-    for (const Addr line : sortedKeys(txWrites[core])) {
+    for (const Addr line : sortedKeys(writes)) {
         std::uint8_t buf[kCacheLineSize];
         nvm_.peek(line, buf, kCacheLineSize);
-        txWrites[core].at(line).overlay(buf);
+        writes.at(line).overlay(buf);
         data_done = std::max(
             data_done, nvm_.write(t, line, buf, kCacheLineSize));
         orderDep("undo-commit-record", tx);
@@ -131,17 +99,9 @@ UndoController::txEnd(CoreId core, Tick now)
     }
 
     Tick commit_done = data_done;
-    if (!txWrites[core].empty()) {
-        if (log_.full())
-            stallForLogSpace(data_done);
-        LogEntry rec;
-        rec.type = LogEntryType::Commit;
-        rec.txId = tx;
-        rec.commitId = cid;
-        rec.mask = 1;
-        commit_done = log_.append(data_done, rec);
-        orderDep("undo-commit-record", tx);
-        ++openEntries;
+    if (!writes.empty()) {
+        commit_done = appendCommitRecord("undo-commit-record", tx, cid,
+                                         data_done, data_done);
         ++commitRecordsC_;
     }
 
@@ -149,9 +109,7 @@ UndoController::txEnd(CoreId core, Tick now)
     // and the record are still in flight (checker validation only).
     const Tick ack = cfg.debugEarlyCommitAck ? now : commit_done;
     orderTrigger("undo-commit-record", tx, ack);
-    committedEntries += openEntries;
-    openEntries = 0;
-    txWrites[core].clear();
+    writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
     markLogPressure();
@@ -174,108 +132,24 @@ UndoController::evictLine(CoreId, Addr line, const std::uint8_t *data,
 {
     // In-place writeback is always legal: the undo entry for any
     // uncommitted content was persisted before the first store.
-    if (ordering()) {
-        bool open_tx_line = false;
-        for (unsigned c = 0; c < cfg.numCores && !open_tx_line; ++c)
-            open_tx_line = txWrites[c].contains(line);
-        if (open_tx_line)
-            orderTrigger("undo-home-write", line, 0, 1, false);
-    }
+    if (ordering() && writes_.contains(line))
+        orderTrigger("undo-home-write", line, 0, 1, false);
     nvm_.write(now, line, data, kCacheLineSize);
     ++homeWritebacksC_;
 }
 
-void
-UndoController::truncateCommitted(Tick now)
+Tick
+UndoController::reclaim(Tick now)
 {
     // Between transactions every live entry belongs to a committed
     // transaction whose data was flushed in place at commit, so the
-    // whole log is dead. With a transaction open, truncation must wait.
-    bool any_open = false;
-    for (const auto &t : coreTx)
-        any_open |= t.active;
-    if (any_open || log_.size() == 0)
-        return;
-    // Crash point: before the tail moves. All live entries belong to
-    // committed transactions whose data is durably in place, so
-    // recovery rolls nothing back either way.
-    crashStep(CrashPointKind::GcStep);
-    log_.truncate(now, log_.size());
-    // The truncated entries' pre-images are gone; retire their
-    // write-ahead obligations (all owners have committed).
-    orderClear("undo-home-write");
-    committedEntries = 0;
-}
-
-void
-UndoController::stallForLogSpace(Tick now)
-{
-    // Log full mid-transaction: the writer stalls on truncation
-    // (modelled backpressure, counted). Truncation can only proceed
-    // between transactions, so if it frees nothing the open
-    // transactions have outgrown the log — configuration error.
-    ++logBackpressureStallsC_;
-    truncateCommitted(now);
-    if (log_.full()) {
-        // Degrade, don't die: the offending transaction's in-place
-        // writes are rolled back by its logged pre-images on recovery.
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::LogExhausted,
-                         "undo log wedged: all entries belong to open "
-                         "transactions; increase auxBytes"};
+    // whole log is dead. With a transaction open, truncation waits.
+    if (truncateIdleLog(now)) {
+        // The truncated entries' pre-images are gone; retire their
+        // write-ahead obligations (all owners have committed).
+        orderClear("undo-home-write");
     }
-}
-
-Tick
-UndoController::scrub(Tick now)
-{
-    std::uint64_t corrected = 0;
-    const Tick done =
-        log_.scrubSlots(now, cfg.ft.scrubChunks, &corrected);
-    scrubCorrectedC_ += corrected;
-    scrubPassesC_ += 1;
-    scrubPauseH_.record(done - now);
-    return done;
-}
-
-void
-UndoController::maintenance(Tick now)
-{
-    maintDirty_ = false;
-    if (now - lastTruncate >= cfg.gcPeriod ||
-        log_.size() * 4 >= log_.capacity() * 3) {
-        maintDirty_ = true; // re-armed if truncation unwinds on crash
-        lastTruncate = now;
-        truncateCommitted(now);
-        maintDirty_ = log_.size() * 4 >= log_.capacity() * 3;
-    }
-}
-
-ControllerGauges
-UndoController::sampleGauges() const
-{
-    ControllerGauges g;
-    g.mappingEntries = log_.size();
-    g.structBytes = log_.size() * LogEntry::kEntryBytes;
-    g.backpressureStalls = stats_.value("log_backpressure_stalls");
-    if (log_.faultToleranceEnabled()) {
-        g.retiredUnits = log_.retiredSlots();
-        g.correctedWords = nvm_.faults().wordsEccCorrected();
-        g.degradedFraction = log_.degradedFraction();
-    }
-    g.txRejected = stats_.value("tx_rejected");
-    return g;
-}
-
-void
-UndoController::crash()
-{
-    // lint: unordered-iter-ok (outer std::vector of per-core maps; clearing is order-insensitive)
-    for (auto &w : txWrites)
-        w.clear();
-    for (auto &t : coreTx)
-        t = CoreTxState{};
-    openEntries = 0;
+    return now;
 }
 
 Tick
@@ -286,13 +160,13 @@ UndoController::recover(unsigned)
     log_.loadRetirement();
     // Roll back every transaction without a commit record by applying
     // its old images newest-first.
-    std::unordered_map<TxId, bool> has_record;
+    std::unordered_set<TxId> has_record;
     std::vector<LogEntry> images;
     std::uint64_t entries = 0;
     log_.scan([&](const LogEntry &e) {
         ++entries;
         if (e.type == LogEntryType::Commit)
-            has_record[e.txId] = true;
+            has_record.insert(e.txId);
         else if (e.type == LogEntryType::UndoImage)
             images.push_back(e);
     });
@@ -311,23 +185,11 @@ UndoController::recover(unsigned)
     // Crash point: rollback done, log not yet cleared.
     crashStep(CrashPointKind::RecoveryStep);
     log_.clear(0);
-    committedEntries = 0;
     recoveriesC_ += 1;
 
     const Tick channel = nvm_.timing().transferTicks(
         entries * LogEntry::kEntryBytes + lines * kCacheLineSize);
     return channel + entries * nsToTicks(40);
-}
-
-void
-UndoController::debugReadLine(Addr line, std::uint8_t *buf) const
-{
-    nvm_.peek(line, buf, kCacheLineSize);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end())
-            it->second.overlay(buf);
-    }
 }
 
 } // namespace hoopnvm

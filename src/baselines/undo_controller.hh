@@ -16,18 +16,15 @@
 #ifndef HOOPNVM_BASELINES_UNDO_CONTROLLER_HH
 #define HOOPNVM_BASELINES_UNDO_CONTROLLER_HH
 
-#include <unordered_map>
 #include <vector>
 
-#include "baselines/log_region.hh"
-#include "baselines/redo_controller.hh" // LineImage
-#include "controller/persistence_controller.hh"
+#include "baselines/log_controller.hh"
 
 namespace hoopnvm
 {
 
 /** Hardware undo logging with in-place updates. */
-class UndoController : public PersistenceController
+class UndoController : public LogController
 {
   public:
     UndoController(NvmDevice &nvm, const SystemConfig &cfg);
@@ -43,85 +40,20 @@ class UndoController : public PersistenceController
     void evictLine(CoreId core, Addr line, const std::uint8_t *data,
                    bool persistent, TxId tx, std::uint8_t word_mask,
                    Tick now) override;
-    void maintenance(Tick now) override;
-
-    /** Next periodic trigger tick of the maintenance hook. */
-    Tick
-    nextMaintenanceDue() const override
-    {
-        return lastTruncate + cfg.gcPeriod;
-    }
-    Tick scrub(Tick now) override;
-    ControllerGauges sampleGauges() const override;
-    void crash() override;
     Tick recover(unsigned threads) override;
-    void debugReadLine(Addr line, std::uint8_t *buf) const override;
     void declareOrderingRules(OrderingTracker &t) override;
 
-    /** Forward the tracker to the log's retirement machinery. */
-    void
-    setOrderingTracker(OrderingTracker *t) override
-    {
-        PersistenceController::setOrderingTracker(t);
-        log_.setOrdering(t);
-    }
-
-    /** Free log-ring slots: wear-out fault-injection targets. */
-    std::vector<std::pair<Addr, Addr>>
-    freeMediaRanges() const override
-    {
-        return log_.freeSlotRanges();
-    }
-
-    LogRegion &log() { return log_; }
-
   private:
-    /** Truncate undo entries of fully-committed transactions. */
-    void truncateCommitted(Tick now);
-
-    /** Backpressure: stall until truncation frees log space. */
-    void stallForLogSpace(Tick now);
-
-    LogRegion log_;
-
-    /** Per-core new data of the running transaction (for the commit
-     *  flush; the old images live in the durable log). */
-    std::vector<std::unordered_map<Addr, LineImage>> txWrites;
+    /** Truncate the whole log once no region is open. */
+    Tick reclaim(Tick now) override;
 
     /** Completion of each core's newest posted log write. */
     std::vector<Tick> outstanding;
-
-    /** Live log entries per transaction, for truncation accounting. */
-    std::uint64_t committedEntries = 0;
-    std::uint64_t openEntries = 0;
-
-    Tick lastTruncate = 0;
-
-    /**
-     * Arm maintenancePressure() when log occupancy crosses the
-     * maintenance threshold; called after every append burst so the
-     * engine's event-driven poll skip never misses pressure onset.
-     */
-    void
-    markLogPressure()
-    {
-        if (log_.size() * 4 >= log_.capacity() * 3)
-            maintDirty_ = true;
-    }
-
 
     // Hot-path counters resolved once against the inherited stats_.
     Counter &logEntriesC_;
     Counter &commitFlushesC_;
     Counter &commitRecordsC_;
-    Counter &txCommittedC_;
-    Counter &homeWritebacksC_;
-    Counter &logBackpressureStallsC_;
-    Counter &txRejectedC_;
-    Counter &scrubCorrectedC_;
-    Counter &scrubPassesC_;
-    Histogram &scrubPauseH_;
-    Counter &recoveriesC_;
 };
 
 } // namespace hoopnvm

@@ -32,7 +32,7 @@ enum class RejectCause
     /** OOP region wedged: every block pinned by open transactions. */
     OopExhausted,
 
-    /** Baseline log ring wedged: all live entries belong to open txs. */
+    /** Baseline log ring full and its reclaim step freed nothing. */
     LogExhausted,
 
     /** Retired capacity crossed the configured degradation threshold. */

@@ -19,10 +19,9 @@
  *   - hoop/hoop_controller.cc  OOP region wedged by open transactions
  *     (RejectCause::OopExhausted), and admission rejection once retired
  *     capacity crosses ft.rejectCapacityFraction (CapacityDegraded).
- *   - baselines/redo_controller.cc, undo_controller.cc,
- *     lsm_controller.cc, osp_controller.cc  log ring wedged by open
- *     transactions or fully retired (RejectCause::LogExhausted /
- *     CapacityDegraded).
+ *   - baselines/log_controller.cc, osp_controller.cc  log ring still
+ *     full after a reclaim step, or retired past the admission
+ *     threshold (RejectCause::LogExhausted / CapacityDegraded).
  *
  *  Kept HOOP_FATAL (setup/configuration errors, not fault paths):
  *   - txn/sim_allocator.cc      arena sized too small for the workload.

@@ -212,9 +212,9 @@ class PersistenceController
      * maintenancePressure() is clear — a combination under which the
      * call is provably a no-op, so skipping it is bit-identical to the
      * polled reference engine. The returned tick may only move later
-     * between maintenance() calls (the period anchors lastGc/lastCkpt/
-     * lastTruncate never move backwards); a conservatively early value
-     * merely costs a no-op call.
+     * between maintenance() calls (the period anchors, HOOP's lastGc
+     * and the log baselines' lastReclaim_, never move backwards); a
+     * conservatively early value merely costs a no-op call.
      */
     virtual Tick
     nextMaintenanceDue() const

@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 
 #include "baselines/lad_controller.hh"
 #include "baselines/lsm_controller.hh"
 #include "baselines/osp_controller.hh"
 #include "baselines/redo_controller.hh"
 #include "baselines/undo_controller.hh"
+#include "common/errors.hh"
 #include "sim/system.hh"
 
 namespace hoopnvm
@@ -313,6 +315,140 @@ TEST(LadSpecifics, CommitDrainsQueueImmediately)
     EXPECT_GE(done - 1000, cfg.nvm.writeLatency);
     EXPECT_LT(done - 1000, 2 * cfg.nvm.writeLatency);
 }
+
+// ---- Log-full paths: a 16-entry ring and no maintenance ----
+
+/** baseConfig() with a baseline log ring of exactly 16 entries. */
+SystemConfig
+sixteenEntryLogConfig()
+{
+    SystemConfig cfg = baseConfig();
+    cfg.auxBytes = 64 + 16 * LogEntry::kEntryBytes;
+    return cfg;
+}
+
+/** First line of the t-th transaction's three-line block. */
+Addr
+txLines(unsigned t)
+{
+    return 0x100000 + t * 0x1000;
+}
+
+/** One transaction on core 0: @p value into word 0 of @p lines
+ *  consecutive lines from @p base. */
+void
+runTx(PersistenceController &c, Addr base, unsigned lines,
+      std::uint64_t value)
+{
+    c.txBegin(0, 0);
+    for (unsigned i = 0; i < lines; ++i)
+        store(c, 0, base + i * kCacheLineSize, value);
+    c.txEnd(0, 0);
+}
+
+/** runTx()'s rejection cause, or nothing when it committed. */
+std::optional<RejectCause>
+rejectionOf(PersistenceController &c, Addr base, unsigned lines,
+            std::uint64_t value)
+{
+    try {
+        runTx(c, base, lines, value);
+    } catch (const TxRejected &rj) {
+        return rj.cause;
+    }
+    return std::nullopt;
+}
+
+TEST(LogFull, RedoStallTruncatesThenRejectsAnOversizedTx)
+{
+    SystemConfig cfg = sixteenEntryLogConfig();
+    NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
+    RedoController ctrl(nvm, cfg);
+    ASSERT_EQ(ctrl.log().capacity(), 16u);
+
+    // Three redo entries and a commit record each fill the ring.
+    for (unsigned t = 0; t < 4; ++t)
+        runTx(ctrl, txLines(t), 3, t + 1);
+    EXPECT_TRUE(ctrl.log().full());
+
+    // The fifth stalls once; truncating the four checkpointed
+    // transactions frees the ring mid-commit.
+    EXPECT_EQ(rejectionOf(ctrl, txLines(4), 3, 5), std::nullopt);
+    EXPECT_EQ(ctrl.stats().value("log_backpressure_stalls"), 1u);
+    EXPECT_EQ(ctrl.stats().value("tx_rejected"), 0u);
+
+    // Sixteen redo entries and a commit record never fit.
+    EXPECT_EQ(rejectionOf(ctrl, txLines(4), 16, 6),
+              RejectCause::LogExhausted);
+    EXPECT_EQ(ctrl.stats().value("tx_rejected"), 1u);
+
+    ctrl.crash();
+    ctrl.recover(1);
+    for (unsigned t = 0; t < 5; ++t) {
+        for (unsigned i = 0; i < 3; ++i)
+            EXPECT_EQ(readWord(ctrl, txLines(t) + i * kCacheLineSize),
+                      t + 1)
+                << t << "/" << i;
+    }
+    for (unsigned i = 3; i < 16; ++i)
+        EXPECT_EQ(readWord(ctrl, txLines(4) + i * kCacheLineSize), 0u)
+            << i;
+}
+
+/** Opt-Undo and LSM reclaim only while no region is open. */
+class LogFullWithoutReclaim : public ::testing::TestWithParam<Scheme>
+{
+};
+
+TEST_P(LogFullWithoutReclaim, RejectsThoughEveryLiveEntryIsCommitted)
+{
+    SystemConfig cfg = sixteenEntryLogConfig();
+    NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
+    auto ctrl = makeController(GetParam(), nvm, cfg);
+
+    // Three line entries and a commit record each fill the ring.
+    for (unsigned t = 0; t < 4; ++t)
+        runTx(*ctrl, txLines(t), 3, t + 1);
+    EXPECT_EQ(ctrl->sampleGauges().structBytes,
+              16 * LogEntry::kEntryBytes);
+
+    // Every live entry is committed, but the stalling transaction's own
+    // region is open, so its stall reclaims nothing.
+    EXPECT_EQ(rejectionOf(*ctrl, txLines(4), 3, 5),
+              RejectCause::LogExhausted);
+    EXPECT_EQ(ctrl->stats().value("log_backpressure_stalls"), 1u);
+    EXPECT_EQ(ctrl->stats().value("tx_rejected"), 1u);
+
+    ctrl->crash();
+    ctrl->recover(1);
+    for (unsigned t = 0; t < 5; ++t) {
+        for (unsigned i = 0; i < 3; ++i)
+            EXPECT_EQ(readWord(*ctrl, txLines(t) + i * kCacheLineSize),
+                      t < 4 ? t + 1 : 0u)
+                << t << "/" << i;
+    }
+
+    // Maintenance between transactions reclaims before the ring fills.
+    for (unsigned t = 5; t < 13; ++t) {
+        runTx(*ctrl, txLines(t), 3, t + 1);
+        ctrl->maintenance(0);
+    }
+    EXPECT_EQ(ctrl->stats().value("log_backpressure_stalls"), 1u);
+    for (unsigned t = 5; t < 13; ++t)
+        EXPECT_EQ(readWord(*ctrl, txLines(t)), t + 1) << t;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    UndoAndLsm, LogFullWithoutReclaim,
+    ::testing::Values(Scheme::OptUndo, Scheme::Lsm),
+    [](const ::testing::TestParamInfo<Scheme> &info) {
+        std::string n = schemeName(info.param);
+        for (auto &c : n) {
+            if (c == '-')
+                c = '_';
+        }
+        return n;
+    });
 
 TEST(TrafficShape, LoggingSchemesWriteMoreThanHoop)
 {

@@ -19,7 +19,7 @@ struct LogFixture : ::testing::Test
 {
     LogFixture()
         : nvm(miB(8), NvmTiming{}),
-          log(nvm, 0, kiB(64), "test_log")
+          log(nvm, 0, kiB(64))
     {
     }
 

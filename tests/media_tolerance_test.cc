@@ -138,7 +138,7 @@ TEST(LogRetirement, AppendsBurnPastBadSlotsAndRecoveryScansSkipThem)
 {
     LogFixture fx(31);
     LogRegion log(fx.dev, LogFixture::kLogBase, LogFixture::kLogBytes,
-                  "testlog", &fx.cfg);
+                  &fx.cfg);
     ASSERT_TRUE(log.faultToleranceEnabled());
 
     // Damage a band of free ring slots beyond any ECC before the first
@@ -183,7 +183,7 @@ TEST(LogRetirement, AppendsBurnPastBadSlotsAndRecoveryScansSkipThem)
     // durable retirement bitmap and must scan the same live suffix —
     // retired slots are skipped, not treated as a scan-cutting tear.
     LogRegion reborn(fx.dev, LogFixture::kLogBase,
-                     LogFixture::kLogBytes, "testlog-reborn", &fx.cfg);
+                     LogFixture::kLogBytes, &fx.cfg);
     reborn.loadRetirement();
     EXPECT_EQ(reborn.retiredSlots(), log.retiredSlots())
         << "durable retirement bitmap did not round-trip";
@@ -194,7 +194,7 @@ TEST(LogRetirement, CanAppendReservationIsExact)
 {
     LogFixture fx(57);
     LogRegion log(fx.dev, LogFixture::kLogBase, LogFixture::kLogBytes,
-                  "testlog", &fx.cfg);
+                  &fx.cfg);
 
     // Make a band of slots unusable so exhaustion happens through a
     // mix of burns and real appends.
