@@ -213,10 +213,6 @@ metricsJson(const RunMetrics &m)
             {"corrected_words", num(e.correctedWords)},
             {"degraded_fraction", num(e.degradedFraction)},
             {"tx_rejected", num(e.txRejected)},
-            {"client_retry_attempts", num(e.clientRetryAttempts)},
-            {"client_backoff_ticks", num(e.clientBackoffTicks)},
-            {"client_deadline_misses", num(e.clientDeadlineMisses)},
-            {"client_shed_admissions", num(e.clientShedAdmissions)},
             {"channel_busy_ticks", num(e.channelBusyTicks)},
             {"channel_wait_ticks", num(e.channelWaitTicks)},
         }));
@@ -421,7 +417,7 @@ Bench::write() const
     const double ticks_per_sec = hostTime(sim_ticks / wall);
 
     Members top = {
-        {"schema_version", num(std::uint64_t{5})},
+        {"schema_version", num(std::uint64_t{6})},
         {"bench", jsonQuote(name_)},
         {"config",
          object(Members{

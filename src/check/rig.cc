@@ -80,6 +80,20 @@ CheckRig::dropPendingShadows()
 }
 
 bool
+CheckRig::resolveReject(const TxRejected &rj, unsigned core,
+                        unsigned recoverThreads)
+{
+    if (rj.cause == RejectCause::CapacityDegraded) {
+        wls_[core]->dropPendingShadow();
+        return false;
+    }
+    sys_.crash();
+    sys_.recover(recoverThreads);
+    dropPendingShadows();
+    return true;
+}
+
+bool
 CheckRig::oracle(const std::string &when, std::string *detail)
 {
     for (unsigned c = 0; c < numCores(); ++c) {

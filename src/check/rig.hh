@@ -1,15 +1,16 @@
 /**
  * @file
  * The small-check machine every checker runs on — the crash explorer,
- * the soak engine, each fleet shard and the ordering harness — and the
- * post-recovery oracle the first three judge it by.
+ * the soak engine and the ordering harness — and the post-recovery
+ * oracle the first two judge it by.
  *
  * A rig is one System built from the caller's already-tweaked
  * SystemConfig (usually smallCheckConfig() plus the caller's fault and
  * debug knobs), its fault model seeded from the config seed, and one
  * workload instance per core at the checkers' fixed size (64 B values,
  * scale 128), set up and ready to run. The caller owns the transaction
- * loop: each checker handles crashes and rejects its own way.
+ * loop and handles crashes its own way; resolveReject() is the one way
+ * to serve on after a TxRejected.
  */
 
 #ifndef HOOPNVM_CHECK_RIG_HH
@@ -21,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/errors.hh"
 #include "sim/system.hh"
 #include "workloads/workload.hh"
 
@@ -38,7 +40,7 @@ class CheckRig
      * Build the machine for @p scheme running @p workload (a name
      * workloadKnown() accepts). @p tornWrites arms torn-write
      * injection. @p label prefixes every violation detail the oracle
-     * writes ("hoop/vector", "shard 0").
+     * writes ("hoop/vector").
      */
     CheckRig(const SystemConfig &cfg, Scheme scheme,
              const std::string &workload, bool tornWrites,
@@ -78,6 +80,22 @@ class CheckRig
     /** Forget every core's staged shadow update (after a recovery
      *  whose outcome is not judged). */
     void dropPendingShadows();
+
+    /**
+     * Resolve @p rj, thrown by core @p core's transaction, the way a
+     * client stack does. An admission reject (CapacityDegraded: txBegin
+     * refused before any transactional state existed) drops only that
+     * core's staged shadow. A mid-transaction unwind (OopExhausted,
+     * LogExhausted) left partial effects with no commit record, so the
+     * rig crashes, recovers with @p recoverThreads threads and drops
+     * every core's staged shadow; recovery discards the partial
+     * transaction like any other uncommitted one, and the rig serves
+     * again from the survivor state.
+     * @return true when the rig crashed and recovered (the caller
+     * should then run oracle()).
+     */
+    bool resolveReject(const TxRejected &rj, unsigned core,
+                       unsigned recoverThreads);
 
     /**
      * Post-recovery oracle, core by core: committed-shadow equality

@@ -5,7 +5,6 @@
 #include "analysis/order_harness.hh"
 #include "check/spec.hh"
 #include "common/errors.hh"
-#include "fleet/client_policy.hh"
 #include "workloads/registry.hh"
 
 namespace hoopnvm
@@ -94,7 +93,7 @@ runSoak(const SoakSpec &spec, const Progress &progress)
     };
 
     auto sampleGauges = [&]() {
-        const ControllerGauges g = sys.controller().gauges();
+        const ControllerGauges g = sys.controller().sampleGauges();
         res.retiredUnits = g.retiredUnits;
         res.correctedWords = g.correctedWords;
         res.degradedFraction = g.degradedFraction;
@@ -104,6 +103,31 @@ runSoak(const SoakSpec &spec, const Progress &progress)
 
     rig.runRounds(0, spec.warmupTx);
     std::uint64_t txi = spec.warmupTx;
+
+    // One phase's transaction window. Admission rejects skip the
+    // transaction; a mid-transaction unwind crashes and recovers onto
+    // the survivor state, which must still hold every commit.
+    // @return false on a violation.
+    auto runWindow = [&](SoakPhaseStats &ph) {
+        for (std::uint64_t n = 0; n < spec.txPerPhase; ++n, ++txi) {
+            for (unsigned c = 0; c < rig.numCores(); ++c) {
+                try {
+                    rig.wl(c).runTransaction(txi);
+                } catch (const TxRejected &rj) {
+                    if (!rig.resolveReject(rj, c, spec.recoverThreads)) {
+                        ++ph.rejectedAdmission;
+                        continue;
+                    }
+                    ++ph.rejectedMidTx;
+                    ++ph.recoveries;
+                    if (!oracle("after mid-transaction unwind recovery"))
+                        return false;
+                }
+            }
+            sys.maintenance();
+        }
+        return true;
+    };
 
     double prob = spec.faultProb;
     for (unsigned phase = 0; phase < spec.phases;
@@ -115,34 +139,15 @@ runSoak(const SoakSpec &spec, const Progress &progress)
         SoakPhaseStats ph;
         ph.faultProb = prob;
         rig.installRuntimeFaults(prob, phase);
-
-        for (std::uint64_t n = 0; n < spec.txPerPhase; ++n, ++txi) {
-            for (unsigned c = 0; c < rig.numCores(); ++c) {
-                try {
-                    rig.wl(c).runTransaction(txi);
-                } catch (const TxRejected &rj) {
-                    // Shared client policy: admission rejects skip the
-                    // transaction, mid-transaction rejects crash +
-                    // recover onto the survivor state.
-                    const RejectResolution rr = handleClientReject(
-                        rj, sys, rig.workloads(), c, spec.recoverThreads);
-                    if (rr.action == RejectAction::CrashRecover) {
-                        ++ph.rejectedMidTx;
-                        ++ph.recoveries;
-                    } else {
-                        ++ph.rejectedAdmission;
-                    }
-                }
-            }
-            sys.maintenance();
-        }
+        const bool survived = runWindow(ph);
 
         res.rejectedAdmission += ph.rejectedAdmission;
         res.rejectedMidTx += ph.rejectedMidTx;
         res.recoveries += ph.recoveries;
         res.phases.push_back(ph);
 
-        if (!oracle("end of phase " + std::to_string(phase))) {
+        if (!survived ||
+            !oracle("end of phase " + std::to_string(phase))) {
             sampleGauges();
             return res;
         }

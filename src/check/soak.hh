@@ -18,10 +18,11 @@
  * installs fresh seeded faults over capacity the scheme reports as
  * free (plus transient read disturbs over the home region) at an
  * escalating per-word probability, runs a transaction window with
- * TxRejected handled the way a real client would (admission rejects
- * skip the transaction; mid-transaction unwinds crash + recover and
- * continue on the survivor state), and checks both oracles. The run
- * ends with a final crash + recovery on the accumulated damage.
+ * TxRejected handled by CheckRig::resolveReject() (admission rejects
+ * skip the transaction; a mid-transaction unwind crashes, recovers,
+ * passes the committed-state oracle and continues on the survivor
+ * state), and checks both oracles. The run ends with a final crash +
+ * recovery on the accumulated damage.
  *
  * Everything is seeded; a violating spec serializes to JSON and
  * shrinks to a minimal reproducer (`hoop_soak --replay`).

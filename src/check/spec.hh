@@ -1,7 +1,7 @@
 /**
  * @file
  * One JSON codec and one greedy shrinker for the checkers' replayable
- * specs (CrashSchedule, SoakSpec, FleetSpec).
+ * specs (CrashSchedule, SoakSpec).
  *
  * Every harness serializes its violating experiment so a failure can
  * be re-executed bit-for-bit (`--replay`). A spec lists its fields
@@ -60,17 +60,16 @@ uintField(const char *key, T Spec::*m, std::uint64_t lo = 0,
             }};
 }
 
-/** Double member, accepted in [0, @p hi]. */
+/** Finite, non-negative double member. */
 template <typename Spec>
 SpecField<Spec>
-realField(const char *key, double Spec::*m,
-          double hi = std::numeric_limits<double>::max())
+realField(const char *key, double Spec::*m)
 {
     return {key, [m](const Spec &s) { return jsonNumber(s.*m); },
-            [m, hi](const JsonValue &v, Spec *s, std::string *) {
+            [m](const JsonValue &v, Spec *s, std::string *) {
                 double x = 0;
                 if (v.kind != JsonValue::Kind::Number ||
-                    !parseReal(v.text, &x) || x < 0 || x > hi)
+                    !parseReal(v.text, &x) || x < 0)
                     return false;
                 s->*m = x;
                 return true;

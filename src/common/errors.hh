@@ -63,45 +63,6 @@ struct TxRejected
     const char *detail = "";
 };
 
-/**
- * Final, client-visible disposition of one fleet request. Every
- * request ends in exactly one of these — the serving layer converts
- * TxRejected (and shard unavailability) into retries, and retries
- * exhaust into one of the structured failure outcomes below; nothing
- * a client submits may end in HOOP_FATAL.
- */
-enum class ClientOutcome
-{
-    /** Committed and acknowledged (possibly after retries). */
-    Acked,
-
-    /** Retry budget exhausted on structured rejections. */
-    Rejected,
-
-    /** Per-request deadline expired before an ack (TxTimeout). */
-    TxTimeout,
-
-    /** Refused up front by admission control (load shedding). */
-    Shed,
-};
-
-/** Stable lowercase token for @p o (fleet JSON, logs). */
-inline const char *
-clientOutcomeName(ClientOutcome o)
-{
-    switch (o) {
-      case ClientOutcome::Acked:
-        return "acked";
-      case ClientOutcome::Rejected:
-        return "rejected";
-      case ClientOutcome::TxTimeout:
-        return "tx_timeout";
-      case ClientOutcome::Shed:
-        return "shed";
-    }
-    return "?";
-}
-
 } // namespace hoopnvm
 
 #endif // HOOPNVM_COMMON_ERRORS_HH

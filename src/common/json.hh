@@ -8,7 +8,7 @@
  * workload names or fault descriptions containing quotes, backslashes
  * or control characters silently corrupt the report). hoop_lint's
  * raw-json rule enforces this; the helpers live in src/common so both
- * the library (fleet/soak/trace emitters) and the bench harness can
+ * the library (spec/trace emitters) and the bench harness can
  * link them.
  *
  * The reader parses a whole document into a small JsonValue tree. It

@@ -72,38 +72,6 @@ struct ControllerGauges
 
     /** Transactions rejected with a structured error (monotonic). */
     std::uint64_t txRejected = 0;
-
-    // ---- Client-side degradation (zero unless a fleet/soak driver
-    // ---- feeds ClientActivity via noteClientActivity) ----
-
-    /** Client retry attempts against this controller (monotonic). */
-    std::uint64_t clientRetryAttempts = 0;
-
-    /** Simulated ticks clients spent backing off (monotonic). */
-    std::uint64_t clientBackoffTicks = 0;
-
-    /** Client requests whose deadline expired (monotonic). */
-    std::uint64_t clientDeadlineMisses = 0;
-
-    /** Client requests refused by admission control (monotonic). */
-    std::uint64_t clientShedAdmissions = 0;
-};
-
-/**
- * Client-observed pressure against one controller, maintained by an
- * external serving layer (the fleet front-end, the soak harness).
- * Controllers have no visibility into retries and shedding — those
- * happen on the client side of the admission boundary — so the driver
- * pushes cumulative totals in and the epoch sampler snapshots them
- * alongside the controller's own gauges, giving one merged degradation
- * timeline per shard.
- */
-struct ClientActivity
-{
-    std::uint64_t retryAttempts = 0;
-    std::uint64_t backoffTicks = 0;
-    std::uint64_t deadlineMisses = 0;
-    std::uint64_t shedAdmissions = 0;
 };
 
 /** Result of servicing an LLC miss. */
@@ -253,30 +221,6 @@ class PersistenceController
     }
 
     /**
-     * sampleGauges() plus the client-activity overlay: the complete
-     * gauge set the epoch sampler and serving layers should read.
-     */
-    ControllerGauges
-    gauges() const
-    {
-        ControllerGauges g = sampleGauges();
-        g.clientRetryAttempts = client_.retryAttempts;
-        g.clientBackoffTicks = client_.backoffTicks;
-        g.clientDeadlineMisses = client_.deadlineMisses;
-        g.clientShedAdmissions = client_.shedAdmissions;
-        return g;
-    }
-
-    /**
-     * Update the client-activity overlay with fresh cumulative totals
-     * (see ClientActivity). Values must be monotonic per driver.
-     */
-    void noteClientActivity(const ClientActivity &a) { client_ = a; }
-
-    /** The most recent client-activity overlay. */
-    const ClientActivity &clientActivity() const { return client_; }
-
-    /**
      * Address ranges of this scheme's persistent structure that hold
      * no live data right now — safe targets for wear-out (stuck-at)
      * fault injection. Under the program-verify contract, data only
@@ -312,9 +256,9 @@ class PersistenceController
     virtual void crash() = 0;
 
     /**
-     * Rebuild a consistent home-region state from durable NVM contents
-     * using @p threads recovery workers.
-     * @return Modelled recovery time in ticks.
+     * Rebuild a consistent home-region state from durable NVM contents.
+     * @return Modelled recovery time in ticks with @p threads recovery
+     * workers.
      */
     virtual Tick recover(unsigned threads) = 0;
 
@@ -374,9 +318,8 @@ class PersistenceController
      * checkpointing, log truncation, recovery replay) and from the
      * cache hierarchy at eviction drains. May throw SimCrash.
      *
-     * Recovery implementations must only fire this from serial code:
-     * a SimCrash unwinding a recovery worker thread would terminate
-     * the process.
+     * Fire it only on the calling thread: a SimCrash unwinding any
+     * other host thread would terminate the process.
      */
     void
     crashStep(CrashPointKind k)
@@ -442,9 +385,6 @@ class PersistenceController
     CrashHook *crashHook_ = nullptr;
     OrderingTracker *ordering_ = nullptr;
     TraceBuffer *trace_ = nullptr;
-
-    /** Client-side pressure overlay (see noteClientActivity()). */
-    ClientActivity client_;
 };
 
 } // namespace hoopnvm

@@ -305,13 +305,24 @@ GarbageCollector::run(Tick now)
     // itself tore (a single 8-byte word, so it merely reverts), no
     // recycle header was issued yet and every batch block still
     // replays together, reproducing the migration via max-seq-wins.
+    //
+    // The watermark must not pass a block the batch left live, nor
+    // the sequence the next block opens at. A block whose every slot
+    // failed program-verify holds no slice, so the block opened after
+    // it shares its openSeq; a watermark one past the empty block
+    // would make recovery skip that live block and lose its commits.
     std::uint64_t batch_max_open = 0;
     for (std::uint32_t b : cand) {
         batch_max_open =
             std::max(batch_max_open, region.block(b).openSeq);
     }
-    last = std::max(last,
-                    region.writeGcWatermark(batch_max_open + 1, now));
+    std::uint64_t watermark =
+        std::min(batch_max_open + 1, region.nextSeq());
+    for (std::uint32_t b : live) {
+        if (!in_cand[b])
+            watermark = std::min(watermark, region.block(b).openSeq);
+    }
+    last = std::max(last, region.writeGcWatermark(watermark, now));
     ctrl.orderDep("hoop-gc-recycle", 0);
     last = std::max(last, ctrl.nvm_.drainFence(last));
     if (!ctrl.cfg.debugSkipSettleFences)

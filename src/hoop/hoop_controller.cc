@@ -624,8 +624,11 @@ HoopController::recoverWithFilter(unsigned threads,
     lastRecovery_ = r;
 
     // Post-recovery: the home region is the single source of truth.
+    // Sequences restart past every scanned slice and never below the
+    // durable GC watermark: a block opened below it would read as
+    // recycled to the next recovery.
     region_.reset();
-    region_.setNextSeq(r.maxSeq + 1);
+    region_.setNextSeq(std::max(r.maxSeq + 1, region_.gcWatermark()));
     mapping.clear();
     evictBuf.clear();
     buffer.clearAll();

@@ -197,6 +197,9 @@ class OopRegion
     /** Restore the global sequence counter after recovery. */
     void setNextSeq(std::uint64_t seq) { nextSeq_ = seq; }
 
+    /** The sequence number the next allocSeq() returns. */
+    std::uint64_t nextSeq() const { return nextSeq_; }
+
     /** Allocate the next global slice sequence number. */
     std::uint64_t allocSeq() { return nextSeq_++; }
 

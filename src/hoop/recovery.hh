@@ -1,20 +1,19 @@
 /**
  * @file
- * Multi-threaded crash recovery for HOOP (paper §III-F).
+ * Crash recovery for HOOP (paper §III-F).
  *
  * Recovery works purely from durable NVM bytes: it scans the OOP
  * blocks named live by their headers, collects address slices (commit
- * records), distributes the committed transactions round-robin over
- * recovery worker threads, has each worker walk its chains into a local
- * hash map (latest version per word, ordered by commit id and position
- * in the chain), merges the local maps, and writes the winning versions
- * back to their home addresses.
+ * records), overlays every committed slice's words onto one line-keyed
+ * map in which the highest sequence number wins, and writes the
+ * winning versions back to their home addresses.
  *
- * The *functional* replay really runs on std::thread workers; the
- * *timing* reported follows the paper's machine model: the scan and
- * write-back phases are limited by NVM channel bandwidth, while the
- * per-slice parsing work scales with the number of recovery threads
- * (Fig. 11's two axes).
+ * The *functional* replay is one host pass: the winner rule is
+ * associative and commutative, so per-thread maps would pick the same
+ * words. The thread count enters only the *timing*, which follows the
+ * paper's machine model: the scan and write-back phases are limited
+ * by NVM channel bandwidth, while the per-slice parsing work divides
+ * across the recovery threads (Fig. 11's two axes).
  *
  * Fault tolerance: nothing read from NVM is trusted without its CRC.
  * A torn or corrupt slice ends its block's live area; a corrupt
@@ -120,7 +119,7 @@ class RecoveryManager
     explicit RecoveryManager(HoopController &ctrl);
 
     /**
-     * Recover the home region using @p threads workers. On return the
+     * Recover the home region, timed as @p threads workers. On return the
      * home region holds exactly the committed state, and the OOP
      * region, mapping table and eviction buffer are cleared.
      */

@@ -306,7 +306,7 @@ System::sampleEpoch(Tick now)
     if (cfg_.epochSamplePeriod == 0 || cfg_.epochRingCapacity == 0 ||
         now < nextEpoch_)
         return;
-    const ControllerGauges g = ctrl_->gauges();
+    const ControllerGauges g = ctrl_->sampleGauges();
     EpochSample s;
     s.at = now;
     s.mappingEntries = g.mappingEntries;
@@ -317,10 +317,6 @@ System::sampleEpoch(Tick now)
     s.correctedWords = g.correctedWords;
     s.degradedFraction = g.degradedFraction;
     s.txRejected = g.txRejected;
-    s.clientRetryAttempts = g.clientRetryAttempts;
-    s.clientBackoffTicks = g.clientBackoffTicks;
-    s.clientDeadlineMisses = g.clientDeadlineMisses;
-    s.clientShedAdmissions = g.clientShedAdmissions;
     s.channelBusyTicks = nvm_->channelBusyTicks();
     s.channelWaitTicks = nvm_->channelWaitTicks();
     if (epochRing_.size() < cfg_.epochRingCapacity) {

@@ -38,7 +38,7 @@ struct LatencySummary
     double p95Ns = 0.0;
     double p99Ns = 0.0;
 
-    /** Extreme tail (p999): what the fleet harness reports per shard. */
+    /** Extreme tail (p999). */
     double p999Ns = 0.0;
 
     double maxNs = 0.0;
@@ -87,21 +87,6 @@ struct EpochSample
 
     /** Transactions rejected (admission or capacity exhaustion). */
     std::uint64_t txRejected = 0;
-
-    // ---- Client-side degradation gauges (zero unless a fleet/soak
-    // ---- driver feeds them via noteClientActivity) ----
-
-    /** Cumulative client retry attempts against this shard. */
-    std::uint64_t clientRetryAttempts = 0;
-
-    /** Cumulative simulated ticks clients spent backing off. */
-    std::uint64_t clientBackoffTicks = 0;
-
-    /** Requests whose per-request deadline expired (TxTimeout). */
-    std::uint64_t clientDeadlineMisses = 0;
-
-    /** Requests refused by admission control (load shedding). */
-    std::uint64_t clientShedAdmissions = 0;
 
     // ---- NVM channel gauges (interference suite) ----
 

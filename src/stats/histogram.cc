@@ -66,20 +66,6 @@ Histogram::recordN(std::uint64_t value, std::uint64_t n)
 }
 
 void
-Histogram::merge(const Histogram &other)
-{
-    if (other.count_ == 0)
-        return;
-    for (std::size_t i = 0; i < kBuckets; ++i)
-        buckets_[i] += other.buckets_[i];
-    if (count_ == 0 || other.min_ < min_)
-        min_ = other.min_;
-    max_ = std::max(max_, other.max_);
-    count_ += other.count_;
-    sum_ += other.sum_;
-}
-
-void
 Histogram::reset()
 {
     buckets_.fill(0);

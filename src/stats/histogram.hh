@@ -10,11 +10,6 @@
  * grow geometrically above with 16 sub-buckets per octave, bounding
  * the relative quantile error at 1/16 (~6%) while keeping the whole
  * histogram under 8 KB.
- *
- * Histograms are mergeable: counts are plain integers, so merge() is
- * associative and commutative and a merged histogram reports exactly
- * the same quantiles regardless of merge order — the property the
- * parallel bench harness needs for bit-identical -jN results.
  */
 
 #ifndef HOOPNVM_STATS_HISTOGRAM_HH
@@ -26,7 +21,7 @@
 namespace hoopnvm
 {
 
-/** Mergeable log-bucketed histogram of unsigned 64-bit samples. */
+/** Log-bucketed histogram of unsigned 64-bit samples. */
 class Histogram
 {
   public:
@@ -47,9 +42,6 @@ class Histogram
 
     /** Record @p n identical samples. */
     void recordN(std::uint64_t value, std::uint64_t n);
-
-    /** Fold @p other into this histogram (associative, commutative). */
-    void merge(const Histogram &other);
 
     /** Forget every sample. */
     void reset();

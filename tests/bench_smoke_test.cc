@@ -104,8 +104,8 @@ main(int argc, char **argv)
 
     CHECK(root.kind == Kind::Object, "root is not an object");
     const Json *ver = root.find("schema_version");
-    CHECK(ver && ver->kind == Kind::Number && ver->number() == 5.0,
-          "schema_version != 5");
+    CHECK(ver && ver->kind == Kind::Number && ver->number() == 6.0,
+          "schema_version != 6");
     const Json *name = root.find("bench");
     CHECK(name && name->kind == Kind::String && !name->text.empty(),
           "missing bench name");
@@ -157,10 +157,10 @@ main(int argc, char **argv)
                 // Schema v2: latency quantile summaries + epoch ring.
                 // Schema v3 adds the scrub pause summary and the
                 // media-tolerance tallies below. Schema v4 adds the
-                // p999 tail quantile and the client-activity epoch
-                // gauges (fleet degradation timelines). Schema v5
-                // adds the under-populated-quantile markers, the NVM
+                // p999 tail quantile. Schema v5 adds the
+                // under-populated-quantile markers, the NVM
                 // channel-occupancy gauges and the per-role block.
+                // Schema v6 drops the four client_* epoch gauges.
                 for (const char *k :
                      {"crit_path", "llc_miss_lat", "gc_pause",
                       "scrub_pause"}) {
@@ -216,13 +216,13 @@ main(int argc, char **argv)
                               "struct_bytes", "backpressure_stalls",
                               "inflight_writes", "retired_units",
                               "corrected_words", "degraded_fraction",
-                              "tx_rejected", "client_retry_attempts",
-                              "client_backoff_ticks",
-                              "client_deadline_misses",
-                              "client_shed_admissions",
-                              "channel_busy_ticks",
+                              "tx_rejected", "channel_busy_ticks",
                               "channel_wait_ticks"})
                             requireNum(e, k, "epoch");
+                        for (const auto &[k, v] : e.members)
+                            CHECK(k.rfind("client_", 0) != 0,
+                                  "epoch carries removed key \"%s\"",
+                                  k.c_str());
                     }
                 }
             }

@@ -40,7 +40,7 @@ matrix()
 }
 
 std::vector<RunMetrics>
-runMatrix(unsigned jobs, bool fast_path = true)
+runCells(unsigned jobs, bool fast_path = true)
 {
     SystemConfig cfg = bench::paperConfig();
     cfg.fastPath = fast_path;
@@ -109,8 +109,8 @@ expectIdenticalMetrics(const RunMetrics &a, const RunMetrics &b)
 // bit-identical whether cells run serially or across a pool.
 TEST(CellRunner, ParallelMatchesSerialExactly)
 {
-    const std::vector<RunMetrics> serial = runMatrix(1);
-    const std::vector<RunMetrics> parallel = runMatrix(4);
+    const std::vector<RunMetrics> serial = runCells(1);
+    const std::vector<RunMetrics> parallel = runCells(4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i));
@@ -129,8 +129,8 @@ TEST(CellRunner, ParallelMatchesSerialOnBothEngines)
 {
     for (const bool fast : {true, false}) {
         SCOPED_TRACE(fast ? "fastPath" : "reference");
-        const std::vector<RunMetrics> serial = runMatrix(1, fast);
-        const std::vector<RunMetrics> parallel = runMatrix(4, fast);
+        const std::vector<RunMetrics> serial = runCells(1, fast);
+        const std::vector<RunMetrics> parallel = runCells(4, fast);
         ASSERT_EQ(serial.size(), parallel.size());
         for (std::size_t i = 0; i < serial.size(); ++i) {
             SCOPED_TRACE("cell " + std::to_string(i));
@@ -142,8 +142,8 @@ TEST(CellRunner, ParallelMatchesSerialOnBothEngines)
 // And so is a re-run at the same job count (seeds are per-cell).
 TEST(CellRunner, ParallelRunIsRepeatable)
 {
-    const std::vector<RunMetrics> a = runMatrix(3);
-    const std::vector<RunMetrics> b = runMatrix(3);
+    const std::vector<RunMetrics> a = runCells(3);
+    const std::vector<RunMetrics> b = runCells(3);
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
         SCOPED_TRACE("cell " + std::to_string(i));

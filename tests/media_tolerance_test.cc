@@ -4,20 +4,24 @@
  * ECC/retry read path of NvmDevice, the durable slot-retirement
  * discipline of LogRegion (burns, canAppend reservation, recovery
  * scans skipping retired slots), and the system-level contracts —
- * scrub-driven retirement surviving crash + recovery, and mid-
- * transaction TxRejected unwinding through recovery without losing
- * committed data.
+ * scrub-driven retirement surviving crash + recovery, CheckRig's
+ * TxRejected resolution (admission rejects skip, mid-transaction
+ * unwinds crash + recover without losing committed data), and the
+ * HOOP GC watermark under blocks with no usable slot.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/order_harness.hh"
 #include "baselines/log_region.hh"
 #include "check/rig.hh"
+#include "check/soak.hh"
 #include "common/errors.hh"
 #include "nvm/nvm_device.hh"
 
@@ -293,29 +297,98 @@ TEST(MediaTolerance, MidTxRejectionUnwindsThroughCrashRecovery)
         sys.nvm().faults().addMediaFault(
             r.first, r.second, MediaFaultKind::StuckAtOne, 1.0, 8);
 
-    bool rejected = false;
+    std::optional<TxRejected> rejected;
     std::uint64_t txi = 10;
     for (unsigned n = 0; n < 200 && !rejected; ++n) {
         try {
             rig.wl(0).runTransaction(txi++);
             sys.maintenance();
         } catch (const TxRejected &rj) {
-            EXPECT_NE(rj.cause, RejectCause::CapacityDegraded)
-                << "admission gate fired despite being disabled";
-            rejected = true;
+            rejected = rj;
         }
     }
     ASSERT_TRUE(rejected)
         << "ring with every free slot uncorrectable never exhausted";
+    EXPECT_NE(rejected->cause, RejectCause::CapacityDegraded)
+        << "admission gate fired despite being disabled";
 
-    sys.crash();
-    sys.recover(1);
-    rig.dropPendingShadows();
+    EXPECT_TRUE(rig.resolveReject(*rejected, 0, 1))
+        << "a mid-transaction unwind must crash and recover";
     std::string detail;
     EXPECT_TRUE(rig.oracle("after mid-tx rejection unwound through "
                            "recovery",
                            &detail))
         << detail;
+}
+
+TEST(MediaTolerance, AdmissionRejectDropsOnlyThatCoresShadow)
+{
+    // CapacityDegraded refuses txBegin before any transactional state
+    // exists: resolveReject() neither crashes nor recovers, and drops
+    // the staged shadow of the rejecting core alone.
+    CheckRig rig(toleranceConfig(2, 5), Scheme::Hoop, "vector", false,
+                 "hoop/vector");
+    System &sys = rig.sys();
+    rig.runRounds(0, 5);
+    // A crash inside txEnd leaves the commit's shadow update staged.
+    sys.scheduleCrashAtCommit(1);
+    EXPECT_THROW(rig.wl(0).runTransaction(5), SimCrash);
+    ASSERT_TRUE(rig.wl(0).hasPendingShadow());
+
+    const TxRejected admission{RejectCause::CapacityDegraded, ""};
+    const std::uint64_t recoveries =
+        sys.controller().stats().value("recoveries");
+    EXPECT_FALSE(rig.resolveReject(admission, 1, 2));
+    EXPECT_TRUE(rig.wl(0).hasPendingShadow())
+        << "a reject on core 1 dropped core 0's staged shadow";
+    EXPECT_FALSE(rig.resolveReject(admission, 0, 2));
+    EXPECT_FALSE(rig.wl(0).hasPendingShadow());
+    EXPECT_EQ(sys.controller().stats().value("recoveries"), recoveries)
+        << "an admission reject crashed and recovered";
+}
+
+TEST(MediaTolerance, ExhaustionRejectsCrashAndRecover)
+{
+    // OopExhausted and LogExhausted unwind a transaction that has
+    // partial effects and no commit record: resolveReject() crashes,
+    // recovers and drops every core's staging, and the rig serves on
+    // from a survivor state that holds every commit.
+    for (const auto &[scheme, cause] :
+         {std::pair{Scheme::Hoop, RejectCause::OopExhausted},
+          std::pair{Scheme::OptRedo, RejectCause::LogExhausted}}) {
+        SCOPED_TRACE(rejectCauseName(cause));
+        CheckRig rig(toleranceConfig(2, 9), scheme, "vector", false,
+                     schemeToken(scheme));
+        rig.runRounds(0, 10);
+        const StatSet &stats = rig.sys().controller().stats();
+        const std::uint64_t recoveries = stats.value("recoveries");
+        EXPECT_TRUE(rig.resolveReject({cause, ""}, 0, 2));
+        EXPECT_EQ(stats.value("recoveries"), recoveries + 1);
+        std::string detail;
+        EXPECT_TRUE(rig.oracle("after the unwind", &detail)) << detail;
+        rig.runRounds(10, 5);
+        EXPECT_TRUE(rig.oracle("serving after the unwind", &detail))
+            << detail;
+    }
+}
+
+TEST(MediaTolerance, GcWatermarkNeverPassesALiveBlock)
+{
+    // Regression: at fault_prob 0.5 every slot of one OOP block sat on
+    // uncorrectable cells, so the block took no slice and the next
+    // block opened at the same openSeq. GC collected the empty block
+    // and wrote the watermark one past it, and recovery then skipped
+    // the live block as recycled and lost its commits.
+    SoakSpec spec;
+    spec.scheme = Scheme::Hoop;
+    spec.workload = "vector";
+    spec.seed = 42;
+    spec.phases = 1;
+    spec.txPerPhase = 10;
+    spec.faultProb = 0.5;
+    const SoakResult r = runSoak(spec);
+    EXPECT_FALSE(r.violated) << r.detail;
+    EXPECT_GT(r.retiredUnits, 0u);
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
- * Tests for HOOP's multi-threaded crash recovery (§III-F): committed
- * transactions are replayed exactly, uncommitted ones discarded,
- * intra-transaction order preserved, thread counts agree, and the
- * timing model follows Fig. 11's bandwidth/thread scaling.
+ * Tests for HOOP's crash recovery (§III-F): committed transactions
+ * are replayed exactly, uncommitted ones discarded, intra-transaction
+ * order preserved, thread counts agree, sequences restart above the
+ * GC watermark, and the timing model follows Fig. 11's
+ * bandwidth/thread scaling.
  */
 
 #include <gtest/gtest.h>
@@ -180,6 +181,29 @@ TEST_F(RecoveryFixture, RegionClearedAfterRecovery)
     EXPECT_TRUE(ctrl.isCommitted(tx));
     ctrl.drain(0);
     EXPECT_EQ(nvm.peekWord(0x6000), 6u);
+}
+
+TEST_F(RecoveryFixture, CommitsAfterRecoveringADrainedRegionSurvive)
+{
+    // Regression: recovery restarted the slice sequence one past the
+    // newest slice it scanned. Over a region GC had fully drained it
+    // scanned none and restarted at 1, below the durable GC watermark,
+    // so the next recovery skipped every block opened since as
+    // recycled and lost their commits.
+    ctrl.txBegin(0, 0);
+    store(0, 0x7000, 1);
+    ctrl.txEnd(0, 0);
+    ctrl.drain(0); // GC everything home; the watermark passes it all
+    ctrl.crash();
+    ctrl.recover(1);
+
+    ctrl.txBegin(0, 0);
+    store(0, 0x7000, 2);
+    ctrl.txEnd(0, 0);
+    ctrl.crash();
+    ctrl.recover(1);
+    EXPECT_EQ(ctrl.lastRecovery().blocksSkippedByWatermark, 0u);
+    EXPECT_EQ(nvm.peekWord(0x7000), 2u);
 }
 
 TEST(GcBoundaryRecovery, ChainSpanningCollectedPrefixReplays)

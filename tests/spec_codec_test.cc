@@ -16,7 +16,6 @@
 #include "check/crash_schedule.hh"
 #include "check/soak.hh"
 #include "common/json.hh"
-#include "fleet/fleet.hh"
 
 namespace hoopnvm
 {
@@ -109,14 +108,6 @@ TEST(SpecCodec, NumbersRoundTripExactly)
     EXPECT_EQ(soak2.seed, soak.seed);
     EXPECT_EQ(soak2.faultProb, soak.faultProb);
     EXPECT_EQ(soak2.toJson(), soak.toJson());
-
-    FleetSpec fleet;
-    fleet.faultProb = 3e-7;
-    FleetSpec fleet2;
-    ASSERT_TRUE(FleetSpec::fromJson(fleet.toJson(), &fleet2, &err))
-        << err;
-    EXPECT_EQ(fleet2.faultProb, fleet.faultProb);
-    EXPECT_EQ(fleet2.toJson(), fleet.toJson());
 }
 
 TEST(SpecCodec, RejectsMalformedAndOutOfRangeFields)
@@ -134,11 +125,6 @@ TEST(SpecCodec, RejectsMalformedAndOutOfRangeFields)
     }
     SoakSpec soak;
     EXPECT_FALSE(SoakSpec::fromJson("{\"num_cores\": 40}", &soak, &err));
-    FleetSpec fleet;
-    EXPECT_FALSE(
-        FleetSpec::fromJson("{\"cores_per_shard\": 33}", &fleet, &err));
-    EXPECT_FALSE(
-        FleetSpec::fromJson("{\"tenant_theta\": 1.5}", &fleet, &err));
 }
 
 } // namespace

@@ -28,15 +28,12 @@ expect() {
 expect 0 "$T/hoop_crashcheck" --budget 2 --out "$OUT"
 expect 0 "$T/hoop_soak" --scheme hoop --workload vector --phases 1 \
     --tx 4 --out "$OUT" --json "$OUT/soak.json"
-expect 0 "$T/hoop_fleet" --scheme hoop --chaos crashes --shards 1 \
-    --requests 40 --out "$OUT"
 expect 0 "$T/hoop_ordercheck" --scheme hoop --txs 20
 expect 0 "$T/hoop_trace" --txs 5 --cores 1 --out "$OUT/trace.json"
 
 # An unknown flag, an unknown workload and a malformed or out-of-range
 # number are usage errors, caught before any System is built.
-for tool in hoop_crashcheck hoop_soak hoop_fleet hoop_ordercheck \
-    hoop_trace; do
+for tool in hoop_crashcheck hoop_soak hoop_ordercheck hoop_trace; do
     expect 2 "$T/$tool" --bogus
     expect 2 "$T/$tool" --workload bogus
     expect 2 "$T/$tool" --seed 4O
@@ -44,17 +41,12 @@ done
 expect 2 "$T/hoop_crashcheck" --budget 4O
 expect 2 "$T/hoop_ordercheck" --cores 0
 expect 2 "$T/hoop_ordercheck" --cores 40
-expect 2 "$T/hoop_fleet" --cores 33
 
 # Seeded bugs are caught, and their reproducers replay the violation.
 expect 1 "$T/hoop_crashcheck" --scheme hoop --workload vector \
     --budget 40 --break-commit-fence --out "$OUT/fence"
 expect 1 "$T/hoop_crashcheck" \
     --replay "$(ls "$OUT"/fence/crashcheck_violation_*.json | head -n1)"
-expect 1 "$T/hoop_fleet" --scheme hoop --chaos crashes --shards 4 \
-    --requests 600 --inject-ack-bug --out "$OUT/ack"
-expect 1 "$T/hoop_fleet" \
-    --replay "$(ls "$OUT"/ack/fleet_violation_*.json | head -n1)"
 
 # A soak spec in the form hoop_soak writes replays clean, with its
 # 64-bit seed and tiny fault probability intact.

@@ -5,13 +5,11 @@
  * Gray's closed-form sampler diverges as theta -> 1 (the exponent
  * alpha = 1/(1-theta) blows up and pow() underflows, collapsing draws
  * onto item 0), and the old generator rejected n == 1 and theta
- * outside (0, 1) outright — which the fleet's tenant sampler can hit
- * (tenants = 1 soak configs, tenantTheta = 1.0 hot-spot profiles).
- * These tests pin the fixed behaviour: a chi-squared-style check of
- * empirical frequencies against the exact p_i = i^-theta / zeta(n) on
- * both the Gray path (theta = 0.99) and the inverse-CDF path
- * (theta = 1.0), the degenerate edges, and renormalization when the
- * item count changes between generators.
+ * outside (0, 1) outright. These tests pin the fixed behaviour: a
+ * chi-squared-style check of empirical frequencies against the exact
+ * p_i = i^-theta / zeta(n) on both the Gray path (theta = 0.99) and
+ * the inverse-CDF path (theta = 1.0), the degenerate edges, and
+ * renormalization when the item count changes between generators.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +18,6 @@
 #include <vector>
 
 #include "common/zipfian.hh"
-#include "fleet/arrivals.hh"
 
 namespace hoopnvm
 {
@@ -113,8 +110,7 @@ TEST(Zipfian, NearOneThetaStaysOnExactPath)
 
 TEST(Zipfian, SingleItemAlwaysDrawsZero)
 {
-    // Regression: n == 1 used to trip the n >= 2 assert; the fleet
-    // clamps tenants to >= 1 and a single-tenant soak is legal.
+    // Regression: n == 1 used to trip the n >= 2 assert.
     ZipfianGenerator gen(1, 0.99, 7);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(gen.next(), 0u);
@@ -149,31 +145,6 @@ TEST(Zipfian, RenormalizesWhenItemCountChanges)
     // recomputed): P(0 | n=8) > P(0 | n=64).
     EXPECT_GT(ZipfianGenerator(8, 0.99, 1).itemProbability(0),
               ZipfianGenerator(64, 0.99, 1).itemProbability(0));
-}
-
-TEST(ArrivalGenerator, DegenerateTenantConfigsDoNotCrash)
-{
-    // Regression: tenants = 1 asserted in the old Zipfian; a
-    // tenantTheta of 1.0 (hot-spot chaos profile) asserted too.
-    ArrivalConfig cfg;
-    cfg.tenants = 1;
-    cfg.tenantTheta = 1.0;
-    ArrivalGenerator gen(cfg);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(gen.next().tenant, 0u);
-
-    ArrivalConfig skewed;
-    skewed.tenants = 16;
-    skewed.tenantTheta = 1.0;
-    ArrivalGenerator gen2(skewed);
-    std::vector<std::uint64_t> counts(16, 0);
-    for (int i = 0; i < 20000; ++i)
-        ++counts[gen2.next().tenant];
-    // The harmonic distribution is skewed but not collapsed: the
-    // hottest tenant holds ~30%, and the tail tenants still appear.
-    EXPECT_LT(counts[0], 20000u * 2 / 5);
-    for (std::uint64_t c : counts)
-        EXPECT_GT(c, 0u);
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "cli.hh"
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>

@@ -1,14 +1,14 @@
 /**
  * @file
  * The command-line layer shared by the check tools (hoop_crashcheck,
- * hoop_soak, hoop_fleet, hoop_ordercheck, hoop_trace).
+ * hoop_soak, hoop_ordercheck, hoop_trace).
  *
  * Each tool declares one flag table; the table drives both parsing
  * and --help. Setters reject malformed or out-of-range values, so bad
  * input of any kind ends in exit code 2 with a message before any
- * System is built. The spec-driven tools also share the reproducer
- * plumbing here: the --out directory, reproducer names, --replay
- * loading, and (hoop_soak, hoop_fleet) the whole matrix loop.
+ * System is built. The spec-driven tools (hoop_crashcheck, hoop_soak)
+ * also share the reproducer plumbing here: the --out directory,
+ * reproducer names and --replay loading.
  *
  * Exit codes, for every tool: 0 = clean, 1 = violation found (for
  * hoop_trace: the run or the trace write failed), 2 = usage error,
@@ -19,16 +19,15 @@
 #define HOOPNVM_TOOLS_CLI_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "check/rig.hh"
 #include "check/watchdog.hh"
 #include "common/json.hh"
+#include "sim/system_config.hh"
 
 namespace hoopnvm::cli
 {
@@ -139,101 +138,6 @@ std::string reproducerPath(const std::string &dir, const char *prefix,
 
 /** Write @p text to @p path; complain on stderr if that fails. */
 void writeFile(const std::string &path, const std::string &text);
-
-/** What a spec-driven tool plugs into runMatrix() and replaySpec(). */
-template <typename Spec, typename Result>
-struct SpecHarness
-{
-    /** Reproducer file prefix ("soak" -> soak_violation_*.json). */
-    const char *prefix;
-
-    /** --json document members written before "cells". */
-    const char *jsonHead;
-
-    Result (*run)(const Spec &, const Progress &);
-    Spec (*shrink)(const Spec &, std::string *, const Progress &);
-    void (*print)(const Result &);
-
-    /** One cell's --json object. */
-    std::string (*cellJson)(const Spec &, const Result &);
-
-    /** The matrix column next to the scheme ("vector", "crashes"). */
-    std::string (*cellName)(const Spec &);
-
-    /** Replay header ("hoop/vector, seed 42, 4 phases"). */
-    std::string (*describe)(const Spec &);
-};
-
-/**
- * Run every cell: print its outcome, collect its --json object, and
- * shrink each violation into a reproducer under @p outDir.
- * @return kExitClean or kExitViolation.
- */
-template <typename Spec, typename Result>
-int
-runMatrix(const SpecHarness<Spec, Result> &h, const std::vector<Spec> &cells,
-          const std::string &outDir, const std::string &jsonPath,
-          std::uint64_t budgetMs)
-{
-    Watchdog watchdog(budgetMs);
-    const Progress progress = [&watchdog](const std::string &label) {
-        watchdog.beat(label);
-    };
-
-    std::string cellsJson;
-    std::size_t violations = 0;
-    for (const Spec &spec : cells) {
-        const Result r = h.run(spec, progress);
-        const std::string name = h.cellName(spec);
-        std::printf("%-6s %-8s %s\n", schemeToken(spec.scheme),
-                    name.c_str(), r.violated ? "VIOLATED" : "clean");
-        h.print(r);
-        cellsJson += (cellsJson.empty() ? "\n    " : ",\n    ") +
-                     h.cellJson(spec, r);
-        if (!r.violated)
-            continue;
-        std::string detail = r.detail;
-        const Spec repro = h.shrink(spec, &detail, progress);
-        const std::string path = reproducerPath(outDir, h.prefix,
-                                                spec.scheme, name,
-                                                violations++);
-        writeFile(path, repro.toJson());
-        std::printf("  VIOLATION: %s\n  reproducer: %s\n", detail.c_str(),
-                    path.c_str());
-    }
-
-    if (!jsonPath.empty()) {
-        // lint: raw-json-ok (document skeleton around the tools' cell objects; their strings are registry tokens)
-        const std::string tail = "  \"cells\": [" + cellsJson + "\n  ]\n}\n";
-        writeFile(jsonPath, "{\n" + std::string(h.jsonHead) + tail);
-    }
-    std::printf("total: %zu cell(s) violated\n", violations);
-    return violations == 0 ? kExitClean : kExitViolation;
-}
-
-/** Re-execute the spec in @p path under the watchdog. */
-template <typename Spec, typename Result>
-int
-replaySpec(const Tool &tool, const SpecHarness<Spec, Result> &h,
-           const std::string &path, std::uint64_t budgetMs)
-{
-    Spec spec;
-    if (const auto rc = tool.loadSpec(path, &spec))
-        return *rc;
-    std::printf("replaying %s (%s)\n", path.c_str(),
-                h.describe(spec).c_str());
-    Watchdog watchdog(budgetMs);
-    const Result r = h.run(spec, [&watchdog](const std::string &label) {
-        watchdog.beat(label);
-    });
-    h.print(r);
-    if (r.violated) {
-        std::printf("  VIOLATION: %s\n", r.detail.c_str());
-        return kExitViolation;
-    }
-    std::printf("  no violation\n");
-    return kExitClean;
-}
 
 } // namespace hoopnvm::cli
 

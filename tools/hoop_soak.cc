@@ -64,24 +64,66 @@ cellJson(const SoakSpec &spec, const SoakResult &r)
     return os.str();
 }
 
-std::string
-describe(const SoakSpec &spec)
+/** Re-execute the spec in @p path. */
+int
+replay(const cli::Tool &tool, const std::string &path,
+       const Progress &progress)
 {
-    return std::string(schemeToken(spec.scheme)) + "/" + spec.workload +
-           ", seed " + std::to_string(spec.seed) + ", " +
-           std::to_string(spec.phases) + " phases";
+    SoakSpec spec;
+    if (const auto rc = tool.loadSpec(path, &spec))
+        return *rc;
+    std::printf("replaying %s (%s/%s, seed %llu, %u phases)\n",
+                path.c_str(), schemeToken(spec.scheme),
+                spec.workload.c_str(),
+                static_cast<unsigned long long>(spec.seed), spec.phases);
+    const SoakResult r = runSoak(spec, progress);
+    printResult(r);
+    if (r.violated) {
+        std::printf("  VIOLATION: %s\n", r.detail.c_str());
+        return cli::kExitViolation;
+    }
+    std::printf("  no violation\n");
+    return cli::kExitClean;
 }
 
-const cli::SpecHarness<SoakSpec, SoakResult> kSoak = {
-    "soak",
-    "",
-    runSoak,
-    shrinkSoak,
-    printResult,
-    cellJson,
-    [](const SoakSpec &spec) { return spec.workload; },
-    describe,
-};
+/**
+ * Run every cell: print its outcome, collect its --json object, and
+ * shrink each violation into a reproducer under @p outDir.
+ */
+int
+sweep(const std::vector<SoakSpec> &cells, const std::string &outDir,
+      const std::string &jsonPath, const Progress &progress)
+{
+    std::string cellsJson;
+    std::size_t violations = 0;
+    for (const SoakSpec &spec : cells) {
+        const SoakResult r = runSoak(spec, progress);
+        std::printf("%-6s %-8s %s\n", schemeToken(spec.scheme),
+                    spec.workload.c_str(),
+                    r.violated ? "VIOLATED" : "clean");
+        printResult(r);
+        cellsJson += (cellsJson.empty() ? "\n    " : ",\n    ") +
+                     cellJson(spec, r);
+        if (!r.violated)
+            continue;
+        std::string detail = r.detail;
+        const SoakSpec repro = shrinkSoak(spec, &detail, progress);
+        const std::string path =
+            cli::reproducerPath(outDir, "soak", spec.scheme,
+                                spec.workload, violations++);
+        cli::writeFile(path, repro.toJson());
+        std::printf("  VIOLATION: %s\n  reproducer: %s\n",
+                    detail.c_str(), path.c_str());
+    }
+
+    if (!jsonPath.empty()) {
+        // lint: raw-json-ok (document skeleton around the cell objects; their strings are registry tokens)
+        const std::string doc = "{\n  \"cells\": [" + cellsJson + "\n  ]\n}\n";
+        cli::writeFile(jsonPath, doc);
+    }
+    std::printf("total: %zu cell(s) violated\n", violations);
+    return violations == 0 ? cli::kExitClean : cli::kExitViolation;
+}
 
 } // namespace
 
@@ -137,8 +179,12 @@ main(int argc, char **argv)
         });
     if (const auto rc = tool.parse(argc, argv))
         return *rc;
+    Watchdog watchdog(budget_ms);
+    const Progress progress = [&watchdog](const std::string &label) {
+        watchdog.beat(label);
+    };
     if (!replay_path.empty())
-        return cli::replaySpec(tool, kSoak, replay_path, budget_ms);
+        return replay(tool, replay_path, progress);
     if (const auto rc = tool.makeOutDir(out_dir))
         return *rc;
 
@@ -150,5 +196,5 @@ main(int argc, char **argv)
             cells.back().workload = wl;
         }
     }
-    return cli::runMatrix(kSoak, cells, out_dir, json_path, budget_ms);
+    return sweep(cells, out_dir, json_path, progress);
 }
