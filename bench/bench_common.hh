@@ -2,7 +2,7 @@
  * @file
  * The one bench driver shared by the figure/table reproduction benches.
  *
- * Every bench binary regenerates one of the paper's evaluation
+ * Every bench binary regenerates some of the paper's evaluation
  * artifacts (Figs. 7-13, Table IV) by running the Table III workloads
  * through full System instances — one per (scheme, workload, config)
  * cell — and printing the same rows/series the paper reports. A main

@@ -1,15 +1,13 @@
 #include "hoop/garbage_collector.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
-#include <utility>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/host_profiler.hh"
 #include "common/logging.hh"
 #include "hoop/hoop_controller.hh"
+#include "hoop/line_coalescer.hh"
 #include "stats/trace.hh"
 
 namespace hoopnvm
@@ -99,26 +97,7 @@ GarbageCollector::run(Tick now)
     const unsigned gc_tid = ctrl.cfg.numCores;
 
     // ---- Step 2: scan committed slices and coalesce (Algorithm 1) ----
-    // Coalesce at line granularity: one open-addressed probe per word
-    // into a per-line accumulator (8 seq/value pairs plus a presence
-    // mask) instead of a hash-map node per word plus a second
-    // tree-of-lines grouping pass. Slice seqs start at 1, so the
-    // value-initialized seqs[] == 0 means "no update yet" and the
-    // original per-word max-seq-wins rule carries over unchanged.
-    struct LineAcc
-    {
-        std::uint64_t seqs[kWordsPerLine];
-        std::uint64_t vals[kWordsPerLine];
-        std::uint8_t mask;
-    };
-    FlatMap<LineAcc> coalesced;
-    // Packing fills slices with spatially adjacent words, so
-    // consecutive words usually hit the same line: memoize the last
-    // accumulator to skip the probe. The pointer stays valid between
-    // reassignments — the table can only grow on a new-line insert,
-    // which is exactly when the memo is refreshed.
-    Addr memo_line = kInvalidAddr;
-    LineAcc *memo_acc = nullptr;
+    LineCoalescer coalesced;
     struct RawWord
     {
         std::uint64_t seq;
@@ -158,25 +137,11 @@ GarbageCollector::run(Tick now)
             // isCommitted probe is needed here.
             scannedWordBytes_ +=
                 static_cast<std::uint64_t>(s.count) * kWordSize;
-            for (unsigned i = 0; i < s.count; ++i) {
-                if (ctrl.cfg.gcCoalescing) {
-                    const Addr a = s.homeAddrs[i];
-                    const Addr la = lineAddr(a);
-                    if (la != memo_line) {
-                        memo_acc = &coalesced[la];
-                        memo_line = la;
-                    }
-                    LineAcc &g = *memo_acc;
-                    const unsigned w =
-                        static_cast<unsigned>((a - la) / kWordSize);
-                    if (s.seq >= g.seqs[w]) {
-                        g.seqs[w] = s.seq;
-                        g.vals[w] = s.words[i];
-                        g.mask |= static_cast<std::uint8_t>(1u << w);
-                    }
-                } else {
+            if (ctrl.cfg.gcCoalescing) {
+                coalesced.add(s);
+            } else {
+                for (unsigned i = 0; i < s.count; ++i)
                     raw.push_back({s.seq, s.homeAddrs[i], s.words[i]});
-                }
             }
         }
     }
@@ -188,29 +153,10 @@ GarbageCollector::run(Tick now)
     // ---- Step 3: migrate to the home region ----
     if (ctrl.cfg.gcCoalescing) {
         // Each accumulated line is written home once, in ascending
-        // line-address order — the same order the previous tree-of-
-        // lines pass produced, so write timing, crash points and the
-        // eviction-buffer contents are bit-identical.
-        // Copy the accumulators out alongside their line addresses:
-        // the migration loop then streams through a sorted array
-        // instead of re-probing the hash table once per line (each
-        // probe is a dependent random access into a table far larger
-        // than the host LLC).
-        std::vector<std::pair<Addr, LineAcc>> lines;
-        lines.reserve(coalesced.size());
-        coalesced.forEach([&](Addr line, const LineAcc &g) {
-            lines.emplace_back(line, g);
-        });
-        std::sort(lines.begin(), lines.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        for (const auto &[line, g] : lines) {
-            std::uint64_t max_seq = 0;
-            for (std::size_t w = 0; w < kWordsPerLine; ++w) {
-                if (g.mask & (1u << w))
-                    max_seq = std::max(max_seq, g.seqs[w]);
-            }
+        // line-address order, which fixes the write timing, crash
+        // points and eviction-buffer contents.
+        for (const auto &[line, g] : coalesced.sorted()) {
+            const std::uint64_t max_seq = g.maxSeq();
             // Crash point: between home-line migration writes. The
             // source blocks are not recycled until after the fence
             // below, so recovery can always redo a torn migration.
@@ -222,12 +168,7 @@ GarbageCollector::run(Tick now)
                 std::uint8_t buf[kCacheLineSize];
                 last = std::max(last, ctrl.nvm_.read(now, line, buf,
                                                      kCacheLineSize));
-                for (std::size_t w = 0; w < kWordsPerLine; ++w) {
-                    if (g.mask & (1u << w)) {
-                        std::memcpy(buf + w * kWordSize, &g.vals[w],
-                                    kWordSize);
-                    }
-                }
+                g.overlay(buf);
                 last = std::max(last,
                                 ctrl.writeHomeLine(now, line, buf));
                 ctrl.orderDep("hoop-gc-watermark", 0);
@@ -240,8 +181,7 @@ GarbageCollector::run(Tick now)
                 ++homeLinesSkippedFresherC_;
             }
             migratedWordBytes_ +=
-                static_cast<std::uint64_t>(std::popcount(g.mask)) *
-                kWordSize;
+                static_cast<std::uint64_t>(g.words()) * kWordSize;
         }
     } else {
         // Ablation: apply every update individually in age order —

@@ -74,9 +74,7 @@ class HoopController : public PersistenceController
      * state are left untouched, so the call is repeatable — running
      * it N times on one crashed system yields N identical results,
      * because the scan phases read only durable state the replay
-     * never modifies. Benches sweeping a recovery parameter (e.g.
-     * Fig. 11's thread count) use this to share one expensive fill
-     * across the sweep. lastRecovery() reflects the run.
+     * never modifies. lastRecovery() reflects the run.
      */
     Tick modelRecovery(unsigned threads);
     Tick storeWord(CoreId core, Addr addr, const std::uint8_t *data,

@@ -1,15 +1,13 @@
 #include "hoop/recovery.hh"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 #include "hoop/hoop_controller.hh"
+#include "hoop/line_coalescer.hh"
 #include "stats/trace.hh"
 
 namespace hoopnvm
@@ -27,16 +25,6 @@ struct TxInfo
     std::uint32_t found = 0;
     std::uint64_t commitSeq = 0;
     bool committed = false;
-};
-
-/** The winning versions of one home line during replay: per-word
- *  max-seq-wins accumulators plus a presence mask. Slice seqs start
- *  at 1, so seqs[] == 0 means "no update". */
-struct LineAcc
-{
-    std::uint64_t seqs[kWordsPerLine];
-    std::uint64_t vals[kWordsPerLine];
-    std::uint8_t mask;
 };
 
 } // namespace
@@ -62,7 +50,6 @@ RecoveryResult
 RecoveryManager::run(unsigned threads,
                      const std::unordered_set<TxId> *allow)
 {
-    threads = std::max(1u, threads);
     OopRegion &region = ctrl.region_;
     RecoveryResult res;
 
@@ -209,7 +196,6 @@ RecoveryManager::run(unsigned threads,
                 break; // stale slice from the block's previous life
             block_floor = s.seq + 1;
             ++res.slicesScanned;
-            res.bytesScanned += MemorySlice::kSliceBytes;
             res.maxSeq = std::max(res.maxSeq, s.seq);
             if (s.txId != kInvalidTxId)
                 res.maxTxId = std::max(res.maxTxId, s.txId);
@@ -263,64 +249,23 @@ RecoveryManager::run(unsigned threads,
     }
     res.committedTxReplayed = replayed;
 
-    // ---- Phase 2: scan committed slices into a line-keyed
-    // accumulator. Every committed Data or Evict slice contributes its
-    // words, and the highest sequence number wins. GC only ever
+    // ---- Phase 2: overlay every committed Data or Evict slice onto
+    // its home lines; the highest sequence number wins. GC only ever
     // recycles sequence-order prefixes of the log, so every surviving
     // slice is newer than the home baseline and straight overlay is
-    // safe. The `threads` parameter models the recovery engine's
-    // parallelism and enters only the phase-4 time formula: the merge
-    // rule is associative and commutative, so one host-side pass
-    // computes the identical winner set the previous per-thread
-    // maps-then-merge arrangement did, without the rendezvous cost. ----
-    FlatMap<LineAcc> winners;
-    // Last-line memo: slices pack consecutive words of one store burst,
-    // so successive words usually land on the same home line. The
-    // cached pointer can only be invalidated by table growth, which
-    // only happens on a new-line insert — exactly when the memo
-    // refreshes.
-    Addr memo_line = kInvalidAddr;
-    LineAcc *memo_acc = nullptr;
+    // safe. The merge rule is associative and commutative, so one
+    // host pass picks the winners any split across recovery threads
+    // would. ----
+    LineCoalescer winners;
     for (const MemorySlice &s : replayable) {
         const TxInfo *ti = txs.find(s.txId);
-        if (!ti || !ti->committed)
-            continue;
-        for (unsigned w = 0; w < s.count; ++w) {
-            const Addr a = s.homeAddrs[w];
-            const Addr la = lineAddr(a);
-            if (la != memo_line) {
-                memo_acc = &winners[la];
-                memo_line = la;
-            }
-            LineAcc &g = *memo_acc;
-            const unsigned wi =
-                static_cast<unsigned>((a - la) / kWordSize);
-            if (s.seq >= g.seqs[wi]) {
-                g.seqs[wi] = s.seq;
-                g.vals[wi] = s.words[w];
-                g.mask |= static_cast<std::uint8_t>(1u << wi);
-            }
-        }
+        if (ti && ti->committed)
+            winners.add(s);
     }
 
     // ---- Phase 3: write the winners home, in ascending line-address
-    // order (the order the previous tree-of-lines pass produced, so
-    // the crash-point schedule is unchanged) ----
-    // Copy the accumulators out alongside their line addresses so the
-    // write-back loop streams through a sorted array instead of
-    // re-probing the hash table once per line.
-    std::uint64_t distinct_words = 0;
-    std::vector<std::pair<Addr, LineAcc>> lines;
-    lines.reserve(winners.size());
-    winners.forEach([&](Addr line, const LineAcc &g) {
-        lines.emplace_back(line, g);
-        distinct_words += std::popcount(g.mask);
-    });
-    std::sort(lines.begin(), lines.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    for (const auto &[line, g] : lines) {
+    // order (which fixes the crash-point schedule) ----
+    for (const auto &[line, g] : winners.sorted()) {
         // Crash point: between home-line replay writes. The OOP region
         // is untouched until recoverWithFilter() resets it after run()
         // returns, so a second recovery redoes the overlay idempotently
@@ -328,36 +273,22 @@ RecoveryManager::run(unsigned threads,
         ctrl.crashStep(CrashPointKind::RecoveryStep);
         std::uint8_t buf[kCacheLineSize];
         ctrl.nvm_.peek(line, buf, kCacheLineSize);
-        for (std::size_t w = 0; w < kWordsPerLine; ++w) {
-            if (g.mask & (1u << w))
-                std::memcpy(buf + w * kWordSize, &g.vals[w], kWordSize);
-        }
+        g.overlay(buf);
         ctrl.nvm_.poke(line, buf, kCacheLineSize);
         ++res.homeLinesWritten;
+        res.distinctWords += g.words();
     }
 
-    // ---- Phase 4: timing model (Fig. 11) ----
-    // Both scan passes and the write-back stream are limited by channel
-    // bandwidth; per-slice parsing is CPU work that divides across the
-    // recovery threads.
-    const std::uint64_t total_slices = res.slicesScanned * 2;
-    const std::uint64_t rw_bytes =
-        res.bytesScanned * 2 + res.homeLinesWritten * kCacheLineSize * 2;
-    const Tick channel_time = ctrl.nvm_.timing().transferTicks(
-        static_cast<std::size_t>(rw_bytes));
-    // Every scanned slice is CRC-verified before any field is trusted;
-    // that work divides across the recovery threads like the parsing
-    // work, but is reported separately so Fig. 11 runs can show the
-    // integrity overhead.
-    res.crcVerifyCost =
-        static_cast<Tick>(total_slices) * kCrcVerifyCpuCost;
-    const Tick cpu_time =
-        (total_slices + threads - 1) / threads *
-            (kPerSliceCpuCost + kCrcVerifyCpuCost) +
-        static_cast<Tick>(distinct_words) * nsToTicks(5);
-    res.time = std::max(channel_time, cpu_time) +
-               ctrl.nvm_.timing().readLatency +
-               ctrl.nvm_.timing().writeLatency;
+    // ---- Phase 4: timing. The model charges two scan passes over
+    // every accepted slice plus a read and a write of every replayed
+    // home line. The CRC work is reported on its own so Fig. 11 can
+    // show the integrity overhead. ----
+    const std::uint64_t scan_bytes =
+        res.slicesScanned * MemorySlice::kSliceBytes * 2;
+    res.bytesScanned =
+        scan_bytes + res.homeLinesWritten * kCacheLineSize * 2;
+    res.crcVerifyCost = res.slicesScanned * 2 * kCrcVerifyCpuCost;
+    res.time = time(res, threads, ctrl.nvm_.timing());
 
     if (TraceBuffer *tr = ctrl.trace()) {
         // Recovery runs on a freshly-reset machine: the cores sit at
@@ -366,17 +297,16 @@ RecoveryManager::run(unsigned threads,
         // their share of the channel traffic; replay gets the rest.
         const unsigned tid = ctrl.cfg.numCores + 1;
         Tick scan_t = res.time;
-        if (rw_bytes > 0) {
+        if (res.bytesScanned > 0) {
             scan_t = static_cast<Tick>(
                 static_cast<double>(res.time) *
-                static_cast<double>(res.bytesScanned * 2) /
-                static_cast<double>(rw_bytes));
+                static_cast<double>(scan_bytes) /
+                static_cast<double>(res.bytesScanned));
         }
         tr->span("recovery.scan", "recovery", tid, 0, scan_t);
         tr->span("recovery.replay", "recovery", tid, scan_t, res.time);
         tr->span("recovery", "recovery", tid, 0, res.time);
     }
-    res.bytesScanned = rw_bytes;
 
     runsC_ += 1;
     txReplayedC_ += res.committedTxReplayed;
@@ -391,6 +321,26 @@ RecoveryManager::run(unsigned threads,
     blocksSkippedRetiredC_ += res.blocksSkippedRetired;
     slicesSkippedBadC_ += res.slicesSkippedBad;
     return res;
+}
+
+Tick
+RecoveryManager::time(const RecoveryResult &r, unsigned threads,
+                      const NvmTiming &timing)
+{
+    threads = std::max(1u, threads);
+    // Both scan passes and the write-back stream are limited by channel
+    // bandwidth; per-slice parsing and CRC verification are CPU work
+    // that divides across the recovery threads, and every replayed
+    // word costs a merge step.
+    const std::uint64_t total_slices = r.slicesScanned * 2;
+    const Tick channel_time =
+        timing.transferTicks(static_cast<std::size_t>(r.bytesScanned));
+    const Tick cpu_time =
+        (total_slices + threads - 1) / threads *
+            (kPerSliceCpuCost + kCrcVerifyCpuCost) +
+        static_cast<Tick>(r.distinctWords) * nsToTicks(5);
+    return std::max(channel_time, cpu_time) + timing.readLatency +
+           timing.writeLatency;
 }
 
 } // namespace hoopnvm

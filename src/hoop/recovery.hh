@@ -10,10 +10,12 @@
  *
  * The *functional* replay is one host pass: the winner rule is
  * associative and commutative, so per-thread maps would pick the same
- * words. The thread count enters only the *timing*, which follows the
- * paper's machine model: the scan and write-back phases are limited
- * by NVM channel bandwidth, while the per-slice parsing work divides
- * across the recovery threads (Fig. 11's two axes).
+ * words. The thread count and the NVM bandwidth enter only the
+ * *timing*: RecoveryManager::time, a pure function of the scan's
+ * result that follows the paper's machine model. The scan and
+ * write-back phases are limited by NVM channel bandwidth, while the
+ * per-slice parsing work divides across the recovery threads (Fig.
+ * 11's two axes).
  *
  * Fault tolerance: nothing read from NVM is trusted without its CRC.
  * A torn or corrupt slice ends its block's live area; a corrupt
@@ -33,6 +35,7 @@
 #include <unordered_set>
 
 #include "common/types.hh"
+#include "nvm/nvm_timing.hh"
 #include "stats/stat_set.hh"
 
 namespace hoopnvm
@@ -43,13 +46,23 @@ class HoopController;
 /** Outcome of one recovery run. */
 struct RecoveryResult
 {
-    /** Modelled wall-clock recovery time. */
+    /** Modelled wall-clock recovery time: RecoveryManager::time()
+     *  of this result at the run's thread count and NVM timing. */
     Tick time = 0;
 
     std::uint64_t committedTxReplayed = 0;
     std::uint64_t slicesScanned = 0;
+
+    /** Channel bytes the timing model charges: two scan passes over
+     *  every scanned slice plus a read and a write of every replayed
+     *  home line. Not the bytes of one scan. */
     std::uint64_t bytesScanned = 0;
+
     std::uint64_t homeLinesWritten = 0;
+
+    /** Distinct home words the replay wrote (one merge step each in
+     *  the timing model). */
+    std::uint64_t distinctWords = 0;
 
     /** Highest slice sequence number observed (counter restart point). */
     std::uint64_t maxSeq = 0;
@@ -94,7 +107,8 @@ struct RecoveryResult
     std::uint64_t gcTrimmedTxReplayed = 0;
 
     /** Total CPU ticks charged for CRC verification (before dividing
-     *  across recovery threads); part of `time`. */
+     *  across recovery threads, so independent of the thread count);
+     *  part of `time`. */
     Tick crcVerifyCost = 0;
 
     // ---- Runtime fault tolerance (zero unless cfg.ft.enabled) ----
@@ -110,6 +124,9 @@ struct RecoveryResult
      *  scan there (as a CRC failure would) would instead lose the good
      *  slices written around it. */
     std::uint64_t slicesSkippedBad = 0;
+
+    /** Field-wise equality. */
+    bool operator==(const RecoveryResult &) const = default;
 };
 
 /** Parallel replay of committed transactions from the OOP region. */
@@ -119,16 +136,26 @@ class RecoveryManager
     explicit RecoveryManager(HoopController &ctrl);
 
     /**
-     * Recover the home region, timed as @p threads workers. On return the
-     * home region holds exactly the committed state, and the OOP
-     * region, mapping table and eviction buffer are cleared.
-     */
-    /**
+     * Replay the committed state into the home region and time the
+     * replay as @p threads workers on the controller's NVM. The OOP
+     * region, mapping table and eviction buffer stay as they are:
+     * HoopController::recover() clears them afterwards.
      * @param allow When non-null, only transactions in this set replay
      *              (multi-controller consensus, §III-I).
      */
     RecoveryResult run(unsigned threads,
                        const std::unordered_set<TxId> *allow = nullptr);
+
+    /**
+     * Modelled recovery time of the scan and replay @p r describes, run
+     * by @p threads workers over an NVM with @p timing: channel time
+     * for r.bytesScanned against per-slice CPU work divided across the
+     * threads, whichever is longer, plus one read and one write
+     * latency. Pure: a sweep over threads or bandwidth evaluates it on
+     * one result.
+     */
+    static Tick time(const RecoveryResult &r, unsigned threads,
+                     const NvmTiming &timing);
 
     /** Per-slice CPU processing cost used by the timing model. */
     static constexpr Tick kPerSliceCpuCost = nsToTicks(25);

@@ -8,7 +8,8 @@
  * and per-cell records with labels, wall seconds, and metrics.
  *
  * Usage: bench_smoke_test <path-to-bench-binary> <expected-json-name>
- * (wired up by tests/CMakeLists.txt with $<TARGET_FILE:bench_workloads>).
+ * (wired up by tests/CMakeLists.txt for bench_workloads and for
+ * bench_fig7_8_9, the one bench that runs the FigureMatrix).
  * Plain main, no gtest: the bench path comes in via argv.
  */
 
@@ -67,25 +68,29 @@ main(int argc, char **argv)
     const std::string jsonName = argv[2];
 
     // Tiny run: a handful of transactions on a 2-thread pool, JSON
-    // into the CWD (the ctest working directory).
+    // into the CWD (the ctest working directory). The captured output
+    // files are named after the JSON, so smoke runs of different
+    // benches can share the directory in parallel.
     ::setenv("HOOP_BENCH_TX", "3", 1);
     ::setenv("HOOP_BENCH_JSON_DIR", ".", 1);
     std::remove(jsonName.c_str());
+    const std::string usageFile = jsonName + ".usage.txt";
+    const std::string stdoutFile = jsonName + ".stdout.txt";
 
     const std::string exe = "'" + bench + "'";
-    const int bad =
-        std::system((exe + " --profle > bench_smoke_usage.txt 2>&1").c_str());
+    const int bad = std::system(
+        (exe + " --profle > '" + usageFile + "' 2>&1").c_str());
     CHECK(WIFEXITED(bad) && WEXITSTATUS(bad) == 2,
           "an unknown flag should exit 2, got status %d", bad);
     std::stringstream usage;
-    usage << std::ifstream("bench_smoke_usage.txt").rdbuf();
+    usage << std::ifstream(usageFile).rdbuf();
     CHECK(usage.str().find("usage: ") != std::string::npos,
           "an unknown flag printed no usage line");
     CHECK(!std::ifstream(jsonName).good(),
           "the unknown flag still wrote %s", jsonName.c_str());
 
     const int rc =
-        std::system((exe + " -j2 > bench_smoke_stdout.txt").c_str());
+        std::system((exe + " -j2 > '" + stdoutFile + "'").c_str());
     CHECK(rc == 0, "bench exited with status %d", rc);
 
     std::ifstream in(jsonName);

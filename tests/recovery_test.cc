@@ -3,8 +3,8 @@
  * Tests for HOOP's crash recovery (§III-F): committed transactions
  * are replayed exactly, uncommitted ones discarded, intra-transaction
  * order preserved, thread counts agree, sequences restart above the
- * GC watermark, and the timing model follows Fig. 11's
- * bandwidth/thread scaling.
+ * GC watermark, and the timing formula, evaluated on one scan, gives
+ * each bandwidth's and thread count's recovery time (Fig. 11).
  */
 
 #include <gtest/gtest.h>
@@ -264,34 +264,59 @@ TEST(GcBoundaryRecovery, ChainSpanningCollectedPrefixReplays)
 
 TEST_F(RecoveryFixture, TimingScalesWithBandwidthAndThreads)
 {
-    // Populate a sizeable OOP footprint.
-    for (unsigned t = 0; t < 200; ++t) {
-        ctrl.txBegin(0, 0);
-        for (unsigned i = 0; i < 16; ++i)
-            store(0, 0x10000 + 8 * ((t * 16 + i) % 4096), t + i);
-        ctrl.txEnd(0, 0);
-    }
-
-    // More threads must not slow recovery down (CPU phase shrinks).
-    NvmDevice nvm_b(cfg.nvmCapacity(), cfg.nvm);
-    HoopController ctrl_b(nvm_b, cfg);
-    for (unsigned t = 0; t < 200; ++t) {
-        ctrl_b.txBegin(0, 0);
-        for (unsigned i = 0; i < 16; ++i) {
-            std::uint64_t v = t + i;
-            std::uint8_t b[8];
-            std::memcpy(b, &v, 8);
-            ctrl_b.storeWord(0, 0x10000 + 8 * ((t * 16 + i) % 4096), b,
-                             0);
+    // The fixture's controller runs at 25 GB/s; a second one at
+    // 10 GB/s runs the same transactions, each on its own clock. The
+    // traffic overflows the 4-block region, so region-pressure GC
+    // runs in both (as it does in Fig. 11's fill).
+    SystemConfig cfg10 = cfg;
+    cfg10.nvm.bandwidthBytesPerSec = 10e9;
+    NvmDevice nvm10(cfg10.nvmCapacity(), cfg10.nvm);
+    HoopController ctrl10(nvm10, cfg10);
+    for (HoopController *c : {&ctrl, &ctrl10}) {
+        Tick now = 0;
+        for (unsigned t = 0; t < 4000; ++t) {
+            c->txBegin(0, now);
+            for (unsigned i = 0; i < 64; ++i) {
+                const std::uint64_t v = t + i;
+                std::uint8_t b[8];
+                std::memcpy(b, &v, 8);
+                now = c->storeWord(0, 0x10000 + 8 * ((t * 64 + i) % 8192),
+                                   b, now);
+            }
+            now = c->txEnd(0, now);
         }
-        ctrl_b.txEnd(0, 0);
+        ASSERT_GT(c->gc().stats().value("runs"), 0u);
+        c->crash();
     }
 
-    ctrl.crash();
-    const Tick t1 = ctrl.recover(1);
-    ctrl_b.crash();
-    const Tick t16 = ctrl_b.recover(16);
-    EXPECT_LE(t16, t1);
+    // Both crash into the same scan result (every field but the
+    // time), so the formula on either result with either timing is
+    // that controller's recovery time. Neither more threads nor more
+    // bandwidth may slow recovery.
+    const NvmTiming &t25 = nvm.timing();
+    const NvmTiming &t10 = nvm10.timing();
+    Tick prev25 = 0, prev10 = 0;
+    for (unsigned thr : {1u, 2u, 4u, 8u, 16u}) {
+        const Tick m25 = ctrl.modelRecovery(thr);
+        RecoveryResult r25 = ctrl.lastRecovery();
+        const Tick m10 = ctrl10.modelRecovery(thr);
+        RecoveryResult r10 = ctrl10.lastRecovery();
+        for (const RecoveryResult *r : {&r25, &r10}) {
+            EXPECT_EQ(RecoveryManager::time(*r, thr, t25), m25);
+            EXPECT_EQ(RecoveryManager::time(*r, thr, t10), m10);
+        }
+        EXPECT_LE(m25, m10);
+        if (thr > 1) {
+            EXPECT_LE(m25, prev25);
+            EXPECT_LE(m10, prev10);
+        }
+        prev25 = m25;
+        prev10 = m10;
+        r25.time = r10.time = 0;
+        EXPECT_EQ(r25, r10) << "threads " << thr;
+    }
+    EXPECT_LT(prev25, prev10); // bandwidth-bound at 16 threads
+    EXPECT_EQ(ctrl.recover(16), prev25);
 }
 
 } // namespace
