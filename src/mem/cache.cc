@@ -24,6 +24,10 @@ Cache::Cache(const std::string &name, std::uint64_t size_bytes,
     numSets_ = static_cast<unsigned>(
         size_bytes / (assoc * kCacheLineSize));
     HOOP_ASSERT(numSets_ > 0, "cache must have at least one set");
+    HOOP_ASSERT((numSets_ & (numSets_ - 1)) == 0,
+                "cache %s: set count %u is not a power of two",
+                name.c_str(), numSets_);
+    setMask_ = numSets_ - 1;
     const std::size_t ways = static_cast<std::size_t>(numSets_) * assoc;
     tags_.assign(ways, kInvalidAddr);
     lastUse_.assign(ways, 0);
@@ -34,13 +38,15 @@ Cache::Cache(const std::string &name, std::uint64_t size_bytes,
 unsigned
 Cache::setIndex(Addr line_addr) const
 {
-    // Mix the address so power-of-two strides do not alias pathologically.
-    return static_cast<unsigned>(
-        mixHash(line_addr / kCacheLineSize) % numSets_);
+    // Mix the address so power-of-two strides do not alias
+    // pathologically. The set count is a power of two, so the mask
+    // picks the same set a modulo would, without a 64-bit divide.
+    return static_cast<unsigned>(mixHash(line_addr / kCacheLineSize) &
+                                 setMask_);
 }
 
 CacheLine
-Cache::probe(Addr line_addr, bool touch)
+Cache::probe(Addr line_addr)
 {
     HOOP_ASSERT(isAligned(line_addr, kCacheLineSize),
                 "probe of unaligned line address");
@@ -48,8 +54,7 @@ Cache::probe(Addr line_addr, bool touch)
         static_cast<std::size_t>(setIndex(line_addr)) * assoc;
     for (unsigned w = 0; w < assoc; ++w) {
         if (tags_[base + w] == line_addr) {
-            if (touch)
-                lastUse_[base + w] = ++useClock;
+            lastUse_[base + w] = ++useClock;
             ++hitsC_;
             return viewOf(base + w);
         }

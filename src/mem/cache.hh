@@ -123,7 +123,8 @@ class Cache
     /**
      * @param name        Stat prefix, e.g. "l1.0" or "llc".
      * @param size_bytes  Total capacity; must be a multiple of
-     *                    assoc * kCacheLineSize.
+     *                    assoc * kCacheLineSize, and the resulting set
+     *                    count a power of two (the set index is a mask).
      * @param assoc       Associativity (ways per set).
      * @param latency     Access latency charged on hits in this level.
      */
@@ -131,11 +132,10 @@ class Cache
           unsigned assoc, Tick latency);
 
     /**
-     * Look up @p line_addr. On a hit the LRU state is refreshed (unless
-     * @p touch is false) and a view of the line is returned; an empty
-     * view on miss.
+     * Look up @p line_addr. On a hit the LRU state is refreshed and a
+     * view of the line is returned; an empty view on miss.
      */
-    CacheLine probe(Addr line_addr, bool touch = true);
+    CacheLine probe(Addr line_addr);
 
     /**
      * Lookup without LRU update. Declared const because it does not
@@ -256,6 +256,8 @@ class Cache
 
     unsigned assoc;
     unsigned numSets_;
+    /** numSets_ - 1: the set count is a power of two. */
+    std::uint64_t setMask_;
     Tick latency_;
     std::uint64_t useClock = 0;
 

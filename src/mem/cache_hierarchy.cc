@@ -33,7 +33,7 @@ captureVictim(const CacheLine &lru, CacheVictim &v)
 } // namespace
 
 CacheHierarchy::CacheHierarchy(const SystemConfig &cfg_)
-    : cfg(cfg_), stats_("hierarchy"),
+    : cfg(cfg_), opCost_(cfg_.opCost()), stats_("hierarchy"),
       loadsC_(stats_.counter("loads")),
       storesC_(stats_.counter("stores")),
       llcFillsC_(stats_.counter("llc_fills")),
@@ -196,7 +196,7 @@ CacheHierarchy::loadWordResolved(CoreId core, Addr addr,
 {
     HOOP_ASSERT(isAligned(addr, kWordSize), "unaligned word load");
     ++loadsC_;
-    Tick t = now + cfg.opCost();
+    Tick t = now + opCost_;
     // Software translation overheads (e.g. LSM's index walk) apply
     // when the access leaves the L1 — hot translations stay cached
     // alongside their hot data.
@@ -215,7 +215,7 @@ CacheHierarchy::loadWordHit(CoreId core, CacheLine line, Addr addr,
     // line: opCost, an L1 probe hit (latency, hit counter, LRU touch),
     // no load overhead (the line is in L1), no controller involvement.
     ++loadsC_;
-    Tick t = now + cfg.opCost();
+    Tick t = now + opCost_;
     t += l1s[core]->latency();
     l1s[core]->touchHit(line);
     std::memcpy(&out, line.data() + (addr - line.addr()), kWordSize);
@@ -247,7 +247,7 @@ CacheHierarchy::storeWordResolved(CoreId core, Addr addr,
 {
     HOOP_ASSERT(isAligned(addr, kWordSize), "unaligned word store");
     ++storesC_;
-    Tick t = now + cfg.opCost();
+    Tick t = now + opCost_;
     line = ensureInL1(core, lineAddr(addr), true, t);
     return writeWord(core, line, addr, value, t);
 }
@@ -263,7 +263,7 @@ CacheHierarchy::storeWordHit(CoreId core, CacheLine line, Addr addr,
     // stripped every other sharer and set this core's bit), so it is
     // skipped rather than re-executed.
     ++storesC_;
-    Tick t = now + cfg.opCost();
+    Tick t = now + opCost_;
     t += l1s[core]->latency();
     l1s[core]->touchHit(line);
     return writeWord(core, line, addr, value, t);
@@ -419,6 +419,21 @@ CacheHierarchy::updateSharerOnDrop(CoreId core, Addr line)
         sharers.erase(line);
 }
 
+CacheLine
+CacheHierarchy::newestCopy(Addr line) const
+{
+    const CacheLine llc_line = llc_->peekLine(line);
+    if (!llc_line)
+        return {};
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        if (CacheLine l1l = l1s[c]->peekLine(line))
+            return l1l;
+        if (CacheLine l2l = l2s[c]->peekLine(line))
+            return l2l;
+    }
+    return llc_line;
+}
+
 void
 CacheHierarchy::debugRead(Addr addr, void *buf, std::size_t len) const
 {
@@ -434,15 +449,7 @@ CacheHierarchy::debugRead(Addr addr, void *buf, std::size_t len) const
             // remaining words of it from the memo (nothing can mutate
             // while the batch is open).
             if (line != debugMemoLine_) {
-                CacheLine hit;
-                for (unsigned c = 0; c < cfg.numCores && !hit; ++c) {
-                    hit = l1s[c]->peekLine(line);
-                    if (!hit)
-                        hit = l2s[c]->peekLine(line);
-                }
-                if (!hit)
-                    hit = llc_->peekLine(line);
-                if (hit)
+                if (const CacheLine hit = newestCopy(line))
                     std::memcpy(debugMemoData_, hit.data(),
                                 kCacheLineSize);
                 else
@@ -450,22 +457,7 @@ CacheHierarchy::debugRead(Addr addr, void *buf, std::size_t len) const
                 debugMemoLine_ = line;
             }
             std::memcpy(out, debugMemoData_ + off, chunk);
-            addr += chunk;
-            out += chunk;
-            len -= chunk;
-            continue;
-        }
-
-        CacheLine found;
-        for (unsigned c = 0; c < cfg.numCores && !found; ++c) {
-            found = l1s[c]->peekLine(line);
-            if (!found)
-                found = l2s[c]->peekLine(line);
-        }
-        if (!found)
-            found = llc_->peekLine(line);
-
-        if (found) {
+        } else if (const CacheLine found = newestCopy(line)) {
             std::memcpy(out, found.data() + off, chunk);
         } else {
             std::uint8_t tmp[kCacheLineSize];

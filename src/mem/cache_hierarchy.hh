@@ -62,8 +62,9 @@ class CacheHierarchy
      * Enter/leave debug-batch mode: between the calls, debugRead
      * memoizes the last reconstructed line, so word-by-word
      * verification loops resolve each 64-byte line once instead of
-     * once per word (each resolution scans every cache level and may
-     * rebuild the line from controller metadata). The caller promises
+     * once per word (each resolution probes the LLC, scans the private
+     * caches on a hit and may otherwise rebuild the line from
+     * controller metadata). The caller promises
      * no simulated mutation — no stores, maintenance, or controller
      * activity — happens while the batch is open; the verify phase
      * after finalize() is exactly that window.
@@ -169,7 +170,20 @@ class CacheHierarchy
      *  @p line. */
     void updateSharerOnDrop(CoreId core, Addr line);
 
+    /**
+     * Line holding @p line's newest bytes: the first private copy in
+     * core order (L1 before L2, the L1 copy being the newer), else
+     * the LLC copy; an empty view when no cache holds the line. The
+     * LLC is inclusive, so it is probed first and the private caches
+     * are scanned only when it hits.
+     */
+    CacheLine newestCopy(Addr line) const;
+
     const SystemConfig &cfg;
+
+    /** cfg.opCost(), computed once: every load and store charges it. */
+    const Tick opCost_;
+
     PersistenceController *ctrl = nullptr;
     std::vector<std::unique_ptr<Cache>> l1s;
     std::vector<std::unique_ptr<Cache>> l2s;

@@ -20,18 +20,16 @@ NvmDevice::pageFor(Addr addr)
 {
     HOOP_ASSERT(addr < capacity_, "NVM address 0x%llx out of range",
                 static_cast<unsigned long long>(addr));
-    const std::uint64_t idx = addr / kPageBytes;
-    const std::size_t slot = idx & (kPageCacheSlots - 1);
-    if (cachedPageIdx_[slot] == idx + 1)
-        return *cachedPage_[slot];
-    auto &entry = pages[idx];
-    if (!entry) {
-        entry = std::make_unique<Page>();
-        entry->fill(0);
-    }
-    cachedPageIdx_[slot] = idx + 1;
-    cachedPage_[slot] = entry.get();
-    return *entry;
+    const std::uint64_t t = addr / kTableBytes;
+    if (t >= tables_.size())
+        tables_.resize(t + 1);
+    if (!tables_[t])
+        tables_[t] = std::make_unique<PageTable>();
+    std::unique_ptr<Page> &page =
+        (*tables_[t])[(addr / kPageBytes) % kPagesPerTable];
+    if (!page)
+        page = std::make_unique<Page>(); // value-initialised: zeros
+    return *page;
 }
 
 const NvmDevice::Page *
@@ -39,22 +37,10 @@ NvmDevice::pageIfPresent(Addr addr) const
 {
     HOOP_ASSERT(addr < capacity_, "NVM address 0x%llx out of range",
                 static_cast<unsigned long long>(addr));
-    const std::uint64_t idx = addr / kPageBytes;
-    const std::size_t slot = idx & (kPageCacheSlots - 1);
-    if (cachedPageIdx_[slot] == idx + 1)
-        return cachedPage_[slot];
-    auto it = pages.find(idx);
-    if (it == pages.end())
-        return nullptr; // absent pages are not cached: they may appear
-    cachedPageIdx_[slot] = idx + 1;
-    cachedPage_[slot] = it->second.get();
-    return it->second.get();
-}
-
-void
-NvmDevice::flushPageCache() const
-{
-    cachedPageIdx_.fill(0);
+    const std::uint64_t t = addr / kTableBytes;
+    if (t >= tables_.size() || !tables_[t])
+        return nullptr;
+    return (*tables_[t])[(addr / kPageBytes) % kPagesPerTable].get();
 }
 
 Tick
@@ -268,8 +254,7 @@ NvmDevice::resetCounters()
 void
 NvmDevice::clear()
 {
-    pages.clear();
-    flushPageCache();
+    tables_.clear();
     channelFree_ = 0;
     faults_.reset();
     resetCounters();

@@ -33,7 +33,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 #include "nvm/energy_model.hh"
@@ -198,23 +198,21 @@ class NvmDevice
     using Page = std::array<std::uint8_t, kPageBytes>;
 
     /**
-     * Direct-mapped cache of page-table resolutions, sized so the hot
-     * working set of a bench cell (home lines, OOP block, log head)
-     * hits without a hash lookup. Entries store page_index + 1 so a
-     * zero-filled cache is all-empty. The cached Page pointers stay
-     * valid across page-table rehashes because pages are owned by
-     * unique_ptr (the map moves the owner, not the page).
+     * Pages are found through a two-level table: the top level has one
+     * slot per 2 MiB span of the address space, and each slot holds
+     * the span's 512 page pointers. Both levels fill in on first
+     * write, so construction allocates nothing and a lookup is two
+     * indexed loads.
      */
-    static constexpr std::size_t kPageCacheSlots = 256;
+    static constexpr std::uint64_t kTableBytes = miB(2);
+    static constexpr std::size_t kPagesPerTable = kTableBytes / kPageBytes;
+    using PageTable = std::array<std::unique_ptr<Page>, kPagesPerTable>;
 
     /** Backing page for @p addr, created zero-filled on demand. */
     Page &pageFor(Addr addr);
 
     /** Backing page for @p addr if it exists, else nullptr. */
     const Page *pageIfPresent(Addr addr) const;
-
-    /** Drop every cached page resolution. */
-    void flushPageCache() const;
 
     /** peek() without the media-fault filter (pre-image capture). */
     void peekRaw(Addr addr, void *buf, std::size_t len) const;
@@ -226,13 +224,10 @@ class NvmDevice
     NvmTiming timing_;
     EnergyModel energy_;
     FaultModel faults_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages;
 
-    // mutable: peek() is logically const but warms the resolution
-    // cache. The device is owned by a single simulated System, so
-    // there is no concurrent access to guard.
-    mutable std::array<std::uint64_t, kPageCacheSlots> cachedPageIdx_{};
-    mutable std::array<Page *, kPageCacheSlots> cachedPage_{};
+    /** Top level of the page table, grown to the highest span written
+     *  so far (never past capacity). */
+    std::vector<std::unique_ptr<PageTable>> tables_;
 
     NvmWriteObserver *observer_ = nullptr;
     Tick channelFree_ = 0;

@@ -180,10 +180,8 @@ BTreeWorkload::runTransaction(std::uint64_t)
 
     if (update) {
         const std::uint64_t pick = ctx.rng().nextBounded(shadow.size());
-        auto it = shadow.begin();
-        std::advance(it, static_cast<long>(pick));
-        const std::uint64_t key = it->first;
-        const std::uint64_t ver = it->second + 1;
+        const std::uint64_t key = shadow[pick].first;
+        const std::uint64_t ver = shadow[pick].second + 1;
 
         ctx.txBegin();
         const Addr payload = search(key);
@@ -195,7 +193,7 @@ BTreeWorkload::runTransaction(std::uint64_t)
         if (valueBytes >= 16)
             ctx.store(payload + 2 * kWordSize,
                       patternWord(key, ver, 8));
-        commitTx([it, ver] { it->second = ver; });
+        commitTx([this, pick, ver] { shadow[pick].second = ver; });
         return;
     }
 
@@ -211,7 +209,7 @@ BTreeWorkload::runTransaction(std::uint64_t)
     fillPattern(buf.data(), valueBytes, key, 0);
     ctx.write(payload + kWordSize, buf.data(), valueBytes);
     insert(key, payload);
-    commitTx([this, key] { shadow[key] = 0; });
+    commitTx([this, key] { shadow.insert(key, 0); });
 }
 
 bool

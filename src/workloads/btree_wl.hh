@@ -14,6 +14,7 @@
 #include <map>
 #include <set>
 
+#include "workloads/sorted_shadow.hh"
 #include "workloads/workload.hh"
 
 namespace hoopnvm
@@ -83,7 +84,7 @@ class BTreeWorkload : public Workload
     Addr rootPtr = kInvalidAddr;
 
     /** Committed key -> version. */
-    std::map<std::uint64_t, std::uint64_t> shadow;
+    SortedShadow shadow;
 };
 
 } // namespace hoopnvm

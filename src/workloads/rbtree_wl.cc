@@ -1,5 +1,7 @@
 #include "workloads/rbtree_wl.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "workloads/value_pattern.hh"
 
@@ -196,10 +198,8 @@ RbTreeWorkload::runTransaction(std::uint64_t)
 
     if (update) {
         const std::uint64_t pick = ctx.rng().nextBounded(shadow.size());
-        auto it = shadow.begin();
-        std::advance(it, static_cast<long>(pick));
-        const std::uint64_t key = it->first;
-        const std::uint64_t ver = it->second + 1;
+        const std::uint64_t key = shadow[pick].first;
+        const std::uint64_t ver = shadow[pick].second + 1;
 
         ctx.txBegin();
         const Addr n = search(key);
@@ -209,7 +209,7 @@ RbTreeWorkload::runTransaction(std::uint64_t)
         setFld(n, kVersion, ver);
         setFld(n, kValue, patternWord(key, ver, 0));
         setFld(n, kValue + 8, patternWord(key, ver, 8));
-        commitTx([it, ver] { it->second = ver; });
+        commitTx([this, pick, ver] { shadow[pick].second = ver; });
         return;
     }
 
@@ -221,7 +221,7 @@ RbTreeWorkload::runTransaction(std::uint64_t)
 
     ctx.txBegin();
     insert(key, 0);
-    commitTx([this, key] { shadow[key] = 0; });
+    commitTx([this, key] { shadow.insert(key, 0); });
 }
 
 int
@@ -296,7 +296,10 @@ RbTreeWorkload::verify() const
         return false;
     if (checkNode(r, 0, ~std::uint64_t{0}, seen, visited) < 0)
         return false;
-    if (seen != shadow)
+    if (!std::equal(seen.begin(), seen.end(), shadow.begin(),
+                    shadow.end(), [](const auto &a, const auto &b) {
+                        return a.first == b.first && a.second == b.second;
+                    }))
         return false;
 
     // Check payloads through untimed reads.

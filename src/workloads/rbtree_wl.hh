@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 
+#include "workloads/sorted_shadow.hh"
 #include "workloads/workload.hh"
 
 namespace hoopnvm
@@ -72,7 +73,7 @@ class RbTreeWorkload : public Workload
     Addr rootPtr = kInvalidAddr;
 
     /** Committed key -> version. */
-    std::map<std::uint64_t, std::uint64_t> shadow;
+    SortedShadow shadow;
 };
 
 } // namespace hoopnvm

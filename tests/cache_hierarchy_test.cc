@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "controller/native_controller.hh"
 #include "mem/cache_hierarchy.hh"
 
@@ -102,6 +104,50 @@ TEST_F(HierarchyFixture, DebugReadSeesDirtyCacheData)
     std::uint64_t v = 0;
     hier.debugRead(0x400, &v, kWordSize);
     EXPECT_EQ(v, 42u);
+}
+
+TEST_F(HierarchyFixture, DebugReadPrefersNewerPrivateCopy)
+{
+    // Core 0 dirties the line; core 1's store then merges core 0's
+    // copy into the LLC, invalidates it and dirties its own L1 copy.
+    // The LLC now holds core 0's bytes and only core 1's L1 is current.
+    Tick t = hier.storeWord(0, 0x700, 1, 0);
+    t = hier.storeWord(1, 0x708, 2, t);
+    const CacheLine llc_line = hier.llc().peekLine(0x700);
+    const CacheLine l1_line = hier.l1(1).peekLine(0x700);
+    ASSERT_TRUE(llc_line);
+    ASSERT_TRUE(l1_line);
+    ASSERT_TRUE(l1_line.dirty());
+    ASSERT_FALSE(hier.l1(0).peekLine(0x700));
+    ASSERT_NE(std::memcmp(llc_line.data(), l1_line.data(),
+                          kCacheLineSize),
+              0)
+        << "the LLC copy must be stale for this test";
+
+    for (bool batch : {false, true}) {
+        std::uint8_t line[kCacheLineSize] = {};
+        if (batch)
+            hier.beginDebugBatch();
+        hier.debugRead(0x700, line, kCacheLineSize);
+        if (batch)
+            hier.endDebugBatch();
+        EXPECT_EQ(std::memcmp(line, l1_line.data(), kCacheLineSize), 0)
+            << (batch ? "inside" : "outside") << " a debug batch";
+    }
+
+    // A line no cache holds reads from the controller.
+    nvm.pokeWord(0x2000, 33);
+    ASSERT_FALSE(hier.llc().peekLine(0x2000));
+    for (bool batch : {false, true}) {
+        std::uint64_t v = 0;
+        if (batch)
+            hier.beginDebugBatch();
+        hier.debugRead(0x2000, &v, kWordSize);
+        if (batch)
+            hier.endDebugBatch();
+        EXPECT_EQ(v, 33u) << (batch ? "inside" : "outside")
+                          << " a debug batch";
+    }
 }
 
 TEST_F(HierarchyFixture, CrossCoreCoherence)

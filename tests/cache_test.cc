@@ -9,6 +9,7 @@
 #include <cstring>
 
 #include "mem/cache.hh"
+#include "sim/system_config.hh"
 
 namespace hoopnvm
 {
@@ -41,6 +42,24 @@ TEST(Cache, GeometryChecks)
     Cache c("t", kiB(32), 4, 0);
     EXPECT_EQ(c.numSets(), 32u * 1024 / (4 * 64));
     EXPECT_EQ(c.associativity(), 4u);
+
+    // SystemConfig's default (Table II) levels all have power-of-two
+    // set counts, as the masked set index requires.
+    const CacheParams p;
+    EXPECT_EQ(Cache("l1", p.l1Size, p.l1Assoc, p.l1Latency).numSets(),
+              128u);
+    EXPECT_EQ(Cache("l2", p.l2Size, p.l2Assoc, p.l2Latency).numSets(),
+              512u);
+    EXPECT_EQ(
+        Cache("llc", p.llcSize, p.llcAssoc, p.llcLatency).numSets(),
+        2048u);
+}
+
+TEST(CacheDeathTest, SetCountMustBeAPowerOfTwo)
+{
+    // 384 B of 2-way 64 B lines is 3 sets. The set index is a mask of
+    // the hashed line number, so the constructor refuses the geometry.
+    EXPECT_DEATH(Cache("t", 384, 2, 0), "not a power of two");
 }
 
 TEST(Cache, LruEvictsOldest)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "nvm/nvm_device.hh"
 
@@ -151,6 +152,82 @@ TEST(NvmDevice, ClearDropsState)
     EXPECT_EQ(dev.peekWord(0), 0u);
     EXPECT_EQ(dev.bytesWritten(), 0u);
     EXPECT_EQ(dev.channelFree(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Page-table edges: pages are 4 KiB and the table's second level
+// covers 2 MiB spans; both levels are allocated on first write.
+// ---------------------------------------------------------------------
+
+TEST(NvmPageTable, LastWordOfCapacity)
+{
+    NvmDevice dev(miB(16), testTiming());
+    const Addr last = dev.capacity() - kWordSize;
+    dev.pokeWord(last, 0x0123456789abcdefULL);
+    EXPECT_EQ(dev.peekWord(last), 0x0123456789abcdefULL);
+    std::uint64_t v = 0;
+    dev.write(0, last, &v, sizeof(v));
+    v = 1;
+    dev.read(0, last, &v, sizeof(v));
+    EXPECT_EQ(v, 0u);
+}
+
+TEST(NvmPageTable, WriteAcrossPageAndTableBoundary)
+{
+    NvmDevice dev(miB(16), testTiming());
+    // Starts two pages below the 2 MiB boundary and ends a page past
+    // it: three page boundaries, one of them a table boundary.
+    const Addr start = miB(2) - 2 * 4096 + 100;
+    std::vector<std::uint8_t> in(3 * 4096);
+    for (std::size_t i = 0; i < in.size(); ++i)
+        in[i] = static_cast<std::uint8_t>(i * 13 + 1);
+    dev.write(0, start, in.data(), in.size());
+    std::vector<std::uint8_t> out(in.size());
+    dev.read(0, start, out.data(), out.size());
+    EXPECT_EQ(in, out);
+    // The bytes just outside the write stay zero on both sides.
+    EXPECT_EQ(dev.peekWord(start - kWordSize), 0u);
+    EXPECT_EQ(dev.peekWord(start + in.size()), 0u);
+}
+
+TEST(NvmPageTable, UntouchedPagesReadZero)
+{
+    NvmDevice dev(miB(16), testTiming());
+    dev.pokeWord(miB(4), 7);
+    std::uint8_t buf[64];
+    // An untouched page inside the allocated 2 MiB table...
+    std::memset(buf, 0xab, sizeof(buf));
+    dev.peek(miB(4) + 8 * 4096, buf, sizeof(buf));
+    for (auto b : buf)
+        EXPECT_EQ(b, 0);
+    // ...and pages of tables never allocated, below and above it.
+    for (Addr a : {Addr{0}, miB(2), miB(12)}) {
+        std::memset(buf, 0xab, sizeof(buf));
+        dev.read(0, a, buf, sizeof(buf));
+        for (auto b : buf)
+            EXPECT_EQ(b, 0) << "at 0x" << std::hex << a;
+    }
+}
+
+TEST(NvmPageTable, ClearDropsEveryPage)
+{
+    NvmDevice dev(miB(16), testTiming());
+    const Addr addrs[] = {0, miB(2) - kWordSize, miB(2), miB(9) + 4096,
+                          dev.capacity() - kWordSize};
+    for (Addr a : addrs)
+        dev.pokeWord(a, a + 1);
+    dev.clear();
+    for (Addr a : addrs)
+        EXPECT_EQ(dev.peekWord(a), 0u) << "at 0x" << std::hex << a;
+    // The cleared device fills in again on the next write.
+    dev.pokeWord(miB(2), 5);
+    EXPECT_EQ(dev.peekWord(miB(2)), 5u);
+}
+
+TEST(NvmPageTableDeathTest, PeekAtCapacityDies)
+{
+    NvmDevice dev(miB(16), testTiming());
+    EXPECT_DEATH(dev.peekWord(dev.capacity()), "out of range");
 }
 
 // ---------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "metrics_equal.hh"
 #include "workloads/registry.hh"
 
 namespace hoopnvm
@@ -90,6 +91,38 @@ TEST(WorkloadSuite, DeterministicAcrossRuns)
     EXPECT_EQ(a.metrics.simTicks, b.metrics.simTicks);
     EXPECT_EQ(a.metrics.nvmBytesWritten, b.metrics.nvmBytesWritten);
 }
+
+/** Tree workloads past a full shadow: scale 16 gives a key space of
+ *  64 and inserts stop at 32 committed keys, so at least 268 of each
+ *  core's 300 transactions take the update pick. */
+class FullTreeShadow : public ::testing::TestWithParam<const char *>
+{
+};
+
+TEST_P(FullTreeShadow, UpdatesVerifyAndRepeat)
+{
+    WorkloadParams p = smallParams(64);
+    p.scale = 16;
+    for (Scheme scheme : {Scheme::Native, Scheme::Hoop}) {
+        auto run = [&]() {
+            System sys(wlConfig(), scheme);
+            return runWorkload(sys, makeWorkload(GetParam(), p), 300);
+        };
+        const RunOutcome a = run();
+        const RunOutcome b = run();
+        const std::string what =
+            std::string(GetParam()) + " on " + schemeName(scheme);
+        EXPECT_TRUE(a.verified) << what;
+        EXPECT_EQ(a.metrics.transactions, 600u) << what;
+        expectMetricsEqual(a.metrics, b.metrics, what);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Trees, FullTreeShadow,
+                         ::testing::Values("btree", "rbtree"),
+                         [](const auto &info) {
+                             return std::string(info.param);
+                         });
 
 TEST(WorkloadSuite, PerCoreDataIsDisjoint)
 {
