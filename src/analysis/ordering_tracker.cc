@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -81,24 +82,31 @@ OrderingTracker::RuleDecl::requiresIssued(std::string what)
 OrderingTracker::RuleDecl
 OrderingTracker::rule(const std::string &name)
 {
-    auto it = ruleIdx_.find(name);
-    if (it != ruleIdx_.end())
-        return RuleDecl(*this, it->second);
-    const std::size_t idx = rules_.size();
-    Rule r;
-    r.name = name;
-    rules_.push_back(std::move(r));
-    ruleIdx_.emplace(name, idx);
+    const std::size_t idx = findRule(name.c_str());
+    if (idx == rules_.size()) {
+        Rule r;
+        r.name = name;
+        rules_.push_back(std::move(r));
+    }
     return RuleDecl(*this, idx);
+}
+
+std::size_t
+OrderingTracker::findRule(const char *rule) const
+{
+    std::size_t i = 0;
+    while (i < rules_.size() && rules_[i].name != rule)
+        ++i;
+    return i;
 }
 
 std::size_t
 OrderingTracker::indexOf(const char *rule) const
 {
-    auto it = ruleIdx_.find(rule);
-    HOOP_ASSERT(it != ruleIdx_.end(),
+    const std::size_t i = findRule(rule);
+    HOOP_ASSERT(i < rules_.size(),
                 "ordering rule '%s' used before declaration", rule);
-    return it->second;
+    return i;
 }
 
 void
@@ -201,32 +209,36 @@ OrderingTracker::onTimedWrite(Addr addr, std::size_t len, Tick issue,
     rec.completion = completion;
     ++counters_.timedWrites;
 
-    // Race scan at the fault model's tear granularity (8-byte words).
+    // Race scan at the fault model's tear granularity (8-byte words),
+    // one line entry at a time. A word's entry is non-zero exactly
+    // while its last write is in flight (onSettle clears it).
     const Addr end = addr + len;
-    for (Addr word = alignDown(addr, kWordSize); word < end;
-         word += kWordSize) {
-        auto it = lastWriterSeq_.find(word);
-        if (it != lastWriterSeq_.end() && it->second > maxSettledSeq_) {
-            ++counters_.inflightOverwrites;
-            auto dep = openDepSeqs_.find(it->second);
-            if (dep != openDepSeqs_.end()) {
-                ++counters_.depOverwrites;
-                if (warnings_.size() < kMaxStoredTraces) {
-                    char at[32];
-                    std::snprintf(at, sizeof(at), "0x%llx",
-                                  static_cast<unsigned long long>(word));
-                    warnings_.push_back(
-                        {rules_[dep->second].name,
-                         describeWrite(addr, rec.len, completion) +
-                             " overwrites an in-flight dependency "
-                             "word at " + at});
+    Addr word = alignDown(addr, kWordSize);
+    while (word < end) {
+        const Addr line = lineAddr(word);
+        const Addr line_end = std::min<Addr>(end, line + kCacheLineSize);
+        LineWriters &writers = inflightWriters_[line];
+        for (; word < line_end; word += kWordSize) {
+            std::uint64_t &last = writers.seq[(word - line) / kWordSize];
+            if (last != 0) {
+                ++counters_.inflightOverwrites;
+                const std::size_t *dep = openDepSeqs_.find(last);
+                if (dep) {
+                    ++counters_.depOverwrites;
+                    if (warnings_.size() < kMaxStoredTraces) {
+                        char at[32];
+                        std::snprintf(
+                            at, sizeof(at), "0x%llx",
+                            static_cast<unsigned long long>(word));
+                        warnings_.push_back(
+                            {rules_[*dep].name,
+                             describeWrite(addr, rec.len, completion) +
+                                 " overwrites an in-flight dependency "
+                                 "word at " + at});
+                    }
                 }
             }
-            it->second = rec.seq;
-        } else if (it != lastWriterSeq_.end()) {
-            it->second = rec.seq;
-        } else {
-            lastWriterSeq_.emplace(word, rec.seq);
+            last = rec.seq;
         }
     }
 
@@ -243,12 +255,36 @@ OrderingTracker::onSettle(Tick tick)
     while (!inflight_.empty() &&
            inflight_.front().completion <= tick) {
         maxSettledSeq_ = inflight_.front().seq;
+        dropWriter(inflight_.front());
         inflight_.pop_front();
         ++popped;
     }
     counters_.settledWrites += popped;
     if (popped == 0)
         ++counters_.redundantSettles;
+}
+
+void
+OrderingTracker::dropWriter(const WriteRec &w)
+{
+    const Addr end = w.addr + w.len;
+    Addr word = alignDown(w.addr, kWordSize);
+    while (word < end) {
+        const Addr line = lineAddr(word);
+        const Addr line_end = std::min<Addr>(end, line + kCacheLineSize);
+        // w is in flight, so each of its words names w or a later
+        // write, which is in flight too: the line has an entry.
+        LineWriters *writers = inflightWriters_.find(line);
+        HOOP_ASSERT(writers, "in-flight write with no writer entry");
+        for (; word < line_end; word += kWordSize) {
+            std::uint64_t &last = writers->seq[(word - line) / kWordSize];
+            if (last == w.seq)
+                last = 0;
+        }
+        if (std::all_of(std::begin(writers->seq), std::end(writers->seq),
+                        [](std::uint64_t seq) { return seq == 0; }))
+            inflightWriters_.erase(line);
+    }
 }
 
 void
@@ -261,7 +297,7 @@ OrderingTracker::onCrash(Tick tick)
     if (!inflight_.empty())
         maxSettledSeq_ = inflight_.back().seq;
     inflight_.clear();
-    lastWriterSeq_.clear();
+    inflightWriters_.clear();
     openDepSeqs_.clear();
     groups_.clear();
     haveLastWrite_ = false;

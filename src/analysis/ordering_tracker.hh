@@ -42,6 +42,11 @@
  *
  * Spec coverage: a declared rule that never fires is dead — reported
  * so a protocol change cannot silently orphan its spec.
+ *
+ * State is sized by the in-flight window, not by the run: a word's
+ * last writer is kept only while that write is in flight, and a fence
+ * that retires the write drops it. OSP never fences, so its window is
+ * the whole run.
  */
 
 #ifndef HOOPNVM_ANALYSIS_ORDERING_TRACKER_HH
@@ -51,10 +56,10 @@
 #include <deque>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "nvm/write_observer.hh"
 
@@ -234,12 +239,31 @@ class OrderingTracker final : public NvmWriteObserver
         std::uint64_t violations = 0;
     };
 
+    /**
+     * In-flight last writer of each 8-byte word of one 64-byte line,
+     * by write seq; 0 where the last write of the word has settled
+     * (or the word was never written).
+     */
+    struct LineWriters
+    {
+        std::uint64_t seq[kWordsPerLine];
+    };
+
+    /** Index of the declared rule named @p rule, or rules_.size(). */
+    std::size_t findRule(const char *rule) const;
+
     std::size_t indexOf(const char *rule) const;
     void recordViolation(std::size_t rule_idx, std::string detail);
     void eraseGroup(std::size_t rule_idx, std::uint64_t key);
 
+    /** Clear each word of settled write @p w that still names it. */
+    void dropWriter(const WriteRec &w);
+
+    /**
+     * Declared rules. A tracker holds a handful, so lookups scan the
+     * names in place rather than building a std::string map key.
+     */
     std::vector<Rule> rules_;
-    std::unordered_map<std::string, std::size_t> ruleIdx_;
 
     /** Dependency groups: (rule, key) -> tagged writes. */
     std::map<std::pair<std::size_t, std::uint64_t>,
@@ -256,11 +280,14 @@ class OrderingTracker final : public NvmWriteObserver
     WriteRec lastWrite_;
     bool haveLastWrite_ = false;
 
-    /** Last writer of each 8-byte word (race detection). */
-    std::unordered_map<Addr, std::uint64_t> lastWriterSeq_;
+    /**
+     * In-flight last writers by line address (race detection). A line
+     * leaves the map once none of its words has an in-flight writer.
+     */
+    FlatMap<LineWriters> inflightWriters_;
 
-    /** In-flight dependency writes: seq -> owning rule. */
-    std::unordered_map<std::uint64_t, std::size_t> openDepSeqs_;
+    /** Dependency writes of open groups: seq -> owning rule. */
+    FlatMap<std::size_t> openDepSeqs_;
 
     OrderingCounters counters_;
     std::vector<OrderingViolation> violations_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
 
 #include "common/hash.hh"
 #include "common/logging.hh"
@@ -28,11 +29,23 @@ Cache::Cache(const std::string &name, std::uint64_t size_bytes,
                 "cache %s: set count %u is not a power of two",
                 name.c_str(), numSets_);
     setMask_ = numSets_ - 1;
-    const std::size_t ways = static_cast<std::size_t>(numSets_) * assoc;
-    tags_.assign(ways, kInvalidAddr);
-    lastUse_.assign(ways, 0);
-    meta_.resize(ways);
-    data_.resize(ways * kCacheLineSize);
+    numWays_ = static_cast<std::size_t>(numSets_) * assoc;
+    tags_ = zeroedArray<Addr>(numWays_);
+    lastUse_ = zeroedArray<std::uint64_t>(numWays_);
+    meta_ = zeroedArray<CacheLineMeta>(numWays_);
+    data_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+        numWays_ * kCacheLineSize);
+}
+
+template <typename T>
+std::unique_ptr<T[], Cache::FreeArray>
+Cache::zeroedArray(std::size_t n)
+{
+    static_assert(std::is_trivially_copyable_v<T> &&
+                  std::is_trivially_default_constructible_v<T>);
+    void *p = std::calloc(n, sizeof(T));
+    HOOP_ASSERT(p != nullptr, "cache array allocation failed");
+    return std::unique_ptr<T[], FreeArray>(static_cast<T *>(p));
 }
 
 unsigned
@@ -52,8 +65,9 @@ Cache::probe(Addr line_addr)
                 "probe of unaligned line address");
     const std::size_t base =
         static_cast<std::size_t>(setIndex(line_addr)) * assoc;
+    const Addr tag = tagOf(line_addr);
     for (unsigned w = 0; w < assoc; ++w) {
-        if (tags_[base + w] == line_addr) {
+        if (tags_[base + w] == tag) {
             lastUse_[base + w] = ++useClock;
             ++hitsC_;
             return viewOf(base + w);
@@ -68,8 +82,9 @@ Cache::peekLine(Addr line_addr) const
 {
     const std::size_t base =
         static_cast<std::size_t>(setIndex(line_addr)) * assoc;
+    const Addr tag = tagOf(line_addr);
     for (unsigned w = 0; w < assoc; ++w) {
-        if (tags_[base + w] == line_addr)
+        if (tags_[base + w] == tag)
             return viewOf(base + w);
     }
     return {};
@@ -90,14 +105,15 @@ Cache::findVictim(Addr line_addr)
     // same choice the previous separate invalid-scan + LRU-scan pair
     // made (strict < keeps the lowest index on ties, exactly like the
     // old first-invalid preference).
+    const Addr tag = tagOf(line_addr);
     std::size_t victim = base;
     for (unsigned w = 0; w < assoc; ++w) {
-        if (tags_[base + w] == line_addr)
+        if (tags_[base + w] == tag)
             return base + w;
         if (lastUse_[base + w] < lastUse_[victim])
             victim = base + w;
     }
-    if (tags_[victim] != kInvalidAddr) {
+    if (tags_[victim] != kInvalidTag) {
         if (meta_[victim].dirty)
             ++dirtyEvictionsC_;
         else
@@ -112,8 +128,8 @@ Cache::fillSlot(std::size_t i, Addr line_addr, const std::uint8_t *data,
                 std::uint8_t word_mask)
 {
     CacheLineMeta &m = meta_[i];
-    const bool reinsert = tags_[i] == line_addr;
-    tags_[i] = line_addr;
+    const bool reinsert = tags_[i] == tagOf(line_addr);
+    tags_[i] = tagOf(line_addr);
     m.dirty = reinsert ? (m.dirty || dirty) : dirty;
     m.persistent = reinsert ? (m.persistent || persistent) : persistent;
     m.wordMask = reinsert ? (m.wordMask | word_mask) : word_mask;
@@ -152,14 +168,12 @@ Cache::invalidate(Addr line_addr)
 {
     const std::size_t base =
         static_cast<std::size_t>(setIndex(line_addr)) * assoc;
+    const Addr tag = tagOf(line_addr);
     for (unsigned w = 0; w < assoc; ++w) {
-        if (tags_[base + w] == line_addr) {
-            tags_[base + w] = kInvalidAddr;
-            CacheLineMeta &m = meta_[base + w];
-            m.dirty = false;
-            m.persistent = false;
-            m.txId = kInvalidTxId;
-            m.wordMask = 0;
+        if (tags_[base + w] == tag) {
+            // Only the tag and the stamp change: nothing reads an
+            // invalid way's metadata, and the next fill rewrites it.
+            tags_[base + w] = kInvalidTag;
             // Zero stamp ranks invalid ways first in findVictim.
             lastUse_[base + w] = 0;
             return;
@@ -170,14 +184,8 @@ Cache::invalidate(Addr line_addr)
 void
 Cache::invalidateAll()
 {
-    std::fill(tags_.begin(), tags_.end(), kInvalidAddr);
-    for (auto &m : meta_) {
-        m.dirty = false;
-        m.persistent = false;
-        m.txId = kInvalidTxId;
-        m.wordMask = 0;
-    }
-    std::fill(lastUse_.begin(), lastUse_.end(), 0);
+    std::fill_n(tags_.get(), numWays_, kInvalidTag);
+    std::fill_n(lastUse_.get(), numWays_, 0);
 }
 
 } // namespace hoopnvm

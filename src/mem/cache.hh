@@ -16,6 +16,13 @@
  * *view* into those arrays, not the storage itself; views are cheap to
  * copy and remain valid until the way they reference is re-filled or
  * invalidated.
+ *
+ * Building a cache writes none of its arrays. The tag, LRU and metadata
+ * arrays come zeroed from calloc, and an all-zero way is invalid: tags
+ * are stored complemented, so the zero tag is ~kInvalidAddr. The
+ * payload array is left uninitialized. No code reads an invalid way's
+ * metadata or payload, and a fill writes every metadata field of a way
+ * it newly occupies, so neither needs a defined value before then.
  */
 
 #ifndef HOOPNVM_MEM_CACHE_HH
@@ -23,8 +30,9 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "stats/stat_set.hh"
@@ -36,27 +44,28 @@ namespace hoopnvm
  * Per-line bookkeeping kept out of the tag scan array. The LRU stamp
  * is not here either: victim selection scans every way's stamp, so the
  * stamps live in their own packed array (like the tags) and this
- * struct holds only state touched on a hit.
+ * struct holds only state touched on a hit. The fields have no
+ * initializers: a fill writes all five (see the file comment).
  */
 struct CacheLineMeta
 {
     /** Transaction that last modified this line (kInvalidTxId if none). */
-    TxId txId = kInvalidTxId;
+    TxId txId;
 
     /** Core that performed the last store to this line. */
-    CoreId lastWriter = 0;
+    CoreId lastWriter;
 
     /**
      * Which of the line's eight words hold data newer than the home
      * region (HOOP tracks updates at word granularity, §III-C). Bit i
      * covers bytes [8i, 8i+8).
      */
-    std::uint8_t wordMask = 0;
+    std::uint8_t wordMask;
 
-    bool dirty = false;
+    bool dirty;
 
     /** Set when the line was modified inside a transaction (§III-G). */
-    bool persistent = false;
+    bool persistent;
 };
 
 /**
@@ -185,7 +194,7 @@ class Cache
            std::uint8_t word_mask, RetireFn &&retire)
     {
         const std::size_t slot = findVictim(line_addr);
-        if (tags_[slot] != kInvalidAddr && tags_[slot] != line_addr)
+        if (tags_[slot] != kInvalidTag && tags_[slot] != tagOf(line_addr))
             retire(viewOf(slot));
         fillSlot(slot, line_addr, data, dirty, persistent, writer,
                  tx_id, word_mask);
@@ -211,8 +220,8 @@ class Cache
     void
     forEachLine(Fn &&fn)
     {
-        for (std::size_t i = 0; i < tags_.size(); ++i) {
-            if (tags_[i] != kInvalidAddr) {
+        for (std::size_t i = 0; i < numWays_; ++i) {
+            if (tags_[i] != kInvalidTag) {
                 CacheLine view = viewOf(i);
                 fn(view);
             }
@@ -227,6 +236,25 @@ class Cache
     const StatSet &stats() const { return stats_; }
 
   private:
+    /** Releases an array calloc or malloc returned. */
+    struct FreeArray
+    {
+        void operator()(void *p) const { std::free(p); }
+    };
+
+    /** @p n zero-filled Ts; calloc hands back fresh pages unwritten. */
+    template <typename T>
+    static std::unique_ptr<T[], FreeArray> zeroedArray(std::size_t n);
+
+    /**
+     * The stored tag of @p line_addr: its complement, so that the zero
+     * tag of a zeroed way is ~kInvalidAddr. Its own inverse.
+     */
+    static constexpr Addr tagOf(Addr line_addr) { return ~line_addr; }
+
+    /** Tag of an invalid way: tagOf(kInvalidAddr). */
+    static constexpr Addr kInvalidTag = 0;
+
     /** Index of the set holding @p line_addr. */
     unsigned setIndex(Addr line_addr) const;
 
@@ -234,7 +262,7 @@ class Cache
     CacheLine
     viewOf(std::size_t i) const
     {
-        return CacheLine(tags_[i],
+        return CacheLine(tagOf(tags_[i]),
                          const_cast<CacheLineMeta *>(&meta_[i]),
                          const_cast<std::uint64_t *>(&lastUse_[i]),
                          const_cast<std::uint8_t *>(
@@ -261,15 +289,18 @@ class Cache
     Tick latency_;
     std::uint64_t useClock = 0;
 
+    /** numSets_ * assoc: the length of each parallel array. */
+    std::size_t numWays_;
+
     // Parallel arrays indexed by set * assoc + way. A tag of
-    // kInvalidAddr marks an invalid way, so the lookup scan needs no
+    // kInvalidTag marks an invalid way, so the lookup scan needs no
     // separate valid flag. LRU stamps are packed like the tags: victim
     // selection reads every way's stamp, so an 8-way set's stamps fit
     // one host cache line instead of spanning eight meta structs.
-    std::vector<Addr> tags_;
-    std::vector<std::uint64_t> lastUse_;
-    std::vector<CacheLineMeta> meta_;
-    std::vector<std::uint8_t> data_;
+    std::unique_ptr<Addr[], FreeArray> tags_;
+    std::unique_ptr<std::uint64_t[], FreeArray> lastUse_;
+    std::unique_ptr<CacheLineMeta[], FreeArray> meta_;
+    std::unique_ptr<std::uint8_t[]> data_;
 
     StatSet stats_;
 

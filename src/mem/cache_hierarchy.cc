@@ -100,6 +100,12 @@ CacheHierarchy::reconcileSharers(CoreId core, Addr line,
                 // so a single up-to-date copy exists below.
                 cache->invalidate(line);
                 ++downgradesC_;
+                // A store that hits L1 leaves L2's copy as it was, so
+                // a clean L2 copy under a dirty L1 one is now older
+                // than the LLC's: drop it too, or this core's next
+                // load would hit it and read the old bytes.
+                if (cache == l1s[c].get())
+                    l2s[c]->invalidate(line);
             }
         }
         if (exclusive)

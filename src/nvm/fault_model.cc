@@ -66,23 +66,22 @@ FaultModel::reset()
     wordsUncorrectable_ = 0;
 }
 
-void
-FaultModel::noteWrite(Addr addr, const std::uint8_t *preimage,
-                      std::size_t len, Tick completion, Tick now)
+std::uint8_t *
+FaultModel::noteWrite(Addr addr, std::size_t len, Tick completion,
+                      Tick now)
 {
-    if (!tornWrites_)
-        return;
+    HOOP_ASSERT(tornWrites_, "noteWrite with torn writes off");
     // Completed writes can no longer tear; keep the in-flight window
     // small. The channel completes writes in issue order, so the
     // completed entries form a prefix of the deque.
     while (!pending_.empty() && pending_.front().completion <= now)
         pending_.pop_front();
-    PendingWrite w;
+    PendingWrite &w = pending_.emplace_back();
     w.addr = addr;
     w.completion = completion;
     w.serial = nextSerial_++;
-    w.preimage.assign(preimage, preimage + len);
-    pending_.push_back(std::move(w));
+    w.preimage.resize(len);
+    return w.preimage.data();
 }
 
 bool

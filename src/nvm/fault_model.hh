@@ -193,11 +193,12 @@ class FaultModel
 
     /**
      * Record a timed write of @p len bytes at @p addr completing at
-     * @p completion; @p preimage holds the @p len bytes the range
-     * contained before the write. No-op unless torn writes are on.
+     * @p completion. Torn writes must be on. Returns the record's
+     * @p len-byte preimage buffer, which the caller fills with the
+     * range's bytes before it writes them.
      */
-    void noteWrite(Addr addr, const std::uint8_t *preimage,
-                   std::size_t len, Tick completion, Tick now);
+    std::uint8_t *noteWrite(Addr addr, std::size_t len, Tick completion,
+                            Tick now);
 
     /**
      * Crash at @p tick: tear every tracked write whose completion is

@@ -1,7 +1,6 @@
 #include "nvm/nvm_device.hh"
 
 #include <cstring>
-#include <vector>
 
 #include "common/logging.hh"
 
@@ -133,15 +132,13 @@ Tick
 NvmDevice::write(Tick now, Addr addr, const void *buf, std::size_t len,
                  std::size_t accounted)
 {
-    std::vector<std::uint8_t> preimage;
-    if (faults_.tornWritesEnabled()) {
-        preimage.resize(len);
-        peekRaw(addr, preimage.data(), len);
-    }
-    poke(addr, buf, len);
+    // The channel reservation reads no data, so it can precede the
+    // poke: the torn-write record is then complete before the bytes
+    // change, and its preimage is captured straight into it.
     const Tick done = reserve(now, accounted, true);
     if (faults_.tornWritesEnabled())
-        faults_.noteWrite(addr, preimage.data(), len, done, now);
+        peekRaw(addr, faults_.noteWrite(addr, len, done, now), len);
+    poke(addr, buf, len);
     if (observer_)
         observer_->onTimedWrite(addr, len, now, done);
     return done;

@@ -165,6 +165,26 @@ TEST_F(HierarchyFixture, CrossCoreCoherence)
     EXPECT_EQ(v, 22u);
 }
 
+TEST_F(HierarchyFixture, DowngradeLeavesNoStalePrivateCopy)
+{
+    // Core 0's load puts the line clean in its L1 and L2; its store
+    // then hits L1, so the L2 copy keeps the old bytes. Core 1's load
+    // merges core 0's dirty L1 copy into the LLC and drops it. Core 0
+    // must not find its old L2 copy afterwards.
+    std::uint64_t v = 1;
+    Tick t = hier.loadWord(0, 0x900, v, 0);
+    ASSERT_EQ(v, 0u);
+    t = hier.storeWord(0, 0x900, 11, t);
+    t = hier.loadWord(1, 0x900, v, t);
+    EXPECT_EQ(v, 11u);
+
+    v = 0;
+    hier.debugRead(0x900, &v, kWordSize);
+    EXPECT_EQ(v, 11u);
+    t = hier.loadWord(0, 0x900, v, t);
+    EXPECT_EQ(v, 11u);
+}
+
 TEST_F(HierarchyFixture, WritebackAllDrainsDirtyLines)
 {
     Tick t = 0;
