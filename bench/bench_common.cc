@@ -267,12 +267,17 @@ std::uint64_t
 benchTxPerCore(std::uint64_t dflt)
 {
     // lint: nondet-api-ok (HOOP_BENCH_TX scales the run length explicitly; the value is recorded in the report)
-    if (const char *env = std::getenv("HOOP_BENCH_TX")) {
-        const long long v = std::strtoll(env, nullptr, 10);
-        if (v >= 1)
-            return static_cast<std::uint64_t>(v);
+    const char *env = std::getenv("HOOP_BENCH_TX");
+    if (!env)
+        return dflt;
+    std::uint64_t v = 0;
+    if (!parseUint(env, &v) || v < 1) {
+        std::fprintf(stderr,
+                     "bad HOOP_BENCH_TX '%s': want a positive integer\n",
+                     env);
+        std::exit(2);
     }
-    return dflt;
+    return v;
 }
 
 RunMetrics

@@ -58,9 +58,10 @@ inline constexpr std::uint64_t kTxPerCore = 150;
 
 /**
  * Transactions per core for this run: the bench's own @p dflt unless
- * the HOOP_BENCH_TX environment variable holds a positive count (the
- * CI smoke test sets it to a handful so every bench finishes in
- * milliseconds). An empty, zero or malformed value keeps @p dflt.
+ * the HOOP_BENCH_TX environment variable is set (the CI smoke test
+ * sets it to a handful so every bench finishes in milliseconds). A
+ * value that is not a positive decimal integer exits 2, as a bad flag
+ * does.
  */
 std::uint64_t benchTxPerCore(std::uint64_t dflt = kTxPerCore);
 

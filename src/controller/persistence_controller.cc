@@ -1,5 +1,7 @@
 #include "controller/persistence_controller.hh"
 
+#include <algorithm>
+
 #include "analysis/ordering_tracker.hh"
 #include "common/logging.hh"
 
@@ -29,6 +31,8 @@ PersistenceController::txBeginAs(CoreId core, Tick now, TxId forced)
                 "nested transactions are not supported (core %u)", core);
     coreTx[core].active = true;
     coreTx[core].txId = forced;
+    // A forced id counts as allocated, so ids stay below nextTxId.
+    nextTxId = std::max(nextTxId, forced + 1);
     ++txBegunC_;
     return coreTx[core].txId;
 }

@@ -339,6 +339,9 @@ class PersistenceController
     /** Allocate the next transaction id. */
     TxId allocTxId() { return nextTxId++; }
 
+    /** True once @p tx has begun here (ids count up from 1). */
+    bool txBegun(TxId tx) const { return tx != 0 && tx < nextTxId; }
+
     /** Allocate the next commit (durability order) id. */
     std::uint64_t allocCommitId() { return nextCommitId++; }
 

@@ -53,7 +53,12 @@ GarbageCollector::run(Tick now)
     // order: after migration, every surviving slice is newer than the
     // home-region baseline, which keeps both reads and recovery
     // correct without per-address bookkeeping. The prefix stops at the
-    // first block that is still in use or holds an open transaction.
+    // first block that is still in use or holds an open transaction's
+    // first slice: every block from there on may hold that
+    // transaction's slices, and every block before it holds committed
+    // ones only. It compares blocks, not openSeq: a block whose every
+    // slot failed program-verify holds nothing and shares its openSeq
+    // with the next block, and it is collectable.
     std::vector<std::uint32_t> live;
     for (std::uint32_t b = 0; b < n_blocks; ++b) {
         // Bad blocks are retired capacity: nothing to collect, never
@@ -71,16 +76,7 @@ GarbageCollector::run(Tick now)
     std::vector<std::uint32_t> cand;
     std::vector<bool> in_cand(n_blocks, false);
     for (std::uint32_t b : live) {
-        if (region.block(b).state != BlockState::Full)
-            break;
-        bool all_committed = true;
-        for (TxId tx : region.block(b).txs) {
-            if (!ctrl.isCommitted(tx)) {
-                all_committed = false;
-                break;
-            }
-        }
-        if (!all_committed)
+        if (region.block(b).state != BlockState::Full || ctrl.pinsGc(b))
             break;
         cand.push_back(b);
         in_cand[b] = true;
@@ -131,12 +127,8 @@ GarbageCollector::run(Tick now)
             }
             if (!s.carriesWords())
                 continue;
-            // Every tx in a candidate block was verified committed by
-            // the all_committed check in step 1 (noteSliceTx records
-            // each slice's tx in its block), so no per-slice
-            // isCommitted probe is needed here.
-            scannedWordBytes_ +=
-                static_cast<std::uint64_t>(s.count) * kWordSize;
+            // Step 1 collects only blocks that precede every open
+            // transaction's first slice, so every slice here committed.
             if (ctrl.cfg.gcCoalescing) {
                 coalesced.add(s);
             } else {

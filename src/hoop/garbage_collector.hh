@@ -9,10 +9,11 @@
  *
  * Two refinements over the paper's Algorithm 1 pseudo-code are needed
  * for strict correctness, both noted in DESIGN.md:
- *  - A block is only collectable when every transaction owning slices
- *    in it is committed AND all blocks holding those transactions'
- *    slices are collected together (otherwise recycling a block could
- *    cut a commit-record chain that recovery still needs).
+ *  - GC collects a prefix of the live blocks in open order, stopping
+ *    at the first block that holds an open transaction's first slice
+ *    (each core has at most one open transaction, and every block
+ *    before that one holds committed slices only). Recovery replays
+ *    the survivors of a chain the prefix cut.
  *  - A mapping-table entry is only removed when it points into a
  *    collected block (an entry pointing at a newer slice in a live
  *    block must survive the migration of older versions).
@@ -47,12 +48,6 @@ class GarbageCollector
      */
     Tick run(Tick now);
 
-    /** Bytes of coalesced word data migrated to the home region. */
-    std::uint64_t migratedWordBytes() const { return migratedWordBytes_; }
-
-    /** Word-update bytes observed in scanned committed slices. */
-    std::uint64_t scannedWordBytes() const { return scannedWordBytes_; }
-
     /**
      * Data reduction ratio (paper Table IV): the fraction of bytes
      * modified by transactions that coalescing kept from being written
@@ -80,8 +75,8 @@ class GarbageCollector
     /** GC pause durations, recorded into the controller's StatSet. */
     Histogram &pauseH_;
 
+    /** Bytes of coalesced word data migrated to the home region. */
     std::uint64_t migratedWordBytes_ = 0;
-    std::uint64_t scannedWordBytes_ = 0;
 };
 
 } // namespace hoopnvm

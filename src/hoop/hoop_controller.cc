@@ -154,7 +154,18 @@ HoopController::emitSlice(CoreId core, const PendingSlice &p,
     }
 
     const Tick done = region_.writeSlice(t, idx, s);
-    region_.noteSliceTx(idx, tx);
+    // Pin GC at the first slice of an open transaction. An eviction
+    // slice can carry another core's open transaction, so the owner is
+    // found by id; a slice of a committed transaction pins nothing.
+    // This precedes the mapping-full GC below, which must not collect
+    // the slice's block while its transaction is open.
+    for (CoreId c = 0; c < chains.size(); ++c) {
+        if (coreTx[c].active && coreTx[c].txId == tx) {
+            if (chains[c].firstBlock == OopRegion::kNoBlock)
+                chains[c].firstBlock = region_.blockOfSlice(idx);
+            break;
+        }
+    }
     // Evict slices are read-redirection copies; the chain slices carry
     // the same words, so commit durability depends only on Data slices.
     if (type == SliceType::Data)
@@ -296,7 +307,6 @@ HoopController::commitPrepared(CoreId core, Tick now)
         s.encode(enc);
         commit_done = nvm_.write(t, region_.sliceAddr(idx), enc,
                                  MemorySlice::kSliceBytes, 32);
-        region_.noteSliceTx(idx, tx);
         orderDep("hoop-commit-record", tx);
         ++addrSlicesC_;
     }
@@ -311,7 +321,6 @@ HoopController::commitPrepared(CoreId core, Tick now)
         commit_done = t;
     else
         commit_done = std::max(commit_done, chains[core].outstanding);
-    committed[tx] = cid;
     coreTx[core] = CoreTxState{};
     chains[core] = CoreChain{};
     ++txCommittedC_;
@@ -591,7 +600,6 @@ HoopController::crash()
         c = CoreChain{};
     for (auto &t : coreTx)
         t = CoreTxState{};
-    committed.clear();
 }
 
 Tick
@@ -632,7 +640,6 @@ HoopController::recoverWithFilter(unsigned threads,
     mapping.clear();
     evictBuf.clear();
     buffer.clearAll();
-    committed.clear();
     homeSeq.clear();
     restartIds(r.maxTxId + 1, r.committedTxReplayed + 1);
     recoveriesC_ += 1;
@@ -643,14 +650,23 @@ HoopController::recoverWithFilter(unsigned threads,
 bool
 HoopController::isCommitted(TxId tx) const
 {
-    return committed.contains(tx);
+    if (!txBegun(tx))
+        return false;
+    for (const CoreTxState &c : coreTx) {
+        if (c.active && c.txId == tx)
+            return false;
+    }
+    return true;
 }
 
-std::uint64_t
-HoopController::commitIdOf(TxId tx) const
+bool
+HoopController::pinsGc(std::uint32_t b) const
 {
-    const std::uint64_t *cid = committed.find(tx);
-    return cid ? *cid : 0;
+    for (const CoreChain &c : chains) {
+        if (c.firstBlock == b)
+            return true;
+    }
+    return false;
 }
 
 void

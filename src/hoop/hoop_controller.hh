@@ -123,11 +123,12 @@ class HoopController : public PersistenceController
     /** Full result of the most recent recovery run (integrity stats). */
     const RecoveryResult &lastRecovery() const { return lastRecovery_; }
 
-    /** True once @p tx has durably committed. */
+    /**
+     * True once @p tx has begun on this controller and is open on no
+     * core: it committed, or a crash discarded it. At most one
+     * transaction per core is open, so no commit log is kept.
+     */
     bool isCommitted(TxId tx) const;
-
-    /** Commit (durability order) id of @p tx; 0 if not committed. */
-    std::uint64_t commitIdOf(TxId tx) const;
 
     /** Total bytes modified by transactions so far (Table IV input). */
     std::uint64_t txModifiedBytes() const { return txModifiedBytes_; }
@@ -161,9 +162,20 @@ class HoopController : public PersistenceController
         std::uint32_t tailIdx = MemorySlice::kNullIdx;
         std::uint32_t sliceCount = 0;
 
+        /**
+         * Block of the transaction's first slice, data or eviction
+         * (OopRegion::kNoBlock while it has none). Its later slices
+         * land in this block or a later-opened one, so GC may collect
+         * only the blocks opened before it (see pinsGc).
+         */
+        std::uint32_t firstBlock = OopRegion::kNoBlock;
+
         /** Completion tick of the newest posted slice write. */
         Tick outstanding = 0;
     };
+
+    /** True when block @p b holds some open transaction's first slice. */
+    bool pinsGc(std::uint32_t b) const;
 
     /**
      * Emit @p p as one memory slice of @p type for transaction @p tx,
@@ -193,17 +205,6 @@ class HoopController : public PersistenceController
     RecoveryResult lastRecovery_;
 
     std::vector<CoreChain> chains;
-
-    /**
-     * Commit ids of all committed transactions, keyed by TxId.
-     * Entries persist for the simulation's lifetime: LLC evictions may
-     * carry the TxId of a long-committed transaction, and GC must
-     * still classify those slices as committed. Open-addressed — GC's
-     * candidate scan and the eviction path probe this per slice. (Not
-     * a dense vector: the multi-controller forces global TxIds
-     * starting at 2^31, which would make a by-id array 17 GB.)
-     */
-    FlatMap<std::uint64_t> committed;
 
     Tick lastGc = 0;
     std::uint64_t txModifiedBytes_ = 0;

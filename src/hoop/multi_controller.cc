@@ -81,10 +81,8 @@ MultiHoopSystem::txEnd(CoreId core)
     // crash inside this window leaves records on a strict subset of
     // the participants, which consensus recovery must resolve.
     for (unsigned ch : sortedValues(touched[core])) {
-        if (commitCrashAfter == 0) {
-            crashed = true;
+        if (commitCrashAfter == 0)
             break;
-        }
         done = std::max(done,
                         mcs[ch].ctrl->commitPrepared(core, done));
         if (commitCrashAfter > 0)
@@ -105,7 +103,6 @@ MultiHoopSystem::crash()
     // lint: unordered-iter-ok (outer std::vector of per-core sets; clearing is order-insensitive)
     for (auto &t : touched)
         t.clear();
-    crashed = false;
     commitCrashAfter = -1;
 }
 

@@ -68,16 +68,19 @@ class MultiHoopSystem
     Tick txEnd(CoreId core);
 
     /**
-     * Crash with a fault window: if @p fail_after_records >= 0, the
-     * power fails after that many of the current in-flight commit's
-     * records were written (used by tests to split the commit phase).
+     * Power failure on every controller: their volatile state is lost
+     * and any pending scheduleCommitCrash() is cancelled.
      */
     void crash();
 
     /** Consensus recovery across all controllers (see file header). */
     void recoverAll(unsigned threads);
 
-    /** Inject a crash after @p n more commit-record writes. */
+    /**
+     * Split the next commit phase: after @p n more commit-record
+     * writes, txEnd() stops writing records, as if the power failed
+     * (tests then call crash()).
+     */
     void scheduleCommitCrash(unsigned n) { commitCrashAfter = n; }
 
     HoopController &controller(unsigned i) { return *mcs[i].ctrl; }
@@ -104,7 +107,6 @@ class MultiHoopSystem
 
     /** Commit-phase fault injection: -1 = disabled. */
     int commitCrashAfter = -1;
-    bool crashed = false;
 
     /**
      * Next global (cross-controller) transaction id. Global ids live

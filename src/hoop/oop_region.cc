@@ -78,7 +78,6 @@ OopRegion::OopRegion(NvmDevice &nvm_, const SystemConfig &cfg_)
         cfg.oopBlockBytes / MemorySlice::kSliceBytes - 1);
     HOOP_ASSERT(numBlocks_ >= 2, "need at least two OOP blocks");
     blocks.resize(numBlocks_);
-    noteTx_.fill(kInvalidTxId);
     if (cfg.ft.enabled) {
         // The bitmap shares the (HOOP-private) aux region with the GC
         // watermark word: watermark at auxBase, map one line above it.
@@ -158,7 +157,6 @@ OopRegion::openNextBlock(Tick now)
             blocks[b].state = BlockState::InUse;
             blocks[b].writePtr = 1;
             blocks[b].openSeq = nextSeq_;
-            blocks[b].txs.clear();
             writeHeader(b, now);
             currentBlock = b;
             ++blocksOpenedC_;
@@ -267,115 +265,13 @@ OopRegion::closeCurrentBlock(Tick now)
 }
 
 void
-OopRegion::noteSliceTxSlow(std::uint32_t b, TxId tx)
-{
-    if (tx == kInvalidTxId) {
-        // Cannot be a FlatMap key (it is the empty-slot sentinel):
-        // track it in the spill map. No real transaction carries this
-        // id, so the path never runs in normal operation.
-        if (txSpill_[tx].insert(b).second)
-            blocks[b].txs.push_back(tx);
-        return;
-    }
-    TxBlockList &l = txBlocks_[tx];
-    if (l.n == TxBlockList::kSpilled) {
-        if (txSpill_[tx].insert(b).second)
-            blocks[b].txs.push_back(tx);
-        return;
-    }
-    for (std::uint8_t i = 0; i < l.n; ++i) {
-        if (l.b[i] == b)
-            return;
-    }
-    if (l.n == TxBlockList::kInlineBlocks) {
-        // The chain outgrew the inline list: move it to the spill map.
-        std::unordered_set<std::uint32_t> &s = txSpill_[tx];
-        for (std::uint8_t i = 0; i < l.n; ++i)
-            s.insert(l.b[i]);
-        s.insert(b);
-        l.n = TxBlockList::kSpilled;
-        blocks[b].txs.push_back(tx);
-        return;
-    }
-    l.b[l.n++] = b;
-    blocks[b].txs.push_back(tx);
-}
-
-void
-OopRegion::dropTxBlock(TxId tx, std::uint32_t b)
-{
-    if (tx != kInvalidTxId) {
-        TxBlockList *l = txBlocks_.find(tx);
-        if (l && l->n != TxBlockList::kSpilled) {
-            for (std::uint8_t i = 0; i < l->n; ++i) {
-                if (l->b[i] == b) {
-                    l->b[i] = l->b[--l->n];
-                    break;
-                }
-            }
-            if (l->n == 0)
-                txBlocks_.erase(tx);
-            return;
-        }
-        if (!l)
-            return;
-    }
-    auto it = txSpill_.find(tx);
-    if (it != txSpill_.end()) {
-        it->second.erase(b);
-        if (it->second.empty()) {
-            txSpill_.erase(it);
-            if (tx != kInvalidTxId)
-                txBlocks_.erase(tx);
-        }
-    }
-}
-
-std::vector<std::uint32_t>
-OopRegion::txBlocks(TxId tx) const
-{
-    if (tx != kInvalidTxId) {
-        const TxBlockList *l = txBlocks_.find(tx);
-        if (!l)
-            return {};
-        if (l->n != TxBlockList::kSpilled)
-            return {l->b.begin(), l->b.begin() + l->n};
-    }
-    auto it = txSpill_.find(tx);
-    if (it == txSpill_.end())
-        return {};
-    return {it->second.begin(), it->second.end()};
-}
-
-void
-OopRegion::retireTx(TxId tx)
-{
-    // A tx can only sit in its own direct-mapped way.
-    const std::size_t h = static_cast<std::size_t>(tx) % kNoteWays;
-    if (noteTx_[h] == tx)
-        noteTx_[h] = kInvalidTxId;
-    for (std::uint32_t b : txBlocks(tx))
-        std::erase(blocks[b].txs, tx);
-    if (tx != kInvalidTxId)
-        txBlocks_.erase(tx);
-    txSpill_.erase(tx);
-}
-
-void
 OopRegion::setBlockState(std::uint32_t b, BlockState state, Tick now)
 {
     blocks[b].state = state;
     if (state == BlockState::Unused) {
-        for (std::size_t h = 0; h < kNoteWays; ++h) {
-            if (noteBlock_[h] == b)
-                noteTx_[h] = kInvalidTxId;
-        }
         blocks[b].writePtr = 1;
         blocks[b].badSlots = 0; // re-counted on reopen (cells stay bad)
         blocks[b].retirePending = false;
-        for (TxId tx : blocks[b].txs)
-            dropTxBlock(tx, b);
-        blocks[b].txs.clear();
     }
     writeHeader(b, now);
 }
@@ -417,9 +313,6 @@ OopRegion::reset()
         h.crc = headerCrc(h);
         nvm.poke(blockBase(b), &h, sizeof(h));
     }
-    txBlocks_.clear();
-    txSpill_.clear();
-    noteTx_.fill(kInvalidTxId);
     currentBlock = kNoBlock;
     if (retireMap_.attached())
         retireMap_.persistUntimed();
@@ -443,16 +336,9 @@ OopRegion::retireBlock(std::uint32_t b, Tick now)
         currentBlock = kNoBlock;
     // The caller (GC, scrubber, allocator) migrated survivors already:
     // drop the bookkeeping exactly like a recycle, but land on Bad.
-    for (std::size_t h = 0; h < kNoteWays; ++h) {
-        if (noteBlock_[h] == b)
-            noteTx_[h] = kInvalidTxId;
-    }
     blocks[b].writePtr = 1;
     blocks[b].badSlots = 0;
     blocks[b].retirePending = false;
-    for (TxId tx : blocks[b].txs)
-        dropTxBlock(tx, b);
-    blocks[b].txs.clear();
     blocks[b].state = BlockState::Bad;
     writeHeader(b, now);
     // Persist the retirement bit and fence it before returning: acting

@@ -10,21 +10,17 @@
  * blocks are live — recovery only scans blocks named by that table.
  *
  * The region keeps a host-side mirror of per-block bookkeeping (state,
- * write pointer, which transactions own slices in the block) purely as
- * an acceleration: everything needed for crash recovery is re-derivable
- * from NVM bytes, which the recovery tests exercise.
+ * write pointer, open sequence) purely as an acceleration: everything
+ * needed for crash recovery is re-derivable from NVM bytes, which the
+ * recovery tests exercise.
  */
 
 #ifndef HOOPNVM_HOOP_OOP_REGION_HH
 #define HOOPNVM_HOOP_OOP_REGION_HH
 
-#include <array>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "hoop/memory_slice.hh"
 #include "nvm/nvm_device.hh"
@@ -73,14 +69,6 @@ struct OopBlockInfo
      * out and retires the block instead of recycling it.
      */
     bool retirePending = false;
-
-    /**
-     * Distinct transactions owning slices (incl. commit records) in
-     * the block, in first-noted order. Uniqueness is enforced by
-     * noteSliceTx via the per-tx block list, so this is a plain
-     * append-only vector rather than a hash set.
-     */
-    std::vector<TxId> txs;
 };
 
 /** Decoded view of an on-NVM block header (used by recovery). */
@@ -98,6 +86,9 @@ struct BlockHeaderView
 class OopRegion
 {
   public:
+    /** Block number that names no block. */
+    static constexpr std::uint32_t kNoBlock = 0xffffffffu;
+
     OopRegion(NvmDevice &nvm, const SystemConfig &cfg);
 
     /** Number of blocks in the region. */
@@ -144,31 +135,8 @@ class OopRegion
     /** Close the currently open block, marking it Full (drain/GC). */
     void closeCurrentBlock(Tick now);
 
-    /**
-     * Record that @p tx owns a slice in @p idx's block. Inline fast
-     * path: emitSlice calls this once per slice, and almost every call
-     * repeats a (block, tx) pair the memo already holds.
-     */
-    void
-    noteSliceTx(std::uint32_t idx, TxId tx)
-    {
-        const std::uint32_t b = blockOfSlice(idx);
-        const std::size_t h = static_cast<std::size_t>(tx) % kNoteWays;
-        if (noteBlock_[h] == b && noteTx_[h] == tx)
-            return;
-        noteSliceTxSlow(b, tx);
-        noteBlock_[h] = b;
-        noteTx_[h] = tx;
-    }
-
     OopBlockInfo &block(std::uint32_t b) { return blocks[b]; }
     const OopBlockInfo &block(std::uint32_t b) const { return blocks[b]; }
-
-    /** Blocks that still hold slices of transaction @p tx. */
-    std::vector<std::uint32_t> txBlocks(TxId tx) const;
-
-    /** Forget transaction @p tx in all block bookkeeping (GC retire). */
-    void retireTx(TxId tx);
 
     /** Transition @p b to @p state, persisting the header (timed). */
     void setBlockState(std::uint32_t b, BlockState state, Tick now);
@@ -219,14 +187,6 @@ class OopRegion
 
     /** Blocks retired so far (durably recorded). */
     std::uint64_t retiredBlocks() const { return retireMap_.retiredCount(); }
-
-    /** Blocks still usable (total minus retired). */
-    std::uint32_t
-    usableBlocks() const
-    {
-        return numBlocks_ -
-               static_cast<std::uint32_t>(retireMap_.retiredCount());
-    }
 
     /** Fraction of OOP capacity lost to retirement, in [0, 1]. */
     double
@@ -280,47 +240,7 @@ class OopRegion
     std::uint32_t slicesPerBlock_;
     std::vector<OopBlockInfo> blocks;
 
-    /**
-     * Blocks holding slices of one transaction. Nearly every
-     * transaction's chain spans one or two blocks, so the list is
-     * inline in the map value (no per-node allocation, one probe to
-     * test membership); the rare transaction that outgrows it — and
-     * any tx id that cannot be a FlatMap key — spills to txSpill_,
-     * marked by n == kSpilled.
-     */
-    struct TxBlockList
-    {
-        static constexpr std::uint8_t kInlineBlocks = 8;
-        static constexpr std::uint8_t kSpilled = 0xff;
-        std::array<std::uint32_t, kInlineBlocks> b;
-        std::uint8_t n;
-    };
-    FlatMap<TxBlockList> txBlocks_;
-    std::unordered_map<TxId, std::unordered_set<std::uint32_t>>
-        txSpill_;
-
-    /** Record a (block, tx) pair the memo does not hold. */
-    void noteSliceTxSlow(std::uint32_t b, TxId tx);
-
-    /** Drop block @p b from @p tx's block list (block recycle). */
-    void dropTxBlock(TxId tx, std::uint32_t b);
-
-    /**
-     * Direct-mapped memo of recently recorded (block, tx) pairs,
-     * indexed by tx. Concurrent cores interleave their transactions'
-     * slices in the open block, so a single-entry memo thrashes on
-     * the alternation; one way per active transaction (mod kNoteWays)
-     * catches nearly every repeat. A tx can only sit in its own way,
-     * and kInvalidTxId marks a way empty (no real transaction carries
-     * that id). Invalidated wherever a pair can be removed (retireTx,
-     * block recycle/retire, reset).
-     */
-    static constexpr std::size_t kNoteWays = 8;
-    std::array<std::uint32_t, kNoteWays> noteBlock_{};
-    std::array<TxId, kNoteWays> noteTx_{};
-
     /** Block currently accepting slices; kNoBlock when none open. */
-    static constexpr std::uint32_t kNoBlock = 0xffffffffu;
     std::uint32_t currentBlock = kNoBlock;
 
     /** Round-robin allocation cursor (wear leveling, §III-D). */

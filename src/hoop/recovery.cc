@@ -77,7 +77,6 @@ RecoveryManager::run(unsigned threads,
             region.slicesPerBlock(),
         std::size_t{1} << 19));
     FlatMap<TxInfo> txs;
-    std::uint64_t max_commit = 0;
     // Lowest slice sequence number a corruption cut could have
     // swallowed. A CRC failure that ends a block's live area can only
     // hide slices newer than the last good slice before the cut
@@ -211,7 +210,6 @@ RecoveryManager::run(unsigned threads,
                 ti.committed = true;
                 ti.expected = s.record.sliceCount;
                 ti.commitSeq = s.seq;
-                max_commit = std::max(max_commit, s.record.commitId);
                 res.maxTxId = std::max(res.maxTxId, s.record.txId);
             }
         }

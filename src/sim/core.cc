@@ -13,10 +13,8 @@ Core::Core(CoreId id)
 void
 Core::advanceTo(Tick t)
 {
-    if (t > clock_) {
+    if (t > clock_)
         clock_ = t;
-        noteClock();
-    }
 }
 
 void

@@ -13,7 +13,6 @@
 #define HOOPNVM_SIM_CORE_HH
 
 #include "common/types.hh"
-#include "sim/clock_tracker.hh"
 
 namespace hoopnvm
 {
@@ -32,24 +31,7 @@ class Core
     void advanceTo(Tick t);
 
     /** Add @p d to the clock. */
-    void
-    advanceBy(Tick d)
-    {
-        clock_ += d;
-        noteClock();
-    }
-
-    /**
-     * Attach the system's clock tracker (nullptr detaches); every
-     * clock change is mirrored into slot id() so min/max queries never
-     * need to scan the cores.
-     */
-    void
-    setTracker(ClockTracker *t)
-    {
-        tracker_ = t;
-        noteClock();
-    }
+    void advanceBy(Tick d) { clock_ += d; }
 
     bool inTx() const { return inTx_; }
     void setInTx(bool v) { inTx_ = v; }
@@ -69,18 +51,10 @@ class Core
     void reset();
 
   private:
-    void
-    noteClock()
-    {
-        if (tracker_)
-            tracker_->set(id_, clock_);
-    }
-
     CoreId id_;
     Tick clock_ = 0;
     Tick txStart_ = 0;
     bool inTx_ = false;
-    ClockTracker *tracker_ = nullptr;
 };
 
 } // namespace hoopnvm

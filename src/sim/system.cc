@@ -1,5 +1,6 @@
 #include "sim/system.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "analysis/ordering_tracker.hh"
@@ -79,8 +80,7 @@ makeController(Scheme scheme, NvmDevice &nvm, const SystemConfig &cfg)
 }
 
 System::System(const SystemConfig &cfg, Scheme scheme)
-    : cfg_(cfg), scheme_(scheme), clockTracker_(cfg.numCores),
-      stats_("system"),
+    : cfg_(cfg), scheme_(scheme), stats_("system"),
       critPathH_(stats_.histogram("tx_critical_path_ticks"))
 {
     nvm_ = std::make_unique<NvmDevice>(cfg_.nvmCapacity(), cfg_.nvm,
@@ -102,10 +102,8 @@ System::System(const SystemConfig &cfg, Scheme scheme)
                                             cfg_.homeBytes,
                                             cfg_.numCores);
     cores_.reserve(cfg_.numCores);
-    for (unsigned c = 0; c < cfg_.numCores; ++c) {
+    for (unsigned c = 0; c < cfg_.numCores; ++c)
         cores_.emplace_back(c);
-        cores_.back().setTracker(&clockTracker_);
-    }
     nextEpoch_ = cfg_.epochSamplePeriod;
     nextScrub_ = cfg_.ft.scrubPeriod;
     if (Trace::enabled()) {
@@ -260,6 +258,24 @@ System::recover(unsigned threads)
 {
     HostTimer ht(HostProfiler::kRecovery);
     return ctrl_->recover(threads);
+}
+
+Tick
+System::minClock() const
+{
+    Tick t = kNeverTick;
+    for (const Core &c : cores_)
+        t = std::min(t, c.clock());
+    return t;
+}
+
+Tick
+System::maxClock() const
+{
+    Tick t = 0;
+    for (const Core &c : cores_)
+        t = std::max(t, c.clock());
+    return t;
 }
 
 void

@@ -314,8 +314,13 @@ class System
     // ---- Accessors ----
 
     Core &core(CoreId c) { return cores_[c]; }
-    Tick minClock() const { return clockTracker_.min(); }
-    Tick maxClock() const { return clockTracker_.max(); }
+
+    /** Clock of the core furthest behind. */
+    Tick minClock() const;
+
+    /** Clock of the core furthest ahead. */
+    Tick maxClock() const;
+
     const SystemConfig &config() const { return cfg_; }
     Scheme scheme() const { return scheme_; }
     NvmDevice &nvm() { return *nvm_; }
@@ -354,16 +359,6 @@ class System
     std::unique_ptr<CacheHierarchy> caches_;
     std::unique_ptr<SimAllocator> alloc_;
     std::vector<Core> cores_;
-
-    /**
-     * Incremental min/max over the core clocks; each Core mirrors its
-     * clock into the tracker so minClock()/maxClock() are O(1) instead
-     * of scans. Used on both engines: it holds exactly the values a
-     * scan would see (clock_tracker_test checks it against one, and
-     * fastpath_equiv_test checks both queries against a scan of the
-     * cores after every cell).
-     */
-    ClockTracker clockTracker_;
 
     std::uint64_t committedTx_ = 0;
     Tick criticalPathSum_ = 0;

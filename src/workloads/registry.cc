@@ -5,7 +5,6 @@
 
 #include "common/host_profiler.hh"
 #include "common/logging.hh"
-#include "sim/clock_tracker.hh"
 #include "workloads/btree_wl.hh"
 #include "workloads/hashmap_wl.hh"
 #include "workloads/queue_wl.hh"
@@ -120,19 +119,17 @@ runWorkload(System &sys, const WorkloadFactory &factory,
     std::vector<std::uint64_t> done(n_cores, 0);
     std::uint64_t remaining = tx_per_core * n_cores;
 
-    // Next-core selection: the runnable cores' clocks sit in an
-    // incremental min-tracker (finished cores drop out via disable()),
-    // whose argMin() is the core furthest behind in simulated time,
-    // ties to the lowest index (clock_tracker_test.cc checks it against
-    // a scan on randomized sequences). A transaction only advances the
-    // clock of the core it runs on, so re-arming just that slot keeps
-    // the tracker exact.
-    ClockTracker runnable(n_cores);
-    for (unsigned c = 0; c < n_cores; ++c)
-        runnable.set(c, sys.core(c).clock());
-
     while (remaining > 0) {
-        const auto next = static_cast<unsigned>(runnable.argMin());
+        // Run the unfinished core furthest behind in simulated time,
+        // ties to the lowest index.
+        unsigned next = n_cores;
+        Tick best = kNeverTick;
+        for (unsigned c = 0; c < n_cores; ++c) {
+            if (done[c] < tx_per_core && sys.core(c).clock() < best) {
+                best = sys.core(c).clock();
+                next = c;
+            }
+        }
         HOOP_ASSERT(next < n_cores, "no runnable core");
         {
             HostTimer ht(HostProfiler::kExecute);
@@ -140,10 +137,6 @@ runWorkload(System &sys, const WorkloadFactory &factory,
         }
         ++done[next];
         --remaining;
-        if (done[next] >= tx_per_core)
-            runnable.disable(next);
-        else
-            runnable.set(next, sys.core(next).clock());
         {
             HostTimer ht(HostProfiler::kMaintenance);
             sys.maintenance();

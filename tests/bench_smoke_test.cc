@@ -1,7 +1,8 @@
 /**
  * @file
- * End-to-end smoke test for a bench binary: an unknown flag must end
- * in exit 2 with no report written; then a run with a tiny transaction
+ * End-to-end smoke test for a bench binary: an unknown flag and a
+ * malformed HOOP_BENCH_TX must each end in exit 2 with no report
+ * written; then a run with a tiny transaction
  * count (HOOP_BENCH_TX) on a 2-thread pool (-j2) must emit a
  * machine-readable BENCH_<name>.json that matches the schema —
  * well-formed JSON, schema_version, the config/host summary blocks,
@@ -88,6 +89,18 @@ main(int argc, char **argv)
           "an unknown flag printed no usage line");
     CHECK(!std::ifstream(jsonName).good(),
           "the unknown flag still wrote %s", jsonName.c_str());
+
+    const int bad_tx = std::system(("HOOP_BENCH_TX=10x " + exe +
+                                    " -j2 > '" + usageFile + "' 2>&1")
+                                       .c_str());
+    CHECK(WIFEXITED(bad_tx) && WEXITSTATUS(bad_tx) == 2,
+          "HOOP_BENCH_TX=10x should exit 2, got status %d", bad_tx);
+    std::stringstream bad_tx_msg;
+    bad_tx_msg << std::ifstream(usageFile).rdbuf();
+    CHECK(bad_tx_msg.str().find("HOOP_BENCH_TX") != std::string::npos,
+          "a malformed HOOP_BENCH_TX was not named");
+    CHECK(!std::ifstream(jsonName).good(),
+          "HOOP_BENCH_TX=10x still wrote %s", jsonName.c_str());
 
     const int rc =
         std::system((exe + " -j2 > '" + stdoutFile + "'").c_str());

@@ -212,12 +212,12 @@ TEST(CellRunner, TxPerCoreEnvOverride)
     ::setenv("HOOP_BENCH_TX", "5", 1);
     EXPECT_EQ(bench::benchTxPerCore(), 5u);
     EXPECT_EQ(bench::benchTxPerCore(250), 5u);
-    // Set but unusable: the caller's own default, not kTxPerCore.
-    for (const char *bad : {"", "0", "-3", "many"}) {
+    // Set but not a positive count: exit 2, as a bad flag does.
+    for (const char *bad : {"", "0", "-3", "many", "10x", "1e3", " 5"}) {
         SCOPED_TRACE(std::string("HOOP_BENCH_TX=") + bad);
         ::setenv("HOOP_BENCH_TX", bad, 1);
-        EXPECT_EQ(bench::benchTxPerCore(250), 250u);
-        EXPECT_EQ(bench::benchTxPerCore(), bench::kTxPerCore);
+        EXPECT_EXIT(bench::benchTxPerCore(250),
+                    ::testing::ExitedWithCode(2), "bad HOOP_BENCH_TX");
     }
     ::unsetenv("HOOP_BENCH_TX");
     EXPECT_EQ(bench::benchTxPerCore(), bench::kTxPerCore);

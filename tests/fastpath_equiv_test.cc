@@ -10,14 +10,11 @@
  * "Bit-identical" is checked at full depth over the scheme × workload
  * matrix: every counter and histogram bucket of every component
  * (system, hierarchy, each cache, controller, NVM device), the epoch
- * sample ring including sample ticks, and all RunMetrics fields. Both
- * engines' minClock()/maxClock() are also checked against a scan of
- * the core clocks.
+ * sample ring including sample ticks, and all RunMetrics fields.
  */
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,20 +117,6 @@ runCell(Scheme scheme, const std::string &workload, bool fast_path,
     return out;
 }
 
-/** minClock()/maxClock() must be what a scan of the cores sees. */
-void
-expectClocksMatchScan(System &sys, const std::string &what)
-{
-    Tick lo = sys.core(0).clock();
-    Tick hi = 0;
-    for (unsigned c = 0; c < sys.config().numCores; ++c) {
-        lo = std::min(lo, sys.core(c).clock());
-        hi = std::max(hi, sys.core(c).clock());
-    }
-    EXPECT_EQ(sys.minClock(), lo) << what;
-    EXPECT_EQ(sys.maxClock(), hi) << what;
-}
-
 /** Two runs of one cell must agree on every simulated quantity. */
 void
 expectSameRun(const CellResult &a, const CellResult &b, Scheme scheme,
@@ -184,8 +167,6 @@ compareCell(Scheme scheme, const std::string &workload,
     const CellResult fast = runCell(scheme, workload, true, cfg, shape);
     const CellResult ref = runCell(scheme, workload, false, cfg, shape);
     expectSameRun(fast, ref, scheme, what);
-    expectClocksMatchScan(*fast.sys, what + " fastPath");
-    expectClocksMatchScan(*ref.sys, what + " reference");
 }
 
 } // namespace

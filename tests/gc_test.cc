@@ -2,13 +2,20 @@
  * @file
  * Tests for HOOP's garbage collector (Algorithm 1): committed-data
  * migration with coalescing, block recycling, open-transaction
- * pinning, mapping-table cleanup and the data-reduction metric.
+ * pinning (checked against the all-transactions-committed rule on
+ * random interleavings), mapping-table cleanup and the data-reduction
+ * metric.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
+#include <string>
+#include <vector>
 
+#include "common/rng.hh"
 #include "hoop/hoop_controller.hh"
 
 namespace hoopnvm
@@ -190,6 +197,130 @@ TEST_F(GcFixture, GcChargesNvmTraffic)
     ctrl.drain(0);
     EXPECT_GT(nvm.bytesRead(), read_before);     // slice + home reads
     EXPECT_GT(nvm.bytesWritten(), written_before); // home lines
+}
+
+/**
+ * Algorithm 1's rule, read back from NVM: the live blocks in openSeq
+ * order, up to the first that is not Full or holds a slice (data,
+ * eviction or commit record) of a transaction in @p open.
+ */
+std::vector<std::uint32_t>
+allCommittedPrefix(HoopController &ctrl, const std::set<TxId> &open)
+{
+    OopRegion &r = ctrl.region();
+    std::vector<std::uint32_t> live;
+    for (std::uint32_t b = 0; b < r.numBlocks(); ++b) {
+        if (r.block(b).state != BlockState::Unused)
+            live.push_back(b);
+    }
+    std::sort(live.begin(), live.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                  return r.block(a).openSeq < r.block(b).openSeq;
+              });
+    std::vector<std::uint32_t> prefix;
+    for (std::uint32_t b : live) {
+        if (r.block(b).state != BlockState::Full)
+            break;
+        bool pinned = false;
+        for (std::uint32_t slot = 1; slot < r.block(b).writePtr; ++slot) {
+            const MemorySlice s =
+                r.peekSlice(b * (r.slicesPerBlock() + 1) + slot);
+            pinned = pinned || open.contains(s.txId);
+        }
+        if (pinned)
+            break;
+        prefix.push_back(b);
+    }
+    return prefix;
+}
+
+// The pin rule (GC stops at the first block holding some open
+// transaction's first slice) must collect exactly the blocks the
+// all-transactions-committed rule collects, on random interleavings
+// of four cores' transactions, block closes, GC runs and evictions
+// tagged with any open or committed transaction.
+TEST(GcPinRule, CollectsTheAllCommittedPrefix)
+{
+    SystemConfig cfg = gcConfig();
+    cfg.numCores = 4;
+    cfg.oopBlockBytes = kiB(4);
+    cfg.oopBytes = 48 * kiB(4);
+    unsigned checked = 0;
+    unsigned partial = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
+        HoopController ctrl(nvm, cfg);
+        Rng rng(seed);
+        std::set<TxId> open;
+        std::vector<TxId> committed;
+        for (unsigned step = 0; step < 2500; ++step) {
+            const auto core =
+                static_cast<CoreId>(rng.nextBounded(cfg.numCores));
+            const std::uint64_t op = rng.nextBounded(100);
+            std::uint8_t line[kCacheLineSize];
+            for (unsigned w = 0; w < kWordsPerLine; ++w) {
+                const std::uint64_t v = rng.next();
+                std::memcpy(line + w * kWordSize, &v, kWordSize);
+            }
+            const Addr addr = 0x10000 + rng.nextBounded(512) * kWordSize;
+            if (op < 3) {
+                ctrl.region().closeCurrentBlock(0);
+            } else if (op < 8) {
+                const std::vector<std::uint32_t> want =
+                    allCommittedPrefix(ctrl, open);
+                std::vector<BlockState> before;
+                for (std::uint32_t b = 0; b < ctrl.region().numBlocks();
+                     ++b)
+                    before.push_back(ctrl.region().block(b).state);
+                // Every Full block precedes the open one in openSeq
+                // order, so a prefix shorter than this count stopped
+                // at a pinned Full block.
+                const auto full = static_cast<std::size_t>(
+                    std::count(before.begin(), before.end(),
+                               BlockState::Full));
+                ctrl.gc().run(0);
+                std::vector<std::uint32_t> got;
+                for (std::uint32_t b = 0; b < before.size(); ++b) {
+                    if (before[b] != BlockState::Unused &&
+                        ctrl.region().block(b).state ==
+                            BlockState::Unused)
+                        got.push_back(b);
+                }
+                std::vector<std::uint32_t> sorted_want = want;
+                std::sort(sorted_want.begin(), sorted_want.end());
+                ASSERT_EQ(got, sorted_want) << "step " << step;
+                ++checked;
+                if (!want.empty() && want.size() < full)
+                    ++partial;
+            } else if (op < 20) {
+                // Any core evicts a line tagged with an open or a
+                // committed transaction.
+                std::vector<TxId> tags(open.begin(), open.end());
+                if (!committed.empty())
+                    tags.push_back(
+                        committed[rng.nextBounded(committed.size())]);
+                if (tags.empty())
+                    continue;
+                const TxId tag = tags[rng.nextBounded(tags.size())];
+                ctrl.evictLine(core, lineAddr(addr), line, true, tag,
+                               static_cast<std::uint8_t>(rng.next()), 0);
+            } else if (ctrl.inTx(core) && op < 30) {
+                const TxId tx = ctrl.currentTx(core);
+                ctrl.txEnd(core, 0);
+                open.erase(tx);
+                committed.push_back(tx);
+            } else {
+                if (!ctrl.inTx(core))
+                    open.insert(ctrl.txBegin(core, 0));
+                ctrl.storeWord(core, addr, line, 0);
+            }
+        }
+    }
+    EXPECT_GT(checked, 1000u);
+    // Prefixes cut short by a Full block that an open transaction
+    // pins: the case where a wrong pin shows.
+    EXPECT_GT(partial, 100u);
 }
 
 } // namespace

@@ -69,7 +69,6 @@ TEST_F(HoopFixture, TxLifecycle)
     ctrl.txEnd(0, 0);
     EXPECT_FALSE(ctrl.inTx(0));
     EXPECT_TRUE(ctrl.isCommitted(tx));
-    EXPECT_GT(ctrl.commitIdOf(tx), 0u);
 }
 
 TEST_F(HoopFixture, StoresAreCapturedAsSlices)

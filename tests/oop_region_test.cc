@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the log-structured OOP region: block allocation and
- * state machine, round-robin wear leveling, slice IO, header
- * persistence and transaction-to-block bookkeeping.
+ * state machine, round-robin wear leveling, slice IO and header
+ * persistence.
  */
 
 #include <gtest/gtest.h>
@@ -142,32 +142,12 @@ TEST_F(RegionFixture, RoundRobinReuse)
     EXPECT_EQ(region.blockOfSlice(idx), 0u);
 }
 
-TEST_F(RegionFixture, TxBlockBookkeeping)
-{
-    std::uint32_t idx;
-    ASSERT_TRUE(region.allocSlice(idx, 0));
-    region.noteSliceTx(idx, 7);
-    ASSERT_TRUE(region.allocSlice(idx, 0));
-    region.noteSliceTx(idx, 7);
-    region.noteSliceTx(idx, 8);
-
-    EXPECT_EQ(region.block(0).txs.size(), 2u);
-    const auto blocks = region.txBlocks(7);
-    EXPECT_EQ(blocks.size(), 1u);
-
-    region.retireTx(7);
-    EXPECT_TRUE(region.txBlocks(7).empty());
-    EXPECT_EQ(region.block(0).txs.size(), 1u);
-}
-
 TEST_F(RegionFixture, UnusedTransitionClearsBookkeeping)
 {
     std::uint32_t idx;
     ASSERT_TRUE(region.allocSlice(idx, 0));
-    region.noteSliceTx(idx, 9);
     region.setBlockState(0, BlockState::Unused, 0);
-    EXPECT_TRUE(region.txBlocks(9).empty());
-    EXPECT_TRUE(region.block(0).txs.empty());
+    EXPECT_EQ(region.block(0).writePtr, 1u);
     EXPECT_EQ(region.peekHeader(0).state, BlockState::Unused);
 }
 
@@ -201,10 +181,8 @@ TEST_F(RegionFixture, ResetClearsEverything)
 {
     std::uint32_t idx;
     ASSERT_TRUE(region.allocSlice(idx, 0));
-    region.noteSliceTx(idx, 3);
     region.reset();
     EXPECT_EQ(region.freeBlocks(), region.numBlocks());
-    EXPECT_TRUE(region.txBlocks(3).empty());
     for (std::uint32_t b = 0; b < region.numBlocks(); ++b)
         EXPECT_EQ(region.peekHeader(b).state, BlockState::Unused);
 }
