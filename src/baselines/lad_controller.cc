@@ -1,7 +1,6 @@
 #include "baselines/lad_controller.hh"
 
 #include "analysis/ordering_tracker.hh"
-#include "common/flat_map.hh"
 #include "common/logging.hh"
 
 namespace hoopnvm
@@ -47,7 +46,8 @@ Tick
 LadController::txEnd(CoreId core, Tick now)
 {
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
-    const TxWriteSet::Lines &writes = writes_.lines(core);
+    // Address order: queue drain order is observable durable state.
+    const TxWriteSet::Lines &writes = writes_.sortedLines(core);
 
     // Commit = the updated lines are persisted at cache-line
     // granularity through the controller queues (§IV-C: LAD "still
@@ -56,12 +56,11 @@ LadController::txEnd(CoreId core, Tick now)
     // Prepare/commit handshake with the controller (the two-phase
     // protocol LAD uses to make queue contents the durability point).
     Tick t = now + (writes.empty() ? 0 : cfg.ladCommitOverhead);
-    // Address order: queue drain order is observable durable state.
-    for (const Addr line : sortedKeys(writes)) {
+    for (const auto &[line, img] : writes) {
         t += queueInsertCost;
         std::uint8_t buf[kCacheLineSize];
         nvm_.peek(line, buf, kCacheLineSize);
-        writes.at(line).overlay(buf);
+        img.overlay(buf);
         t = std::max(t, nvm_.write(now, line, buf, kCacheLineSize));
         orderDep("lad-commit-drain", coreTx[core].txId);
         ++queueDrainsC_;

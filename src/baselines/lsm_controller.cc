@@ -68,17 +68,17 @@ LsmController::txEnd(CoreId core, Tick now)
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
     const TxId tx = coreTx[core].txId;
     const std::uint64_t cid = allocCommitId();
-    const TxWriteSet::Lines &writes = writes_.lines(core);
+    // Address order: log append order is observable durable state.
+    const TxWriteSet::Lines &writes = writes_.sortedLines(core);
 
     Tick t = now;
-    // Address order: log append order is observable durable state.
-    for (const Addr line : sortedKeys(writes)) {
+    for (const auto &[line, staged] : writes) {
         if (log_.full())
             t = std::max(t, stallForLogSpace(t));
         // Fold into the cumulative live image so one entry per line is
         // always sufficient to reconstruct the newest data.
         LineImage &img = liveImage[line];
-        img.merge(writes.at(line));
+        img.merge(staged);
 
         LogEntry e;
         e.type = LogEntryType::LsmData;

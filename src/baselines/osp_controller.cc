@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/flat_map.hh"
 #include "common/logging.hh"
 
 namespace hoopnvm
@@ -115,18 +114,18 @@ OspController::txEnd(CoreId core, Tick now)
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
     const TxId tx = coreTx[core].txId;
     const std::uint64_t cid = allocCommitId();
-    const TxWriteSet::Lines &writes = writes_.lines(core);
+    // Address order: shadow writes and the flip-record line order
+    // derived from `flipped` are observable durable state.
+    const TxWriteSet::Lines &writes = writes_.sortedLines(core);
 
     // 1. Eagerly persist each modified line into its inactive copy.
     Tick data_done = now;
     std::vector<Addr> flipped;
     flipped.reserve(writes.size());
-    // Address order: shadow writes and the flip-record line order
-    // derived from `flipped` are observable durable state.
-    for (const Addr line : sortedKeys(writes)) {
+    for (const auto &[line, img] : writes) {
         std::uint8_t buf[kCacheLineSize];
         nvm_.peek(currentCopy(line), buf, kCacheLineSize);
-        writes.at(line).overlay(buf);
+        img.overlay(buf);
         const Addr target =
             shadowIsCurrent(line) ? line : shadowOf(line);
         data_done = std::max(

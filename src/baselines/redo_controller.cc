@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/flat_map.hh"
 #include "common/logging.hh"
 
 namespace hoopnvm
@@ -45,14 +44,12 @@ RedoController::txEnd(CoreId core, Tick now)
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
     const TxId tx = coreTx[core].txId;
     const std::uint64_t cid = allocCommitId();
-    const TxWriteSet::Lines &writes = writes_.lines(core);
     // Address order: log append order is observable durable state.
-    const std::vector<Addr> lines = sortedKeys(writes);
+    const TxWriteSet::Lines &writes = writes_.sortedLines(core);
     Tick t = now;
 
     // Stream one redo entry per modified line (data + metadata line).
-    for (const Addr line : lines) {
-        const LineImage &img = writes.at(line);
+    for (const auto &[line, img] : writes) {
         if (log_.full())
             t = std::max(t, stallForLogSpace(t));
         LogEntry e;
@@ -70,7 +67,7 @@ RedoController::txEnd(CoreId core, Tick now)
     }
 
     // Commit record makes the transaction durable.
-    if (!lines.empty()) {
+    if (!writes.empty()) {
         t = appendCommitRecord("redo-commit-record", tx, cid, now, t);
         ++commitRecordsC_;
 
@@ -78,19 +75,19 @@ RedoController::txEnd(CoreId core, Tick now)
         // retired to its home address in place. The commit does not
         // wait, but the double write consumes NVM bandwidth — the
         // scheme's fundamental cost (§II-B).
-        for (const Addr line : lines) {
+        for (const auto &[line, img] : writes) {
             // Crash point: between checkpoint (migration-home) writes.
             // The log still holds the full redo image, so recovery
             // redoes any torn checkpoint.
             crashStep(CrashPointKind::GcStep);
             std::uint8_t buf[kCacheLineSize];
             nvm_.peek(line, buf, kCacheLineSize);
-            writes.at(line).overlay(buf);
+            img.overlay(buf);
             nvm_.write(t, line, buf, kCacheLineSize);
             orderDep("redo-log-truncate", 0);
             ++checkpointWritesC_;
         }
-        truncatableEntries += lines.size() + 1;
+        truncatableEntries += writes.size() + 1;
     }
 
     // debugEarlyCommitAck acknowledges at issue time while the log

@@ -1,5 +1,7 @@
 #include "baselines/tx_write_set.hh"
 
+#include <algorithm>
+
 namespace hoopnvm
 {
 
@@ -24,15 +26,28 @@ LineImage::merge(const LineImage &other)
 void
 TxWriteSet::clear()
 {
-    for (Lines &l : lines_)
-        l.clear();
+    for (Staged &s : cores_)
+        s.clear();
+}
+
+const TxWriteSet::Lines &
+TxWriteSet::sortedLines(CoreId core)
+{
+    Staged &s = cores_[core];
+    std::sort(s.lines.begin(), s.lines.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
+    // A rejected commit leaves its transaction open, and later fills
+    // still overlay its lines, so the index follows the new positions.
+    for (std::size_t i = 0; i < s.lines.size(); ++i)
+        *s.index.find(s.lines[i].first) = static_cast<std::uint32_t>(i);
+    return s.lines;
 }
 
 bool
 TxWriteSet::contains(Addr line) const
 {
-    for (const Lines &l : lines_) {
-        if (l.contains(line))
+    for (const Staged &s : cores_) {
+        if (s.index.contains(line))
             return true;
     }
     return false;
@@ -42,8 +57,8 @@ std::size_t
 TxWriteSet::size() const
 {
     std::size_t n = 0;
-    for (const Lines &l : lines_)
-        n += l.size();
+    for (const Staged &s : cores_)
+        n += s.lines.size();
     return n;
 }
 
@@ -51,14 +66,15 @@ std::uint8_t
 TxWriteSet::overlay(Addr line, std::uint8_t *buf, TxId *owner) const
 {
     std::uint8_t mask = 0;
-    for (std::size_t c = 0; c < lines_.size(); ++c) {
-        const auto it = lines_[c].find(line);
-        if (it == lines_[c].end())
+    for (const Staged &s : cores_) {
+        const std::uint32_t *pos = s.index.find(line);
+        if (!pos)
             continue;
-        it->second.overlay(buf);
-        mask |= it->second.mask;
+        const LineImage &img = s.lines[*pos].second;
+        img.overlay(buf);
+        mask |= img.mask;
         if (owner)
-            *owner = owner_[c];
+            *owner = s.owner;
     }
     return mask;
 }

@@ -16,9 +16,10 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "controller/persistence_controller.hh"
 
@@ -45,27 +46,31 @@ struct LineImage
     void merge(const LineImage &other);
 };
 
-/** Per-core words staged by each core's open transaction. */
+/**
+ * Per-core words staged by each core's open transaction. Each core
+ * keeps its staged lines in a vector, in staging order, behind an
+ * open-addressed index from line address to position, so staging a
+ * new line allocates nothing once the vector has grown, and closing
+ * the transaction frees nothing.
+ */
 class TxWriteSet
 {
   public:
-    using Lines = std::unordered_map<Addr, LineImage>;
+    /** A core's staged lines with their images. */
+    using Lines = std::vector<std::pair<Addr, LineImage>>;
 
-    explicit TxWriteSet(unsigned cores)
-        : lines_(cores), owner_(cores, kInvalidTxId)
-    {
-    }
+    explicit TxWriteSet(unsigned cores) : cores_(cores) {}
 
     /** Open @p core's transaction @p tx with nothing staged. */
     void
     begin(CoreId core, TxId tx)
     {
-        lines_[core].clear();
-        owner_[core] = tx;
+        cores_[core].clear();
+        cores_[core].owner = tx;
     }
 
     /** Drop @p core's staged words (its transaction closed). */
-    void end(CoreId core) { lines_[core].clear(); }
+    void end(CoreId core) { cores_[core].clear(); }
 
     /** Drop every core's staged words (power failure). */
     void clear();
@@ -80,14 +85,33 @@ class TxWriteSet
         std::uint64_t value;
         std::memcpy(&value, data, kWordSize);
         const Addr line = lineAddr(addr);
-        const auto [it, first] = lines_[core].try_emplace(line);
-        it->second.setWord(
+        Staged &s = cores_[core];
+        const std::size_t known = s.index.size();
+        std::uint32_t &pos = s.index[line];
+        const bool first = s.index.size() != known;
+        if (first) {
+            pos = static_cast<std::uint32_t>(s.lines.size());
+            s.lines.emplace_back(line, LineImage{});
+        }
+        s.lines[pos].second.setWord(
             static_cast<unsigned>((addr - line) / kWordSize), value);
         return first;
     }
 
-    /** @p core's staged lines. */
-    const Lines &lines(CoreId core) const { return lines_[core]; }
+    /** True when @p core's transaction staged a word of @p line. */
+    bool
+    staged(CoreId core, Addr line) const
+    {
+        return cores_[core].index.contains(line);
+    }
+
+    /**
+     * @p core's staged lines in ascending address order, the order in
+     * which every baseline's commit writes them: log-append, flush and
+     * drain order are observable durable state. Sorts the core's
+     * lines in place; every lookup stays valid.
+     */
+    const Lines &sortedLines(CoreId core);
 
     /** True when any open transaction staged a word of @p line. */
     bool contains(Addr line) const;
@@ -115,8 +139,25 @@ class TxWriteSet
                      std::uint8_t mask = 0) const;
 
   private:
-    std::vector<Lines> lines_;
-    std::vector<TxId> owner_;
+    /** One core's open transaction and the lines it staged. */
+    struct Staged
+    {
+        Lines lines;
+
+        /** Line address -> position in lines. */
+        FlatMap<std::uint32_t> index;
+
+        TxId owner = kInvalidTxId;
+
+        void
+        clear()
+        {
+            lines.clear();
+            index.clear();
+        }
+    };
+
+    std::vector<Staged> cores_;
 };
 
 } // namespace hoopnvm

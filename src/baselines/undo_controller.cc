@@ -5,7 +5,6 @@
 #include <unordered_set>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/flat_map.hh"
 #include "common/logging.hh"
 
 namespace hoopnvm
@@ -51,7 +50,7 @@ UndoController::storeWord(CoreId core, Addr addr,
     // not delayed; the commit waits for the log instead.
     // debugSkipUndoLog drops the entry, breaking write-ahead logging so
     // the issued-before-trigger rule can be validated.
-    if (!cfg.debugSkipUndoLog && !writes_.lines(core).contains(line)) {
+    if (!cfg.debugSkipUndoLog && !writes_.staged(core, line)) {
         if (log_.full())
             stallForLogSpace(now);
         std::uint8_t old_line[kCacheLineSize];
@@ -80,17 +79,17 @@ UndoController::txEnd(CoreId core, Tick now)
     HOOP_ASSERT(coreTx[core].active, "txEnd without txBegin");
     const TxId tx = coreTx[core].txId;
     const std::uint64_t cid = allocCommitId();
-    const TxWriteSet::Lines &writes = writes_.lines(core);
+    const TxWriteSet::Lines &writes = writes_.sortedLines(core);
 
     // Undo logging must make every data update durable in place before
     // the commit record retires the log — the strict persist ordering
     // that stretches the critical path (Fig. 4a).
     Tick t = std::max(now, outstanding[core]);
     Tick data_done = t;
-    for (const Addr line : sortedKeys(writes)) {
+    for (const auto &[line, img] : writes) {
         std::uint8_t buf[kCacheLineSize];
         nvm_.peek(line, buf, kCacheLineSize);
-        writes.at(line).overlay(buf);
+        img.overlay(buf);
         data_done = std::max(
             data_done, nvm_.write(t, line, buf, kCacheLineSize));
         orderDep("undo-commit-record", tx);

@@ -1,9 +1,9 @@
 /**
  * @file
  * Open-addressed hash map from 64-bit keys to POD values, shared by the
- * simulator's metadata hot paths (coherence sharer masks, home-region
- * freshness watermarks, GC coalescing, recovery replay, the ordering
- * analyzer's in-flight writers).
+ * simulator's metadata hot paths (home-region freshness watermarks,
+ * the baselines' staged write sets, GC coalescing and recovery replay,
+ * the ordering analyzer's in-flight writers).
  *
  * The layout follows the MappingTable model that PR 2 proved out:
  * linear probing over a power-of-two slot array with backward-shift

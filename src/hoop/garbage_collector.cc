@@ -147,7 +147,8 @@ GarbageCollector::run(Tick now)
         // Each accumulated line is written home once, in ascending
         // line-address order, which fixes the write timing, crash
         // points and eviction-buffer contents.
-        for (const auto &[line, g] : coalesced.sorted()) {
+        for (const auto &[line, pos] : coalesced.sorted()) {
+            const LineCoalescer::Line &g = coalesced.line(pos);
             const std::uint64_t max_seq = g.maxSeq();
             // Crash point: between home-line migration writes. The
             // source blocks are not recycled until after the fence

@@ -4,12 +4,14 @@
  * 1's scan) and recovery (the replay overlay).
  *
  * Every word a slice carries lands in an accumulator for its home
- * line (8 seq/value pairs plus a presence mask) in an open-addressed
- * map. Per word, the highest slice sequence number wins, so each line
- * holds the newest version of every word the added slices touched.
- * sorted() hands the lines out in ascending line-address order, the
- * order in which both callers write them home (and so the order of
- * their crash points).
+ * line (8 seq/value pairs plus a presence mask). The accumulators sit
+ * in a vector, in first-touch order, behind an open-addressed map of
+ * 4-byte positions, so growing the map rehashes positions, not
+ * accumulators. Per word, the highest slice sequence number wins, so
+ * each line holds the newest version of every word the added slices
+ * touched. sorted() hands the lines out in ascending line-address
+ * order, the order in which both callers write them home (and so the
+ * order of their crash points).
  */
 
 #ifndef HOOPNVM_HOOP_LINE_COALESCER_HH
@@ -75,14 +77,18 @@ class LineCoalescer
             const Addr la = lineAddr(a);
             // Packing fills slices with adjacent words, so successive
             // words usually hit the same line: the memo skips the
-            // probe. The pointer stays valid until the table grows,
-            // which only a new-line insert does — exactly when the
-            // memo refreshes.
+            // probe.
             if (la != memoLine_) {
-                memo_ = &lines_[la];
+                const std::size_t known = index_.size();
+                std::uint32_t &pos = index_[la];
+                if (index_.size() != known) {
+                    pos = static_cast<std::uint32_t>(lines_.size());
+                    lines_.push_back(Line{});
+                }
+                memo_ = pos;
                 memoLine_ = la;
             }
-            Line &g = *memo_;
+            Line &g = lines_[memo_];
             const unsigned w = static_cast<unsigned>((a - la) / kWordSize);
             if (s.seq >= g.seqs[w]) {
                 g.seqs[w] = s.seq;
@@ -93,27 +99,37 @@ class LineCoalescer
     }
 
     /**
-     * The accumulated lines with their addresses, ascending. A sorted
-     * copy lets the write-home loop stream through an array instead
-     * of re-probing a table far larger than the host LLC per line.
+     * Every accumulated line's address and position (see line()),
+     * ascending by address. The write-home loop then streams through
+     * an array instead of re-probing a table far larger than the host
+     * LLC per line, and the sort moves 16-byte pairs, not
+     * accumulators.
      */
-    std::vector<std::pair<Addr, Line>>
+    std::vector<std::pair<Addr, std::uint32_t>>
     sorted() const
     {
-        std::vector<std::pair<Addr, Line>> out;
-        out.reserve(lines_.size());
-        lines_.forEach(
-            [&](Addr line, const Line &g) { out.emplace_back(line, g); });
+        std::vector<std::pair<Addr, std::uint32_t>> out;
+        out.reserve(index_.size());
+        index_.forEach([&](Addr line, std::uint32_t pos) {
+            out.emplace_back(line, pos);
+        });
         std::sort(out.begin(), out.end(), [](const auto &a, const auto &b) {
             return a.first < b.first;
         });
         return out;
     }
 
+    /** The accumulator at position @p pos. */
+    const Line &line(std::uint32_t pos) const { return lines_[pos]; }
+
   private:
-    FlatMap<Line> lines_;
+    std::vector<Line> lines_;
+
+    /** Line address -> position in lines_. */
+    FlatMap<std::uint32_t> index_;
+
     Addr memoLine_ = kInvalidAddr;
-    Line *memo_ = nullptr;
+    std::uint32_t memo_ = 0;
 };
 
 } // namespace hoopnvm

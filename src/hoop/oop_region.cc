@@ -78,6 +78,7 @@ OopRegion::OopRegion(NvmDevice &nvm_, const SystemConfig &cfg_)
         cfg.oopBlockBytes / MemorySlice::kSliceBytes - 1);
     HOOP_ASSERT(numBlocks_ >= 2, "need at least two OOP blocks");
     blocks.resize(numBlocks_);
+    freeBlocks_ = numBlocks_;
     if (cfg.ft.enabled) {
         // The bitmap shares the (HOOP-private) aux region with the GC
         // watermark word: watermark at auxBase, map one line above it.
@@ -89,15 +90,14 @@ OopRegion::OopRegion(NvmDevice &nvm_, const SystemConfig &cfg_)
     }
 }
 
-std::uint32_t
-OopRegion::freeBlocks() const
+void
+OopRegion::setState(std::uint32_t b, BlockState state)
 {
-    std::uint32_t n = 0;
-    for (const auto &b : blocks) {
-        if (b.state == BlockState::Unused)
-            ++n;
-    }
-    return n;
+    if (blocks[b].state == BlockState::Unused)
+        --freeBlocks_;
+    if (state == BlockState::Unused)
+        ++freeBlocks_;
+    blocks[b].state = state;
 }
 
 Addr
@@ -154,7 +154,7 @@ OopRegion::openNextBlock(Tick now)
             }
             // Round-robin advance gives uniform block aging (§III-D).
             allocCursor = (b + 1) % numBlocks_;
-            blocks[b].state = BlockState::InUse;
+            setState(b, BlockState::InUse);
             blocks[b].writePtr = 1;
             blocks[b].openSeq = nextSeq_;
             writeHeader(b, now);
@@ -267,7 +267,7 @@ OopRegion::closeCurrentBlock(Tick now)
 void
 OopRegion::setBlockState(std::uint32_t b, BlockState state, Tick now)
 {
-    blocks[b].state = state;
+    setState(b, state);
     if (state == BlockState::Unused) {
         blocks[b].writePtr = 1;
         blocks[b].badSlots = 0; // re-counted on reopen (cells stay bad)
@@ -296,6 +296,7 @@ OopRegion::writeGcWatermark(std::uint64_t seq, Tick now)
 void
 OopRegion::reset()
 {
+    freeBlocks_ = 0;
     for (std::uint32_t b = 0; b < numBlocks_; ++b) {
         // Retirement is permanent: a Bad block stays Bad across
         // recovery resets (its bitmap bit is durable).
@@ -303,6 +304,8 @@ OopRegion::reset()
         blocks[b] = OopBlockInfo{};
         if (bad)
             blocks[b].state = BlockState::Bad;
+        else
+            ++freeBlocks_;
         // Recovery has drained the region; persist the cleared headers
         // untimed (recovery time is modelled separately).
         BlockHeader h{};
@@ -339,7 +342,7 @@ OopRegion::retireBlock(std::uint32_t b, Tick now)
     blocks[b].writePtr = 1;
     blocks[b].badSlots = 0;
     blocks[b].retirePending = false;
-    blocks[b].state = BlockState::Bad;
+    setState(b, BlockState::Bad);
     writeHeader(b, now);
     // Persist the retirement bit and fence it before returning: acting
     // on a retirement that could still tear would let recovery scan
@@ -363,7 +366,7 @@ OopRegion::loadRetirement()
     retireMap_.loadDurable();
     for (std::uint32_t b = 0; b < numBlocks_; ++b) {
         if (retireMap_.isRetired(b))
-            blocks[b].state = BlockState::Bad;
+            setState(b, BlockState::Bad);
     }
 }
 

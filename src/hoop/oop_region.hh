@@ -97,8 +97,8 @@ class OopRegion
     /** Slice slots per block (excluding the header slot). */
     std::uint32_t slicesPerBlock() const { return slicesPerBlock_; }
 
-    /** Blocks currently in state Unused. */
-    std::uint32_t freeBlocks() const;
+    /** Blocks currently in state Unused, counted as states change. */
+    std::uint32_t freeBlocks() const { return freeBlocks_; }
 
     /**
      * Allocate the next slice slot, opening a fresh block round-robin
@@ -135,6 +135,11 @@ class OopRegion
     /** Close the currently open block, marking it Full (drain/GC). */
     void closeCurrentBlock(Tick now);
 
+    /**
+     * Block @p b's bookkeeping. Callers may update everything but the
+     * state, which only the region writes (through setState, which
+     * keeps the free count).
+     */
     OopBlockInfo &block(std::uint32_t b) { return blocks[b]; }
     const OopBlockInfo &block(std::uint32_t b) const { return blocks[b]; }
 
@@ -223,6 +228,9 @@ class OopRegion
     /** Find and open an Unused block; returns false if none. */
     bool openNextBlock(Tick now);
 
+    /** Write block @p b's host-side state, keeping freeBlocks_ exact. */
+    void setState(std::uint32_t b, BlockState state);
+
     NvmDevice &nvm;
     const SystemConfig &cfg;
     StatSet stats_;
@@ -239,6 +247,9 @@ class OopRegion
     std::uint32_t numBlocks_;
     std::uint32_t slicesPerBlock_;
     std::vector<OopBlockInfo> blocks;
+
+    /** Blocks in state Unused. */
+    std::uint32_t freeBlocks_ = 0;
 
     /** Block currently accepting slices; kNoBlock when none open. */
     std::uint32_t currentBlock = kNoBlock;

@@ -263,7 +263,8 @@ RecoveryManager::run(unsigned threads,
 
     // ---- Phase 3: write the winners home, in ascending line-address
     // order (which fixes the crash-point schedule) ----
-    for (const auto &[line, g] : winners.sorted()) {
+    for (const auto &[line, pos] : winners.sorted()) {
+        const LineCoalescer::Line &g = winners.line(pos);
         // Crash point: between home-line replay writes. The OOP region
         // is untouched until recoverWithFilter() resets it after run()
         // returns, so a second recovery redoes the overlay idempotently

@@ -11,7 +11,7 @@ namespace hoopnvm
 {
 
 Cache::Cache(const std::string &name, std::uint64_t size_bytes,
-             unsigned assoc_, Tick latency)
+             unsigned assoc_, Tick latency, Cache *home)
     : assoc(assoc_), latency_(latency), stats_(name),
       hitsC_(stats_.counter("hits")),
       missesC_(stats_.counter("misses")),
@@ -33,8 +33,19 @@ Cache::Cache(const std::string &name, std::uint64_t size_bytes,
     tags_ = zeroedArray<Addr>(numWays_);
     lastUse_ = zeroedArray<std::uint64_t>(numWays_);
     meta_ = zeroedArray<CacheLineMeta>(numWays_);
-    data_ = std::make_unique_for_overwrite<std::uint8_t[]>(
-        numWays_ * kCacheLineSize);
+    if (home) {
+        HOOP_ASSERT(home->sharers_, "cache %s: its home is itself private",
+                    name.c_str());
+        homeWay_ = zeroedArray<std::uint32_t>(numWays_);
+        payload_ = home->data_.get();
+    } else {
+        HOOP_ASSERT(numWays_ <= ~std::uint32_t{0},
+                    "cache %s: too many ways to index", name.c_str());
+        data_ = std::make_unique_for_overwrite<std::uint8_t[]>(
+            numWays_ * kCacheLineSize);
+        sharers_ = zeroedArray<std::uint32_t>(numWays_);
+        payload_ = data_.get();
+    }
 }
 
 template <typename T>
@@ -123,8 +134,8 @@ Cache::findVictim(Addr line_addr)
 }
 
 void
-Cache::fillSlot(std::size_t i, Addr line_addr, const std::uint8_t *data,
-                bool dirty, bool persistent, CoreId writer, TxId tx_id,
+Cache::fillSlot(std::size_t i, Addr line_addr, bool dirty,
+                bool persistent, CoreId writer, TxId tx_id,
                 std::uint8_t word_mask)
 {
     CacheLineMeta &m = meta_[i];
@@ -137,9 +148,19 @@ Cache::fillSlot(std::size_t i, Addr line_addr, const std::uint8_t *data,
         m.lastWriter = writer;
         m.txId = tx_id;
     }
-    std::memcpy(&data_[i * kCacheLineSize], data, kCacheLineSize);
     lastUse_[i] = ++useClock;
     ++insertionsC_;
+}
+
+void
+Cache::writeBack(Addr line_addr, std::uint32_t slot, bool persistent,
+                 CoreId writer, TxId tx_id, std::uint8_t word_mask)
+{
+    HOOP_ASSERT(tags_[slot] == tagOf(line_addr),
+                "write-back of line %#llx: its home way holds another "
+                "line",
+                static_cast<unsigned long long>(line_addr));
+    fillSlot(slot, line_addr, true, persistent, writer, tx_id, word_mask);
 }
 
 CacheVictim
@@ -149,7 +170,7 @@ Cache::insert(Addr line_addr, const std::uint8_t *data, bool dirty,
 {
     CacheVictim victim;
     insert(line_addr, data, dirty, persistent, writer, tx_id, word_mask,
-           [&victim](const CacheLine &lru) {
+           [this, &victim](const CacheLine &lru) {
                victim.valid = true;
                victim.addr = lru.addr();
                victim.dirty = lru.dirty();
@@ -157,6 +178,8 @@ Cache::insert(Addr line_addr, const std::uint8_t *data, bool dirty,
                victim.lastWriter = lru.lastWriter();
                victim.txId = lru.txId();
                victim.wordMask = lru.wordMask();
+               victim.home = lru.home();
+               victim.sharers = sharers_[lru.home()];
                std::memcpy(victim.data.data(), lru.data(),
                            kCacheLineSize);
            });

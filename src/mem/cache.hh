@@ -9,20 +9,32 @@
  * last writing core and the transaction that last modified them, which
  * the memory-controller models need to stamp out-of-place slices.
  *
+ * A cache plays one of two roles. A *home* cache (the shared inclusive
+ * LLC, or any standalone cache) keeps each line's 64-byte payload and
+ * a sharer mask: the cores whose private caches may hold the line. A
+ * *private* cache (an L1 or L2) is built over a home cache and keeps
+ * no payload: each of its ways names the home way of its line, and
+ * loads and stores go through to those bytes. So a line has one copy
+ * of its bytes however many levels hold it; every level keeps its own
+ * tag, LRU stamp and state (dirty, persistent, word mask, writer,
+ * transaction).
+ *
  * Storage is structure-of-arrays: the set-lookup scan walks a packed
  * tag array (one 8-byte tag per way, so an 8-way set is a single host
- * cache line), while per-line metadata and the 64-byte payloads live in
- * separate arrays touched only on a hit. CacheLine is a non-owning
- * *view* into those arrays, not the storage itself; views are cheap to
- * copy and remain valid until the way they reference is re-filled or
+ * cache line), while per-line metadata, home-way indices, sharer masks
+ * and payloads live in separate arrays touched only on a hit.
+ * CacheLine is a non-owning *view* into those arrays, not the storage
+ * itself; views are cheap to copy and remain valid until the way they
+ * reference (or, for a private line, its home way) is re-filled or
  * invalidated.
  *
- * Building a cache writes none of its arrays. The tag, LRU and metadata
- * arrays come zeroed from calloc, and an all-zero way is invalid: tags
- * are stored complemented, so the zero tag is ~kInvalidAddr. The
- * payload array is left uninitialized. No code reads an invalid way's
- * metadata or payload, and a fill writes every metadata field of a way
- * it newly occupies, so neither needs a defined value before then.
+ * Building a cache writes none of its arrays. The tag, LRU, metadata,
+ * home-way and sharer arrays come zeroed from calloc, and an all-zero
+ * way is invalid: tags are stored complemented, so the zero tag is
+ * ~kInvalidAddr. The payload array is left uninitialized. No code
+ * reads an invalid way's metadata, home way, sharer mask or payload,
+ * and a fill writes every one of them that a way it newly occupies
+ * has, so none needs a defined value before then.
  */
 
 #ifndef HOOPNVM_MEM_CACHE_HH
@@ -31,9 +43,11 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "stats/stat_set.hh"
 
@@ -70,9 +84,9 @@ struct CacheLineMeta
 
 /**
  * View of one resident cache line: the line address plus pointers to
- * its metadata slot and 64-byte payload. A default-constructed view is
- * "no line" and tests false. Mutations through the accessors write the
- * cache's backing arrays directly.
+ * its metadata slot and to the 64-byte payload in its home way. A
+ * default-constructed view is "no line" and tests false. Mutations
+ * through the accessors write the caches' backing arrays directly.
  */
 class CacheLine
 {
@@ -84,8 +98,11 @@ class CacheLine
     /** Line-aligned address of the viewed line. */
     Addr addr() const { return addr_; }
 
-    /** The 64-byte payload. */
+    /** The 64-byte payload, held by the line's home way. */
     std::uint8_t *data() const { return data_; }
+
+    /** Way index of the line in its home cache (its own, in one). */
+    std::uint32_t home() const { return home_; }
 
     bool &dirty() const { return meta_->dirty; }
     bool &persistent() const { return meta_->persistent; }
@@ -97,8 +114,9 @@ class CacheLine
   private:
     friend class Cache;
     CacheLine(Addr addr, CacheLineMeta *meta, std::uint64_t *last_use,
-              std::uint8_t *data)
-        : addr_(addr), meta_(meta), lastUse_(last_use), data_(data)
+              std::uint8_t *data, std::uint32_t home)
+        : addr_(addr), meta_(meta), lastUse_(last_use), data_(data),
+          home_(home)
     {
     }
 
@@ -106,12 +124,14 @@ class CacheLine
     CacheLineMeta *meta_ = nullptr;
     std::uint64_t *lastUse_ = nullptr;
     std::uint8_t *data_ = nullptr;
+    std::uint32_t home_ = 0;
 };
 
 /**
  * A victim line produced by an insertion. The payload is left
  * uninitialized until a victim is captured into it — when valid is
- * false, data holds garbage.
+ * false, or when the capturing code skipped the copy, data holds
+ * garbage.
  */
 struct CacheVictim
 {
@@ -122,6 +142,13 @@ struct CacheVictim
     CoreId lastWriter = 0;
     TxId txId = kInvalidTxId;
     std::uint8_t wordMask = 0;
+
+    /** The victim's home way (see CacheLine::home). */
+    std::uint32_t home = 0;
+
+    /** A home-cache victim's sharer mask. */
+    std::uint32_t sharers = 0;
+
     std::array<std::uint8_t, kCacheLineSize> data;
 };
 
@@ -136,9 +163,13 @@ class Cache
      *                    count a power of two (the set index is a mask).
      * @param assoc       Associativity (ways per set).
      * @param latency     Access latency charged on hits in this level.
+     * @param home        nullptr for a home cache, which keeps its
+     *                    lines' payloads; otherwise the home cache this
+     *                    private cache's ways refer to. It must outlive
+     *                    this cache.
      */
     Cache(const std::string &name, std::uint64_t size_bytes,
-          unsigned assoc, Tick latency);
+          unsigned assoc, Tick latency, Cache *home = nullptr);
 
     /**
      * Look up @p line_addr. On a hit the LRU state is refreshed and a
@@ -175,39 +206,84 @@ class Cache
     }
 
     /**
-     * Insert a line, evicting the LRU way of the set if necessary.
-     *
-     * When a valid line with a different address is displaced,
-     * @p retire is invoked with a view of the victim *in place* — the
-     * callback borrows the slot's storage for its duration, so the
-     * common case (no writeback, or a writeback that only reads the
-     * data once) never copies the 64-byte payload. The slot is
-     * overwritten as soon as the callback returns; callers must not
-     * retain the view. The callback may mutate the victim (e.g. fold
-     * dirtier upper-level copies into it) but must not touch this
-     * cache.
+     * Insert a line into a home cache, copying its 64-byte payload and,
+     * when the line is new here, starting with no sharers. A valid
+     * line with a different address is displaced from the LRU way of
+     * the set first: @p retire is invoked with a view of the victim
+     * *in place*, and the way is refilled as soon as the callback
+     * returns, so the callback must copy whatever it still needs
+     * (the payload included) and must not retain the view. It may
+     * mutate the victim and read this cache, but must not modify it.
+     * @return A view of the inserted line.
      */
     template <typename RetireFn>
-    void
+    CacheLine
     insert(Addr line_addr, const std::uint8_t *data, bool dirty,
            bool persistent, CoreId writer, TxId tx_id,
            std::uint8_t word_mask, RetireFn &&retire)
     {
+        HOOP_ASSERT(sharers_, "payload insert into a private cache");
         const std::size_t slot = findVictim(line_addr);
-        if (tags_[slot] != kInvalidTag && tags_[slot] != tagOf(line_addr))
-            retire(viewOf(slot));
-        fillSlot(slot, line_addr, data, dirty, persistent, writer,
-                 tx_id, word_mask);
+        const bool reinsert = tags_[slot] == tagOf(line_addr);
+        if (!reinsert) {
+            if (tags_[slot] != kInvalidTag)
+                retire(viewOf(slot));
+            sharers_[slot] = 0;
+        }
+        fillSlot(slot, line_addr, dirty, persistent, writer, tx_id,
+                 word_mask);
+        std::memcpy(&data_[slot * kCacheLineSize], data, kCacheLineSize);
+        return viewOf(slot);
     }
 
     /**
-     * Insert returning a copy of the victim (possibly invalid).
-     * Convenience wrapper over the retire-callback overload for tests
-     * and tools that want the copy.
+     * Insert returning a copy of the victim (possibly invalid), payload
+     * and sharer mask included. Convenience wrapper over the
+     * retire-callback overload for tests and tools that want the copy.
      */
     CacheVictim insert(Addr line_addr, const std::uint8_t *data,
                        bool dirty, bool persistent, CoreId writer,
                        TxId tx_id, std::uint8_t word_mask = 0);
+
+    /**
+     * Insert a line into a private cache: the way refers to way
+     * @p home of the home cache, which holds the line's payload. Victim
+     * handling is as for insert(); a private victim's bytes stay in
+     * its home way, so the callback need not copy them.
+     */
+    template <typename RetireFn>
+    void
+    insertRef(Addr line_addr, std::uint32_t home, bool dirty,
+              bool persistent, CoreId writer, TxId tx_id,
+              std::uint8_t word_mask, RetireFn &&retire)
+    {
+        const std::size_t slot = findVictim(line_addr);
+        if (tags_[slot] != kInvalidTag && tags_[slot] != tagOf(line_addr))
+            retire(viewOf(slot));
+        fillSlot(slot, line_addr, dirty, persistent, writer, tx_id,
+                 word_mask);
+        homeWay_[slot] = home;
+    }
+
+    /**
+     * A dirty write-back from a private cache into way @p slot, which
+     * must hold @p line_addr: the state and LRU effects of re-inserting
+     * the line (dirty sticks, persistent and the word mask accumulate,
+     * writer and transaction become the written-back ones, one
+     * insertion counted) with neither a set scan nor a payload copy,
+     * since the bytes already live here.
+     */
+    void writeBack(Addr line_addr, std::uint32_t slot, bool persistent,
+                   CoreId writer, TxId tx_id, std::uint8_t word_mask);
+
+    /** View of valid way @p slot (a home way named by a private line). */
+    CacheLine lineAt(std::uint32_t slot) const { return viewOf(slot); }
+
+    /**
+     * Sharer mask of home way @p slot: bit c set when core c's private
+     * caches may hold the line (a superset of the cores that do).
+     */
+    std::uint32_t &sharers(std::uint32_t slot) { return sharers_[slot]; }
 
     /** Drop @p line_addr without writeback; no-op if absent. */
     void invalidate(Addr line_addr);
@@ -262,11 +338,13 @@ class Cache
     CacheLine
     viewOf(std::size_t i) const
     {
+        const std::uint32_t home =
+            homeWay_ ? homeWay_[i] : static_cast<std::uint32_t>(i);
         return CacheLine(tagOf(tags_[i]),
                          const_cast<CacheLineMeta *>(&meta_[i]),
                          const_cast<std::uint64_t *>(&lastUse_[i]),
-                         const_cast<std::uint8_t *>(
-                             &data_[i * kCacheLineSize]));
+                         payload_ + std::size_t{home} * kCacheLineSize,
+                         home);
     }
 
     /**
@@ -277,10 +355,10 @@ class Cache
      */
     std::size_t findVictim(Addr line_addr);
 
-    /** Overwrite slot @p i with the inserted line's state. */
-    void fillSlot(std::size_t i, Addr line_addr,
-                  const std::uint8_t *data, bool dirty, bool persistent,
-                  CoreId writer, TxId tx_id, std::uint8_t word_mask);
+    /** Overwrite slot @p i's tag, state and LRU stamp. */
+    void fillSlot(std::size_t i, Addr line_addr, bool dirty,
+                  bool persistent, CoreId writer, TxId tx_id,
+                  std::uint8_t word_mask);
 
     unsigned assoc;
     unsigned numSets_;
@@ -300,7 +378,15 @@ class Cache
     std::unique_ptr<Addr[], FreeArray> tags_;
     std::unique_ptr<std::uint64_t[], FreeArray> lastUse_;
     std::unique_ptr<CacheLineMeta[], FreeArray> meta_;
+
+    // A home cache has data_ and sharers_; a private cache has
+    // homeWay_, each way's index into its home cache's arrays.
     std::unique_ptr<std::uint8_t[]> data_;
+    std::unique_ptr<std::uint32_t[], FreeArray> sharers_;
+    std::unique_ptr<std::uint32_t[], FreeArray> homeWay_;
+
+    /** The payload array views index: data_, or the home cache's. */
+    std::uint8_t *payload_;
 
     StatSet stats_;
 

@@ -11,10 +11,8 @@ namespace
 {
 
 /**
- * Capture an evicted line's tag state; the 64-byte payload is copied
- * only when the victim is dirty — every retirement path either never
- * reads a clean victim's data or overwrites it wholesale from a dirtier
- * upper-level copy first.
+ * Capture an evicted line's state. Its payload stays in its home way;
+ * fillLlc copies an LLC victim's bytes itself, before the refill.
  */
 inline void
 captureVictim(const CacheLine &lru, CacheVictim &v)
@@ -26,8 +24,22 @@ captureVictim(const CacheLine &lru, CacheVictim &v)
     v.lastWriter = lru.lastWriter();
     v.txId = lru.txId();
     v.wordMask = lru.wordMask();
-    if (lru.dirty())
-        std::memcpy(v.data.data(), lru.data(), kCacheLineSize);
+    v.home = lru.home();
+}
+
+/**
+ * Fold a dirty private copy's state into the given fields of an LLC
+ * line or a victim: the bytes are shared, so only the state moves.
+ */
+inline void
+mergeDirtyState(const CacheLine &upper, bool &dirty, bool &persistent,
+                CoreId &writer, TxId &tx, std::uint8_t &mask)
+{
+    dirty = true;
+    persistent |= upper.persistent();
+    writer = upper.lastWriter();
+    tx = upper.txId();
+    mask |= upper.wordMask();
 }
 
 } // namespace
@@ -45,17 +57,17 @@ CacheHierarchy::CacheHierarchy(const SystemConfig &cfg_)
 {
     HOOP_ASSERT(cfg.numCores >= 1 && cfg.numCores <= kMaxCores,
                 "sharer mask supports 1..%u cores", kMaxCores);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        l1s.push_back(std::make_unique<Cache>(
-            "l1." + std::to_string(c), cfg.cache.l1Size, cfg.cache.l1Assoc,
-            cfg.cache.l1Latency));
-        l2s.push_back(std::make_unique<Cache>(
-            "l2." + std::to_string(c), cfg.cache.l2Size, cfg.cache.l2Assoc,
-            cfg.cache.l2Latency));
-    }
     llc_ = std::make_unique<Cache>("llc", cfg.cache.llcSize,
                                    cfg.cache.llcAssoc,
                                    cfg.cache.llcLatency);
+    for (unsigned c = 0; c < cfg.numCores; ++c) {
+        l1s.push_back(std::make_unique<Cache>(
+            "l1." + std::to_string(c), cfg.cache.l1Size, cfg.cache.l1Assoc,
+            cfg.cache.l1Latency, llc_.get()));
+        l2s.push_back(std::make_unique<Cache>(
+            "l2." + std::to_string(c), cfg.cache.l2Size, cfg.cache.l2Assoc,
+            cfg.cache.l2Latency, llc_.get()));
+    }
     memo_.resize(cfg.numCores);
 }
 
@@ -63,10 +75,13 @@ void
 CacheHierarchy::reconcileSharers(CoreId core, Addr line,
                                  CacheLine llc_line, bool exclusive)
 {
-    std::uint32_t *mask = sharers.find(line);
-    if (!mask)
-        return;
-    const std::uint32_t others = *mask & ~(std::uint32_t{1} << core);
+    HOOP_ASSERT(llc_line.addr() == line,
+                "line %#llx: its LLC way holds another line",
+                static_cast<unsigned long long>(line));
+    std::uint32_t &mask = llc_->sharers(llc_line.home());
+    const std::uint32_t self = std::uint32_t{1} << core;
+    const std::uint32_t others = mask & ~self;
+    mask |= self;
     if (others == 0)
         return;
     // Another core's copy is about to be merged, downgraded or
@@ -84,35 +99,31 @@ CacheHierarchy::reconcileSharers(CoreId core, Addr line,
                 continue;
             const bool upper_dirty = upper.dirty();
             if (upper_dirty) {
-                std::memcpy(llc_line.data(), upper.data(),
-                            kCacheLineSize);
-                llc_line.dirty() = true;
-                llc_line.persistent() |= upper.persistent();
-                llc_line.lastWriter() = upper.lastWriter();
-                llc_line.txId() = upper.txId();
-                llc_line.wordMask() |= upper.wordMask();
+                mergeDirtyState(upper, llc_line.dirty(),
+                                llc_line.persistent(),
+                                llc_line.lastWriter(), llc_line.txId(),
+                                llc_line.wordMask());
             }
             if (exclusive) {
                 cache->invalidate(line);
                 ++invalidationsC_;
             } else if (upper_dirty) {
-                // Downgrade: LLC now has the data; drop the dirty copy
-                // so a single up-to-date copy exists below.
+                // Downgrade: the LLC now owns the dirty state; drop the
+                // dirty copy so a single owner exists below.
                 cache->invalidate(line);
                 ++downgradesC_;
-                // A store that hits L1 leaves L2's copy as it was, so
-                // a clean L2 copy under a dirty L1 one is now older
-                // than the LLC's: drop it too, or this core's next
-                // load would hit it and read the old bytes.
+                // Drop the L2 copy under a dirty L1 one as well: in
+                // hardware it holds the bytes from before the L1
+                // stores, older than the LLC's now. The model keeps
+                // that presence decision although its copies share
+                // one payload.
                 if (cache == l1s[c].get())
                     l2s[c]->invalidate(line);
             }
         }
         if (exclusive)
-            *mask &= ~(std::uint32_t{1} << c);
+            mask &= ~(std::uint32_t{1} << c);
     }
-    if (*mask == 0)
-        sharers.erase(line);
 }
 
 CacheLine
@@ -124,29 +135,23 @@ CacheHierarchy::ensureInL1(CoreId core, Addr line, bool for_store,
 
     t += l1.latency();
     if (CacheLine l = l1.probe(line)) {
-        if (for_store) {
-            // Another core may hold a stale copy; invalidate it.
-            CacheLine llcl = llc_->findLine(line);
-            if (llcl)
-                reconcileSharers(core, line, llcl, /*exclusive=*/true);
-            sharers[line] |= std::uint32_t{1} << core;
-        }
+        // Another core may hold a copy; invalidate it.
+        if (for_store)
+            reconcileSharers(core, line, llc_->lineAt(l.home()),
+                             /*exclusive=*/true);
         return l;
     }
 
     t += l2.latency();
     if (CacheLine l = l2.probe(line)) {
         // Promote a clean copy into L1; dirtiness stays in L2.
-        insertL1(core, line, l.data(), false, false, core,
-                 kInvalidTxId, 0, t);
+        const std::uint32_t home = l.home();
+        insertL1(core, line, home);
         CacheLine l1l = l1.findLine(line);
         HOOP_ASSERT(l1l, "L1 insert must succeed");
-        if (for_store) {
-            CacheLine llcl = llc_->findLine(line);
-            if (llcl)
-                reconcileSharers(core, line, llcl, /*exclusive=*/true);
-            sharers[line] |= std::uint32_t{1} << core;
-        }
+        if (for_store)
+            reconcileSharers(core, line, llc_->lineAt(home),
+                             /*exclusive=*/true);
         return l1l;
     }
 
@@ -159,20 +164,15 @@ CacheHierarchy::ensureInL1(CoreId core, Addr line, bool for_store,
         FillResult fr = ctrl->fillLine(core, line, buf, t);
         llcMissLatH_.record(fr.completion > t ? fr.completion - t : 0);
         t = fr.completion;
-        insertLlc(core, line, buf, fr.dirty, fr.persistent, core,
-                  fr.txId, fr.wordMask, t);
-        llcl = llc_->findLine(line);
-        HOOP_ASSERT(llcl, "LLC insert must succeed");
+        llcl = fillLlc(core, line, buf, fr, t);
     }
 
     reconcileSharers(core, line, llcl, for_store);
-    sharers[line] |= std::uint32_t{1} << core;
 
     // Promote clean copies upward; the LLC keeps dirty ownership.
-    insertL2(core, line, llcl.data(), false, false, core,
-             kInvalidTxId, 0, t);
-    insertL1(core, line, llcl.data(), false, false, core,
-             kInvalidTxId, 0, t);
+    insertL2(core, line, llcl.home(), false, false, core, kInvalidTxId,
+             0);
+    insertL1(core, line, llcl.home());
     CacheLine l1l = l1.findLine(line);
     HOOP_ASSERT(l1l, "L1 fill must succeed");
     return l1l;
@@ -264,7 +264,7 @@ CacheHierarchy::storeWordHit(CoreId core, CacheLine line, Addr addr,
 {
     // What storeWordResolved does for a line this core already holds
     // exclusive: the L1 probe hits (latency, hit counter, LRU touch)
-    // and the coherence work — LLC lookup, sharer reconciliation,
+    // and the coherence work — sharer reconciliation and the
     // sharer-mask OR — is a structural no-op (the resolving store
     // stripped every other sharer and set this core's bit), so it is
     // skipped rather than re-executed.
@@ -295,90 +295,88 @@ CacheHierarchy::writeWord(CoreId core, CacheLine line, Addr addr,
 }
 
 void
-CacheHierarchy::insertL1(CoreId core, Addr line, const std::uint8_t *data,
-                         bool dirty, bool persistent, CoreId writer,
-                         TxId tx, std::uint8_t mask, Tick now)
+CacheHierarchy::insertL1(CoreId core, Addr line, std::uint32_t home)
 {
     ++structGen_;
     // The victim is captured inside the insert but processed only
     // after it completes, so nested evictions (which may back-
-    // invalidate the line being inserted) observe the same hierarchy
-    // state as before the zero-copy rework.
+    // invalidate the line being inserted) observe the hierarchy as it
+    // stands after the insert.
     CacheVictim v;
-    l1s[core]->insert(line, data, dirty, persistent, writer, tx, mask,
-                      [&v](const CacheLine &lru) {
-                          captureVictim(lru, v);
-                      });
+    l1s[core]->insertRef(line, home, false, false, core, kInvalidTxId, 0,
+                         [&v](const CacheLine &lru) {
+                             captureVictim(lru, v);
+                         });
     if (!v.valid)
         return;
     if (v.dirty) {
-        insertL2(core, v.addr, v.data.data(), true, v.persistent,
-                 v.lastWriter, v.txId, v.wordMask, now);
+        insertL2(core, v.addr, v.home, true, v.persistent, v.lastWriter,
+                 v.txId, v.wordMask);
     } else {
-        updateSharerOnDrop(core, v.addr);
+        updateSharerOnDrop(core, v.addr, v.home);
     }
 }
 
 void
-CacheHierarchy::insertL2(CoreId core, Addr line, const std::uint8_t *data,
+CacheHierarchy::insertL2(CoreId core, Addr line, std::uint32_t home,
                          bool dirty, bool persistent, CoreId writer,
-                         TxId tx, std::uint8_t mask, Tick now)
+                         TxId tx, std::uint8_t mask)
 {
     ++structGen_;
     CacheVictim v;
-    l2s[core]->insert(line, data, dirty, persistent, writer, tx, mask,
-                      [&v](const CacheLine &lru) {
-                          captureVictim(lru, v);
-                      });
+    l2s[core]->insertRef(line, home, dirty, persistent, writer, tx, mask,
+                         [&v](const CacheLine &lru) {
+                             captureVictim(lru, v);
+                         });
     if (!v.valid)
         return;
 
     // Maintain L2 inclusion of L1: merge and drop any L1 copy.
     if (CacheLine l1l = l1s[core]->findLine(v.addr)) {
         if (l1l.dirty()) {
-            std::memcpy(v.data.data(), l1l.data(), kCacheLineSize);
-            v.dirty = true;
-            v.persistent |= l1l.persistent();
-            v.lastWriter = l1l.lastWriter();
-            v.txId = l1l.txId();
-            v.wordMask |= l1l.wordMask();
+            mergeDirtyState(l1l, v.dirty, v.persistent, v.lastWriter,
+                            v.txId, v.wordMask);
         }
         l1s[core]->invalidate(v.addr);
     }
-    updateSharerOnDrop(core, v.addr);
+    updateSharerOnDrop(core, v.addr, v.home);
 
     if (v.dirty) {
-        insertLlc(core, v.addr, v.data.data(), true, v.persistent,
-                  v.lastWriter, v.txId, v.wordMask, now);
+        llc_->writeBack(v.addr, v.home, v.persistent, v.lastWriter,
+                        v.txId, v.wordMask);
     }
 }
 
-void
-CacheHierarchy::insertLlc(CoreId core, Addr line, const std::uint8_t *data,
-                          bool dirty, bool persistent, CoreId writer,
-                          TxId tx, std::uint8_t mask, Tick now)
+CacheLine
+CacheHierarchy::fillLlc(CoreId core, Addr line, const std::uint8_t *data,
+                        const FillResult &fr, Tick now)
 {
-    (void)core;
     ++structGen_;
     CacheVictim v;
-    llc_->insert(line, data, dirty, persistent, writer, tx, mask,
-                 [&v](const CacheLine &lru) {
-                     captureVictim(lru, v);
-                 });
+    const CacheLine filled = llc_->insert(
+        line, data, fr.dirty, fr.persistent, core, fr.txId, fr.wordMask,
+        [this, &v](const CacheLine &lru) {
+            captureVictim(lru, v);
+            v.sharers = llc_->sharers(lru.home());
+            // The refill overwrites the victim's bytes, which are also
+            // its private copies' bytes: keep them whenever the victim
+            // or a copy above it may be dirty.
+            if (v.dirty || v.sharers != 0)
+                std::memcpy(v.data.data(), lru.data(), kCacheLineSize);
+        });
     if (v.valid)
         retireLlcVictim(v, now);
+    return filled;
 }
 
 void
 CacheHierarchy::retireLlcVictim(CacheVictim &victim, Tick now)
 {
     // Inclusive LLC: back-invalidate every upper-level copy, folding
-    // any dirty data into the victim before it leaves the hierarchy.
-    std::uint32_t *mask = sharers.find(victim.addr);
-    if (mask) {
-        const std::uint32_t bits = *mask;
+    // any dirty state into the victim before it leaves the hierarchy.
+    if (victim.sharers != 0) {
         for (unsigned c = 0; c < cfg.numCores; ++c) {
-            if (!(bits & (std::uint32_t{1} << c)))
+            if (!(victim.sharers & (std::uint32_t{1} << c)))
                 continue;
             // L2 before L1: the L1 copy is newer when both exist.
             for (Cache *cache : {l2s[c].get(), l1s[c].get()}) {
@@ -386,18 +384,13 @@ CacheHierarchy::retireLlcVictim(CacheVictim &victim, Tick now)
                 if (!upper)
                     continue;
                 if (upper.dirty()) {
-                    std::memcpy(victim.data.data(), upper.data(),
-                                kCacheLineSize);
-                    victim.dirty = true;
-                    victim.persistent |= upper.persistent();
-                    victim.lastWriter = upper.lastWriter();
-                    victim.txId = upper.txId();
-                    victim.wordMask |= upper.wordMask();
+                    mergeDirtyState(upper, victim.dirty,
+                                    victim.persistent, victim.lastWriter,
+                                    victim.txId, victim.wordMask);
                 }
                 cache->invalidate(victim.addr);
             }
         }
-        sharers.erase(victim.addr);
         ++backInvalidationsC_;
     }
 
@@ -413,36 +406,19 @@ CacheHierarchy::retireLlcVictim(CacheVictim &victim, Tick now)
 }
 
 void
-CacheHierarchy::updateSharerOnDrop(CoreId core, Addr line)
+CacheHierarchy::updateSharerOnDrop(CoreId core, Addr line,
+                                   std::uint32_t home)
 {
     if (l1s[core]->peekLine(line) || l2s[core]->peekLine(line))
         return;
-    std::uint32_t *mask = sharers.find(line);
-    if (!mask)
-        return;
-    *mask &= ~(std::uint32_t{1} << core);
-    if (*mask == 0)
-        sharers.erase(line);
-}
-
-CacheLine
-CacheHierarchy::newestCopy(Addr line) const
-{
-    const CacheLine llc_line = llc_->peekLine(line);
-    if (!llc_line)
-        return {};
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        if (CacheLine l1l = l1s[c]->peekLine(line))
-            return l1l;
-        if (CacheLine l2l = l2s[c]->peekLine(line))
-            return l2l;
-    }
-    return llc_line;
+    llc_->sharers(home) &= ~(std::uint32_t{1} << core);
 }
 
 void
 CacheHierarchy::debugRead(Addr addr, void *buf, std::size_t len) const
 {
+    // Every cached copy of a line reads its LLC way's bytes, so the
+    // LLC alone answers; a line it misses is in no cache.
     auto *out = static_cast<std::uint8_t *>(buf);
     while (len > 0) {
         const Addr line = lineAddr(addr);
@@ -455,7 +431,7 @@ CacheHierarchy::debugRead(Addr addr, void *buf, std::size_t len) const
             // remaining words of it from the memo (nothing can mutate
             // while the batch is open).
             if (line != debugMemoLine_) {
-                if (const CacheLine hit = newestCopy(line))
+                if (const CacheLine hit = llc_->peekLine(line))
                     std::memcpy(debugMemoData_, hit.data(),
                                 kCacheLineSize);
                 else
@@ -463,7 +439,7 @@ CacheHierarchy::debugRead(Addr addr, void *buf, std::size_t len) const
                 debugMemoLine_ = line;
             }
             std::memcpy(out, debugMemoData_ + off, chunk);
-        } else if (const CacheLine found = newestCopy(line)) {
+        } else if (const CacheLine found = llc_->peekLine(line)) {
             std::memcpy(out, found.data() + off, chunk);
         } else {
             std::uint8_t tmp[kCacheLineSize];
@@ -485,7 +461,6 @@ CacheHierarchy::dropAll()
     for (auto &c : l2s)
         c->invalidateAll();
     llc_->invalidateAll();
-    sharers.clear();
 }
 
 void
@@ -498,18 +473,18 @@ CacheHierarchy::writebackAll(Tick now)
         l1s[c]->forEachLine([&](CacheLine &line) {
             if (!line.dirty())
                 return;
-            insertL2(c, line.addr(), line.data(), true,
+            insertL2(c, line.addr(), line.home(), true,
                      line.persistent(), line.lastWriter(), line.txId(),
-                     line.wordMask(), now);
+                     line.wordMask());
             line.dirty() = false;
         });
         l1s[c]->invalidateAll();
         l2s[c]->forEachLine([&](CacheLine &line) {
             if (!line.dirty())
                 return;
-            insertLlc(c, line.addr(), line.data(), true,
-                      line.persistent(), line.lastWriter(), line.txId(),
-                      line.wordMask(), now);
+            llc_->writeBack(line.addr(), line.home(), line.persistent(),
+                            line.lastWriter(), line.txId(),
+                            line.wordMask());
             line.dirty() = false;
         });
         l2s[c]->invalidateAll();
@@ -523,7 +498,6 @@ CacheHierarchy::writebackAll(Tick now)
         line.dirty() = false;
     });
     llc_->invalidateAll();
-    sharers.clear();
 }
 
 void

@@ -4,10 +4,16 @@
  * inclusive LLC, backed by a PersistenceController.
  *
  * The hierarchy is functional (lines carry data) and timed (each level
- * adds its hit latency; misses add the controller's fill latency). Dirty
- * evictions cascade L1 -> L2 -> LLC; LLC victims are back-invalidated
- * from all upper levels, merged, and handed to the controller, which is
- * where crash-consistency schemes differ (home region vs out-of-place).
+ * adds its hit latency; misses add the controller's fill latency). The
+ * inclusive LLC is the single home of every cached line: its way holds
+ * the line's 64-byte payload and its sharer mask, and the L1/L2 ways
+ * that hold the line refer to that way, so loads read and stores write
+ * the one copy. Each level keeps its own presence, LRU and dirty /
+ * persistent / word-mask / writer / transaction state, so dirty
+ * evictions cascade L1 -> L2 -> LLC as state alone; LLC victims are
+ * back-invalidated from all upper levels, their state merged, and
+ * handed to the controller, which is where crash-consistency schemes
+ * differ (home region vs out-of-place).
  *
  * Coherence: the simulator executes cores one at a time, so a simple
  * invalidate-on-write protocol with an LLC-side sharer mask suffices.
@@ -23,7 +29,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "controller/persistence_controller.hh"
 #include "mem/cache.hh"
@@ -62,9 +67,8 @@ class CacheHierarchy
      * Enter/leave debug-batch mode: between the calls, debugRead
      * memoizes the last reconstructed line, so word-by-word
      * verification loops resolve each 64-byte line once instead of
-     * once per word (each resolution probes the LLC, scans the private
-     * caches on a hit and may otherwise rebuild the line from
-     * controller metadata). The caller promises
+     * once per word (each resolution probes the LLC and on a miss
+     * rebuilds the line from controller metadata). The caller promises
      * no simulated mutation — no stores, maintenance, or controller
      * activity — happens while the batch is open; the verify phase
      * after finalize() is exactly that window.
@@ -124,10 +128,10 @@ class CacheHierarchy
 
     /**
      * Store to a word of the line this core's WordMemo holds exclusive.
-     * Skips the redundant L1 set scan, LLC lookup and sharer
-     * reconciliation (the line is already exclusive, so those are
-     * no-ops on the resolving path too) while applying the identical
-     * stat, LRU, latency and controller-hook effects.
+     * Skips the redundant L1 set scan and sharer reconciliation (the
+     * line is already exclusive, so those are no-ops on the resolving
+     * path too) while applying the identical stat, LRU, latency and
+     * controller-hook effects.
      */
     Tick storeWordHit(CoreId core, CacheLine line, Addr addr,
                       std::uint64_t value, Tick now);
@@ -141,43 +145,43 @@ class CacheHierarchy
     Tick writeWord(CoreId core, CacheLine line, Addr addr,
                    std::uint64_t value, Tick t);
 
-    /** Insert into L1; dirty victims merge into L2. */
-    void insertL1(CoreId core, Addr line, const std::uint8_t *data,
-                  bool dirty, bool persistent, CoreId writer, TxId tx,
-                  std::uint8_t mask, Tick now);
+    /**
+     * Promote LLC-resident @p line, whose LLC way is @p home, clean
+     * into this core's L1; a dirty L1 victim writes back into L2.
+     */
+    void insertL1(CoreId core, Addr line, std::uint32_t home);
 
-    /** Insert into L2; dirty victims merge into the LLC. */
-    void insertL2(CoreId core, Addr line, const std::uint8_t *data,
-                  bool dirty, bool persistent, CoreId writer, TxId tx,
-                  std::uint8_t mask, Tick now);
+    /**
+     * Insert @p line (LLC way @p home) into L2 with the given state; a
+     * victim's state, merged with its L1 copy's, writes back into the
+     * LLC when dirty.
+     */
+    void insertL2(CoreId core, Addr line, std::uint32_t home, bool dirty,
+                  bool persistent, CoreId writer, TxId tx,
+                  std::uint8_t mask);
 
-    /** Insert into the LLC; victims are back-invalidated and evicted. */
-    void insertLlc(CoreId core, Addr line, const std::uint8_t *data,
-                   bool dirty, bool persistent, CoreId writer, TxId tx,
-                   std::uint8_t mask, Tick now);
+    /**
+     * Fill @p line into the LLC with the controller's bytes and state;
+     * the victim is back-invalidated and evicted.
+     * @return The filled LLC line.
+     */
+    CacheLine fillLlc(CoreId core, Addr line, const std::uint8_t *data,
+                      const FillResult &fr, Tick now);
 
     /** Handle an LLC victim: merge upper copies, hand to controller. */
     void retireLlcVictim(CacheVictim &victim, Tick now);
 
     /**
-     * Pull the freshest copy of @p line from other cores' private
-     * caches into @p llc_line, invalidating them if @p exclusive.
+     * Fold other cores' private copies of @p line into @p llc_line,
+     * invalidating them if @p exclusive and downgrading dirty ones
+     * otherwise, and record @p core as a sharer.
      */
     void reconcileSharers(CoreId core, Addr line, CacheLine llc_line,
                           bool exclusive);
 
-    /** Drop @p core from the sharer mask if its L1/L2 no longer hold
-     *  @p line. */
-    void updateSharerOnDrop(CoreId core, Addr line);
-
-    /**
-     * Line holding @p line's newest bytes: the first private copy in
-     * core order (L1 before L2, the L1 copy being the newer), else
-     * the LLC copy; an empty view when no cache holds the line. The
-     * LLC is inclusive, so it is probed first and the private caches
-     * are scanned only when it hits.
-     */
-    CacheLine newestCopy(Addr line) const;
+    /** Drop @p core from the sharer mask of @p line (LLC way @p home)
+     *  if its L1/L2 no longer hold the line. */
+    void updateSharerOnDrop(CoreId core, Addr line, std::uint32_t home);
 
     const SystemConfig &cfg;
 
@@ -185,12 +189,10 @@ class CacheHierarchy
     const Tick opCost_;
 
     PersistenceController *ctrl = nullptr;
+    /** Built before l1s/l2s, whose ways refer to its ways. */
+    std::unique_ptr<Cache> llc_;
     std::vector<std::unique_ptr<Cache>> l1s;
     std::vector<std::unique_ptr<Cache>> l2s;
-    std::unique_ptr<Cache> llc_;
-
-    /** Which cores may hold each LLC-resident line in L1/L2. */
-    FlatMap<std::uint32_t> sharers;
 
     /**
      * Same-line word memo (cfg.fastPath only), the engine's one

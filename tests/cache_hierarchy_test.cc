@@ -7,8 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <string>
+#include <map>
 
+#include "common/rng.hh"
 #include "controller/native_controller.hh"
 #include "mem/cache_hierarchy.hh"
 
@@ -110,30 +114,30 @@ TEST_F(HierarchyFixture, DebugReadPrefersNewerPrivateCopy)
 {
     // Core 0 dirties the line; core 1's store then merges core 0's
     // copy into the LLC, invalidates it and dirties its own L1 copy.
-    // The LLC now holds core 0's bytes and only core 1's L1 is current.
+    // Core 1's dirty word is what debugRead returns, inside and
+    // outside a debug batch, and what core 0 loads next.
     Tick t = hier.storeWord(0, 0x700, 1, 0);
     t = hier.storeWord(1, 0x708, 2, t);
-    const CacheLine llc_line = hier.llc().peekLine(0x700);
     const CacheLine l1_line = hier.l1(1).peekLine(0x700);
-    ASSERT_TRUE(llc_line);
     ASSERT_TRUE(l1_line);
     ASSERT_TRUE(l1_line.dirty());
     ASSERT_FALSE(hier.l1(0).peekLine(0x700));
-    ASSERT_NE(std::memcmp(llc_line.data(), l1_line.data(),
-                          kCacheLineSize),
-              0)
-        << "the LLC copy must be stale for this test";
 
     for (bool batch : {false, true}) {
-        std::uint8_t line[kCacheLineSize] = {};
+        std::uint64_t words[2] = {};
         if (batch)
             hier.beginDebugBatch();
-        hier.debugRead(0x700, line, kCacheLineSize);
+        hier.debugRead(0x700, words, sizeof(words));
         if (batch)
             hier.endDebugBatch();
-        EXPECT_EQ(std::memcmp(line, l1_line.data(), kCacheLineSize), 0)
-            << (batch ? "inside" : "outside") << " a debug batch";
+        EXPECT_EQ(words[0], 1u) << (batch ? "inside" : "outside")
+                                << " a debug batch";
+        EXPECT_EQ(words[1], 2u) << (batch ? "inside" : "outside")
+                                << " a debug batch";
     }
+    std::uint64_t loaded = 0;
+    hier.loadWord(0, 0x708, loaded, t);
+    EXPECT_EQ(loaded, 2u);
 
     // A line no cache holds reads from the controller.
     nvm.pokeWord(0x2000, 33);
@@ -242,6 +246,182 @@ TEST_F(HierarchyFixture, LlcMissRatioTracked)
         hier.loadWord(0, a, v, 0);
     EXPECT_DOUBLE_EQ(hier.llcMissRatio(), 0.5);
 }
+
+/** The LLC shape OneCopyProperty runs under, named for the test. */
+struct Geometry
+{
+    const char *name;
+    unsigned llcAssoc;
+};
+
+/**
+ * Seeded random traffic against a flat reference image: loads, stores
+ * inside and outside transactions and writebackAll, from 2-4 cores.
+ * After every step, the loaded word and debugReads of two lines must
+ * match the image, and the caches must hold their structural
+ * invariants: each private line is in the LLC and reads its LLC way's
+ * bytes, the LLC way's sharer mask names every core that holds the
+ * line, and a core with a dirty private copy is its only holder. L1 is
+ * not checked against L2: a load by another core drops a dirty L2
+ * copy and keeps the clean L1 copy above it.
+ */
+class OneCopyProperty
+    : public ::testing::TestWithParam<std::tuple<Geometry, unsigned>>
+{
+  protected:
+    static constexpr unsigned kLines = 512;
+    static constexpr unsigned kHotLines = 24;
+    static constexpr unsigned kSteps = 3000;
+
+    /** Structural invariants; returns "" or the first broken one. */
+    static std::string
+    checkStructure(CacheHierarchy &hier, unsigned cores)
+    {
+        // Per line: the cores holding a private copy, and those whose
+        // copy is dirty.
+        std::map<Addr, std::pair<std::uint32_t, std::uint32_t>>
+            holders;
+        std::string err;
+        for (unsigned c = 0; c < cores && err.empty(); ++c) {
+            for (Cache *cache : {&hier.l1(c), &hier.l2(c)}) {
+                cache->forEachLine([&](CacheLine &l) {
+                    const std::uint32_t bit = std::uint32_t{1} << c;
+                    auto &[held, dirty] = holders[l.addr()];
+                    held |= bit;
+                    dirty |= l.dirty() ? bit : 0;
+                    if (!err.empty())
+                        return;
+                    const CacheLine home = hier.llc().peekLine(l.addr());
+                    const std::string where =
+                        "core " + std::to_string(c) + " line " +
+                        std::to_string(l.addr()) + ": ";
+                    if (!home)
+                        err = where + "private line not in the LLC";
+                    else if (l.home() != home.home() ||
+                             l.data() != home.data())
+                        err = where + "private way does not read its "
+                                      "LLC way's bytes";
+                    else if (!(hier.llc().sharers(home.home()) & bit))
+                        err = where + "holder missing from the sharer "
+                                      "mask";
+                });
+            }
+        }
+        if (!err.empty())
+            return err;
+        for (const auto &[line, hd] : holders) {
+            if (hd.second != 0 && std::popcount(hd.first) > 1)
+                return "line " + std::to_string(line) +
+                       ": a dirty private copy is not the only one";
+        }
+        return "";
+    }
+};
+
+TEST_P(OneCopyProperty, LoadsAndDebugReadsMatchAFlatImage)
+{
+    const auto &[geo, cores] = GetParam();
+    SystemConfig cfg;
+    cfg.numCores = cores;
+    cfg.homeBytes = miB(16);
+    cfg.oopBytes = miB(4);
+    cfg.auxBytes = miB(32);
+    cfg.cache.l1Size = kiB(1);
+    cfg.cache.l1Assoc = 2;
+    cfg.cache.l2Size = kiB(4);
+    cfg.cache.l2Assoc = 2;
+    cfg.cache.llcSize = kiB(16);
+    cfg.cache.llcAssoc = geo.llcAssoc;
+
+    std::uint64_t downgrades = 0, back_invalidations = 0, writebacks = 0;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
+        NativeController ctrl(nvm, cfg);
+        CacheHierarchy hier(cfg);
+        hier.setController(&ctrl);
+        Rng rng(seed * 7919 + cores);
+        std::map<Addr, std::uint64_t> image;
+        auto expected = [&](Addr a) {
+            const auto it = image.find(a);
+            return it == image.end() ? 0 : it->second;
+        };
+        auto pickLine = [&]() -> Addr {
+            // Half the traffic on a few hot lines, so cores share them.
+            const unsigned n = rng.nextBounded(2) ? kHotLines : kLines;
+            return static_cast<Addr>(rng.nextBounded(n)) * kCacheLineSize;
+        };
+        auto checkLine = [&](Addr line, bool batch) {
+            std::uint64_t words[kWordsPerLine];
+            if (batch)
+                hier.beginDebugBatch();
+            hier.debugRead(line, words, sizeof(words));
+            if (batch)
+                hier.endDebugBatch();
+            for (unsigned w = 0; w < kWordsPerLine; ++w) {
+                if (words[w] != expected(line + w * kWordSize))
+                    return false;
+            }
+            return true;
+        };
+
+        Tick t = 0;
+        for (unsigned step = 0; step < kSteps; ++step) {
+            const std::string at = geo.name + std::string(" cores ") +
+                                   std::to_string(cores) + " seed " +
+                                   std::to_string(seed) + " step " +
+                                   std::to_string(step);
+            const CoreId core = static_cast<CoreId>(rng.nextBounded(cores));
+            const Addr line = pickLine();
+            const Addr addr =
+                line + rng.nextBounded(kWordsPerLine) * kWordSize;
+            const std::uint64_t op = rng.nextBounded(100);
+            if (op < 45) {
+                std::uint64_t v = ~std::uint64_t{0};
+                t = hier.loadWord(core, addr, v, t);
+                ASSERT_EQ(v, expected(addr)) << at << ": load";
+            } else if (op < 90) {
+                const std::uint64_t v = rng.next();
+                t = hier.storeWord(core, addr, v, t);
+                image[addr] = v;
+            } else if (op < 99) {
+                // Open or close this core's transaction.
+                if (ctrl.inTx(core))
+                    t = ctrl.txEnd(core, t);
+                else
+                    ctrl.txBegin(core, t);
+            } else {
+                hier.writebackAll(t);
+                ++writebacks;
+                for (const auto &[a, v] : image)
+                    ASSERT_EQ(nvm.peekWord(a), v) << at << ": writeback";
+            }
+            ASSERT_TRUE(checkLine(line, step % 2 == 0)) << at;
+            ASSERT_TRUE(checkLine(pickLine(), step % 2 == 1)) << at;
+            const std::string err = checkStructure(hier, cores);
+            ASSERT_TRUE(err.empty()) << at << ": " << err;
+        }
+        for (Addr l = 0; l < kLines * kCacheLineSize; l += kCacheLineSize)
+            ASSERT_TRUE(checkLine(l, true)) << "final sweep line " << l;
+        downgrades += hier.stats().value("downgrades");
+        back_invalidations += hier.stats().value("back_invalidations");
+    }
+    // The traffic reached the paths that move state between copies.
+    EXPECT_GT(downgrades, 0u);
+    EXPECT_GT(back_invalidations, 0u);
+    EXPECT_GT(writebacks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, OneCopyProperty,
+    ::testing::Combine(
+        // The crash-check geometry, where four cores' private caches
+        // outgrow the LLC, and the same with a direct-mapped LLC.
+        ::testing::Values(Geometry{"llc4way", 4}, Geometry{"llc1way", 1}),
+        ::testing::Values(2u, 3u, 4u)),
+    [](const auto &info) {
+        return std::string(std::get<0>(info.param).name) + "_cores" +
+               std::to_string(std::get<1>(info.param));
+    });
 
 } // namespace
 } // namespace hoopnvm

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/rng.hh"
 #include "hoop/oop_region.hh"
 
 namespace hoopnvm
@@ -185,6 +188,75 @@ TEST_F(RegionFixture, ResetClearsEverything)
     EXPECT_EQ(region.freeBlocks(), region.numBlocks());
     for (std::uint32_t b = 0; b < region.numBlocks(); ++b)
         EXPECT_EQ(region.peekHeader(b).state, BlockState::Unused);
+}
+
+/** Blocks in state Unused, counted the slow way. */
+std::uint32_t
+scanFreeBlocks(const OopRegion &region)
+{
+    std::uint32_t n = 0;
+    for (std::uint32_t b = 0; b < region.numBlocks(); ++b) {
+        if (region.block(b).state == BlockState::Unused)
+            ++n;
+    }
+    return n;
+}
+
+TEST(RegionFreeCount, MatchesAScanUnderRandomTransitions)
+{
+    // The crash-check geometry: 1 MiB of 8 KiB blocks, with fault
+    // tolerance on so that blocks can retire.
+    SystemConfig cfg = smallConfig();
+    cfg.oopBytes = miB(1);
+    cfg.oopBlockBytes = kiB(8);
+    cfg.ft.enabled = true;
+    NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
+    OopRegion region(nvm, cfg);
+    ASSERT_EQ(region.numBlocks(), 128u);
+    ASSERT_EQ(region.freeBlocks(), 128u);
+
+    Rng rng(22);
+    const BlockState live[] = {BlockState::Unused, BlockState::InUse,
+                               BlockState::Full, BlockState::Gc};
+    std::uint64_t retired = 0, resets = 0, reloads = 0;
+    for (unsigned step = 0; step < 4000; ++step) {
+        const std::uint64_t op = rng.nextBounded(100);
+        const auto b =
+            static_cast<std::uint32_t>(rng.nextBounded(region.numBlocks()));
+        const bool bad = region.block(b).state == BlockState::Bad;
+        if (op < 50) {
+            if (!bad)
+                region.setBlockState(b, live[rng.nextBounded(4)], 0);
+        } else if (op < 80) {
+            std::uint32_t idx;
+            region.allocSlice(idx, 0);
+        } else if (op < 90) {
+            region.closeCurrentBlock(0);
+        } else if (op < 96) {
+            // Leave most blocks allocatable.
+            if (!bad && retired < 48) {
+                region.retireBlock(b, 0);
+                ++retired;
+            }
+        } else if (op < 99) {
+            region.reset();
+            ++resets;
+        } else {
+            // A recovery-time region over the same device adopts the
+            // durable retirement bitmap.
+            OopRegion reborn(nvm, cfg);
+            reborn.loadRetirement();
+            ASSERT_EQ(reborn.freeBlocks(), scanFreeBlocks(reborn))
+                << "reloaded at step " << step;
+            ASSERT_EQ(reborn.freeBlocks(), 128u - retired);
+            ++reloads;
+        }
+        ASSERT_EQ(region.freeBlocks(), scanFreeBlocks(region))
+            << "step " << step << " op " << op;
+    }
+    EXPECT_GT(retired, 0u);
+    EXPECT_GT(resets, 0u);
+    EXPECT_GT(reloads, 0u);
 }
 
 } // namespace
