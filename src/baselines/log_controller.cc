@@ -124,15 +124,9 @@ LogController::appendCommitRecord(const char *rule, TxId tx,
 void
 LogController::maintenance(Tick now)
 {
-    maintDirty_ = false;
     if (now - lastReclaim_ >= cfg.gcPeriod || logPressured()) {
-        // Stay armed while reclaiming (a SimCrash unwinding out of it
-        // must leave the poll re-armed), then settle to the exact
-        // post-reclaim occupancy predicate.
-        maintDirty_ = true;
         lastReclaim_ = now;
         reclaim(now);
-        maintDirty_ = logPressured();
     }
 }
 

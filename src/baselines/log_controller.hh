@@ -38,13 +38,6 @@ class LogController : public PersistenceController
     /** Reclaim every gcPeriod, or sooner once the log is 3/4 full. */
     void maintenance(Tick now) override;
 
-    /** Next periodic trigger tick of the maintenance hook. */
-    Tick
-    nextMaintenanceDue() const override
-    {
-        return lastReclaim_ + cfg.gcPeriod;
-    }
-
     Tick scrub(Tick now) override;
     ControllerGauges sampleGauges() const override;
     void crash() override;
@@ -83,18 +76,6 @@ class LogController : public PersistenceController
     logPressured() const
     {
         return log_.size() * 4 >= log_.capacity() * 3;
-    }
-
-    /**
-     * Arm maintenancePressure() when log occupancy crosses the
-     * maintenance threshold; called after every append burst so the
-     * engine's event-driven poll skip never misses pressure onset.
-     */
-    void
-    markLogPressure()
-    {
-        if (logPressured())
-            maintDirty_ = true;
     }
 
     /** True while any core has a failure-atomic region open. */

@@ -105,7 +105,6 @@ LsmController::txEnd(CoreId core, Tick now)
     writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
-    markLogPressure();
     return ack;
 }
 

@@ -37,7 +37,7 @@ class LsmController : public LogController
     Tick txEnd(CoreId core, Tick now) override;
     Tick storeWord(CoreId core, Addr addr, const std::uint8_t *data,
                    Tick now) override;
-    Tick loadOverhead(CoreId core, Addr addr, Tick now) override;
+    Tick loadOverhead(CoreId core, Addr line, Tick now) override;
     FillResult fillLine(CoreId core, Addr line, std::uint8_t *buf,
                         Tick now) override;
     void evictLine(CoreId core, Addr line, const std::uint8_t *data,

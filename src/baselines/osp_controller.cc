@@ -212,11 +212,6 @@ OspController::txEnd(CoreId core, Tick now)
     writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
-    // The flip records appended above become dead the moment no region
-    // is open — exactly the condition maintenance() truncates on, and
-    // closing a region is the only way it can newly become true.
-    if (!anyTxOpen() && log_.size() > 0)
-        maintDirty_ = true;
     return done;
 }
 
@@ -268,11 +263,7 @@ OspController::reclaim(Tick now)
 void
 OspController::maintenance(Tick now)
 {
-    maintDirty_ = true; // re-armed if the crash point fires
     reclaim(now);
-    // Exact: the log is now empty, or a region is open and its txEnd()
-    // re-arms the poll.
-    maintDirty_ = false;
 }
 
 void

@@ -44,9 +44,6 @@ class OspController : public LogController
     /** Truncate the flip log as soon as no region is open. */
     void maintenance(Tick now) override;
 
-    /** State-triggered only: txEnd() arms maintenancePressure(). */
-    Tick nextMaintenanceDue() const override { return kNeverTick; }
-
     void crash() override;
     Tick recover(unsigned threads) override;
     void debugReadLine(Addr line, std::uint8_t *buf) const override;

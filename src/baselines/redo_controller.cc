@@ -98,7 +98,6 @@ RedoController::txEnd(CoreId core, Tick now)
     writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
-    markLogPressure();
     return ack;
 }
 

@@ -69,7 +69,6 @@ UndoController::storeWord(CoreId core, Addr addr,
         ++logEntriesC_;
     }
     writes_.stage(core, addr, data);
-    markLogPressure();
     return cfg.cycle();
 }
 
@@ -111,7 +110,6 @@ UndoController::txEnd(CoreId core, Tick now)
     writes_.end(core);
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
-    markLogPressure();
     return ack;
 }
 

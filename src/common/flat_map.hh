@@ -1,16 +1,16 @@
 /**
  * @file
  * Open-addressed hash map from 64-bit keys to POD values, shared by the
- * simulator's metadata hot paths (home-region freshness watermarks,
- * the baselines' staged write sets, GC coalescing and recovery replay,
- * the ordering analyzer's in-flight writers).
+ * simulator's metadata hot paths (HOOP's mapping table, home-region
+ * freshness watermarks, the baselines' staged write sets, GC
+ * coalescing and recovery replay, the ordering analyzer's in-flight
+ * writers).
  *
- * The layout follows the MappingTable model that PR 2 proved out:
- * linear probing over a power-of-two slot array with backward-shift
+ * Linear probing over a power-of-two slot array with backward-shift
  * deletion (no tombstones), keys packed in their own array so the probe
  * loop scans eight 8-byte keys per host cache line and touches a value
- * only on a hit. Unlike MappingTable it has no modelled capacity — it
- * is a host-side container and grows by doubling at 3/4 load.
+ * only on a hit. It has no capacity of its own and grows by doubling at
+ * 3/4 load; MappingTable adds the modelled capacity on top.
  *
  * The value array is deliberately left uninitialized (and clear()
  * keeps the allocation): a slot's value is written by operator[]
@@ -145,6 +145,9 @@ class FlatMap
 
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
+
+    /** Allocated slot count (a power of two, at least 16). */
+    std::size_t slots() const { return keys_.size(); }
 
     /** Drop every entry, retaining the slot allocation. */
     void

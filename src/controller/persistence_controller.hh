@@ -9,14 +9,15 @@
  *
  *  - storeWord()   on every transactional store (word granularity; the
  *                  cache controller forwards modified words, Fig. 6);
- *  - loadOverhead() before every load (software schemes such as LSM add
- *                  index-lookup latency here);
+ *  - loadOverhead() on every load that misses the L1 (software schemes
+ *                  such as LSM add index-lookup latency here);
  *  - fillLine()    on an LLC miss (schemes may redirect to out-of-place
  *                  locations or logs);
  *  - evictLine()   on an LLC dirty writeback (schemes decide whether the
  *                  line goes to the home region or elsewhere);
  *  - txBegin()/txEnd() at failure-atomic region boundaries;
- *  - maintenance() periodically (GC, checkpointing, log truncation).
+ *  - maintenance() after every transaction (GC, checkpointing, log
+ *                  truncation; each scheme tests its own trigger).
  *
  * Controllers are *functional*: the bytes they write to the NvmDevice
  * are real, so crash() + recover() can be verified to reproduce exactly
@@ -142,12 +143,15 @@ class PersistenceController
     virtual Tick storeWord(CoreId core, Addr addr,
                            const std::uint8_t *data, Tick now) = 0;
 
-    /** Extra critical-path ticks charged before any load. */
+    /**
+     * Extra critical-path ticks charged when a load misses the L1.
+     * @p line is the line address; @p now is the tick the miss is known.
+     */
     virtual Tick
-    loadOverhead(CoreId core, Addr addr, Tick now)
+    loadOverhead(CoreId core, Addr line, Tick now)
     {
         (void)core;
-        (void)addr;
+        (void)line;
         (void)now;
         return 0;
     }
@@ -166,38 +170,17 @@ class PersistenceController
                            TxId tx, std::uint8_t word_mask,
                            Tick now) = 0;
 
-    /** Periodic maintenance hook (GC, checkpointing, truncation). */
+    /**
+     * Maintenance poll (GC, checkpointing, truncation), called by the
+     * engine after every transaction. This is the one place a scheme
+     * tests its trigger (a period, allocation pressure, dead log), so
+     * a poll with nothing due must be cheap and change nothing.
+     */
     virtual void
     maintenance(Tick now)
     {
         (void)now;
     }
-
-    /**
-     * Earliest tick at which this scheme's *time-triggered* maintenance
-     * could next fire (kNeverTick when it has none). The engine's fast
-     * path skips maintenance() polls while now is before this tick and
-     * maintenancePressure() is clear — a combination under which the
-     * call is provably a no-op, so skipping it is bit-identical to the
-     * polled reference engine. The returned tick may only move later
-     * between maintenance() calls (the period anchors, HOOP's lastGc
-     * and the log baselines' lastReclaim_, never move backwards); a
-     * conservatively early value merely costs a no-op call.
-     */
-    virtual Tick
-    nextMaintenanceDue() const
-    {
-        return kNeverTick;
-    }
-
-    /**
-     * True when a *state-triggered* maintenance condition (allocation
-     * pressure, pending dead log) may hold. Derived controllers arm
-     * the flag at every site where their condition can newly become
-     * true and recompute it exactly on each maintenance() call, so a
-     * clear flag proves the next poll would observe no pressure.
-     */
-    bool maintenancePressure() const { return maintDirty_; }
 
     /**
      * One background scrub pass (runtime fault tolerance): proactively
@@ -378,9 +361,6 @@ class PersistenceController
     Counter &txBegunC_;
 
     std::vector<CoreTxState> coreTx;
-
-    /** See maintenancePressure(). */
-    bool maintDirty_ = false;
 
   private:
     TxId nextTxId = 1;

@@ -40,7 +40,6 @@ EvictionBuffer::get(Addr line, std::uint8_t *out) const
     if (it == index.end())
         return false;
     std::memcpy(out, entries[it->second].data.data(), kCacheLineSize);
-    ++hits_;
     return true;
 }
 

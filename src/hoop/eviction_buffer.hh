@@ -45,8 +45,6 @@ class EvictionBuffer
     std::size_t size() const { return index.size(); }
     std::size_t capacity() const { return entries.size(); }
 
-    std::uint64_t hits() const { return hits_; }
-
     /** Drop everything (crash / post-recovery). */
     void clear();
 
@@ -61,7 +59,6 @@ class EvictionBuffer
     std::vector<Entry> entries;
     std::unordered_map<Addr, std::size_t> index;
     std::size_t nextSlot = 0;
-    mutable std::uint64_t hits_ = 0;
 };
 
 } // namespace hoopnvm

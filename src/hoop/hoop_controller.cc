@@ -13,8 +13,7 @@ namespace hoopnvm
 HoopController::HoopController(NvmDevice &nvm, const SystemConfig &cfg_)
     : PersistenceController("hoop", nvm, cfg_),
       region_(nvm, cfg_),
-      buffer(cfg_.numCores, cfg_.oopDataBufferBytesPerCore,
-             cfg_.dataPacking),
+      buffer(cfg_.numCores, cfg_.dataPacking),
       mapping(cfg_.mappingTableBytes),
       evictBuf(cfg_.evictionBufferBytes),
       chains(cfg_.numCores),
@@ -186,10 +185,6 @@ HoopController::emitSlice(CoreId core, const PendingSlice &p,
             }
         }
     }
-    // Slice emission is the only place mapping occupancy grows and
-    // (outside GC itself) blocks are consumed, so re-deriving the GC
-    // pressure flag here keeps maintenancePressure() exact.
-    refreshMaintPressure();
     return done;
 }
 
@@ -435,7 +430,6 @@ HoopController::writeHomeLine(Tick now, Addr line,
 void
 HoopController::maintenance(Tick now)
 {
-    maintDirty_ = false;
     if (!cfg.gcEnabled)
         return;
     const bool period_due = now - lastGc >= cfg.gcPeriod;
@@ -444,13 +438,8 @@ HoopController::maintenance(Tick now)
     if (period_due || pressure) {
         if (pressure && !period_due)
             ++gcPressureC_;
-        // Keep the pressure flag armed while GC runs so a SimCrash
-        // unwinding out of it leaves the poll re-armed, then settle it
-        // to the exact post-GC predicate.
-        maintDirty_ = true;
         lastGc = now;
         gc_->run(now);
-        refreshMaintPressure();
     }
 }
 
@@ -553,15 +542,6 @@ HoopController::sampleGauges() const
     }
     g.txRejected = txRejectedC_.value();
     return g;
-}
-
-Tick
-HoopController::runGcNow(Tick now)
-{
-    lastGc = now;
-    const Tick done = gc_->run(now);
-    refreshMaintPressure();
-    return done;
 }
 
 Tick

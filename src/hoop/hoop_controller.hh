@@ -86,13 +86,6 @@ class HoopController : public PersistenceController
                    Tick now) override;
     void maintenance(Tick now) override;
 
-    /** Next periodic-GC trigger tick (kNeverTick when GC is off). */
-    Tick
-    nextMaintenanceDue() const override
-    {
-        return cfg.gcEnabled ? lastGc + cfg.gcPeriod : kNeverTick;
-    }
-
     Tick scrub(Tick now) override;
     ControllerGauges sampleGauges() const override;
     Tick drain(Tick now) override;
@@ -138,9 +131,6 @@ class HoopController : public PersistenceController
      * buffer coherent. Used by the eviction path and by GC migration.
      */
     Tick writeHomeLine(Tick now, Addr line, const std::uint8_t *data);
-
-    /** Run GC immediately (on-demand); returns its completion tick. */
-    Tick runGcNow(Tick now);
 
     /**
      * True when @p line's home copy was written by a committed
@@ -208,20 +198,6 @@ class HoopController : public PersistenceController
 
     Tick lastGc = 0;
     std::uint64_t txModifiedBytes_ = 0;
-
-    /**
-     * Recompute maintenancePressure() from the exact GC pressure
-     * predicate (block exhaustion / mapping-table occupancy). Called
-     * wherever the predicate's inputs change outside maintenance():
-     * slice emission and on-demand GC.
-     */
-    void
-    refreshMaintPressure()
-    {
-        maintDirty_ = cfg.gcEnabled &&
-                      (region_.freeBlocks() <= 1 ||
-                       mapping.size() * 10 >= mapping.capacity() * 9);
-    }
 
     /** Round-robin block cursor of the background scrubber. */
     std::uint32_t scrubCursor_ = 0;

@@ -8,25 +8,27 @@
  * default, 16 bytes per entry); when it fills up the controller must
  * run GC to drain entries (Fig. 13 sweeps this size).
  *
- * The software model mirrors the hardware: a flat open-addressed array
- * (linear probing, backward-shift deletion) rather than a node-based
- * hash map — controller SRAM is a fixed array of entry slots, and the
- * flat layout is also the fastest thing the host can probe. Keys and
- * values live in separate parallel arrays so the probe loop scans only
- * packed 8-byte keys (eight per host cache line); the slice value is
- * touched on a hit alone. The host allocation grows lazily from a few
- * slots up to the modelled capacity, so a Fig. 13 8 MB sweep whose run
- * touches a few thousand lines does not pay for half a million buckets
- * per System.
+ * The entries live in a FlatMap keyed by line number, the flat
+ * open-addressed layout controller SRAM has; this class adds only the
+ * modelled capacity. The host allocation grows lazily from at most 64
+ * slots, so a Fig. 13 8 MB sweep whose run touches a few thousand lines
+ * does not pay for half a million buckets per System.
+ *
+ * forEach order is simulated behaviour (the emergency drain migrates
+ * the first committed entry it visits). It follows from the key hash,
+ * the 64-slot start that clear() returns to, and FlatMap's growth and
+ * deletion; mapping_table_test pins it.
  */
 
 #ifndef HOOPNVM_HOOP_MAPPING_TABLE_HH
 #define HOOPNVM_HOOP_MAPPING_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <vector>
 
+#include "common/flat_map.hh"
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace hoopnvm
@@ -40,81 +42,86 @@ class MappingTable
     static constexpr std::uint64_t kEntryBytes = 16;
 
     /** @param bytes Modelled table capacity in bytes. */
-    explicit MappingTable(std::uint64_t bytes);
+    explicit MappingTable(std::uint64_t bytes)
+        : capacity_(static_cast<std::size_t>(bytes / kEntryBytes))
+    {
+        HOOP_ASSERT(capacity_ > 0, "mapping table too small for one entry");
+        clear();
+    }
 
     /**
      * Insert or update the mapping for @p line.
      * @return false when the table is full and @p line is not already
      *         present (the caller must GC and retry).
      */
-    bool insert(Addr line, std::uint32_t slice_idx);
+    bool
+    insert(Addr line, std::uint32_t slice_idx)
+    {
+        HOOP_ASSERT(isAligned(line, kCacheLineSize),
+                    "mapping table keys are line addresses");
+        if (!full()) {
+            entries_[line / kCacheLineSize] = slice_idx;
+            return true;
+        }
+        std::uint32_t *v = entries_.find(line / kCacheLineSize);
+        if (v)
+            *v = slice_idx; // update in place, even when full
+        return v != nullptr;
+    }
 
     /** Slice index mapped for @p line, if any. */
-    std::optional<std::uint32_t> lookup(Addr line) const;
+    std::optional<std::uint32_t>
+    lookup(Addr line) const
+    {
+        const std::uint32_t *v = entries_.find(line / kCacheLineSize);
+        if (!v)
+            return std::nullopt;
+        return *v;
+    }
 
     /** Drop the mapping for @p line; no-op if absent. */
-    void remove(Addr line);
+    void remove(Addr line) { entries_.erase(line / kCacheLineSize); }
 
     /** Visit every (line, slice) entry. */
     template <typename Fn>
     void
     forEach(Fn &&fn) const
     {
-        for (std::size_t i = 0; i < lines_.size(); ++i) {
-            if (lines_[i] != kEmptyLine)
-                fn(lines_[i], slices_[i]);
-        }
+        entries_.forEach([&fn](std::uint64_t n, std::uint32_t slice) {
+            fn(static_cast<Addr>(n * kCacheLineSize), slice);
+        });
     }
 
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return entries_.size(); }
     std::size_t capacity() const { return capacity_; }
-    bool full() const { return size_ >= capacity_; }
+    bool full() const { return size() >= capacity_; }
 
-    /** Drop every entry (crash / post-recovery). */
-    void clear();
+    /** Drop every entry and shrink to the starting slots (crash). */
+    void
+    clear()
+    {
+        entries_ = FlatMap<std::uint32_t>();
+        entries_.reserve(std::min<std::size_t>(capacity_, kStartEntries));
+    }
 
     /**
      * Host memory currently allocated for slots, in bytes. Exposed so
      * the lazy-growth behaviour is testable: a freshly built table
-     * must cost a few hundred bytes regardless of the modelled
-     * capacity.
+     * must cost under a kilobyte regardless of the modelled capacity.
      */
     std::size_t
     hostAllocatedBytes() const
     {
-        return lines_.size() * sizeof(Addr) +
-               slices_.size() * sizeof(std::uint32_t);
+        return entries_.slots() *
+               (sizeof(std::uint64_t) + sizeof(std::uint32_t));
     }
 
   private:
-    /**
-     * Sentinel marking an empty slot. Mapping keys are line-aligned
-     * simulated physical addresses, which can never be all-ones.
-     */
-    static constexpr Addr kEmptyLine = kInvalidAddr;
-
-    /** Preferred slot of @p line in a table of lines_.size() entries. */
-    std::size_t homeSlot(Addr line) const;
-
-    /** Slot holding @p line, or SIZE_MAX when absent. */
-    std::size_t findSlot(Addr line) const;
-
-    /** Double the slot arrays (bounded by maxSlots_) and rehash. */
-    void grow();
+    /** Entries that fit 64 slots at FlatMap's 3/4 load bound. */
+    static constexpr std::size_t kStartEntries = 48;
 
     std::size_t capacity_;
-    std::size_t size_ = 0;
-
-    /**
-     * Largest slot count the table may grow to: the smallest power of
-     * two that keeps the probe load factor at or below 3/4 when the
-     * modelled capacity is fully used.
-     */
-    std::size_t maxSlots_;
-
-    // Parallel slot arrays: probe keys apart from values.
-    std::vector<Addr> lines_;
-    std::vector<std::uint32_t> slices_;
+    FlatMap<std::uint32_t> entries_;
 };
 
 } // namespace hoopnvm

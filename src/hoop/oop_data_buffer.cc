@@ -5,16 +5,6 @@
 namespace hoopnvm
 {
 
-OopDataBuffer::OopDataBuffer(unsigned n_cores,
-                             std::uint64_t bytes_per_core, bool packing_)
-    : pending(n_cores), packing(packing_)
-{
-    // One assembling slice (8 words + 8 addresses + state) comfortably
-    // fits the paper's 1 KB per-core budget; reject absurd configs.
-    HOOP_ASSERT(bytes_per_core >= MemorySlice::kSliceBytes,
-                "OOP data buffer smaller than one memory slice");
-}
-
 bool
 OopDataBuffer::addWord(CoreId core, Addr word_addr, std::uint64_t value)
 {

@@ -3,7 +3,7 @@
  * Per-core OOP data buffer (paper §III-C).
  *
  * Each core owns a small staging buffer in the memory controller
- * (1 KB default). Transactional stores deposit updated words here at
+ * (1 KB in the paper). Transactional stores deposit updated words here at
  * word granularity; when eight words are packed the controller flushes
  * them to the OOP region as one memory slice (data packing, Fig. 3).
  * Repeated updates to the same word within the assembling slice are
@@ -37,14 +37,15 @@ class OopDataBuffer
 {
   public:
     /**
-     * @param n_cores        Number of per-core buffer entries.
-     * @param bytes_per_core Modelled SRAM per core (capacity check).
-     * @param packing        When false (ablation), every word is
-     *                       emitted as its own slice — modelling a
-     *                       controller without data packing.
+     * @param n_cores      Number of per-core buffer entries.
+     * @param data_packing When false (ablation), every word is emitted
+     *                     as its own slice — modelling a controller
+     *                     without data packing.
      */
-    OopDataBuffer(unsigned n_cores, std::uint64_t bytes_per_core,
-                  bool packing);
+    OopDataBuffer(unsigned n_cores, bool data_packing)
+        : pending(n_cores), packing(data_packing)
+    {
+    }
 
     /**
      * Deposit one updated word for @p core's running transaction.

@@ -141,6 +141,11 @@ CacheHierarchy::ensureInL1(CoreId core, Addr line, bool for_store,
                              /*exclusive=*/true);
         return l;
     }
+    // Software translation overheads (e.g. LSM's index walk) apply
+    // when a load leaves the L1 — hot translations stay cached
+    // alongside their hot data.
+    if (!for_store)
+        t += ctrl->loadOverhead(core, line, t);
 
     t += l2.latency();
     if (CacheLine l = l2.probe(line)) {
@@ -203,11 +208,6 @@ CacheHierarchy::loadWordResolved(CoreId core, Addr addr,
     HOOP_ASSERT(isAligned(addr, kWordSize), "unaligned word load");
     ++loadsC_;
     Tick t = now + opCost_;
-    // Software translation overheads (e.g. LSM's index walk) apply
-    // when the access leaves the L1 — hot translations stay cached
-    // alongside their hot data.
-    if (!l1s[core]->peekLine(lineAddr(addr)))
-        t += ctrl->loadOverhead(core, addr, t);
     line = ensureInL1(core, lineAddr(addr), false, t);
     std::memcpy(&out, line.data() + (addr - lineAddr(addr)), kWordSize);
     return t;

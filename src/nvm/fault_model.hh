@@ -135,9 +135,6 @@ class FaultModel
                        double word_probability,
                        unsigned max_bits_per_word = 1);
 
-    /** Drop all scheduled media faults (torn-write state persists). */
-    void clearMediaFaults() { ranges_.clear(); }
-
     /** True when any media-fault range is scheduled. */
     bool hasMediaFaults() const { return !ranges_.empty(); }
 
@@ -238,17 +235,6 @@ class FaultModel
                pending_.front().completion <= tick) {
             pending_.pop_front();
         }
-    }
-
-    /**
-     * Corrupt @p len bytes read from @p addr in place per the scheduled
-     * media faults, as read attempt 0 with no fault report (the legacy
-     * single-attempt read path). Deterministic in (seed, address).
-     */
-    void
-    corruptRead(Addr addr, std::uint8_t *buf, std::size_t len) const
-    {
-        filterRead(addr, buf, len, 0, nullptr);
     }
 
     /**

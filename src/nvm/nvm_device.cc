@@ -164,7 +164,8 @@ NvmDevice::peek(Addr addr, void *buf, std::size_t len) const
     // transient faults are past their clearing attempt, ECC-correctable
     // words are delivered clean. Only permanently uncorrectable damage
     // survives into the returned bytes (upstream CRCs detect it).
-    // With no ECC/retry configured this is exactly corruptRead().
+    // With no ECC/retry configured this is read attempt 0: every
+    // scheduled media fault applies as seeded.
     faults_.filterRead(addr, static_cast<std::uint8_t *>(buf), len,
                        faults_.settledAttempt(), nullptr);
 }

@@ -111,7 +111,6 @@ class NvmDevice
 
     std::uint64_t capacity() const { return capacity_; }
     const NvmTiming &timing() const { return timing_; }
-    void setTiming(const NvmTiming &t) { timing_ = t; }
 
     std::uint64_t bytesRead() const { return bytesRead_; }
     std::uint64_t bytesWritten() const { return bytesWritten_; }

@@ -291,22 +291,6 @@ void
 System::maintenance()
 {
     const Tick now = minClock();
-    // Event-driven fast path: skip the poll entirely when every
-    // maintenance source is provably idle at `now` — the controller's
-    // next time trigger lies in the future and no state trigger is
-    // armed (controller maintenance would be a no-op), the scrubber is
-    // not due, and the epoch sampler is not due. Each due tick is
-    // checked against the same guard the corresponding body uses, so
-    // the set of *firing* polls — and therefore every metric,
-    // histogram, epoch sample and crash-point schedule — is
-    // bit-identical to polling on every transaction.
-    if (cfg_.fastPath && !ctrl_->maintenancePressure() &&
-        now < ctrl_->nextMaintenanceDue() &&
-        !(cfg_.ft.enabled && cfg_.ft.scrubPeriod > 0 &&
-          now >= nextScrub_) &&
-        !(cfg_.epochSamplePeriod != 0 && cfg_.epochRingCapacity != 0 &&
-          now >= nextEpoch_))
-        return;
     ctrl_->maintenance(now);
     if (cfg_.ft.enabled && cfg_.ft.scrubPeriod > 0 &&
         now >= nextScrub_) {

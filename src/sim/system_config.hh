@@ -170,9 +170,6 @@ struct SystemConfig
     /** Total mapping table capacity in bytes (2 MB default). */
     std::uint64_t mappingTableBytes = miB(2);
 
-    /** Per-core OOP data buffer (1 KB default). */
-    std::uint64_t oopDataBufferBytesPerCore = kiB(1);
-
     /** Eviction buffer capacity (128 KB default). */
     std::uint64_t evictionBufferBytes = kiB(128);
 
@@ -266,15 +263,15 @@ struct SystemConfig
     // ---- Simulation engine ----
 
     /**
-     * Take the host-side shortcuts that have a slow twin: the per-core
-     * same-line word memo in CacheHierarchy::loadWord/storeWord and
-     * the skip of provably idle System::maintenance polls. Both are
-     * execution-strategy changes only — every metric, histogram, epoch
-     * sample and crash schedule is bit-identical to the reference
-     * engine (fastpath_equiv_test asserts this over the scheme ×
-     * workload matrix). Off = reference engine, kept as the oracle of
-     * that differential test. The core model is the same either way:
-     * a blocking core, one outstanding line fill (DESIGN.md §2).
+     * Take the one host-side shortcut that has a slow twin: the
+     * per-core same-line word memo in CacheHierarchy::loadWord/
+     * storeWord. It is an execution-strategy change only — every
+     * metric, histogram, epoch sample and crash schedule is
+     * bit-identical to the reference engine (fastpath_equiv_test
+     * asserts this over the scheme × workload matrix). Off = reference
+     * engine, kept as the oracle of that differential test. The core
+     * model is the same either way: a blocking core, one outstanding
+     * line fill (DESIGN.md §2).
      */
     bool fastPath = true;
 

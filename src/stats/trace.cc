@@ -106,24 +106,6 @@ TraceBuffer::span(const char *name, const char *cat, unsigned tid,
 }
 
 void
-TraceBuffer::instant(const char *name, const char *cat, unsigned tid,
-                     Tick at)
-{
-    std::string e = "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"";
-    e += name;
-    e += "\",\"cat\":\"";
-    e += cat;
-    e += "\",\"pid\":";
-    e += std::to_string(pid_);
-    e += ",\"tid\":";
-    e += std::to_string(tid);
-    e += ",\"ts\":";
-    appendMicros(e, at);
-    e += '}';
-    events_.push_back(std::move(e));
-}
-
-void
 TraceBuffer::counter(const char *name, Tick at, std::uint64_t value)
 {
     std::string e = "{\"ph\":\"C\",\"name\":\"";

@@ -58,17 +58,11 @@ class TraceBuffer
     void span(const char *name, const char *cat, unsigned tid,
               Tick start, Tick end);
 
-    /** Append an instant event at @p at ticks. */
-    void instant(const char *name, const char *cat, unsigned tid,
-                 Tick at);
-
     /** Append a counter event (one numeric series) at @p at ticks. */
     void counter(const char *name, Tick at, std::uint64_t value);
 
     /** Flush this buffer's events into the global sink. */
     void flush();
-
-    std::size_t eventCount() const { return events_.size(); }
 
   private:
     std::string processName_;

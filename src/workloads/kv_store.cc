@@ -67,12 +67,6 @@ KvStore::getRegion(std::uint64_t key, std::size_t r)
         (void)ctx->load(slotAddr(key) + j * kWordSize);
 }
 
-void
-KvStore::debugGet(std::uint64_t key, void *payload) const
-{
-    ctx->debugRead(slotAddr(key), payload, recordBytes_);
-}
-
 std::uint64_t
 KvStore::debugWord(std::uint64_t key, std::size_t w) const
 {

@@ -54,9 +54,6 @@ class KvStore
     /** Field-granular read of region @p r (eight scattered loads). */
     void getRegion(std::uint64_t key, std::size_t r);
 
-    /** Untimed read for verification. */
-    void debugGet(std::uint64_t key, void *payload) const;
-
     /** Untimed word read for verification. */
     std::uint64_t debugWord(std::uint64_t key, std::size_t w) const;
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Differential harness for the execution-only knobs. Every run with
- * cfg.fastPath = true (the same-line word memo, event-driven
- * maintenance polls) must be *bit-identical* to the reference engine
- * with cfg.fastPath = false, and arming the tracer and the host
+ * cfg.fastPath = true (the same-line word memo) must be
+ * *bit-identical* to the reference engine with cfg.fastPath = false,
+ * and arming the tracer and the host
  * profiler must not change a run either — they are execution-strategy
  * changes, not model changes.
  *
@@ -190,9 +190,9 @@ TEST(FastPathEquivalence, AllSchemesInterference)
                     {.txPerCore = 50, .valueBytes = 1024});
 }
 
-// Media-fault tolerance on: the scrubber's event-driven scheduling and
-// the ECC/retry counters must stay bit-identical too. HOOP plus one
-// log baseline cover the two scrub implementations.
+// Media-fault tolerance on: the scrub passes the polls start and the
+// ECC/retry counters must stay bit-identical too. HOOP plus one log
+// baseline cover the two scrub implementations.
 TEST(FastPathEquivalence, FaultToleranceScrubPath)
 {
     SystemConfig cfg = testConfig(true);
@@ -203,8 +203,7 @@ TEST(FastPathEquivalence, FaultToleranceScrubPath)
 }
 
 // GC disabled: allocation backpressure runs GC on demand inside the
-// store path instead of via maintenance — the poll-skip logic must not
-// change when the period trigger is absent.
+// store path, between memoized word stores, instead of via maintenance.
 TEST(FastPathEquivalence, OnDemandGcPath)
 {
     SystemConfig cfg = testConfig(true);

@@ -1,14 +1,15 @@
 /**
  * @file
  * Unit tests for the hash-based physical-to-physical mapping table:
- * capacity enforcement (the Fig. 13 knob), insert/update/remove and
- * iteration.
+ * capacity enforcement (the Fig. 13 knob), insert/update/remove,
+ * iteration and its visit order.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "hoop/mapping_table.hh"
 
@@ -143,6 +144,61 @@ TEST(MappingTable, RandomOpsMatchReferenceModel)
         EXPECT_EQ(idx, it->second);
     });
     EXPECT_EQ(visited, ref.size());
+}
+
+// forEach order is simulated behaviour: the emergency drain migrates
+// the first committed entry it visits. An 8 KiB table (512 entries,
+// Fig. 13's smallest) grows from 64 to 1,024 slots; these FNV-1a
+// digests of the (line, slice) visit sequence pin that order after a
+// few inserts, at capacity, after removes, and after clear() plus a
+// few re-inserts. The key hash, the starting slot count and clear()'s
+// return to it each change at least one of them.
+TEST(MappingTable, VisitOrderIsPinned)
+{
+    MappingTable t(kiB(8));
+    ASSERT_EQ(t.capacity(), 512u);
+    std::uint64_t state = 2024;
+    auto next = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 33;
+    };
+    std::vector<Addr> inserted;
+    auto insertOne = [&] {
+        const Addr line = (next() % 4096) * 64;
+        ASSERT_TRUE(t.insert(line, static_cast<std::uint32_t>(next())));
+        inserted.push_back(line);
+    };
+    auto digest = [&t] {
+        std::uint64_t h = 14695981039346656037ull;
+        auto mix = [&h](std::uint64_t v, unsigned bytes) {
+            for (unsigned i = 0; i < bytes; ++i) {
+                h ^= (v >> (8 * i)) & 0xff;
+                h *= 1099511628211ull;
+            }
+        };
+        t.forEach([&mix](Addr line, std::uint32_t slice) {
+            mix(line, 8);
+            mix(slice, 4);
+        });
+        return h;
+    };
+
+    for (int i = 0; i < 10; ++i)
+        insertOne();
+    EXPECT_EQ(digest(), 0x777fbd77094dfc24ull);
+
+    while (!t.full())
+        insertOne();
+    EXPECT_EQ(digest(), 0xfc4f52c77d265c89ull);
+
+    for (int i = 0; i < 200; ++i)
+        t.remove(inserted[next() % inserted.size()]);
+    EXPECT_EQ(digest(), 0xe3aedc4ff3ece787ull);
+
+    t.clear();
+    for (int i = 0; i < 10; ++i)
+        insertOne();
+    EXPECT_EQ(digest(), 0x911f0d285122447aull);
 }
 
 // Filling to the modelled capacity keeps working through growth.

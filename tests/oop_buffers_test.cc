@@ -18,7 +18,7 @@ namespace
 
 TEST(OopDataBuffer, FillsAfterEightWords)
 {
-    OopDataBuffer buf(2, kiB(1), /*packing=*/true);
+    OopDataBuffer buf(2, /*packing=*/true);
     for (unsigned i = 0; i < 7; ++i)
         EXPECT_FALSE(buf.addWord(0, 8 * i, i));
     EXPECT_TRUE(buf.addWord(0, 56, 7));
@@ -31,7 +31,7 @@ TEST(OopDataBuffer, FillsAfterEightWords)
 
 TEST(OopDataBuffer, CombinesSameWordUpdates)
 {
-    OopDataBuffer buf(1, kiB(1), true);
+    OopDataBuffer buf(1, true);
     EXPECT_FALSE(buf.addWord(0, 64, 1));
     EXPECT_FALSE(buf.addWord(0, 64, 2)); // combined, not a new slot
     EXPECT_FALSE(buf.addWord(0, 64, 3));
@@ -43,7 +43,7 @@ TEST(OopDataBuffer, CombinesSameWordUpdates)
 
 TEST(OopDataBuffer, CoresAreIndependent)
 {
-    OopDataBuffer buf(2, kiB(1), true);
+    OopDataBuffer buf(2, true);
     buf.addWord(0, 0, 10);
     buf.addWord(1, 8, 20);
     EXPECT_TRUE(buf.hasPending(0));
@@ -55,7 +55,7 @@ TEST(OopDataBuffer, CoresAreIndependent)
 
 TEST(OopDataBuffer, NoPackingFlushesEveryWord)
 {
-    OopDataBuffer buf(1, kiB(1), /*packing=*/false);
+    OopDataBuffer buf(1, /*packing=*/false);
     EXPECT_TRUE(buf.addWord(0, 0, 1)); // immediately full
     const PendingSlice p = buf.take(0);
     EXPECT_EQ(p.count, 1);
@@ -66,7 +66,7 @@ TEST(OopDataBuffer, NoPackingFlushesEveryWord)
 
 TEST(OopDataBuffer, ClearDropsState)
 {
-    OopDataBuffer buf(2, kiB(1), true);
+    OopDataBuffer buf(2, true);
     buf.addWord(0, 0, 1);
     buf.addWord(1, 8, 2);
     buf.clear(0);
