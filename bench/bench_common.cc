@@ -92,7 +92,7 @@ printBanner(const std::string &title, const SystemConfig &cfg)
     std::printf("  config: %u cores @ %.1f GHz, L1 %lluK/L2 %lluK/LLC "
                 "%lluM, NVM r/w %.0f/%.0f ns, OOP %lluM (%llu x %lluM "
                 "blocks), mapping %lluK, GC period %.0f ms\n\n",
-                cfg.numCores, cfg.cpuGhz,
+                cfg.numCores, kCpuGhz,
                 static_cast<unsigned long long>(cfg.cache.l1Size >> 10),
                 static_cast<unsigned long long>(cfg.cache.l2Size >> 10),
                 static_cast<unsigned long long>(cfg.cache.llcSize >> 20),
@@ -427,7 +427,7 @@ Bench::write() const
         {"config",
          object(Members{
              {"num_cores", num(std::uint64_t{cfg_.numCores})},
-             {"cpu_ghz", num(cfg_.cpuGhz)},
+             {"cpu_ghz", num(kCpuGhz)},
              {"l1_bytes", num(cfg_.cache.l1Size)},
              {"l2_bytes", num(cfg_.cache.l2Size)},
              {"llc_bytes", num(cfg_.cache.llcSize)},

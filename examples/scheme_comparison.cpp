@@ -5,6 +5,8 @@
  * workload — a miniature of the paper's Figs. 7/8 in a single run.
  *
  *   $ ./scheme_comparison [workload]    (default: hashmap)
+ *
+ * Exits 1 if any scheme's final image fails verification.
  */
 
 #include <cstdio>
@@ -37,10 +39,12 @@ main(int argc, char **argv)
     table.setHeader({"scheme", "Mtx/s", "critical path ns",
                      "NVM B/tx", "energy nJ/tx", "verified"});
 
+    bool all_verified = true;
     for (Scheme s : kAllSchemes) {
         System sys(cfg, s);
         const RunOutcome out =
             runWorkload(sys, makeWorkload(wl, params), 300);
+        all_verified = all_verified && out.verified;
         const RunMetrics &m = out.metrics;
         table.addRow(
             {schemeName(s), TablePrinter::num(m.txPerSecond / 1e6, 2),
@@ -54,5 +58,5 @@ main(int argc, char **argv)
     table.print();
     std::printf("HOOP should lead every persistent scheme on "
                 "throughput while staying closest to Ideal.\n");
-    return 0;
+    return all_verified ? 0 : 1;
 }

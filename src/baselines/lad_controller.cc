@@ -9,7 +9,6 @@ namespace hoopnvm
 LadController::LadController(NvmDevice &nvm, const SystemConfig &cfg_)
     : PersistenceController("lad", nvm, cfg_),
       writes_(cfg_.numCores),
-      queueInsertCost(4 * cfg_.cycle()),
       queueDrainsC_(stats_.counter("queue_drains")),
       txCommittedC_(stats_.counter("tx_committed")),
       evictionsAbsorbedC_(stats_.counter("evictions_absorbed")),
@@ -39,7 +38,7 @@ LadController::storeWord(CoreId core, Addr addr,
                          const std::uint8_t *data, Tick)
 {
     writes_.stage(core, addr, data);
-    return cfg.cycle();
+    return kCycle;
 }
 
 Tick
@@ -55,9 +54,9 @@ LadController::txEnd(CoreId core, Tick now)
     // commits"), so the transaction waits for those writes.
     // Prepare/commit handshake with the controller (the two-phase
     // protocol LAD uses to make queue contents the durability point).
-    Tick t = now + (writes.empty() ? 0 : cfg.ladCommitOverhead);
+    Tick t = now + (writes.empty() ? 0 : kCommitOverhead);
     for (const auto &[line, img] : writes) {
-        t += queueInsertCost;
+        t += kQueueInsertCost;
         std::uint8_t buf[kCacheLineSize];
         nvm_.peek(line, buf, kCacheLineSize);
         img.overlay(buf);
@@ -73,8 +72,6 @@ LadController::txEnd(CoreId core, Tick now)
     // drain — without this, LAD's whole durability argument is void.
     if (!writes.empty()) {
         const Tick drained = nvm_.drainFence(t);
-        if (!cfg.debugSkipSettleFences)
-            nvm_.faults().settleUpTo(drained);
         orderTrigger("lad-commit-drain", coreTx[core].txId, drained);
     }
 

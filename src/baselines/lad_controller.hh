@@ -28,6 +28,9 @@ namespace hoopnvm
 class LadController : public PersistenceController
 {
   public:
+    /** Commit handshake between cache and memory controller. */
+    static constexpr Tick kCommitOverhead = nsToTicks(120);
+
     LadController(NvmDevice &nvm, const SystemConfig &cfg);
 
     Scheme scheme() const override { return Scheme::Lad; }
@@ -52,7 +55,7 @@ class LadController : public PersistenceController
     TxWriteSet writes_;
 
     /** Cost of accepting one line into the persistent queue. */
-    Tick queueInsertCost;
+    static constexpr Tick kQueueInsertCost = 4 * kCycle;
 
     // Hot-path counters resolved once against the inherited stats_.
     Counter &queueDrainsC_;

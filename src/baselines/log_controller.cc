@@ -135,7 +135,7 @@ LogController::scrub(Tick now)
 {
     std::uint64_t corrected = 0;
     const Tick done =
-        log_.scrubSlots(now, cfg.ft.scrubChunks, &corrected);
+        log_.scrubSlots(now, kScrubChunks, &corrected);
     scrubCorrectedC_ += corrected;
     scrubPassesC_ += 1;
     scrubPauseH_.record(done - now);

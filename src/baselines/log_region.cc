@@ -92,7 +92,6 @@ LogRegion::LogRegion(NvmDevice &nvm_, Addr base_, std::uint64_t bytes,
                     "log region too small for a retirement map");
         capacity_ = (bytes - kSuperBytes - area) / LogEntry::kEntryBytes;
         retireMap_.attach(nvm, base + bytes - area, capacity_);
-        skipSettleFences_ = cfg->debugSkipSettleFences;
     }
     HOOP_ASSERT(capacity_ >= 16, "log region too small");
     writeSuperblock(0);
@@ -116,8 +115,7 @@ LogRegion::retireSlot(std::uint64_t slot, Tick now)
     // burn that skips the slot, a scan that steps over it): a crash in
     // between would otherwise scan the bad slot, read garbage, and cut
     // the live suffix — losing acknowledged entries behind it.
-    if (!skipSettleFences_)
-        nvm.faults().settleUpTo(done);
+    nvm.settle(done);
     if (ordering_)
         ordering_->trigger("log-retire-bitmap", 0, done, 1, true);
     return done;
@@ -329,20 +327,6 @@ LogRegion::scan(const std::function<void(const LogEntry &)> &fn) const
             e.seq != sb.tailIdx + 1 + i)
             break;
         fn(e);
-    }
-}
-
-void
-LogRegion::forEachLive(
-    const std::function<void(const LogEntry &)> &fn) const
-{
-    for (std::uint64_t idx = tail; idx < head; ++idx) {
-        if (retireMap_.attached() &&
-            retireMap_.isRetired(idx % capacity_))
-            continue; // burned logical index: holds no entry
-        std::uint8_t buf[LogEntry::kEntryBytes];
-        nvm.peek(entryAddr(idx), buf, LogEntry::kEntryBytes);
-        fn(LogEntry::decode(buf));
     }
 }
 

@@ -126,10 +126,6 @@ class LogRegion
      */
     void scan(const std::function<void(const LogEntry &)> &fn) const;
 
-    /** Visit live entries oldest-first from host state (no crash). */
-    void forEachLive(const std::function<void(const LogEntry &)> &fn)
-        const;
-
     // ---- Runtime fault tolerance (inert unless cfg.ft.enabled) ----
 
     /** Attach the ordering analyzer for retirement-rule tagging. */
@@ -196,9 +192,6 @@ class LogRegion
     std::uint64_t head = 0;
     std::uint64_t tail = 0;
     std::uint64_t nextSeq = 1;
-
-    /** Fence retirement bitmap writes (cfg.debugSkipSettleFences). */
-    bool skipSettleFences_ = false;
 
     /** Round-robin slot cursor of the background scrubber. */
     std::uint64_t scrubCursor_ = 0;

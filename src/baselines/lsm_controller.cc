@@ -28,7 +28,7 @@ LsmController::indexWalkCost() const
     // the upper skip-list levels stay cached, so only a fraction of
     // the tower height costs a DRAM access.
     const unsigned hops = index_.height() / 5 + 2;
-    return cfg.lsmIndexCycles * cfg.cycle() + hops * cfg.dramLatency;
+    return kIndexCycles * kCycle + hops * kDramLatency;
 }
 
 void
@@ -50,7 +50,7 @@ LsmController::storeWord(CoreId core, Addr addr,
     // Software write-path bookkeeping (allocation, index preparation)
     // is paid once per appended extent, i.e. per line.
     return writes_.stage(core, addr, data)
-               ? cfg.lsmIndexCycles * cfg.cycle()
+               ? kIndexCycles * kCycle
                : 0;
 }
 
@@ -177,8 +177,6 @@ LsmController::reclaim(Tick now)
         // survives, the log no longer holds the only good copy. Drain
         // the channel and settle the migrations first.
         const Tick drained = nvm_.drainFence(last);
-        if (!cfg.debugSkipSettleFences)
-            nvm_.faults().settleUpTo(drained);
         orderTrigger("lsm-log-truncate", 0, drained);
         last = std::max(last, log_.truncate(drained, log_.size()));
     }

@@ -30,6 +30,12 @@ namespace hoopnvm
 class LsmController : public LogController
 {
   public:
+    /** DRAM access latency of one software index hop. */
+    static constexpr Tick kDramLatency = nsToTicks(30);
+
+    /** CPU cycles of software bookkeeping per index operation. */
+    static constexpr unsigned kIndexCycles = 24;
+
     LsmController(NvmDevice &nvm, const SystemConfig &cfg);
 
     Scheme scheme() const override { return Scheme::Lsm; }

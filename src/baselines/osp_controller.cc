@@ -85,7 +85,7 @@ OspController::storeWord(CoreId core, Addr addr,
                          const std::uint8_t *data, Tick)
 {
     writes_.stage(core, addr, data);
-    return cfg.cycle();
+    return kCycle;
 }
 
 Tick
@@ -187,7 +187,7 @@ OspController::txEnd(CoreId core, Tick now)
             shadowCurrent.insert(line);
     }
     Tick done = applyFlips(rec_done, flipped);
-    done += cfg.tlbShootdownCost;
+    done += kTlbShootdownCost;
     ++tlbShootdownsC_;
 
     // Page consolidation (§IV-B): SSP periodically re-packs split

@@ -28,6 +28,9 @@ namespace hoopnvm
 class OspController : public LogController
 {
   public:
+    /** Cost of one TLB shootdown charged to each commit. */
+    static constexpr Tick kTlbShootdownCost = nsToTicks(1800);
+
     OspController(NvmDevice &nvm, const SystemConfig &cfg);
 
     Scheme scheme() const override { return Scheme::Osp; }

@@ -35,7 +35,7 @@ RedoController::storeWord(CoreId core, Addr addr,
                           const std::uint8_t *data, Tick)
 {
     writes_.stage(core, addr, data);
-    return cfg.cycle();
+    return kCycle;
 }
 
 Tick
@@ -143,8 +143,6 @@ RedoController::reclaim(Tick now)
     // checkpoint while the later superblock write survives, losing
     // committed data with no log entry left to redo it.
     const Tick drained = nvm_.drainFence(now);
-    if (!cfg.debugSkipSettleFences)
-        nvm_.faults().settleUpTo(drained);
     orderTrigger("redo-log-truncate", 0, drained);
     const Tick done = log_.truncate(drained, truncatableEntries);
     truncatableEntries = 0;

@@ -69,7 +69,7 @@ UndoController::storeWord(CoreId core, Addr addr,
         ++logEntriesC_;
     }
     writes_.stage(core, addr, data);
-    return cfg.cycle();
+    return kCycle;
 }
 
 Tick

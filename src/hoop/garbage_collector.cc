@@ -223,8 +223,6 @@ GarbageCollector::run(Tick now)
     // writes complete by that tick settle — writes issued afterwards,
     // including the recycle header writes below, can still tear.
     last = std::max(last, ctrl.nvm_.drainFence(last));
-    if (!ctrl.cfg.debugSkipSettleFences)
-        ctrl.nvm_.faults().settleUpTo(last);
     ctrl.orderTrigger("hoop-gc-watermark", 0, last);
 
     // Advance the durable GC watermark past every collected block and
@@ -258,8 +256,6 @@ GarbageCollector::run(Tick now)
     last = std::max(last, region.writeGcWatermark(watermark, now));
     ctrl.orderDep("hoop-gc-recycle", 0);
     last = std::max(last, ctrl.nvm_.drainFence(last));
-    if (!ctrl.cfg.debugSkipSettleFences)
-        ctrl.nvm_.faults().settleUpTo(last);
     ctrl.orderTrigger("hoop-gc-recycle", 0, last, 1);
     for (std::uint32_t b : cand) {
         // Crash point: between block recycles, after the fence. An

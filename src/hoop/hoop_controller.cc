@@ -17,9 +17,6 @@ HoopController::HoopController(NvmDevice &nvm, const SystemConfig &cfg_)
       mapping(cfg_.mappingTableBytes),
       evictBuf(cfg_.evictionBufferBytes),
       chains(cfg_.numCores),
-      bufferInsertCost(cfg_.cycle()),
-      unpackCost(2 * cfg_.cycle()),
-      evictBufReadCost(nsToTicks(20)),
       gcOnDemandC_(stats_.counter("gc_on_demand")),
       dataSlicesC_(stats_.counter("data_slices")),
       evictSlicesC_(stats_.counter("evict_slices")),
@@ -240,7 +237,7 @@ HoopController::storeWord(CoreId core, Addr addr,
         chains[core].outstanding =
             std::max(chains[core].outstanding, done);
     }
-    return bufferInsertCost;
+    return kBufferInsertCost;
 }
 
 Tick
@@ -346,7 +343,7 @@ HoopController::fillLine(CoreId core, Addr line, std::uint8_t *buf,
             // line (already read) is the best surviving version: serve
             // it rather than overlay garbage words.
             ++fillSliceCrcDropsC_;
-            fr.completion = home_done + unpackCost;
+            fr.completion = home_done + kUnpackCost;
             return fr;
         }
 
@@ -359,7 +356,7 @@ HoopController::fillLine(CoreId core, Addr line, std::uint8_t *buf,
             mask |= static_cast<std::uint8_t>(1u << (off / kWordSize));
         }
 
-        fr.completion = std::max(home_done, slice_done) + unpackCost;
+        fr.completion = std::max(home_done, slice_done) + kUnpackCost;
         // The reconstructed line is newer than the home region, and the
         // mapping entry is gone: keep it dirty so a later eviction
         // re-creates the out-of-place copy.
@@ -375,7 +372,7 @@ HoopController::fillLine(CoreId core, Addr line, std::uint8_t *buf,
         // Served from the controller's eviction buffer (§III-C).
         ++evictionBufferHitsC_;
         std::memcpy(buf, tmp, kCacheLineSize);
-        fr.completion = now + evictBufReadCost;
+        fr.completion = now + kEvictBufReadCost;
         return fr;
     }
 
@@ -454,7 +451,7 @@ HoopController::scrub(Tick now)
     std::uint32_t scanned = 0;
     std::vector<std::uint8_t> buf(
         static_cast<std::size_t>(slots) * MemorySlice::kSliceBytes);
-    for (std::uint32_t step = 0; step < n && scanned < cfg.ft.scrubChunks;
+    for (std::uint32_t step = 0; step < n && scanned < kScrubChunks;
          ++step) {
         const std::uint32_t b = scrubCursor_;
         scrubCursor_ = (scrubCursor_ + 1) % n;
@@ -490,7 +487,7 @@ HoopController::scrub(Tick now)
             header_bad ||
             static_cast<double>(bad) /
                     static_cast<double>(region_.slicesPerBlock()) >=
-                cfg.ft.retireBadSlotFraction;
+                kRetireBadSlotFraction;
         if (!degraded)
             continue;
         if (blk.state == BlockState::Unused) {

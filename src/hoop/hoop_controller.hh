@@ -210,9 +210,9 @@ class HoopController : public PersistenceController
     FlatMap<std::uint64_t> homeSeq;
 
     /** Controller-internal latencies. */
-    Tick bufferInsertCost;
-    Tick unpackCost;
-    Tick evictBufReadCost;
+    static constexpr Tick kBufferInsertCost = kCycle;
+    static constexpr Tick kUnpackCost = 2 * kCycle;
+    static constexpr Tick kEvictBufReadCost = nsToTicks(20);
 
     // Hot-path counters resolved once against stats_ (see
     // PersistenceController). "recoveries" stays string-keyed: rare.

@@ -17,8 +17,7 @@ MultiHoopSystem::MultiHoopSystem(const SystemConfig &cfg_,
     mcs.reserve(controllers);
     for (unsigned i = 0; i < controllers; ++i) {
         Channel ch;
-        ch.nvm = std::make_unique<NvmDevice>(cfg.nvmCapacity(), cfg.nvm,
-                                             cfg.energy);
+        ch.nvm = std::make_unique<NvmDevice>(cfg.nvmCapacity(), cfg.nvm);
         ch.ctrl = std::make_unique<HoopController>(*ch.nvm, cfg);
         mcs.push_back(std::move(ch));
     }

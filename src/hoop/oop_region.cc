@@ -194,7 +194,7 @@ OopRegion::allocSlice(std::uint32_t &idx, Tick now)
         const double bad_fraction =
             static_cast<double>(blk.badSlots) /
             static_cast<double>(slicesPerBlock_);
-        if (bad_fraction >= cfg.ft.retireBadSlotFraction)
+        if (bad_fraction >= kRetireBadSlotFraction)
             blk.retirePending = true;
     }
 }
@@ -350,8 +350,7 @@ OopRegion::retireBlock(std::uint32_t b, Tick now)
     const Tick done = retireMap_.persistRetire(b, now);
     if (ordering_)
         ordering_->addDep("hoop-retire-bitmap", 0);
-    if (!cfg.debugSkipSettleFences)
-        nvm.faults().settleUpTo(done);
+    nvm.settle(done);
     if (ordering_)
         ordering_->trigger("hoop-retire-bitmap", 0, done, 1, true);
     ++blocksRetiredC_;

@@ -1,13 +1,13 @@
 /**
  * @file
- * Embedded self-test fixtures for hoop_lint.
+ * Embedded fixtures for hoop_lint's rules.
  *
  * Each rule ships with a seeded-bad snippet that must make exactly
  * that rule fire, mirroring ordercheck's seeded-bug knobs: a rule
  * that cannot be proven live by its fixture is a dead rule, and
- * `hoop_lint --self-test` (plus tests/lint_test.cc) fails on it. The
- * snippets live inside string literals, and the scanner strips
- * literal contents before matching, so this file itself lints clean.
+ * tests/lint_test.cc fails on it. The snippets live inside string
+ * literals, and the scanner strips literal contents before matching,
+ * so this file itself lints clean.
  */
 
 #include "lint/lint.hh"

@@ -977,31 +977,10 @@ ruleKnown(const std::string &name)
     return false;
 }
 
-std::vector<std::string>
-parseBaselineText(const std::string &text)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        std::size_t nl = text.find('\n', pos);
-        if (nl == std::string::npos)
-            nl = text.size();
-        std::string line = trim(text.substr(pos, nl - pos));
-        pos = nl + 1;
-        if (line.empty() || line[0] == '#')
-            continue;
-        out.push_back(std::move(line));
-        if (nl == text.size())
-            break;
-    }
-    return out;
-}
-
 LintReport
-lintFiles(const std::vector<SourceFile> &files, const LintOptions &opts)
+lintFiles(const std::vector<SourceFile> &files)
 {
     LintReport rep;
-    std::set<std::string> usedBaseline;
 
     // Phase 1: build every view, and collect unordered-container
     // names per path stem so a foo.cc range-for over a member
@@ -1046,17 +1025,6 @@ lintFiles(const std::vector<SourceFile> &files, const LintOptions &opts)
                     }
                 }
             }
-            if (!d.suppressed) {
-                const std::string key = d.file + ":" + d.rule;
-                for (const std::string &b : opts.baseline) {
-                    if (b == key) {
-                        d.suppressed = true;
-                        d.suppressedBy = "baseline";
-                        usedBaseline.insert(b);
-                        break;
-                    }
-                }
-            }
             rep.diags.push_back(std::move(d));
         }
         for (std::string &e : fv.annotationErrors)
@@ -1072,12 +1040,6 @@ lintFiles(const std::vector<SourceFile> &files, const LintOptions &opts)
                   return a.rule < b.rule;
               });
     std::sort(rep.annotationErrors.begin(), rep.annotationErrors.end());
-
-    for (const std::string &b : opts.baseline) {
-        if (!usedBaseline.count(b))
-            rep.staleBaseline.push_back(b);
-    }
-    std::sort(rep.staleBaseline.begin(), rep.staleBaseline.end());
 
     for (const Diagnostic &d : rep.diags) {
         if (!d.suppressed)

@@ -34,16 +34,13 @@
  *
  * on the flagged line or on a comment line directly above it. A
  * malformed annotation (unknown rule, missing reason) is itself an
- * error. A checked-in baseline file can additionally suppress whole
- * (file, rule) pairs during a migration; entries that no longer match
- * anything are reported stale so the baseline cannot rot. The policy
- * target is an empty baseline: every exemption lives next to the code
- * it excuses.
+ * error. That annotation is the only suppression channel: every
+ * exemption lives next to the code it excuses.
  *
  * The scanner works on a comment- and literal-stripped view of each
  * file (offsets preserved), so rule tokens inside strings or comments
- * never fire — which also means the embedded self-test fixtures in
- * fixtures.hh can live inside this library as string constants.
+ * never fire — which also means the embedded bad/clean fixtures in
+ * fixtures.cc can live inside this library as string constants.
  */
 
 #ifndef HOOPNVM_LINT_LINT_HH
@@ -65,7 +62,7 @@ struct SourceFile
     std::string content;
 };
 
-/** One rule hit (possibly suppressed by annotation or baseline). */
+/** One rule hit (possibly suppressed by an annotation). */
 struct Diagnostic
 {
     std::string file;
@@ -73,7 +70,7 @@ struct Diagnostic
     std::string rule;
     std::string message;
     bool suppressed = false;
-    std::string suppressedBy; ///< annotation reason or "baseline"
+    std::string suppressedBy; ///< the annotation's reason
 };
 
 /** Static description of one rule for --list-rules and the docs. */
@@ -89,12 +86,6 @@ const std::vector<RuleInfo> &ruleCatalog();
 /** True if @p name names a known rule. */
 bool ruleKnown(const std::string &name);
 
-struct LintOptions
-{
-    /** Baseline entries, each "path:rule" (see parseBaselineText). */
-    std::vector<std::string> baseline;
-};
-
 struct LintReport
 {
     /** Every hit, suppressed ones included, sorted (file, line, rule)
@@ -105,33 +96,21 @@ struct LintReport
      *  violations — a broken suppression must not silently pass. */
     std::vector<std::string> annotationErrors;
 
-    /** Baseline entries that matched no hit (stale; count as
-     *  violations so the baseline cannot accumulate dead weight). */
-    std::vector<std::string> staleBaseline;
-
     /** Unsuppressed diagnostics (the exit-code driver). */
     std::size_t unsuppressed = 0;
 
-    /** True when unsuppressed == 0 and no annotation/baseline debt. */
+    /** True when unsuppressed == 0 and no annotation is malformed. */
     bool
     clean() const
     {
-        return unsuppressed == 0 && annotationErrors.empty() &&
-               staleBaseline.empty();
+        return unsuppressed == 0 && annotationErrors.empty();
     }
 };
 
 /** Run every rule over @p files. */
-LintReport lintFiles(const std::vector<SourceFile> &files,
-                     const LintOptions &opts = {});
+LintReport lintFiles(const std::vector<SourceFile> &files);
 
-/**
- * Parse baseline file text: one "path:rule" entry per line, '#'
- * comments and blank lines ignored.
- */
-std::vector<std::string> parseBaselineText(const std::string &text);
-
-// ---- Embedded self-test fixtures (fixtures.cc) ----
+// ---- Embedded fixtures (fixtures.cc), exercised by lint_test ----
 
 /** A seeded-bad snippet that must make exactly its rule fire. */
 struct Fixture

@@ -45,7 +45,7 @@ mergeDirtyState(const CacheLine &upper, bool &dirty, bool &persistent,
 } // namespace
 
 CacheHierarchy::CacheHierarchy(const SystemConfig &cfg_)
-    : cfg(cfg_), opCost_(cfg_.opCost()), stats_("hierarchy"),
+    : cfg(cfg_), stats_("hierarchy"),
       loadsC_(stats_.counter("loads")),
       storesC_(stats_.counter("stores")),
       llcFillsC_(stats_.counter("llc_fills")),
@@ -58,15 +58,14 @@ CacheHierarchy::CacheHierarchy(const SystemConfig &cfg_)
     HOOP_ASSERT(cfg.numCores >= 1 && cfg.numCores <= kMaxCores,
                 "sharer mask supports 1..%u cores", kMaxCores);
     llc_ = std::make_unique<Cache>("llc", cfg.cache.llcSize,
-                                   cfg.cache.llcAssoc,
-                                   cfg.cache.llcLatency);
+                                   cfg.cache.llcAssoc, kLlcLatency);
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         l1s.push_back(std::make_unique<Cache>(
             "l1." + std::to_string(c), cfg.cache.l1Size, cfg.cache.l1Assoc,
-            cfg.cache.l1Latency, llc_.get()));
+            kL1Latency, llc_.get()));
         l2s.push_back(std::make_unique<Cache>(
             "l2." + std::to_string(c), cfg.cache.l2Size, cfg.cache.l2Assoc,
-            cfg.cache.l2Latency, llc_.get()));
+            kL2Latency, llc_.get()));
     }
     memo_.resize(cfg.numCores);
 }
@@ -207,7 +206,7 @@ CacheHierarchy::loadWordResolved(CoreId core, Addr addr,
 {
     HOOP_ASSERT(isAligned(addr, kWordSize), "unaligned word load");
     ++loadsC_;
-    Tick t = now + opCost_;
+    Tick t = now + kOpCost;
     line = ensureInL1(core, lineAddr(addr), false, t);
     std::memcpy(&out, line.data() + (addr - lineAddr(addr)), kWordSize);
     return t;
@@ -218,10 +217,10 @@ CacheHierarchy::loadWordHit(CoreId core, CacheLine line, Addr addr,
                             std::uint64_t &out, Tick now)
 {
     // What loadWordResolved does for a word of a memoized, L1-resident
-    // line: opCost, an L1 probe hit (latency, hit counter, LRU touch),
+    // line: kOpCost, an L1 probe hit (latency, hit counter, LRU touch),
     // no load overhead (the line is in L1), no controller involvement.
     ++loadsC_;
-    Tick t = now + opCost_;
+    Tick t = now + kOpCost;
     t += l1s[core]->latency();
     l1s[core]->touchHit(line);
     std::memcpy(&out, line.data() + (addr - line.addr()), kWordSize);
@@ -253,7 +252,7 @@ CacheHierarchy::storeWordResolved(CoreId core, Addr addr,
 {
     HOOP_ASSERT(isAligned(addr, kWordSize), "unaligned word store");
     ++storesC_;
-    Tick t = now + opCost_;
+    Tick t = now + kOpCost;
     line = ensureInL1(core, lineAddr(addr), true, t);
     return writeWord(core, line, addr, value, t);
 }
@@ -269,7 +268,7 @@ CacheHierarchy::storeWordHit(CoreId core, CacheLine line, Addr addr,
     // stripped every other sharer and set this core's bit), so it is
     // skipped rather than re-executed.
     ++storesC_;
-    Tick t = now + opCost_;
+    Tick t = now + kOpCost;
     t += l1s[core]->latency();
     l1s[core]->touchHit(line);
     return writeWord(core, line, addr, value, t);

@@ -185,9 +185,6 @@ class CacheHierarchy
 
     const SystemConfig &cfg;
 
-    /** cfg.opCost(), computed once: every load and store charges it. */
-    const Tick opCost_;
-
     PersistenceController *ctrl = nullptr;
     /** Built before l1s/l2s, whose ways refer to its ways. */
     std::unique_ptr<Cache> llc_;

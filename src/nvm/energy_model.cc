@@ -3,21 +3,14 @@
 namespace hoopnvm
 {
 
-EnergyModel::EnergyModel(EnergyParams params_)
-    : params(params_)
-{
-}
-
 void
 EnergyModel::charge(std::size_t bytes, bool is_write)
 {
     const double bits = static_cast<double>(bytes) * 8.0;
     if (is_write) {
-        writePj += bits *
-            (params.rowBufferWritePjPerBit + params.arrayWritePjPerBit);
+        writePj += bits * (kRowBufferWritePjPerBit + kArrayWritePjPerBit);
     } else {
-        readPj += bits *
-            (params.rowBufferReadPjPerBit + params.arrayReadPjPerBit);
+        readPj += bits * (kRowBufferReadPjPerBit + kArrayReadPjPerBit);
     }
 }
 

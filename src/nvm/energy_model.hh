@@ -17,21 +17,16 @@
 namespace hoopnvm
 {
 
-/** Per-bit energy parameters in picojoules. */
-struct EnergyParams
-{
-    double rowBufferReadPjPerBit = 0.93;
-    double rowBufferWritePjPerBit = 1.02;
-    double arrayReadPjPerBit = 2.47;
-    double arrayWritePjPerBit = 16.82;
-};
+/** Per-bit access energies in picojoules. */
+inline constexpr double kRowBufferReadPjPerBit = 0.93;
+inline constexpr double kRowBufferWritePjPerBit = 1.02;
+inline constexpr double kArrayReadPjPerBit = 2.47;
+inline constexpr double kArrayWritePjPerBit = 16.82;
 
 /** Accumulates access energy from byte counts. */
 class EnergyModel
 {
   public:
-    explicit EnergyModel(EnergyParams params = EnergyParams{});
-
     /** Charge one access of @p bytes; @p is_write selects the cost. */
     void charge(std::size_t bytes, bool is_write);
 
@@ -42,7 +37,6 @@ class EnergyModel
     void reset();
 
   private:
-    EnergyParams params;
     double readPj = 0.0;
     double writePj = 0.0;
 };

@@ -221,10 +221,11 @@ class FaultModel
      * is at or before @p tick persisted (it can no longer tear). The
      * channel completes writes in issue order, so completions in the
      * in-flight set are monotonic and the settled writes form a
-     * prefix. GC uses this before recycling blocks — it waits (in
-     * simulated time) for its last issued migration write to
-     * complete, then settles exactly the writes that wait drained;
-     * anything issued later remains tearable.
+     * prefix. NvmDevice::drainFence() and NvmDevice::settle() call
+     * this: GC, for one, waits (in simulated time) for its last issued
+     * migration write to complete before recycling blocks, and settles
+     * exactly the writes that wait drained; anything issued later
+     * remains tearable.
      */
     void
     settleUpTo(Tick tick)

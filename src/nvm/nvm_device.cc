@@ -7,9 +7,8 @@
 namespace hoopnvm
 {
 
-NvmDevice::NvmDevice(std::uint64_t capacity, NvmTiming timing,
-                     EnergyParams energy)
-    : capacity_(capacity), timing_(timing), energy_(energy)
+NvmDevice::NvmDevice(std::uint64_t capacity, NvmTiming timing)
+    : capacity_(capacity), timing_(timing)
 {
     HOOP_ASSERT(capacity_ > 0, "NVM capacity must be non-zero");
 }
@@ -52,8 +51,7 @@ NvmDevice::reserve(Tick now, std::size_t len, bool is_write)
     // The access holds the channel/bank for the transfer plus the
     // device-side busy time; its own completion additionally pays the
     // (pipelined) access latency.
-    const Tick hold = transfer +
-                      (is_write ? timing_.writeBusy : timing_.readBusy);
+    const Tick hold = transfer + (is_write ? timing_.writeBusy : kReadBusy);
     channelBusyTicks_ += hold;
     channelFree_ = start + hold;
     const Tick latency =
@@ -231,6 +229,7 @@ NvmDevice::drainFence(Tick now)
         channelBusyTicks_ += bound - channelFree_;
     channelFree_ = bound;
     ++drainFences_;
+    settle(bound);
     return bound;
 }
 

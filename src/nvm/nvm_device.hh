@@ -52,10 +52,8 @@ class NvmDevice
     /**
      * @param capacity Total device capacity in bytes.
      * @param timing   Latency and bandwidth parameters.
-     * @param energy   Per-bit energy parameters.
      */
-    NvmDevice(std::uint64_t capacity, NvmTiming timing,
-              EnergyParams energy = EnergyParams{});
+    NvmDevice(std::uint64_t capacity, NvmTiming timing);
 
     /**
      * Timed read: copies bytes out and returns the completion tick.
@@ -124,14 +122,34 @@ class NvmDevice
     /**
      * Drain fence: returns the earliest tick by which every write
      * issued so far is durable on media — `max(now, channel_free +
-     * write_latency)` — and *holds the channel* until that bound, so
+     * write_latency)` — *holds the channel* until that bound, so
      * accesses issued afterwards at earlier core clocks queue behind
-     * the drain instead of slipping into the window. Controllers use
-     * this for log truncation / GC watermark barriers; pair it with
-     * `faults().settleUpTo(bound)` to retire scheduled media faults
-     * up to the same point.
+     * the drain instead of slipping into the window, and settles
+     * every write up to the bound (see settle()). Controllers use
+     * this for log truncation / GC watermark barriers.
      */
     Tick drainFence(Tick now);
+
+    /**
+     * Durability fence without a drain: every write completing at or
+     * before @p tick is persisted and can no longer tear
+     * (FaultModel::settleUpTo, which also tells the write observer).
+     * For a write whose completion the caller already waits for,
+     * where holding the channel would move timing.
+     */
+    void
+    settle(Tick tick)
+    {
+        if (!skipSettles_)
+            faults_.settleUpTo(tick);
+    }
+
+    /**
+     * Seeded bug for checker validation
+     * (SystemConfig::debugSkipSettleFences): from now on drainFence()
+     * and settle() keep their timing but settle nothing.
+     */
+    void debugSkipSettles() { skipSettles_ = true; }
 
     /** Ticks the channel spent occupied (transfer + bank busy). */
     std::uint64_t channelBusyTicks() const { return channelBusyTicks_; }
@@ -229,6 +247,7 @@ class NvmDevice
     std::vector<std::unique_ptr<PageTable>> tables_;
 
     NvmWriteObserver *observer_ = nullptr;
+    bool skipSettles_ = false;
     Tick channelFree_ = 0;
     std::uint64_t channelBusyTicks_ = 0;
     std::uint64_t channelWaitTicks_ = 0;

@@ -16,6 +16,10 @@
 namespace hoopnvm
 {
 
+/** Bank occupancy of a read beyond its data transfer (see
+ *  NvmTiming::writeBusy). */
+inline constexpr Tick kReadBusy = nsToTicks(5);
+
 /** Timing parameters of the simulated NVM device. */
 struct NvmTiming
 {
@@ -29,12 +33,12 @@ struct NvmTiming
     double bandwidthBytesPerSec = 25.0 * 1e9;
 
     /**
-     * Bank occupancy beyond the data transfer. PCM-class cells hold
-     * the bank busy for much of the array write, so effective write
-     * bandwidth is far below the channel rate — the pressure that
-     * throttles double-writing schemes in the paper's Fig. 7/8.
+     * Bank occupancy of a write beyond the data transfer. PCM-class
+     * cells hold the bank busy for much of the array write, so
+     * effective write bandwidth is far below the channel rate — the
+     * pressure that throttles double-writing schemes in the paper's
+     * Fig. 7/8.
      */
-    Tick readBusy = nsToTicks(5);
     Tick writeBusy = nsToTicks(20);
 
     /** Ticks the channel is occupied transferring @p bytes. */

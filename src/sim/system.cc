@@ -83,17 +83,17 @@ System::System(const SystemConfig &cfg, Scheme scheme)
     : cfg_(cfg), scheme_(scheme), stats_("system"),
       critPathH_(stats_.histogram("tx_critical_path_ticks"))
 {
-    nvm_ = std::make_unique<NvmDevice>(cfg_.nvmCapacity(), cfg_.nvm,
-                                       cfg_.energy);
+    nvm_ = std::make_unique<NvmDevice>(cfg_.nvmCapacity(), cfg_.nvm);
     if (cfg_.ft.enabled) {
         // Configure media tolerance before the controller exists: its
         // constructor may program-verify regions against the ECC view.
-        nvm_->faults().setEcc(cfg_.ft.eccCorrectBits);
-        nvm_->faults().setTransientFaults(cfg_.ft.readRetryMax);
-        nvm_->setReadRetryPolicy(cfg_.ft.readRetryMax,
-                                 cfg_.ft.readRetryBackoff,
-                                 cfg_.ft.eccCorrectCost);
+        nvm_->faults().setEcc(kEccCorrectBits);
+        nvm_->faults().setTransientFaults(kReadRetryMax);
+        nvm_->setReadRetryPolicy(kReadRetryMax, kReadRetryBackoff,
+                                 kEccCorrectCost);
     }
+    if (cfg_.debugSkipSettleFences)
+        nvm_->debugSkipSettles();
     ctrl_ = makeController(scheme, *nvm_, cfg_);
     ctrl_->setCrashHook(&crashHook_);
     caches_ = std::make_unique<CacheHierarchy>(cfg_);
@@ -119,7 +119,7 @@ System::txBegin(CoreId core)
 {
     Core &c = cores_[core];
     HOOP_ASSERT(!c.inTx(), "nested txBegin on core %u", core);
-    c.advanceBy(cfg_.opCost()); // Tx_begin sets the tx-state bit
+    c.advanceBy(kOpCost); // Tx_begin sets the tx-state bit
     ctrl_->txBegin(core, c.clock());
     c.beginTx(c.clock());
 }
@@ -129,7 +129,7 @@ System::txEnd(CoreId core)
 {
     Core &c = cores_[core];
     HOOP_ASSERT(c.inTx(), "txEnd without txBegin on core %u", core);
-    const Tick done = ctrl_->txEnd(core, c.clock() + cfg_.opCost());
+    const Tick done = ctrl_->txEnd(core, c.clock() + kOpCost);
     // Crash point between the commit record being issued and the
     // commit being acknowledged: the record is still in flight (the
     // core clock has not advanced to its completion), so torn-write

@@ -1,10 +1,12 @@
 /**
  * @file
  * Whole-system configuration, defaulted to the paper's Table II setup:
- * 2.5 GHz cores, 32 KB 4-way L1, 256 KB 8-way inclusive L2, 2 MB 16-way
- * inclusive LLC, NVM with 50/150 ns read/write latency, plus the HOOP
- * structure sizes from §III-H (2 MB mapping table, 1 KB per-core OOP
- * data buffer, 128 KB eviction buffer, 2 MB OOP blocks, 10 ms GC period).
+ * 32 KB 4-way L1, 256 KB 8-way inclusive L2, 2 MB 16-way inclusive LLC,
+ * NVM with 50/150 ns read/write latency, plus the HOOP structure sizes
+ * from §III-H (2 MB mapping table, 1 KB per-core OOP data buffer, 128 KB
+ * eviction buffer, 2 MB OOP blocks, 10 ms GC period). What no
+ * experiment varies — the 2.5 GHz core clock, the cache hit latencies
+ * and the media-tolerance sizing — is a named constant, not a field.
  *
  * The simulated physical address space is laid out as:
  *
@@ -20,7 +22,6 @@
 #include <string>
 
 #include "common/types.hh"
-#include "nvm/energy_model.hh"
 #include "nvm/nvm_timing.hh"
 
 namespace hoopnvm
@@ -65,29 +66,73 @@ inline constexpr Scheme kDurableSchemes[] = {
 /** Most cores a System supports (the caches' sharer mask width). */
 inline constexpr unsigned kMaxCores = 32;
 
-/** Cache hierarchy geometry and latencies. */
+/** Core clock in GHz; non-memory work is charged in core cycles. */
+inline constexpr double kCpuGhz = 2.5;
+
+/** Duration of one core cycle. */
+inline constexpr Tick kCycle = nsToTicks(1.0 / kCpuGhz);
+
+/** Base cost of one executed memory operation: one core cycle beyond
+ *  memory time. */
+inline constexpr Tick kOpCost = kCycle;
+
+/** Cache hit latencies. */
+inline constexpr Tick kL1Latency = nsToTicks(1.6); // 4 cycles @ 2.5 GHz
+inline constexpr Tick kL2Latency = nsToTicks(4.8); // 12 cycles
+inline constexpr Tick kLlcLatency = nsToTicks(16); // 40 cycles
+
+/** Cache hierarchy geometry. */
 struct CacheParams
 {
     std::uint64_t l1Size = kiB(32);
     unsigned l1Assoc = 4;
-    Tick l1Latency = nsToTicks(1.6); // 4 cycles @ 2.5 GHz
 
     std::uint64_t l2Size = kiB(256);
     unsigned l2Assoc = 8;
-    Tick l2Latency = nsToTicks(4.8); // 12 cycles
 
     std::uint64_t llcSize = miB(2);
     unsigned llcAssoc = 16;
-    Tick llcLatency = nsToTicks(16); // 40 cycles
 };
+
+// ---- Media tolerance (FaultToleranceConfig::enabled) ----
+
+/**
+ * Bits per 8-byte word the modelled ECC corrects in-line. Faulty words
+ * with at most this many affected bits are delivered clean (counted,
+ * and charged kEccCorrectCost); words beyond it surface as
+ * uncorrectable unless a retry clears them.
+ */
+inline constexpr unsigned kEccCorrectBits = 1;
+
+/** Latency surcharge per ECC-corrected word on a timed read. */
+inline constexpr Tick kEccCorrectCost = nsToTicks(20);
+
+/**
+ * Maximum read retries after an uncorrectable first attempt. Transient
+ * (read-disturb) faults clear after a seeded number of attempts;
+ * stuck-at faults never do, so retries are bounded.
+ */
+inline constexpr unsigned kReadRetryMax = 4;
+
+/** Modelled backoff added to the completion tick per retry. */
+inline constexpr Tick kReadRetryBackoff = nsToTicks(100);
+
+/** OOP blocks (or log-slot stripes) examined per scrub pass. */
+inline constexpr std::uint32_t kScrubChunks = 4;
+
+/**
+ * Retire a block once this fraction of its slice slots failed
+ * program-verify (skipped at write time as uncorrectable).
+ */
+inline constexpr double kRetireBadSlotFraction = 0.25;
 
 /**
  * Runtime media-fault tolerance: k-bit-correcting ECC on the read
  * path, seeded read retries for transient faults, a background
  * scrubber, and bad-block/slot retirement with graceful capacity
- * degradation. Disabled by default — every knob below is inert until
- * `enabled` is set, so fault-free runs are bit-identical to builds
- * without the subsystem.
+ * degradation, sized by the media-tolerance constants above. Disabled
+ * by default — all of it is inert until `enabled` is set, so
+ * fault-free runs are bit-identical to builds without the subsystem.
  */
 struct FaultToleranceConfig
 {
@@ -95,41 +140,12 @@ struct FaultToleranceConfig
     bool enabled = false;
 
     /**
-     * Bits per 8-byte word the modelled ECC corrects in-line. Faulty
-     * words with at most this many affected bits are delivered clean
-     * (counted, and charged the correction surcharge below); words
-     * beyond it surface as uncorrectable unless a retry clears them.
-     */
-    unsigned eccCorrectBits = 1;
-
-    /** Latency surcharge per ECC-corrected word on a timed read. */
-    Tick eccCorrectCost = nsToTicks(20);
-
-    /**
-     * Maximum read retries after an uncorrectable first attempt.
-     * Transient (read-disturb) faults clear after a seeded number of
-     * attempts; stuck-at faults never do, so retries are bounded.
-     */
-    unsigned readRetryMax = 4;
-
-    /** Modelled backoff added to the completion tick per retry. */
-    Tick readRetryBackoff = nsToTicks(100);
-
-    /**
      * Simulated-time cadence of the background scrubber (0 disables).
-     * Each pass proactively reads a few blocks/slots, counts corrected
-     * words, and retires blocks whose free slots fail program-verify.
+     * Each pass proactively reads kScrubChunks blocks/slots, counts
+     * corrected words, and retires blocks whose free slots fail
+     * program-verify.
      */
     Tick scrubPeriod = nsToTicks(2e6);
-
-    /** OOP blocks (or log-slot stripes) examined per scrub pass. */
-    std::uint32_t scrubChunks = 4;
-
-    /**
-     * Retire a block once this fraction of its slice slots failed
-     * program-verify (skipped at write time as uncorrectable).
-     */
-    double retireBadSlotFraction = 0.25;
 
     /**
      * Reject new transactions (TxRejected, ENOSPC-style) once the
@@ -146,15 +162,8 @@ struct SystemConfig
      *  1..kMaxCores. */
     unsigned numCores = 8;
 
-    /** Core clock in GHz; non-memory work is charged in core cycles. */
-    double cpuGhz = 2.5;
-
-    /** Core cycles charged per executed load/store beyond memory time. */
-    unsigned opCycles = 1;
-
     CacheParams cache;
     NvmTiming nvm;
-    EnergyParams energy;
 
     /** Home region size (application-visible NVM). */
     std::uint64_t homeBytes = miB(512);
@@ -213,12 +222,13 @@ struct SystemConfig
     bool debugEarlyCommitAck = false;
 
     /**
-     * Deliberately skip the settleUpTo() durability fences (HOOP GC
+     * Deliberately skip every durability settle (HOOP GC
      * watermark/recycle, Opt-Redo and LSM log truncation, LAD commit
-     * drain) while keeping the timing unchanged. Reintroduces the
-     * torn-write bug class those fences exist to prevent; the ordering
-     * analyzer's settled-at-trigger rules must flag it. Never enable
-     * outside tests.
+     * drain, both retirement bitmaps) while keeping the timing
+     * unchanged: System arms NvmDevice::debugSkipSettles() on its
+     * device. Reintroduces the torn-write bug class those fences exist
+     * to prevent; the ordering analyzer's settled-at-trigger rules
+     * must flag it. Never enable outside tests.
      */
     bool debugSkipSettleFences = false;
 
@@ -229,20 +239,6 @@ struct SystemConfig
      * Never enable outside tests.
      */
     bool debugSkipUndoLog = false;
-
-    // ---- Baseline parameters ----
-
-    /** Cost of one TLB shootdown charged to OSP commits. */
-    Tick tlbShootdownCost = nsToTicks(1800);
-
-    /** Commit handshake between cache and memory controller (LAD). */
-    Tick ladCommitOverhead = nsToTicks(120);
-
-    /** DRAM access latency used by LSM's software index walks. */
-    Tick dramLatency = nsToTicks(30);
-
-    /** CPU cycles of software bookkeeping per LSM index operation. */
-    unsigned lsmIndexCycles = 24;
 
     // ---- Observability ----
 
@@ -282,20 +278,6 @@ struct SystemConfig
 
     /** RNG seed for workloads. */
     std::uint64_t seed = 42;
-
-    /** Duration of one core cycle. */
-    Tick
-    cycle() const
-    {
-        return nsToTicks(1.0 / cpuGhz);
-    }
-
-    /** Base cost of one executed memory operation. */
-    Tick
-    opCost() const
-    {
-        return opCycles * cycle();
-    }
 
     Addr homeBase() const { return 0; }
     Addr oopBase() const { return homeBytes; }

@@ -4,16 +4,12 @@
  *
  * TxContext is the programming interface the paper exposes (§III-B):
  * Tx_begin / Tx_end failure-atomic regions plus ordinary loads and
- * stores in between — no clwb/mfence, no read/write wrapping. Typed
- * helpers keep workload code readable; everything bottoms out in
- * word-granularity System accesses.
+ * stores in between — no clwb/mfence, no read/write wrapping.
+ * Everything bottoms out in word-granularity System accesses.
  */
 
 #ifndef HOOPNVM_TXN_TX_CONTEXT_HH
 #define HOOPNVM_TXN_TX_CONTEXT_HH
-
-#include <cstring>
-#include <type_traits>
 
 #include "common/rng.hh"
 #include "sim/system.hh"
@@ -46,28 +42,6 @@ class TxContext
     write(Addr a, const void *buf, std::size_t len)
     {
         sys_->writeBytes(core_, a, buf, len);
-    }
-
-    /** Typed timed load of a trivially-copyable, word-multiple T. */
-    template <typename T>
-    T
-    loadT(Addr a)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        static_assert(sizeof(T) % kWordSize == 0);
-        T v;
-        read(a, &v, sizeof(T));
-        return v;
-    }
-
-    /** Typed timed store. */
-    template <typename T>
-    void
-    storeT(Addr a, const T &v)
-    {
-        static_assert(std::is_trivially_copyable_v<T>);
-        static_assert(sizeof(T) % kWordSize == 0);
-        write(a, &v, sizeof(T));
     }
 
     Addr

@@ -201,7 +201,7 @@ TEST(UndoSpecifics, OldImageCapturedBeforeUpdate)
     store(ctrl, 0, 0x2000, 22);
     // The undo entry must hold the OLD value.
     bool saw_image = false;
-    ctrl.log().forEachLive([&](const LogEntry &e) {
+    ctrl.log().scan([&](const LogEntry &e) {
         if (e.type == LogEntryType::UndoImage) {
             saw_image = true;
             EXPECT_EQ(e.words[0], 11u);
@@ -277,7 +277,7 @@ TEST(LsmSpecifics, LoadsPayIndexWalk)
     NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
     LsmController ctrl(nvm, cfg);
     const Tick cost = ctrl.loadOverhead(0, 0x1000, 0);
-    EXPECT_GE(cost, cfg.dramLatency);
+    EXPECT_GE(cost, LsmController::kDramLatency);
     EXPECT_EQ(ctrl.stats().value("index_walks"), 1u);
 }
 

@@ -46,13 +46,12 @@ TEST(Cache, GeometryChecks)
     // SystemConfig's default (Table II) levels all have power-of-two
     // set counts, as the masked set index requires.
     const CacheParams p;
-    EXPECT_EQ(Cache("l1", p.l1Size, p.l1Assoc, p.l1Latency).numSets(),
+    EXPECT_EQ(Cache("l1", p.l1Size, p.l1Assoc, kL1Latency).numSets(),
               128u);
-    EXPECT_EQ(Cache("l2", p.l2Size, p.l2Assoc, p.l2Latency).numSets(),
+    EXPECT_EQ(Cache("l2", p.l2Size, p.l2Assoc, kL2Latency).numSets(),
               512u);
-    EXPECT_EQ(
-        Cache("llc", p.llcSize, p.llcAssoc, p.llcLatency).numSets(),
-        2048u);
+    EXPECT_EQ(Cache("llc", p.llcSize, p.llcAssoc, kLlcLatency).numSets(),
+              2048u);
 }
 
 TEST(CacheDeathTest, SetCountMustBeAPowerOfTwo)

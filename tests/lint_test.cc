@@ -1,10 +1,9 @@
 /**
  * @file
  * Unit tests for the hoop_lint rule engine: every rule fires on its
- * seeded-bad fixture, stays quiet on clean code, and the two
- * suppression channels (inline annotation, checked-in baseline) round
- * trip — including their failure modes (malformed annotation, stale
- * baseline entry), which must themselves count as violations.
+ * seeded-bad fixture, stays quiet on clean code, and the suppression
+ * annotation binds to its line — including its failure mode (a
+ * malformed annotation), which must itself count as a violation.
  */
 
 #include <gtest/gtest.h>
@@ -24,10 +23,9 @@ namespace
 {
 
 LintReport
-lintOne(const std::string &path, const std::string &code,
-        const LintOptions &opts = {})
+lintOne(const std::string &path, const std::string &code)
 {
-    return lintFiles({{path, code}}, opts);
+    return lintFiles({{path, code}});
 }
 
 std::vector<std::string>
@@ -149,50 +147,6 @@ TEST(LintAnnotation, ProseMentionsAreNotMarkers)
         "int a;\n");
     EXPECT_TRUE(rep.annotationErrors.empty());
     EXPECT_TRUE(rep.clean());
-}
-
-TEST(LintBaseline, EntrySuppressesWholeFileRulePair)
-{
-    LintOptions opts;
-    opts.baseline = {"src/x.cc:nondet-api"};
-    const LintReport rep = lintOne(
-        "src/x.cc",
-        "void f() {\n"
-        "    srand(42);\n"
-        "    rand();\n"
-        "}\n",
-        opts);
-    ASSERT_EQ(rep.diags.size(), 2u);
-    for (const Diagnostic &d : rep.diags) {
-        EXPECT_TRUE(d.suppressed);
-        EXPECT_EQ(d.suppressedBy, "baseline");
-    }
-    EXPECT_TRUE(rep.staleBaseline.empty());
-    EXPECT_TRUE(rep.clean());
-}
-
-TEST(LintBaseline, StaleEntryFailsTheRun)
-{
-    LintOptions opts;
-    opts.baseline = {"src/x.cc:nondet-api", "src/gone.cc:float-eq"};
-    const LintReport rep = lintOne(
-        "src/x.cc", "void f() { srand(42); }\n", opts);
-    ASSERT_EQ(rep.staleBaseline.size(), 1u);
-    EXPECT_EQ(rep.staleBaseline[0], "src/gone.cc:float-eq");
-    EXPECT_FALSE(rep.clean());
-}
-
-TEST(LintBaseline, ParserSkipsCommentsAndBlanks)
-{
-    const std::vector<std::string> entries = parseBaselineText(
-        "# header comment\n"
-        "\n"
-        "  src/a.cc:nondet-api  \n"
-        "# trailing comment\n"
-        "src/b.cc:raw-json");
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0], "src/a.cc:nondet-api");
-    EXPECT_EQ(entries[1], "src/b.cc:raw-json");
 }
 
 TEST(LintRules, StatsLookupExemptInConstructor)

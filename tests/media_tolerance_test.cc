@@ -117,11 +117,10 @@ struct LogFixture
     {
         cfg.ft.enabled = true;
         dev.faults().setSeed(seed);
-        dev.faults().setEcc(cfg.ft.eccCorrectBits);
-        dev.faults().setTransientFaults(cfg.ft.readRetryMax);
-        dev.setReadRetryPolicy(cfg.ft.readRetryMax,
-                               cfg.ft.readRetryBackoff,
-                               cfg.ft.eccCorrectCost);
+        dev.faults().setEcc(kEccCorrectBits);
+        dev.faults().setTransientFaults(kReadRetryMax);
+        dev.setReadRetryPolicy(kReadRetryMax, kReadRetryBackoff,
+                               kEccCorrectCost);
     }
 
     LogEntry entry(std::uint64_t i) const

@@ -109,16 +109,15 @@ TEST(NvmDevice, CountersTrackTraffic)
 
 TEST(NvmDevice, EnergyChargesPerBit)
 {
-    EnergyParams p;
-    NvmDevice dev(miB(16), testTiming(), p);
+    NvmDevice dev(miB(16), testTiming());
     std::uint8_t buf[64] = {};
     dev.write(0, 0, buf, 64);
     const double expected_write =
-        64 * 8 * (p.rowBufferWritePjPerBit + p.arrayWritePjPerBit);
+        64 * 8 * (kRowBufferWritePjPerBit + kArrayWritePjPerBit);
     EXPECT_DOUBLE_EQ(dev.energy().writeEnergyPj(), expected_write);
     dev.read(0, 0, buf, 64);
     const double expected_read =
-        64 * 8 * (p.rowBufferReadPjPerBit + p.arrayReadPjPerBit);
+        64 * 8 * (kRowBufferReadPjPerBit + kArrayReadPjPerBit);
     EXPECT_DOUBLE_EQ(dev.energy().readEnergyPj(), expected_read);
     // Writes are far more expensive than reads (Table II).
     EXPECT_GT(dev.energy().writeEnergyPj(),

@@ -11,15 +11,20 @@
  *  - seeded bugs: each debug knob reintroduces one real ordering bug
  *    (early commit ack, skipped drain fence, skipped undo entry) and
  *    the one rule that guards that protocol step must fire violations,
- *    while recovery-grade crash tests might still pass by luck.
+ *    while recovery-grade crash tests might still pass by luck. The
+ *    skipped settle also covers the two retirement-bitmap fences,
+ *    which only run with media-fault tolerance on.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "analysis/order_harness.hh"
+#include "analysis/ordering_tracker.hh"
+#include "check/rig.hh"
 
 namespace hoopnvm
 {
@@ -165,6 +170,47 @@ TEST(SeededBug, LadSkippedDrainFiresCommitDrainRule)
             o.skipSettleFences = true;
         });
     EXPECT_GT(ruleViolations(rep, "lad-commit-drain"), 0u);
+}
+
+/**
+ * Run @p s on the checkers' machine with media tolerance on and the
+ * runtime-fault battery installed, so the scrubber and allocators
+ * retire bad units, and report @p rule's outcome.
+ */
+OrderingRuleReport
+retireRule(Scheme s, const std::string &rule, bool skipSettleFences)
+{
+    SystemConfig cfg = smallCheckConfig(2, 42);
+    cfg.ft.enabled = true;
+    cfg.ft.scrubPeriod = cfg.gcPeriod;
+    cfg.debugSkipSettleFences = skipSettleFences;
+    CheckRig rig(cfg, s, "vector", false, "");
+    rig.runRounds(0, 10);
+    rig.installRuntimeFaults(0.05, 0);
+    OrderingTracker tracker;
+    rig.sys().armOrdering(&tracker);
+    rig.runRounds(10, 60);
+    rig.sys().armOrdering(nullptr);
+    for (const OrderingRuleReport &rr : tracker.ruleReports()) {
+        if (rr.name == rule)
+            return rr;
+    }
+    ADD_FAILURE() << "rule " << rule << " not declared";
+    return {};
+}
+
+TEST(SeededBug, SkippedRetireFencesFireBitmapRules)
+{
+    const std::pair<Scheme, const char *> cases[] = {
+        {Scheme::Hoop, "hoop-retire-bitmap"},
+        {Scheme::OptRedo, "log-retire-bitmap"},
+    };
+    for (const auto &[s, rule] : cases) {
+        const OrderingRuleReport bug = retireRule(s, rule, true);
+        EXPECT_GT(bug.fires, 0u) << rule;
+        EXPECT_EQ(bug.violations, bug.fires) << rule;
+        EXPECT_EQ(retireRule(s, rule, false).violations, 0u) << rule;
+    }
 }
 
 } // namespace

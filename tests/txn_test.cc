@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the transaction/system layer: TxContext typed accessors,
- * the allocator, core clocks, crash scheduling, and System metrics.
+ * Tests for the transaction/system layer: TxContext, the allocator,
+ * core clocks, crash scheduling, and System metrics.
  */
 
 #include <gtest/gtest.h>
@@ -37,26 +37,6 @@ TEST(SimAllocator, ArenasAreDisjointAndAligned)
     EXPECT_GT(a.bytesUsed(0), 0u);
     // Address 0 is reserved as the structures' null pointer.
     EXPECT_NE(x, 0u);
-}
-
-TEST(TxContext, TypedRoundTrip)
-{
-    SystemConfig cfg = txConfig();
-    System sys(cfg, Scheme::Hoop);
-    TxContext ctx(sys, 0, 7);
-
-    struct Rec
-    {
-        std::uint64_t a;
-        std::uint64_t b;
-    };
-    const Addr at = ctx.alloc(sizeof(Rec));
-    ctx.txBegin();
-    ctx.storeT(at, Rec{11, 22});
-    ctx.txEnd();
-    const Rec r = ctx.loadT<Rec>(at);
-    EXPECT_EQ(r.a, 11u);
-    EXPECT_EQ(r.b, 22u);
 }
 
 TEST(TxContext, InitBypassesTiming)

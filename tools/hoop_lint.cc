@@ -4,18 +4,13 @@
  *
  * Scans src/ bench/ tools/ tests/ (or explicit paths) with the
  * token-level rule engine in src/lint/ and prints file:line
- * diagnostics. Suppression is in-source (`// lint: <rule>-ok
- * (reason)`) or via the checked-in baseline file (lint_baseline.txt
- * at the repo root — kept empty by policy; entries exist only to
- * stage large migrations and go stale loudly).
- *
- * --self-test mirrors ordercheck's seeded-bug knobs: every rule must
- * fire on its embedded bad fixture, stay quiet on the clean fixture,
- * and the real tree must report 0 unsuppressed violations.
+ * diagnostics. The one suppression channel is in-source:
+ * `// lint: <rule>-ok (reason)` at the site. tests/lint_test.cc
+ * proves every rule live on its embedded bad fixture and quiet on the
+ * clean one.
  *
  * Exit codes match the other check tools: 0 = clean, 1 = violations
- * (or malformed annotations / stale baseline entries / failed
- * self-test), 2 = usage error.
+ * (or malformed annotations), 2 = usage error.
  */
 
 #include <algorithm>
@@ -38,12 +33,7 @@ constexpr const char *kUsage =
     "  paths           files or directories to scan, relative to\n"
     "                  --root (default: src bench tools tests)\n"
     "  --root DIR      repository root (default .)\n"
-    "  --baseline FILE suppression baseline (default\n"
-    "                  <root>/lint_baseline.txt when present)\n"
     "  --list-rules    print the rule catalog and exit\n"
-    "  --self-test     prove every rule live on its embedded bad\n"
-    "                  fixture, quiet on the clean fixture, and the\n"
-    "                  real tree unsuppressed-clean\n"
     "  --verbose       also print suppressed hits with their reasons\n";
 
 int
@@ -136,87 +126,6 @@ printReport(const lint::LintReport &rep, bool verbose)
     for (const std::string &e : rep.annotationErrors)
         std::printf("%s: error: %s\n", e.c_str(),
                     "(malformed suppressions count as violations)");
-    for (const std::string &b : rep.staleBaseline)
-        std::printf("baseline: error: stale entry '%s' matches "
-                    "nothing — remove it\n",
-                    b.c_str());
-}
-
-int
-selfTest(const std::vector<lint::SourceFile> &treeFiles,
-         const lint::LintOptions &opts)
-{
-    bool ok = true;
-
-    // 1. Every rule fires on its bad fixture — and only rules with a
-    // fixture exist (rule without proof-of-life = dead rule).
-    std::vector<std::string> provenRules;
-    for (const lint::Fixture &fx : lint::badFixtures()) {
-        lint::LintReport rep = lint::lintFiles(
-            {{fx.path, fx.code}}, lint::LintOptions{});
-        std::size_t fires = 0;
-        for (const lint::Diagnostic &d : rep.diags) {
-            if (d.rule == fx.rule && !d.suppressed)
-                ++fires;
-        }
-        if (fires == 0) {
-            std::printf("self-test: rule %-16s DEAD (bad fixture did "
-                        "not fire)\n",
-                        fx.rule);
-            ok = false;
-        } else {
-            std::printf("self-test: rule %-16s fires %zu on bad "
-                        "fixture\n",
-                        fx.rule, fires);
-        }
-        provenRules.push_back(fx.rule);
-    }
-    for (const lint::RuleInfo &r : lint::ruleCatalog()) {
-        if (std::find(provenRules.begin(), provenRules.end(),
-                      r.name) == provenRules.end()) {
-            std::printf("self-test: rule %-16s has NO bad fixture\n",
-                        r.name);
-            ok = false;
-        }
-    }
-
-    // 2. The clean fixture stays quiet under every rule.
-    {
-        lint::LintReport rep =
-            lint::lintFiles({lint::cleanFixture()}, lint::LintOptions{});
-        if (rep.unsuppressed != 0 || !rep.annotationErrors.empty()) {
-            std::printf("self-test: clean fixture raised %zu "
-                        "diagnostics:\n",
-                        rep.unsuppressed);
-            printReport(rep, false);
-            ok = false;
-        } else {
-            std::printf("self-test: clean fixture quiet\n");
-        }
-    }
-
-    // 3. The real tree reports 0 unsuppressed violations.
-    {
-        lint::LintReport rep = lint::lintFiles(treeFiles, opts);
-        std::size_t suppressed = 0;
-        for (const lint::Diagnostic &d : rep.diags)
-            suppressed += d.suppressed ? 1 : 0;
-        if (!rep.clean()) {
-            std::printf("self-test: tree NOT clean (%zu unsuppressed, "
-                        "%zu annotation errors, %zu stale baseline):\n",
-                        rep.unsuppressed, rep.annotationErrors.size(),
-                        rep.staleBaseline.size());
-            printReport(rep, false);
-            ok = false;
-        } else {
-            std::printf("self-test: tree clean (%zu files, %zu "
-                        "suppressed by annotation/baseline)\n",
-                        treeFiles.size(), suppressed);
-        }
-    }
-
-    std::printf("self-test: %s\n", ok ? "OK" : "FAILED");
-    return ok ? 0 : 1;
 }
 
 } // namespace
@@ -224,13 +133,9 @@ selfTest(const std::vector<lint::SourceFile> &treeFiles,
 int
 main(int argc, char **argv)
 {
-    namespace fs = std::filesystem;
-
     std::string root = ".";
-    std::string baselinePath;
     std::vector<std::string> paths;
     bool listRules = false;
-    bool doSelfTest = false;
     bool verbose = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -243,15 +148,8 @@ main(int argc, char **argv)
             if (!v)
                 return usageError("--root needs a value");
             root = v;
-        } else if (a == "--baseline") {
-            const char *v = next();
-            if (!v)
-                return usageError("--baseline needs a value");
-            baselinePath = v;
         } else if (a == "--list-rules") {
             listRules = true;
-        } else if (a == "--self-test") {
-            doSelfTest = true;
         } else if (a == "--verbose") {
             verbose = true;
         } else if (a == "--help" || a == "-h") {
@@ -273,38 +171,21 @@ main(int argc, char **argv)
     if (paths.empty())
         paths = {"src", "bench", "tools", "tests"};
 
-    lint::LintOptions opts;
-    {
-        fs::path bp = baselinePath.empty()
-                          ? fs::path(root) / "lint_baseline.txt"
-                          : fs::path(baselinePath);
-        std::string text;
-        if (readFile(bp, &text)) {
-            opts.baseline = lint::parseBaselineText(text);
-        } else if (!baselinePath.empty()) {
-            return usageError("cannot read baseline " + baselinePath);
-        }
-    }
-
     std::vector<lint::SourceFile> files;
     if (!collectFiles(root, paths, &files))
         return 2;
     if (files.empty())
         return usageError("no lintable files found");
 
-    if (doSelfTest)
-        return selfTest(files, opts);
-
-    lint::LintReport rep = lint::lintFiles(files, opts);
+    lint::LintReport rep = lint::lintFiles(files);
     printReport(rep, verbose);
 
     std::size_t suppressed = 0;
     for (const lint::Diagnostic &d : rep.diags)
         suppressed += d.suppressed ? 1 : 0;
     std::printf("hoop_lint: %zu files, %zu violations "
-                "(%zu suppressed), %zu annotation errors, %zu stale "
-                "baseline entries\n",
+                "(%zu suppressed), %zu annotation errors\n",
                 files.size(), rep.unsuppressed, suppressed,
-                rep.annotationErrors.size(), rep.staleBaseline.size());
+                rep.annotationErrors.size());
     return rep.clean() ? 0 : 1;
 }
