@@ -16,6 +16,7 @@
 #ifndef HOOPNVM_BENCH_BENCH_COMMON_HH
 #define HOOPNVM_BENCH_BENCH_COMMON_HH
 
+#include <chrono>
 #include <cstdio>
 #include <functional>
 #include <map>
@@ -105,8 +106,8 @@ class CellRunner
                     const WorkloadParams &params, const SystemConfig &cfg,
                     std::uint64_t tx_per_core, Probe probe = {});
 
-    /** Execute every registered cell; returns total wall seconds. */
-    double run();
+    /** Execute every registered cell. */
+    void run();
 
     unsigned jobs() const { return jobs_; }
     std::size_t cells() const { return slots.size(); }
@@ -119,7 +120,6 @@ class CellRunner
     {
         return slots[i].metrics;
     }
-    double totalSeconds() const { return totalSeconds_; }
 
   private:
     struct Slot
@@ -132,7 +132,6 @@ class CellRunner
 
     unsigned jobs_;
     std::vector<Slot> slots;
-    double totalSeconds_ = 0.0;
 };
 
 /** Custom scalars of one cell's JSON record, in emission order. */
@@ -142,9 +141,10 @@ using CellValues = std::vector<std::pair<std::string, double>>;
  * The driver of one bench binary: its flags, banner, cell pool and
  * machine-readable report. write() emits `BENCH_<name>.json` into
  * $HOOP_BENCH_JSON_DIR (or the CWD) — the configuration, every cell's
- * host wall time and metrics, and a host-side summary (cells/sec,
- * simulated-ticks/sec) — and prints the summary to stderr, never to
- * stdout, which carries only the paper tables.
+ * host wall time and metrics, and a host-side summary (wall seconds
+ * from construction to write(), cells/sec, simulated-ticks/sec) — and
+ * prints the summary to stderr, never to stdout, which carries only
+ * the paper tables.
  */
 class Bench : public CellRunner
 {
@@ -184,6 +184,7 @@ class Bench : public CellRunner
     std::string name_;
     SystemConfig cfg_;
     std::uint64_t txPerCore_;
+    std::chrono::steady_clock::time_point start_;
     std::vector<CellValues> values_;
     std::vector<TimedCell> timed_;
 };

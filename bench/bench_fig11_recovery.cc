@@ -12,7 +12,10 @@
  *
  * Expected shape (paper §IV-G): recovery time falls with added threads
  * until the NVM channel saturates; at 25 GB/s recovering 1 GB takes
- * ~47 ms, about 2.3x faster than at 10 GB/s.
+ * ~47 ms, about 2.3x faster than at 10 GB/s. Under the table the bench
+ * prints which term binds each cell (channel or CPU) and how unevenly
+ * the merge falls on 16 threads; each cell's JSON record carries its
+ * recovery, channel and CPU times.
  */
 
 #include "bench_common.hh"
@@ -99,15 +102,18 @@ main(int argc, char **argv)
     // its simTicks is the modelled recovery time.
     const double bandwidths[] = {10e9, 15e9, 20e9, 25e9};
     const unsigned threads[] = {1, 2, 4, 8, 16};
-    for (double bw : bandwidths) {
+    auto timingAt = [&](std::size_t b) {
+        NvmTiming timing = cfg.nvm;
+        timing.bandwidthBytesPerSec = bandwidths[b];
+        return timing;
+    };
+    for (std::size_t b = 0; b < std::size(bandwidths); ++b) {
         for (unsigned thr : threads) {
             const std::string label =
-                TablePrinter::num(bw / 1e9, 0) + "GB/s/" +
+                TablePrinter::num(bandwidths[b] / 1e9, 0) + "GB/s/" +
                 std::to_string(thr) + "thr";
-            bench.add(label, [&, bw, thr](RunMetrics &m) {
-                NvmTiming timing = cfg.nvm;
-                timing.bandwidthBytesPerSec = bw;
-                m.simTicks = RecoveryManager::time(rec, thr, timing);
+            bench.add(label, [&, b, thr](RunMetrics &m) {
+                m.simTicks = RecoveryManager::time(rec, thr, timingAt(b));
             });
         }
     }
@@ -115,6 +121,12 @@ main(int argc, char **argv)
     auto recoveryMs = [&](std::size_t b, std::size_t t) {
         return ticksToMs(
             bench.metrics(b * std::size(threads) + t).simTicks);
+    };
+    auto channelMs = [&](std::size_t b) {
+        return ticksToMs(RecoveryManager::channelTime(rec, timingAt(b)));
+    };
+    auto cpuMs = [&](std::size_t t) {
+        return ticksToMs(RecoveryManager::cpuTime(rec, threads[t]));
     };
 
     // What the crashed region held: the slices the scan accepted. The
@@ -138,6 +150,29 @@ main(int argc, char **argv)
         table.addRow(row);
     }
     table.print();
+
+    // Which term sets each cell: the NVM channel time of the scan and
+    // write-back, or the busiest recovery thread's CPU work.
+    TablePrinter binding("Fig. 11: binding term (channel = NVM channel "
+                         "time, cpu = busiest thread's CPU work)");
+    binding.setHeader(header);
+    for (std::size_t b = 0; b < std::size(bandwidths); ++b) {
+        std::vector<std::string> row = {
+            TablePrinter::num(bandwidths[b] / 1e9, 0) + "GB/s"};
+        for (std::size_t t = 0; t < std::size(threads); ++t)
+            row.push_back(channelMs(b) >= cpuMs(t) ? "channel" : "cpu");
+        binding.addRow(row);
+    }
+    binding.print();
+
+    // Merge imbalance: the busiest thread's merge steps over the mean,
+    // from how the home lines' hashes fall into the threads' buckets.
+    const std::uint64_t busiest = RecoveryManager::busiestMergeSteps(rec, 16);
+    const double mean = static_cast<double>(rec.distinctWords) / 16.0;
+    std::printf("merge imbalance at 16 threads: busiest thread %llu merge "
+                "steps, mean %.0f (%.3fx)\n",
+                static_cast<unsigned long long>(busiest), mean,
+                mean > 0.0 ? static_cast<double>(busiest) / mean : 0.0);
 
     const double t_10_16 = recoveryMs(0, 4);
     const double t_25_16 = recoveryMs(3, 4);
@@ -172,9 +207,13 @@ main(int argc, char **argv)
                                    static_cast<double>(rec.time)
                              : 0.0);
 
-    for (std::size_t i = 0; i < bench.cells(); ++i) {
-        bench.value(i, "recovery_ms",
-                    ticksToMs(bench.metrics(i).simTicks));
+    for (std::size_t b = 0; b < std::size(bandwidths); ++b) {
+        for (std::size_t t = 0; t < std::size(threads); ++t) {
+            const std::size_t i = b * std::size(threads) + t;
+            bench.value(i, "recovery_ms", recoveryMs(b, t));
+            bench.value(i, "channel_ms", channelMs(b));
+            bench.value(i, "cpu_ms", cpuMs(t));
+        }
     }
     bench.write();
     return 0;

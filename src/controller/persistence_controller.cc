@@ -1,7 +1,5 @@
 #include "controller/persistence_controller.hh"
 
-#include <algorithm>
-
 #include "analysis/ordering_tracker.hh"
 #include "common/logging.hh"
 
@@ -19,20 +17,12 @@ PersistenceController::PersistenceController(const std::string &name,
 TxId
 PersistenceController::txBegin(CoreId core, Tick now)
 {
-    return txBeginAs(core, now, allocTxId());
-}
-
-TxId
-PersistenceController::txBeginAs(CoreId core, Tick now, TxId forced)
-{
     (void)now;
     HOOP_ASSERT(core < coreTx.size(), "txBegin on unknown core %u", core);
     HOOP_ASSERT(!coreTx[core].active,
                 "nested transactions are not supported (core %u)", core);
     coreTx[core].active = true;
-    coreTx[core].txId = forced;
-    // A forced id counts as allocated, so ids stay below nextTxId.
-    nextTxId = std::max(nextTxId, forced + 1);
+    coreTx[core].txId = allocTxId();
     ++txBegunC_;
     return coreTx[core].txId;
 }

@@ -119,13 +119,6 @@ class PersistenceController
     virtual TxId txBegin(CoreId core, Tick now);
 
     /**
-     * Open a failure-atomic region under an externally-assigned id
-     * (multi-controller 2PC gives every participant the same global
-     * TxId so recovery can correlate them, §III-I).
-     */
-    virtual TxId txBeginAs(CoreId core, Tick now, TxId forced);
-
-    /**
      * Close the failure-atomic region on @p core, making it durable.
      * @return The tick at which durability is guaranteed (>= now).
      */

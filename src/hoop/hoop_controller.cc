@@ -70,7 +70,7 @@ HoopController::declareOrderingRules(OrderingTracker &t)
 }
 
 TxId
-HoopController::txBeginAs(CoreId core, Tick now, TxId forced)
+HoopController::txBegin(CoreId core, Tick now)
 {
     // Graceful degradation: once retirement has eaten past the
     // configured fraction of the OOP region, stop admitting new
@@ -82,7 +82,7 @@ HoopController::txBeginAs(CoreId core, Tick now, TxId forced)
                          "OOP region degraded past the admission "
                          "threshold by bad-block retirement"};
     }
-    const TxId tx = PersistenceController::txBeginAs(core, now, forced);
+    const TxId tx = PersistenceController::txBegin(core, now);
     chains[core] = CoreChain{};
     return tx;
 }
@@ -241,40 +241,22 @@ HoopController::storeWord(CoreId core, Addr addr,
 }
 
 Tick
-HoopController::prepare(CoreId core, Tick now)
-{
-    HOOP_ASSERT(coreTx[core].active, "prepare without txBegin (core %u)",
-                core);
-    if (buffer.hasPending(core)) {
-        const PendingSlice p = buffer.take(core);
-        const Tick done = emitSlice(core, p, SliceType::Data,
-                                    coreTx[core].txId, now);
-        chains[core].outstanding =
-            std::max(chains[core].outstanding, done);
-    }
-    return std::max(now, chains[core].outstanding);
-}
-
-Tick
 HoopController::txEnd(CoreId core, Tick now)
-{
-    // Single-controller commit: the channel services writes in issue
-    // order, so the commit record — issued after the chain slices —
-    // persists after them without waiting for their completion. (The
-    // multi-controller 2PC driver passes the prepare-acknowledgement
-    // time instead, since cross-channel ordering needs explicit acks.)
-    prepare(core, now);
-    return commitPrepared(core, now);
-}
-
-Tick
-HoopController::commitPrepared(CoreId core, Tick now)
 {
     HOOP_ASSERT(coreTx[core].active, "commit without txBegin (core %u)",
                 core);
     const TxId tx = coreTx[core].txId;
-    Tick t = now;
+    if (buffer.hasPending(core)) {
+        const PendingSlice p = buffer.take(core);
+        const Tick done = emitSlice(core, p, SliceType::Data, tx, now);
+        chains[core].outstanding =
+            std::max(chains[core].outstanding, done);
+    }
 
+    // The channel services writes in issue order, so the commit
+    // record — issued after the chain slices — persists after them
+    // without waiting for their completion.
+    Tick t = now;
     const std::uint64_t cid = allocCommitId();
     Tick commit_done = t;
     if (chains[core].sliceCount > 0) {
@@ -580,32 +562,25 @@ HoopController::crash()
 }
 
 Tick
-HoopController::recover(unsigned threads)
-{
-    return recoverWithFilter(threads, nullptr);
-}
-
-Tick
 HoopController::modelRecovery(unsigned threads)
 {
     HostTimer ht(HostProfiler::kRecovery);
     if (region_.faultToleranceEnabled())
         region_.loadRetirement();
-    const RecoveryResult r = recovery->run(threads, nullptr);
+    const RecoveryResult r = recovery->run(threads);
     lastRecovery_ = r;
     return r.time;
 }
 
 Tick
-HoopController::recoverWithFilter(unsigned threads,
-                                  const std::unordered_set<TxId> *allow)
+HoopController::recover(unsigned threads)
 {
     // Adopt the durable retirement bitmap before scanning anything:
     // retired blocks' cells are untrustworthy and must never be read,
     // replayed, or reallocated.
     if (region_.faultToleranceEnabled())
         region_.loadRetirement();
-    const RecoveryResult r = recovery->run(threads, allow);
+    const RecoveryResult r = recovery->run(threads);
     lastRecovery_ = r;
 
     // Post-recovery: the home region is the single source of truth.

@@ -25,7 +25,6 @@
 #define HOOPNVM_HOOP_HOOP_CONTROLLER_HH
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -49,22 +48,8 @@ class HoopController : public PersistenceController
 
     Scheme scheme() const override { return Scheme::Hoop; }
 
-    TxId txBeginAs(CoreId core, Tick now, TxId forced) override;
+    TxId txBegin(CoreId core, Tick now) override;
     Tick txEnd(CoreId core, Tick now) override;
-
-    /**
-     * 2PC phase 1 (§III-I): flush the core's outstanding slices to the
-     * OOP region and return when they are durable. txEnd == prepare
-     * followed by commitPrepared.
-     */
-    Tick prepare(CoreId core, Tick now);
-
-    /** 2PC phase 2: persist the commit record and retire the tx. */
-    Tick commitPrepared(CoreId core, Tick now);
-
-    /** Recovery restricted to @p allow (multi-controller consensus). */
-    Tick recoverWithFilter(unsigned threads,
-                           const std::unordered_set<TxId> *allow);
 
     /**
      * Model recovery on the current crash image WITHOUT the

@@ -1,10 +1,10 @@
 #include "hoop/recovery.hh"
 
 #include <algorithm>
-#include <unordered_set>
 #include <vector>
 
 #include "common/flat_map.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "hoop/hoop_controller.hh"
 #include "hoop/line_coalescer.hh"
@@ -27,6 +27,14 @@ struct TxInfo
     bool committed = false;
 };
 
+/** Merge bucket of home line @p line (RecoveryManager::kMergeBuckets). */
+unsigned
+mergeBucket(Addr line)
+{
+    return static_cast<unsigned>(mixHash(line / kCacheLineSize) %
+                                 RecoveryManager::kMergeBuckets);
+}
+
 } // namespace
 
 RecoveryManager::RecoveryManager(HoopController &ctrl_)
@@ -47,8 +55,7 @@ RecoveryManager::RecoveryManager(HoopController &ctrl_)
 }
 
 RecoveryResult
-RecoveryManager::run(unsigned threads,
-                     const std::unordered_set<TxId> *allow)
+RecoveryManager::run(unsigned threads)
 {
     OopRegion &region = ctrl.region_;
     RecoveryResult res;
@@ -204,8 +211,6 @@ RecoveryManager::run(unsigned threads,
                 if (s.txId != kInvalidTxId)
                     ++txs[s.txId].found;
             } else if (s.type == SliceType::AddrRec) {
-                if (allow && !allow->count(s.record.txId))
-                    continue; // vetoed by cross-controller consensus
                 TxInfo &ti = txs[s.record.txId];
                 ti.committed = true;
                 ti.expected = s.record.sliceCount;
@@ -262,12 +267,15 @@ RecoveryManager::run(unsigned threads,
     }
 
     // ---- Phase 3: write the winners home, in ascending line-address
-    // order (which fixes the crash-point schedule) ----
+    // order (which fixes the crash-point schedule). In the timing
+    // model each line is merged and written by the recovery thread
+    // that owns its bucket; the threads write disjoint lines, so this
+    // order is one valid serialization of their writes. ----
     for (const auto &[line, pos] : winners.sorted()) {
         const LineCoalescer::Line &g = winners.line(pos);
         // Crash point: between home-line replay writes. The OOP region
-        // is untouched until recoverWithFilter() resets it after run()
-        // returns, so a second recovery redoes the overlay idempotently
+        // is untouched until recover() resets it after run() returns,
+        // so a second recovery redoes the overlay idempotently
         // (winning words depend only on the durable slices).
         ctrl.crashStep(CrashPointKind::RecoveryStep);
         std::uint8_t buf[kCacheLineSize];
@@ -276,6 +284,7 @@ RecoveryManager::run(unsigned threads,
         ctrl.nvm_.poke(line, buf, kCacheLineSize);
         ++res.homeLinesWritten;
         res.distinctWords += g.words();
+        res.bucketWords[mergeBucket(line)] += g.words();
     }
 
     // ---- Phase 4: timing. The model charges two scan passes over
@@ -326,20 +335,47 @@ Tick
 RecoveryManager::time(const RecoveryResult &r, unsigned threads,
                       const NvmTiming &timing)
 {
-    threads = std::max(1u, threads);
+    return std::max(channelTime(r, timing), cpuTime(r, threads)) +
+           timing.readLatency + timing.writeLatency;
+}
+
+Tick
+RecoveryManager::channelTime(const RecoveryResult &r,
+                             const NvmTiming &timing)
+{
     // Both scan passes and the write-back stream are limited by channel
-    // bandwidth; per-slice parsing and CRC verification are CPU work
-    // that divides across the recovery threads, and every replayed
-    // word costs a merge step.
+    // bandwidth.
+    return timing.transferTicks(static_cast<std::size_t>(r.bytesScanned));
+}
+
+Tick
+RecoveryManager::cpuTime(const RecoveryResult &r, unsigned threads)
+{
+    threads = std::max(1u, threads);
+    // Per-slice parsing and CRC verification divide evenly across the
+    // recovery threads; each replayed word costs a merge step on the
+    // thread that owns its home line.
     const std::uint64_t total_slices = r.slicesScanned * 2;
-    const Tick channel_time =
-        timing.transferTicks(static_cast<std::size_t>(r.bytesScanned));
-    const Tick cpu_time =
-        (total_slices + threads - 1) / threads *
-            (kPerSliceCpuCost + kCrcVerifyCpuCost) +
-        static_cast<Tick>(r.distinctWords) * nsToTicks(5);
-    return std::max(channel_time, cpu_time) + timing.readLatency +
-           timing.writeLatency;
+    return (total_slices + threads - 1) / threads *
+               (kPerSliceCpuCost + kCrcVerifyCpuCost) +
+           static_cast<Tick>(busiestMergeSteps(r, threads)) *
+               kMergeStepCpuCost;
+}
+
+std::uint64_t
+RecoveryManager::busiestMergeSteps(const RecoveryResult &r,
+                                   unsigned threads)
+{
+    threads = std::max(1u, threads);
+    // Beyond kMergeBuckets threads, the extra threads own no bucket.
+    std::uint64_t busiest = 0;
+    for (unsigned t = 0; t < std::min(threads, kMergeBuckets); ++t) {
+        std::uint64_t steps = 0;
+        for (unsigned b = t; b < kMergeBuckets; b += threads)
+            steps += r.bucketWords[b];
+        busiest = std::max(busiest, steps);
+    }
+    return busiest;
 }
 
 } // namespace hoopnvm

@@ -13,9 +13,15 @@
  * words. The thread count and the NVM bandwidth enter only the
  * *timing*: RecoveryManager::time, a pure function of the scan's
  * result that follows the paper's machine model. The scan and
- * write-back phases are limited by NVM channel bandwidth, while the
- * per-slice parsing work divides across the recovery threads (Fig.
- * 11's two axes).
+ * write-back phases are limited by NVM channel bandwidth (Fig. 11's
+ * bandwidth axis). The CPU work divides across the recovery threads
+ * (its thread axis) in two ways. Slice parsing and CRC checks split
+ * evenly. The merge is partitioned by home line: every line falls in
+ * one of kMergeBuckets buckets by its hash, recovery thread t of T owns
+ * the buckets b with b % T == t, and it alone merges and writes back
+ * their lines. So the merge term is the busiest thread's merge steps,
+ * not every word's. The host pass writes lines in ascending address
+ * order, one valid serialization of the threads' disjoint writes.
  *
  * Fault tolerance: nothing read from NVM is trusted without its CRC.
  * A torn or corrupt slice ends its block's live area; a corrupt
@@ -31,8 +37,8 @@
 #ifndef HOOPNVM_HOOP_RECOVERY_HH
 #define HOOPNVM_HOOP_RECOVERY_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_set>
 
 #include "common/types.hh"
 #include "nvm/nvm_timing.hh"
@@ -42,6 +48,101 @@ namespace hoopnvm
 {
 
 class HoopController;
+
+struct RecoveryResult;
+
+/** Parallel replay of committed transactions from the OOP region. */
+class RecoveryManager
+{
+  public:
+    explicit RecoveryManager(HoopController &ctrl);
+
+    /**
+     * Replay the committed state into the home region and time the
+     * replay as @p threads workers on the controller's NVM. The OOP
+     * region, mapping table and eviction buffer stay as they are:
+     * HoopController::recover() clears them afterwards.
+     */
+    RecoveryResult run(unsigned threads);
+
+    /**
+     * Modelled recovery time of the scan and replay @p r describes, run
+     * by @p threads workers over an NVM with @p timing: channelTime()
+     * against cpuTime(), whichever is longer, plus one read and one
+     * write latency. Pure: a sweep over threads or bandwidth evaluates
+     * it on one result. The thread count enters cpuTime() twice: the
+     * slice work splits evenly, and each thread merges only the words
+     * of the home lines it owns. So at one thread every word is one
+     * merge step of the CPU term; at more threads the term is never
+     * larger than that serial-merge charge, and doubling the thread
+     * count never raises it.
+     */
+    static Tick time(const RecoveryResult &r, unsigned threads,
+                     const NvmTiming &timing);
+
+    /** Channel time of r.bytesScanned at @p timing's bandwidth. */
+    static Tick channelTime(const RecoveryResult &r,
+                            const NvmTiming &timing);
+
+    /**
+     * The busiest recovery thread's CPU work: its even share of the
+     * two scan passes' slice parsing and CRC checks,
+     * ceil(2 * r.slicesScanned / threads) slices, plus one merge step
+     * per word in the buckets it owns (busiestMergeSteps()).
+     */
+    static Tick cpuTime(const RecoveryResult &r, unsigned threads);
+
+    /**
+     * Merge steps of the busiest of @p threads recovery threads: the
+     * largest sum of r.bucketWords over one thread's buckets. Thread t
+     * owns bucket b when b % threads == t, so a thread's buckets at
+     * 2T threads are a subset of one thread's at T.
+     */
+    static std::uint64_t busiestMergeSteps(const RecoveryResult &r,
+                                           unsigned threads);
+
+    /** Per-slice CPU processing cost used by the timing model. */
+    static constexpr Tick kPerSliceCpuCost = nsToTicks(25);
+
+    /**
+     * Home-line buckets the merge is partitioned into: line L falls in
+     * bucket mixHash(L / kCacheLineSize) % kMergeBuckets. Every thread
+     * count that divides it (Fig. 11's 1-16) gives each thread exactly
+     * the lines whose hash is its index modulo the count.
+     */
+    static constexpr unsigned kMergeBuckets = 64;
+
+    /** CPU cost of merging one distinct word into its home line. */
+    static constexpr Tick kMergeStepCpuCost = nsToTicks(5);
+
+    /**
+     * CPU cost of one 128-byte CRC-32C verification, charged per slice
+     * scan in the timing model. Hardware CRC32 instructions sustain
+     * roughly one cache line per handful of cycles; 4 ns at 2.5 GHz is
+     * a deliberately conservative software-assist figure.
+     */
+    static constexpr Tick kCrcVerifyCpuCost = nsToTicks(4);
+
+    StatSet &stats() { return stats_; }
+
+  private:
+    HoopController &ctrl;
+    StatSet stats_;
+    // Stats resolved once at construction: run() must never do
+    // string-keyed lookups (hoop_lint stats-lookup invariant).
+    Counter &runsC_;
+    Counter &txReplayedC_;
+    Counter &linesWrittenC_;
+    Counter &slicesRejectedC_;
+    Counter &tornCommitsC_;
+    Counter &bitFlipsC_;
+    Counter &headersRejectedC_;
+    Counter &blocksSkippedWatermarkC_;
+    Counter &incompleteTxVetoedC_;
+    Counter &gcTrimmedTxReplayedC_;
+    Counter &blocksSkippedRetiredC_;
+    Counter &slicesSkippedBadC_;
+};
 
 /** Outcome of one recovery run. */
 struct RecoveryResult
@@ -63,6 +164,13 @@ struct RecoveryResult
     /** Distinct home words the replay wrote (one merge step each in
      *  the timing model). */
     std::uint64_t distinctWords = 0;
+
+    /** distinctWords split by the merge bucket of each word's home
+     *  line (RecoveryManager::kMergeBuckets); the counts sum to
+     *  distinctWords. RecoveryManager::time charges each recovery
+     *  thread the buckets it owns. */
+    std::array<std::uint64_t, RecoveryManager::kMergeBuckets>
+        bucketWords{};
 
     /** Highest slice sequence number observed (counter restart point). */
     std::uint64_t maxSeq = 0;
@@ -127,66 +235,6 @@ struct RecoveryResult
 
     /** Field-wise equality. */
     bool operator==(const RecoveryResult &) const = default;
-};
-
-/** Parallel replay of committed transactions from the OOP region. */
-class RecoveryManager
-{
-  public:
-    explicit RecoveryManager(HoopController &ctrl);
-
-    /**
-     * Replay the committed state into the home region and time the
-     * replay as @p threads workers on the controller's NVM. The OOP
-     * region, mapping table and eviction buffer stay as they are:
-     * HoopController::recover() clears them afterwards.
-     * @param allow When non-null, only transactions in this set replay
-     *              (multi-controller consensus, §III-I).
-     */
-    RecoveryResult run(unsigned threads,
-                       const std::unordered_set<TxId> *allow = nullptr);
-
-    /**
-     * Modelled recovery time of the scan and replay @p r describes, run
-     * by @p threads workers over an NVM with @p timing: channel time
-     * for r.bytesScanned against per-slice CPU work divided across the
-     * threads, whichever is longer, plus one read and one write
-     * latency. Pure: a sweep over threads or bandwidth evaluates it on
-     * one result.
-     */
-    static Tick time(const RecoveryResult &r, unsigned threads,
-                     const NvmTiming &timing);
-
-    /** Per-slice CPU processing cost used by the timing model. */
-    static constexpr Tick kPerSliceCpuCost = nsToTicks(25);
-
-    /**
-     * CPU cost of one 128-byte CRC-32C verification, charged per slice
-     * scan in the timing model. Hardware CRC32 instructions sustain
-     * roughly one cache line per handful of cycles; 4 ns at 2.5 GHz is
-     * a deliberately conservative software-assist figure.
-     */
-    static constexpr Tick kCrcVerifyCpuCost = nsToTicks(4);
-
-    StatSet &stats() { return stats_; }
-
-  private:
-    HoopController &ctrl;
-    StatSet stats_;
-    // Stats resolved once at construction: run() must never do
-    // string-keyed lookups (hoop_lint stats-lookup invariant).
-    Counter &runsC_;
-    Counter &txReplayedC_;
-    Counter &linesWrittenC_;
-    Counter &slicesRejectedC_;
-    Counter &tornCommitsC_;
-    Counter &bitFlipsC_;
-    Counter &headersRejectedC_;
-    Counter &blocksSkippedWatermarkC_;
-    Counter &incompleteTxVetoedC_;
-    Counter &gcTrimmedTxReplayedC_;
-    Counter &blocksSkippedRetiredC_;
-    Counter &slicesSkippedBadC_;
 };
 
 } // namespace hoopnvm

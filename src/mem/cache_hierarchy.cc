@@ -111,13 +111,20 @@ CacheHierarchy::reconcileSharers(CoreId core, Addr line,
                 // dirty copy so a single owner exists below.
                 cache->invalidate(line);
                 ++downgradesC_;
-                // Drop the L2 copy under a dirty L1 one as well: in
-                // hardware it holds the bytes from before the L1
-                // stores, older than the LLC's now. The model keeps
-                // that presence decision although its copies share
-                // one payload.
-                if (cache == l1s[c].get())
+                if (cache == l1s[c].get()) {
+                    // Drop the L2 copy under a dirty L1 one as well: in
+                    // hardware it holds the bytes from before the L1
+                    // stores, older than the LLC's now. The model keeps
+                    // that presence decision although its copies share
+                    // one payload.
                     l2s[c]->invalidate(line);
+                } else if (CacheLine l1l = l1s[c]->findLine(line);
+                           l1l && !l1l.dirty()) {
+                    // Keep L1 inside L2: a clean L1 copy goes with the
+                    // dirty L2 copy below it. A dirty one is merged
+                    // and dropped on the next pass of this loop.
+                    l1s[c]->invalidate(line);
+                }
             }
         }
         if (exclusive)
@@ -306,13 +313,11 @@ CacheHierarchy::insertL1(CoreId core, Addr line, std::uint32_t home)
                          [&v](const CacheLine &lru) {
                              captureVictim(lru, v);
                          });
-    if (!v.valid)
-        return;
-    if (v.dirty) {
+    // A clean victim needs nothing more: L1 is inside L2, so the L2
+    // copy keeps the core's sharer bit.
+    if (v.valid && v.dirty) {
         insertL2(core, v.addr, v.home, true, v.persistent, v.lastWriter,
                  v.txId, v.wordMask);
-    } else {
-        updateSharerOnDrop(core, v.addr, v.home);
     }
 }
 
@@ -338,7 +343,8 @@ CacheHierarchy::insertL2(CoreId core, Addr line, std::uint32_t home,
         }
         l1s[core]->invalidate(v.addr);
     }
-    updateSharerOnDrop(core, v.addr, v.home);
+    // Neither private level holds the line now.
+    llc_->sharers(v.home) &= ~(std::uint32_t{1} << core);
 
     if (v.dirty) {
         llc_->writeBack(v.addr, v.home, v.persistent, v.lastWriter,
@@ -402,15 +408,6 @@ CacheHierarchy::retireLlcVictim(CacheVictim &victim, Tick now)
                         victim.data.data(), victim.persistent,
                         victim.txId, victim.wordMask, now);
     }
-}
-
-void
-CacheHierarchy::updateSharerOnDrop(CoreId core, Addr line,
-                                   std::uint32_t home)
-{
-    if (l1s[core]->peekLine(line) || l2s[core]->peekLine(line))
-        return;
-    llc_->sharers(home) &= ~(std::uint32_t{1} << core);
 }
 
 void

@@ -179,10 +179,6 @@ class CacheHierarchy
     void reconcileSharers(CoreId core, Addr line, CacheLine llc_line,
                           bool exclusive);
 
-    /** Drop @p core from the sharer mask of @p line (LLC way @p home)
-     *  if its L1/L2 no longer hold the line. */
-    void updateSharerOnDrop(CoreId core, Addr line, std::uint32_t home);
-
     const SystemConfig &cfg;
 
     PersistenceController *ctrl = nullptr;

@@ -260,10 +260,9 @@ struct Geometry
  * After every step, the loaded word and debugReads of two lines must
  * match the image, and the caches must hold their structural
  * invariants: each private line is in the LLC and reads its LLC way's
- * bytes, the LLC way's sharer mask names every core that holds the
- * line, and a core with a dirty private copy is its only holder. L1 is
- * not checked against L2: a load by another core drops a dirty L2
- * copy and keeps the clean L1 copy above it.
+ * bytes, each L1 line is in its core's L2, the LLC way's sharer mask
+ * names every core that holds the line, and a core with a dirty
+ * private copy is its only holder.
  */
 class OneCopyProperty
     : public ::testing::TestWithParam<std::tuple<Geometry, unsigned>>
@@ -297,6 +296,9 @@ class OneCopyProperty
                         std::to_string(l.addr()) + ": ";
                     if (!home)
                         err = where + "private line not in the LLC";
+                    else if (cache == &hier.l1(c) &&
+                             !hier.l2(c).peekLine(l.addr()))
+                        err = where + "L1 line not in L2";
                     else if (l.home() != home.home() ||
                              l.data() != home.data())
                         err = where + "private way does not read its "

@@ -164,7 +164,6 @@ TEST(CellRunner, RunsEveryCellExactlyOnce)
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(counts[i].load(), 1);
     EXPECT_EQ(runner.label(3), "cell3");
-    EXPECT_GE(runner.totalSeconds(), 0.0);
 }
 
 unsigned

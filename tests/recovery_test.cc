@@ -4,13 +4,17 @@
  * are replayed exactly, uncommitted ones discarded, intra-transaction
  * order preserved, thread counts agree, sequences restart above the
  * GC watermark, and the timing formula, evaluated on one scan, gives
- * each bandwidth's and thread count's recovery time (Fig. 11).
+ * each bandwidth's and thread count's recovery time (Fig. 11), with
+ * the merge partitioned across the recovery threads by home line.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 
+#include "common/hash.hh"
 #include "hoop/hoop_controller.hh"
 
 namespace hoopnvm
@@ -28,6 +32,50 @@ recConfig()
     cfg.oopBlockBytes = miB(1);
     cfg.auxBytes = miB(32);
     return cfg;
+}
+
+/**
+ * The recovery time with every word's merge step charged to one
+ * thread, whatever the thread count: the bound the partitioned merge
+ * must meet at one thread and stay under at more.
+ */
+Tick
+serialMergeTime(const RecoveryResult &r, unsigned threads,
+                const NvmTiming &timing)
+{
+    const std::uint64_t slices = 2 * r.slicesScanned;
+    const Tick cpu = (slices + threads - 1) / threads *
+                         (RecoveryManager::kPerSliceCpuCost +
+                          RecoveryManager::kCrcVerifyCpuCost) +
+                     r.distinctWords * RecoveryManager::kMergeStepCpuCost;
+    return std::max(timing.transferTicks(r.bytesScanned), cpu) +
+           timing.readLatency + timing.writeLatency;
+}
+
+/**
+ * The partitioned merge against the serial one on @p r: equal at one
+ * thread, never above it at 2-16 threads, and never slower when the
+ * thread count doubles.
+ */
+void
+expectPartitionedMergeBounds(const RecoveryResult &r,
+                             const NvmTiming &timing)
+{
+    std::uint64_t words = 0;
+    for (std::uint64_t w : r.bucketWords)
+        words += w;
+    EXPECT_EQ(words, r.distinctWords);
+    for (unsigned thr = 1; thr <= 16; ++thr) {
+        const Tick t = RecoveryManager::time(r, thr, timing);
+        if (thr == 1) {
+            EXPECT_EQ(t, serialMergeTime(r, 1, timing));
+        } else {
+            EXPECT_LE(t, serialMergeTime(r, thr, timing)) << thr;
+        }
+        if (thr <= 8) {
+            EXPECT_LE(RecoveryManager::time(r, 2 * thr, timing), t) << thr;
+        }
+    }
 }
 
 struct RecoveryFixture : ::testing::Test
@@ -314,9 +362,71 @@ TEST_F(RecoveryFixture, TimingScalesWithBandwidthAndThreads)
         prev10 = m10;
         r25.time = r10.time = 0;
         EXPECT_EQ(r25, r10) << "threads " << thr;
+        expectPartitionedMergeBounds(r25, t25);
+        expectPartitionedMergeBounds(r25, t10);
     }
     EXPECT_LT(prev25, prev10); // bandwidth-bound at 16 threads
     EXPECT_EQ(ctrl.recover(16), prev25);
+}
+
+TEST_F(RecoveryFixture, WordOnceImageRecoversAtTheChannelBound)
+{
+    // Fig. 11's kind of image: consecutive words, each written once,
+    // and no periodic GC (maintenance never runs; the region holds
+    // every slice, so no pressure GC either). Its merge work is far
+    // above its channel time on one thread, but split 8 or 16 ways by
+    // home line it falls below, so the channel alone sets the time.
+    constexpr unsigned kTx = 1000, kWordsPerTx = 64;
+    for (unsigned t = 0; t < kTx; ++t) {
+        ctrl.txBegin(0, 0);
+        for (unsigned i = 0; i < kWordsPerTx; ++i) {
+            const std::uint64_t w = t * kWordsPerTx + i;
+            store(0, w * kWordSize, w + 1);
+        }
+        ctrl.txEnd(0, 0);
+    }
+    ctrl.crash();
+
+    const Tick t16 = ctrl.modelRecovery(16);
+    const RecoveryResult r = ctrl.lastRecovery();
+    ASSERT_EQ(r.distinctWords, std::uint64_t{kTx} * kWordsPerTx);
+    const NvmTiming &timing = nvm.timing();
+    EXPECT_EQ(t16, timing.transferTicks(r.bytesScanned) +
+                       timing.readLatency + timing.writeLatency);
+    EXPECT_EQ(ctrl.modelRecovery(8), t16);
+    EXPECT_GT(serialMergeTime(r, 16, timing), t16); // CPU-bound serially
+
+    // Each line's 8 words land in the bucket of its line number's hash.
+    std::array<std::uint64_t, RecoveryManager::kMergeBuckets> buckets{};
+    for (Addr line = 0; line < r.distinctWords * kWordSize;
+         line += kCacheLineSize)
+        buckets[mixHash(line / kCacheLineSize) %
+                RecoveryManager::kMergeBuckets] += kWordsPerLine;
+    EXPECT_EQ(r.bucketWords, buckets);
+    // Thread t of T merges the buckets b with b % T == t, and the
+    // busiest thread's merge steps enter the CPU term.
+    for (unsigned thr = 1; thr <= 16; ++thr) {
+        std::uint64_t busiest = 0;
+        for (unsigned t = 0; t < thr; ++t) {
+            std::uint64_t steps = 0;
+            for (unsigned b = 0; b < buckets.size(); ++b)
+                steps += b % thr == t ? buckets[b] : 0;
+            busiest = std::max(busiest, steps);
+        }
+        EXPECT_EQ(RecoveryManager::busiestMergeSteps(r, thr), busiest)
+            << thr;
+        EXPECT_EQ(RecoveryManager::cpuTime(r, thr),
+                  (2 * r.slicesScanned + thr - 1) / thr *
+                          (RecoveryManager::kPerSliceCpuCost +
+                           RecoveryManager::kCrcVerifyCpuCost) +
+                      busiest * RecoveryManager::kMergeStepCpuCost)
+            << thr;
+    }
+    expectPartitionedMergeBounds(r, timing);
+
+    ctrl.recover(16);
+    for (std::uint64_t w = 0; w < r.distinctWords; w += 997)
+        EXPECT_EQ(nvm.peekWord(w * kWordSize), w + 1) << w;
 }
 
 } // namespace
