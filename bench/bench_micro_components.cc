@@ -93,11 +93,12 @@ BM_CacheProbe(benchmark::State &state)
 {
     Cache c("bm", miB(2), 16, 0);
     std::uint8_t line[kCacheLineSize] = {};
+    const CacheLineMeta clean{.txId = kInvalidTxId, .lastWriter = 0,
+                              .wordMask = 0, .dirty = false,
+                              .persistent = false};
     Rng fill(5);
-    for (int i = 0; i < 20000; ++i) {
-        c.insert(fill.nextBounded(1 << 20) * 64, line, false, false, 0,
-                 kInvalidTxId);
-    }
+    for (int i = 0; i < 20000; ++i)
+        c.insert(fill.nextBounded(1 << 20) * 64, line, clean);
     Rng rng(6);
     for (auto _ : state)
         benchmark::DoNotOptimize(c.probe(rng.nextBounded(1 << 20) * 64));

@@ -33,8 +33,6 @@ main()
     WorkloadParams params;
     params.valueBytes = 1024; // 1 KB key-value pairs (paper §IV-A)
     params.scale = 2048;      // records per shard
-    params.ycsbUpdateRatio = 0.8;
-    params.ycsbTheta = 0.99;
 
     std::printf("running YCSB (80%% updates, Zipfian 0.99, 1 KB "
                 "values) on %u cores...\n",

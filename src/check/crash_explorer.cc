@@ -112,14 +112,13 @@ runSchedule(const CrashSchedule &sched)
             for (unsigned c = 0; c < rig.numCores(); ++c) {
                 try {
                     rig.wl(c).runTransaction(txi);
-                } catch (const TxRejected &) {
-                    // Graceful degradation: the rejected transaction
-                    // wrote no commit record, so crash + recovery
-                    // discards its partial effects and the stream
-                    // continues on the surviving committed state.
-                    sys.crash();
-                    sys.recover(sched.recoverThreads);
-                    rig.dropPendingShadows();
+                } catch (const TxRejected &rj) {
+                    // Graceful degradation: an admission reject wrote
+                    // nothing; a mid-transaction unwind wrote no commit
+                    // record, so crash + recovery discards its partial
+                    // effects and the stream continues on the
+                    // surviving committed state.
+                    rig.resolveReject(rj, c, sched.recoverThreads);
                 }
             }
             sys.maintenance();

@@ -134,55 +134,41 @@ Cache::findVictim(Addr line_addr)
 }
 
 void
-Cache::fillSlot(std::size_t i, Addr line_addr, bool dirty,
-                bool persistent, CoreId writer, TxId tx_id,
-                std::uint8_t word_mask)
+Cache::fillSlot(std::size_t i, Addr line_addr, const CacheLineMeta &state)
 {
-    CacheLineMeta &m = meta_[i];
-    const bool reinsert = tags_[i] == tagOf(line_addr);
-    tags_[i] = tagOf(line_addr);
-    m.dirty = reinsert ? (m.dirty || dirty) : dirty;
-    m.persistent = reinsert ? (m.persistent || persistent) : persistent;
-    m.wordMask = reinsert ? (m.wordMask | word_mask) : word_mask;
-    if (!reinsert || dirty) {
-        m.lastWriter = writer;
-        m.txId = tx_id;
+    if (tags_[i] == tagOf(line_addr)) {
+        meta_[i].merge(state);
+    } else {
+        tags_[i] = tagOf(line_addr);
+        meta_[i] = state;
     }
     lastUse_[i] = ++useClock;
     ++insertionsC_;
 }
 
 void
-Cache::writeBack(Addr line_addr, std::uint32_t slot, bool persistent,
-                 CoreId writer, TxId tx_id, std::uint8_t word_mask)
+Cache::writeBack(Addr line_addr, std::uint32_t slot,
+                 const CacheLineMeta &state)
 {
     HOOP_ASSERT(tags_[slot] == tagOf(line_addr),
                 "write-back of line %#llx: its home way holds another "
                 "line",
                 static_cast<unsigned long long>(line_addr));
-    fillSlot(slot, line_addr, true, persistent, writer, tx_id, word_mask);
+    fillSlot(slot, line_addr, state);
 }
 
 CacheVictim
-Cache::insert(Addr line_addr, const std::uint8_t *data, bool dirty,
-              bool persistent, CoreId writer, TxId tx_id,
-              std::uint8_t word_mask)
+Cache::insert(Addr line_addr, const std::uint8_t *data,
+              const CacheLineMeta &state)
 {
     CacheVictim victim;
-    insert(line_addr, data, dirty, persistent, writer, tx_id, word_mask,
-           [this, &victim](const CacheLine &lru) {
-               victim.valid = true;
-               victim.addr = lru.addr();
-               victim.dirty = lru.dirty();
-               victim.persistent = lru.persistent();
-               victim.lastWriter = lru.lastWriter();
-               victim.txId = lru.txId();
-               victim.wordMask = lru.wordMask();
-               victim.home = lru.home();
-               victim.sharers = sharers_[lru.home()];
-               std::memcpy(victim.data.data(), lru.data(),
-                           kCacheLineSize);
-           });
+    insert(line_addr, data, state, [&victim](const CacheLine &lru) {
+        victim.valid = true;
+        victim.addr = lru.addr();
+        victim.state = lru.state();
+        victim.home = lru.home();
+        std::memcpy(victim.data.data(), lru.data(), kCacheLineSize);
+    });
     return victim;
 }
 

@@ -11,7 +11,7 @@
  *
  * A cache plays one of two roles. A *home* cache (the shared inclusive
  * LLC, or any standalone cache) keeps each line's 64-byte payload and
- * a sharer mask: the cores whose private caches may hold the line. A
+ * a sharer mask: the cores whose private caches hold the line. A
  * *private* cache (an L1 or L2) is built over a home cache and keeps
  * no payload: each of its ways names the home way of its line, and
  * loads and stores go through to those bytes. So a line has one copy
@@ -55,11 +55,12 @@ namespace hoopnvm
 {
 
 /**
- * Per-line bookkeeping kept out of the tag scan array. The LRU stamp
- * is not here either: victim selection scans every way's stamp, so the
- * stamps live in their own packed array (like the tags) and this
- * struct holds only state touched on a hit. The fields have no
- * initializers: a fill writes all five (see the file comment).
+ * A line's state, kept per way out of the tag scan array; fills,
+ * write-backs and victims pass it as one value. The LRU stamp is not
+ * here: victim selection scans every way's stamp, so the stamps live
+ * in their own packed array (like the tags) and this struct holds only
+ * state touched on a hit. The fields have no initializers: a fill
+ * writes all five (see the file comment).
  */
 struct CacheLineMeta
 {
@@ -80,6 +81,23 @@ struct CacheLineMeta
 
     /** Set when the line was modified inside a transaction (§III-G). */
     bool persistent;
+
+    /**
+     * Fold in @p newer, the state of a later copy of the same line:
+     * dirty, persistent and the word mask accumulate, and a dirty
+     * newer copy's writer and transaction replace these.
+     */
+    void
+    merge(const CacheLineMeta &newer)
+    {
+        dirty = dirty || newer.dirty;
+        persistent = persistent || newer.persistent;
+        wordMask |= newer.wordMask;
+        if (newer.dirty) {
+            lastWriter = newer.lastWriter;
+            txId = newer.txId;
+        }
+    }
 };
 
 /**
@@ -103,6 +121,9 @@ class CacheLine
 
     /** Way index of the line in its home cache (its own, in one). */
     std::uint32_t home() const { return home_; }
+
+    /** The line's whole state, for moving it as one value. */
+    CacheLineMeta &state() const { return *meta_; }
 
     bool &dirty() const { return meta_->dirty; }
     bool &persistent() const { return meta_->persistent; }
@@ -137,17 +158,10 @@ struct CacheVictim
 {
     bool valid = false;
     Addr addr = kInvalidAddr;
-    bool dirty = false;
-    bool persistent = false;
-    CoreId lastWriter = 0;
-    TxId txId = kInvalidTxId;
-    std::uint8_t wordMask = 0;
+    CacheLineMeta state{};
 
     /** The victim's home way (see CacheLine::home). */
     std::uint32_t home = 0;
-
-    /** A home-cache victim's sharer mask. */
-    std::uint32_t sharers = 0;
 
     std::array<std::uint8_t, kCacheLineSize> data;
 };
@@ -186,13 +200,6 @@ class Cache
     CacheLine peekLine(Addr line_addr) const;
 
     /**
-     * Lookup that updates neither LRU state nor hit/miss statistics.
-     * For internal coherence bookkeeping, so protocol probes do not
-     * distort the measured hit ratios.
-     */
-    CacheLine findLine(Addr line_addr) { return peekLine(line_addr); }
-
-    /**
      * Refresh LRU and count a hit for @p line without re-scanning its
      * set. The batched range paths use this for the second and later
      * words of a line whose residency is already established; the stat
@@ -206,21 +213,21 @@ class Cache
     }
 
     /**
-     * Insert a line into a home cache, copying its 64-byte payload and,
-     * when the line is new here, starting with no sharers. A valid
-     * line with a different address is displaced from the LRU way of
-     * the set first: @p retire is invoked with a view of the victim
-     * *in place*, and the way is refilled as soon as the callback
-     * returns, so the callback must copy whatever it still needs
-     * (the payload included) and must not retain the view. It may
-     * mutate the victim and read this cache, but must not modify it.
+     * Insert a line with state @p state into a home cache, copying its
+     * 64-byte payload and, when the line is new here, starting with no
+     * sharers. A valid line with a different address is displaced from
+     * the LRU way of the set first: @p retire is invoked with a view of
+     * the victim *in place*, and the way is refilled as soon as the
+     * callback returns, so the callback must copy whatever it still
+     * needs (the payload included) and must not retain the view. It
+     * may mutate the victim's state and sharer mask and read this
+     * cache, but must not otherwise modify it.
      * @return A view of the inserted line.
      */
     template <typename RetireFn>
     CacheLine
-    insert(Addr line_addr, const std::uint8_t *data, bool dirty,
-           bool persistent, CoreId writer, TxId tx_id,
-           std::uint8_t word_mask, RetireFn &&retire)
+    insert(Addr line_addr, const std::uint8_t *data,
+           const CacheLineMeta &state, RetireFn &&retire)
     {
         HOOP_ASSERT(sharers_, "payload insert into a private cache");
         const std::size_t slot = findVictim(line_addr);
@@ -230,20 +237,18 @@ class Cache
                 retire(viewOf(slot));
             sharers_[slot] = 0;
         }
-        fillSlot(slot, line_addr, dirty, persistent, writer, tx_id,
-                 word_mask);
+        fillSlot(slot, line_addr, state);
         std::memcpy(&data_[slot * kCacheLineSize], data, kCacheLineSize);
         return viewOf(slot);
     }
 
     /**
      * Insert returning a copy of the victim (possibly invalid), payload
-     * and sharer mask included. Convenience wrapper over the
-     * retire-callback overload for tests and tools that want the copy.
+     * included. Convenience wrapper over the retire-callback overload
+     * for tests that want the copy.
      */
     CacheVictim insert(Addr line_addr, const std::uint8_t *data,
-                       bool dirty, bool persistent, CoreId writer,
-                       TxId tx_id, std::uint8_t word_mask = 0);
+                       const CacheLineMeta &state);
 
     /**
      * Insert a line into a private cache: the way refers to way
@@ -253,35 +258,32 @@ class Cache
      */
     template <typename RetireFn>
     void
-    insertRef(Addr line_addr, std::uint32_t home, bool dirty,
-              bool persistent, CoreId writer, TxId tx_id,
-              std::uint8_t word_mask, RetireFn &&retire)
+    insertRef(Addr line_addr, std::uint32_t home,
+              const CacheLineMeta &state, RetireFn &&retire)
     {
         const std::size_t slot = findVictim(line_addr);
         if (tags_[slot] != kInvalidTag && tags_[slot] != tagOf(line_addr))
             retire(viewOf(slot));
-        fillSlot(slot, line_addr, dirty, persistent, writer, tx_id,
-                 word_mask);
+        fillSlot(slot, line_addr, state);
         homeWay_[slot] = home;
     }
 
     /**
-     * A dirty write-back from a private cache into way @p slot, which
-     * must hold @p line_addr: the state and LRU effects of re-inserting
-     * the line (dirty sticks, persistent and the word mask accumulate,
-     * writer and transaction become the written-back ones, one
+     * A write-back of dirty state @p state from a private cache into
+     * way @p slot, which must hold @p line_addr: the state and LRU
+     * effects of re-inserting the line (CacheLineMeta::merge, one
      * insertion counted) with neither a set scan nor a payload copy,
      * since the bytes already live here.
      */
-    void writeBack(Addr line_addr, std::uint32_t slot, bool persistent,
-                   CoreId writer, TxId tx_id, std::uint8_t word_mask);
+    void writeBack(Addr line_addr, std::uint32_t slot,
+                   const CacheLineMeta &state);
 
     /** View of valid way @p slot (a home way named by a private line). */
     CacheLine lineAt(std::uint32_t slot) const { return viewOf(slot); }
 
     /**
-     * Sharer mask of home way @p slot: bit c set when core c's private
-     * caches may hold the line (a superset of the cores that do).
+     * Sharer mask of home way @p slot: bit c set exactly when core c's
+     * private caches hold the line.
      */
     std::uint32_t &sharers(std::uint32_t slot) { return sharers_[slot]; }
 
@@ -355,10 +357,12 @@ class Cache
      */
     std::size_t findVictim(Addr line_addr);
 
-    /** Overwrite slot @p i's tag, state and LRU stamp. */
-    void fillSlot(std::size_t i, Addr line_addr, bool dirty,
-                  bool persistent, CoreId writer, TxId tx_id,
-                  std::uint8_t word_mask);
+    /**
+     * Fill slot @p i with @p line_addr in state @p state, or merge
+     * @p state into the line if the slot already holds it; stamp LRU.
+     */
+    void fillSlot(std::size_t i, Addr line_addr,
+                  const CacheLineMeta &state);
 
     unsigned assoc;
     unsigned numSets_;

@@ -19,27 +19,16 @@ captureVictim(const CacheLine &lru, CacheVictim &v)
 {
     v.valid = true;
     v.addr = lru.addr();
-    v.dirty = lru.dirty();
-    v.persistent = lru.persistent();
-    v.lastWriter = lru.lastWriter();
-    v.txId = lru.txId();
-    v.wordMask = lru.wordMask();
+    v.state = lru.state();
     v.home = lru.home();
 }
 
-/**
- * Fold a dirty private copy's state into the given fields of an LLC
- * line or a victim: the bytes are shared, so only the state moves.
- */
-inline void
-mergeDirtyState(const CacheLine &upper, bool &dirty, bool &persistent,
-                CoreId &writer, TxId &tx, std::uint8_t &mask)
+/** State of a clean copy @p core fetched: nothing newer than home. */
+constexpr CacheLineMeta
+cleanState(CoreId core)
 {
-    dirty = true;
-    persistent |= upper.persistent();
-    writer = upper.lastWriter();
-    tx = upper.txId();
-    mask |= upper.wordMask();
+    return {.txId = kInvalidTxId, .lastWriter = core, .wordMask = 0,
+            .dirty = false, .persistent = false};
 }
 
 } // namespace
@@ -70,6 +59,26 @@ CacheHierarchy::CacheHierarchy(const SystemConfig &cfg_)
     memo_.resize(cfg.numCores);
 }
 
+unsigned
+CacheHierarchy::dropCopies(CoreId core, Addr line, std::uint32_t home,
+                           CacheLineMeta &into)
+{
+    unsigned dropped = 0;
+    // L2 first, then L1: when both hold the line, the L1 copy is the
+    // newer one and must win the merge.
+    for (Cache *cache : {l2s[core].get(), l1s[core].get()}) {
+        const CacheLine copy = cache->peekLine(line);
+        if (!copy)
+            continue;
+        if (copy.dirty())
+            into.merge(copy.state());
+        cache->invalidate(line);
+        ++dropped;
+    }
+    llc_->sharers(home) &= ~(std::uint32_t{1} << core);
+    return dropped;
+}
+
 void
 CacheHierarchy::reconcileSharers(CoreId core, Addr line,
                                  CacheLine llc_line, bool exclusive)
@@ -83,52 +92,29 @@ CacheHierarchy::reconcileSharers(CoreId core, Addr line,
     mask |= self;
     if (others == 0)
         return;
-    // Another core's copy is about to be merged, downgraded or
-    // invalidated: no memo taken before this point may survive.
+    // Another core's copy may be about to be merged and dropped: no
+    // memo taken before this point may survive.
     ++structGen_;
 
     for (unsigned c = 0; c < cfg.numCores; ++c) {
         if (!(others & (std::uint32_t{1} << c)))
             continue;
-        // L2 first, then L1: when both hold the line, the L1 copy is
-        // the newer one and must win the merge.
-        for (Cache *cache : {l2s[c].get(), l1s[c].get()}) {
-            CacheLine upper = cache->findLine(line);
-            if (!upper)
-                continue;
-            const bool upper_dirty = upper.dirty();
-            if (upper_dirty) {
-                mergeDirtyState(upper, llc_line.dirty(),
-                                llc_line.persistent(),
-                                llc_line.lastWriter(), llc_line.txId(),
-                                llc_line.wordMask());
-            }
-            if (exclusive) {
-                cache->invalidate(line);
-                ++invalidationsC_;
-            } else if (upper_dirty) {
-                // Downgrade: the LLC now owns the dirty state; drop the
-                // dirty copy so a single owner exists below.
-                cache->invalidate(line);
-                ++downgradesC_;
-                if (cache == l1s[c].get()) {
-                    // Drop the L2 copy under a dirty L1 one as well: in
-                    // hardware it holds the bytes from before the L1
-                    // stores, older than the LLC's now. The model keeps
-                    // that presence decision although its copies share
-                    // one payload.
-                    l2s[c]->invalidate(line);
-                } else if (CacheLine l1l = l1s[c]->findLine(line);
-                           l1l && !l1l.dirty()) {
-                    // Keep L1 inside L2: a clean L1 copy goes with the
-                    // dirty L2 copy below it. A dirty one is merged
-                    // and dropped on the next pass of this loop.
-                    l1s[c]->invalidate(line);
-                }
-            }
+        if (exclusive) {
+            invalidationsC_ +=
+                dropCopies(c, line, llc_line.home(), llc_line.state());
+            continue;
         }
-        if (exclusive)
-            mask &= ~(std::uint32_t{1} << c);
+        // A load downgrades: it takes the core's copies only when one
+        // is dirty, so that the LLC alone owns the dirty state.
+        unsigned dirty = 0;
+        for (Cache *cache : {l2s[c].get(), l1s[c].get()}) {
+            const CacheLine copy = cache->peekLine(line);
+            dirty += copy && copy.dirty();
+        }
+        if (dirty != 0) {
+            dropCopies(c, line, llc_line.home(), llc_line.state());
+            downgradesC_ += dirty;
+        }
     }
 }
 
@@ -141,7 +127,7 @@ CacheHierarchy::ensureInL1(CoreId core, Addr line, bool for_store,
 
     t += l1.latency();
     if (CacheLine l = l1.probe(line)) {
-        // Another core may hold a copy; invalidate it.
+        // Another core may hold a copy; take it.
         if (for_store)
             reconcileSharers(core, line, llc_->lineAt(l.home()),
                              /*exclusive=*/true);
@@ -158,7 +144,7 @@ CacheHierarchy::ensureInL1(CoreId core, Addr line, bool for_store,
         // Promote a clean copy into L1; dirtiness stays in L2.
         const std::uint32_t home = l.home();
         insertL1(core, line, home);
-        CacheLine l1l = l1.findLine(line);
+        CacheLine l1l = l1.peekLine(line);
         HOOP_ASSERT(l1l, "L1 insert must succeed");
         if (for_store)
             reconcileSharers(core, line, llc_->lineAt(home),
@@ -181,10 +167,9 @@ CacheHierarchy::ensureInL1(CoreId core, Addr line, bool for_store,
     reconcileSharers(core, line, llcl, for_store);
 
     // Promote clean copies upward; the LLC keeps dirty ownership.
-    insertL2(core, line, llcl.home(), false, false, core, kInvalidTxId,
-             0);
+    insertL2(core, line, llcl.home(), cleanState(core));
     insertL1(core, line, llcl.home());
-    CacheLine l1l = l1.findLine(line);
+    CacheLine l1l = l1.peekLine(line);
     HOOP_ASSERT(l1l, "L1 fill must succeed");
     return l1l;
 }
@@ -309,47 +294,32 @@ CacheHierarchy::insertL1(CoreId core, Addr line, std::uint32_t home)
     // invalidate the line being inserted) observe the hierarchy as it
     // stands after the insert.
     CacheVictim v;
-    l1s[core]->insertRef(line, home, false, false, core, kInvalidTxId, 0,
+    l1s[core]->insertRef(line, home, cleanState(core),
                          [&v](const CacheLine &lru) {
                              captureVictim(lru, v);
                          });
     // A clean victim needs nothing more: L1 is inside L2, so the L2
     // copy keeps the core's sharer bit.
-    if (v.valid && v.dirty) {
-        insertL2(core, v.addr, v.home, true, v.persistent, v.lastWriter,
-                 v.txId, v.wordMask);
-    }
+    if (v.valid && v.state.dirty)
+        insertL2(core, v.addr, v.home, v.state);
 }
 
 void
 CacheHierarchy::insertL2(CoreId core, Addr line, std::uint32_t home,
-                         bool dirty, bool persistent, CoreId writer,
-                         TxId tx, std::uint8_t mask)
+                         const CacheLineMeta &state)
 {
     ++structGen_;
     CacheVictim v;
-    l2s[core]->insertRef(line, home, dirty, persistent, writer, tx, mask,
-                         [&v](const CacheLine &lru) {
-                             captureVictim(lru, v);
-                         });
+    l2s[core]->insertRef(line, home, state, [&v](const CacheLine &lru) {
+        captureVictim(lru, v);
+    });
     if (!v.valid)
         return;
 
-    // Maintain L2 inclusion of L1: merge and drop any L1 copy.
-    if (CacheLine l1l = l1s[core]->findLine(v.addr)) {
-        if (l1l.dirty()) {
-            mergeDirtyState(l1l, v.dirty, v.persistent, v.lastWriter,
-                            v.txId, v.wordMask);
-        }
-        l1s[core]->invalidate(v.addr);
-    }
-    // Neither private level holds the line now.
-    llc_->sharers(v.home) &= ~(std::uint32_t{1} << core);
-
-    if (v.dirty) {
-        llc_->writeBack(v.addr, v.home, v.persistent, v.lastWriter,
-                        v.txId, v.wordMask);
-    }
+    // L1 stays inside L2: the victim's L1 copy leaves with it.
+    dropCopies(core, v.addr, v.home, v.state);
+    if (v.state.dirty)
+        llc_->writeBack(v.addr, v.home, v.state);
 }
 
 CacheLine
@@ -357,57 +327,37 @@ CacheHierarchy::fillLlc(CoreId core, Addr line, const std::uint8_t *data,
                         const FillResult &fr, Tick now)
 {
     ++structGen_;
+    const CacheLineMeta state{.txId = fr.txId, .lastWriter = core,
+                              .wordMask = fr.wordMask, .dirty = fr.dirty,
+                              .persistent = fr.persistent};
     CacheVictim v;
     const CacheLine filled = llc_->insert(
-        line, data, fr.dirty, fr.persistent, core, fr.txId, fr.wordMask,
-        [this, &v](const CacheLine &lru) {
+        line, data, state, [this, &v](const CacheLine &lru) {
+            // Inclusive LLC: back-invalidate every private copy,
+            // folding its state into the victim, while the victim's
+            // bytes (also those copies' bytes) are still in place.
+            const std::uint32_t held = llc_->sharers(lru.home());
+            if (held != 0)
+                ++backInvalidationsC_;
+            for (unsigned c = 0; c < cfg.numCores; ++c) {
+                if (held & (std::uint32_t{1} << c))
+                    dropCopies(c, lru.addr(), lru.home(), lru.state());
+            }
             captureVictim(lru, v);
-            v.sharers = llc_->sharers(lru.home());
-            // The refill overwrites the victim's bytes, which are also
-            // its private copies' bytes: keep them whenever the victim
-            // or a copy above it may be dirty.
-            if (v.dirty || v.sharers != 0)
+            if (v.state.dirty)
                 std::memcpy(v.data.data(), lru.data(), kCacheLineSize);
         });
-    if (v.valid)
-        retireLlcVictim(v, now);
-    return filled;
-}
 
-void
-CacheHierarchy::retireLlcVictim(CacheVictim &victim, Tick now)
-{
-    // Inclusive LLC: back-invalidate every upper-level copy, folding
-    // any dirty state into the victim before it leaves the hierarchy.
-    if (victim.sharers != 0) {
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            if (!(victim.sharers & (std::uint32_t{1} << c)))
-                continue;
-            // L2 before L1: the L1 copy is newer when both exist.
-            for (Cache *cache : {l2s[c].get(), l1s[c].get()}) {
-                CacheLine upper = cache->findLine(victim.addr);
-                if (!upper)
-                    continue;
-                if (upper.dirty()) {
-                    mergeDirtyState(upper, victim.dirty,
-                                    victim.persistent, victim.lastWriter,
-                                    victim.txId, victim.wordMask);
-                }
-                cache->invalidate(victim.addr);
-            }
-        }
-        ++backInvalidationsC_;
-    }
-
-    if (victim.dirty) {
+    if (v.valid && v.state.dirty) {
         ++llcDirtyWritebacksC_;
         // Crash point: the dirty victim has left the hierarchy but the
         // controller has not yet accepted (and persisted) it.
         ctrl->crashStep(CrashPointKind::Eviction);
-        ctrl->evictLine(victim.lastWriter, victim.addr,
-                        victim.data.data(), victim.persistent,
-                        victim.txId, victim.wordMask, now);
+        ctrl->evictLine(v.state.lastWriter, v.addr, v.data.data(),
+                        v.state.persistent, v.state.txId,
+                        v.state.wordMask, now);
     }
+    return filled;
 }
 
 void
@@ -462,38 +412,21 @@ CacheHierarchy::dropAll()
 void
 CacheHierarchy::writebackAll(Tick now)
 {
-    ++structGen_;
-    // Drain strictly top-down: L1 dirt folds into L2 first (an L2 copy
-    // of the same line may be dirty but stale), then L2 into the LLC.
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        l1s[c]->forEachLine([&](CacheLine &line) {
-            if (!line.dirty())
-                return;
-            insertL2(c, line.addr(), line.home(), true,
-                     line.persistent(), line.lastWriter(), line.txId(),
-                     line.wordMask());
-            line.dirty() = false;
-        });
-        l1s[c]->invalidateAll();
-        l2s[c]->forEachLine([&](CacheLine &line) {
-            if (!line.dirty())
-                return;
-            llc_->writeBack(line.addr(), line.home(), line.persistent(),
-                            line.lastWriter(), line.txId(),
-                            line.wordMask());
-            line.dirty() = false;
-        });
-        l2s[c]->invalidateAll();
-    }
+    // Fold each LLC line's private copies into its way, then hand the
+    // dirty ways to the controller in LLC way order.
     llc_->forEachLine([&](CacheLine &line) {
-        if (!line.dirty())
-            return;
-        ctrl->evictLine(line.lastWriter(), line.addr(), line.data(),
-                        line.persistent(), line.txId(), line.wordMask(),
-                        now);
-        line.dirty() = false;
+        const std::uint32_t held = llc_->sharers(line.home());
+        for (unsigned c = 0; c < cfg.numCores; ++c) {
+            if (held & (std::uint32_t{1} << c))
+                dropCopies(c, line.addr(), line.home(), line.state());
+        }
+        if (line.dirty()) {
+            ctrl->evictLine(line.lastWriter(), line.addr(), line.data(),
+                            line.persistent(), line.txId(),
+                            line.wordMask(), now);
+        }
     });
-    llc_->invalidateAll();
+    dropAll();
 }
 
 void

@@ -8,12 +8,16 @@
  * inclusive LLC is the single home of every cached line: its way holds
  * the line's 64-byte payload and its sharer mask, and the L1/L2 ways
  * that hold the line refer to that way, so loads read and stores write
- * the one copy. Each level keeps its own presence, LRU and dirty /
- * persistent / word-mask / writer / transaction state, so dirty
- * evictions cascade L1 -> L2 -> LLC as state alone; LLC victims are
- * back-invalidated from all upper levels, their state merged, and
- * handed to the controller, which is where crash-consistency schemes
- * differ (home region vs out-of-place).
+ * the one copy. Each level keeps its own presence, LRU and state
+ * (CacheLineMeta: dirty, persistent, word mask, writer, transaction),
+ * so a dirty eviction moves state alone, L1 -> L2 -> LLC. L1 is inside
+ * L2, and the sharer mask names exactly the cores whose L1/L2 hold the
+ * line. One routine, dropCopies, takes a line from a core: for a
+ * store by another core, for a load that finds the core's copy dirty,
+ * for an L2 victim's L1 copy, for an LLC victim (back-invalidation)
+ * and for the final write-back. LLC victims leave with their state
+ * merged and go to the controller, which is where crash-consistency
+ * schemes differ (home region vs out-of-place).
  *
  * Coherence: the simulator executes cores one at a time, so a simple
  * invalidate-on-write protocol with an LLC-side sharer mask suffices.
@@ -152,29 +156,37 @@ class CacheHierarchy
     void insertL1(CoreId core, Addr line, std::uint32_t home);
 
     /**
-     * Insert @p line (LLC way @p home) into L2 with the given state; a
+     * Insert @p line (LLC way @p home) into L2 in state @p state; a
      * victim's state, merged with its L1 copy's, writes back into the
      * LLC when dirty.
      */
-    void insertL2(CoreId core, Addr line, std::uint32_t home, bool dirty,
-                  bool persistent, CoreId writer, TxId tx,
-                  std::uint8_t mask);
+    void insertL2(CoreId core, Addr line, std::uint32_t home,
+                  const CacheLineMeta &state);
 
     /**
      * Fill @p line into the LLC with the controller's bytes and state;
-     * the victim is back-invalidated and evicted.
+     * the victim is back-invalidated and, when dirty, handed to the
+     * controller.
      * @return The filled LLC line.
      */
     CacheLine fillLlc(CoreId core, Addr line, const std::uint8_t *data,
                       const FillResult &fr, Tick now);
 
-    /** Handle an LLC victim: merge upper copies, hand to controller. */
-    void retireLlcVictim(CacheVictim &victim, Tick now);
+    /**
+     * Take @p line, whose LLC way is @p home, from @p core: fold the
+     * core's L2 and then its L1 copy into @p into (a dirty L1 copy
+     * wins the merge), drop both and clear the core's sharer bit. The
+     * only code that takes a line from a core's private caches.
+     * @return The number of copies dropped (0-2).
+     */
+    unsigned dropCopies(CoreId core, Addr line, std::uint32_t home,
+                        CacheLineMeta &into);
 
     /**
-     * Fold other cores' private copies of @p line into @p llc_line,
-     * invalidating them if @p exclusive and downgrading dirty ones
-     * otherwise, and record @p core as a sharer.
+     * Record @p core as a sharer of @p line and take the line from the
+     * other cores that hold it, folding their state into @p llc_line:
+     * a store (@p exclusive) takes every copy, a load only a core's
+     * copies one of which is dirty.
      */
     void reconcileSharers(CoreId core, Addr line, CacheLine llc_line,
                           bool exclusive);

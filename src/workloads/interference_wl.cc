@@ -39,10 +39,11 @@ interferenceRoleForCore(CoreId core, unsigned n_cores, double read_mix)
 }
 
 InterferenceWorkload::InterferenceWorkload(TxContext ctx_,
-                                           const InterferenceParams &p)
+                                           const WorkloadParams &p)
     : Workload(std::move(ctx_)), p_(p),
       role_(interferenceRoleForCore(
-          ctx.core(), ctx.system().config().numCores, p.readMix)),
+          ctx.core(), ctx.system().config().numCores,
+          p.interferenceReadMix)),
       latH_(ctx.system().stats().histogram(
           std::string("role_") + interferenceRoleName(role_) +
           "_ticks"))
@@ -50,7 +51,8 @@ InterferenceWorkload::InterferenceWorkload(TxContext ctx_,
     HOOP_ASSERT(p_.valueBytes % kWordSize == 0,
                 "item size must be a word multiple");
     HOOP_ASSERT(p_.scale > 0, "interference needs a non-empty array");
-    HOOP_ASSERT(p_.saturation > 0.0 && p_.saturation <= 1.0,
+    HOOP_ASSERT(p_.interferenceSaturation > 0.0 &&
+                    p_.interferenceSaturation <= 1.0,
                 "saturation must be in (0, 1]");
 }
 
@@ -102,10 +104,10 @@ InterferenceWorkload::finishTx(Tick t0)
     // the transaction's own cost, so a scheme that slows under
     // contention does not also get a longer rest (the offered load is
     // the controlled variable, not the completion rate).
-    if (p_.saturation < 1.0 && active > 0) {
+    const double s = p_.interferenceSaturation;
+    if (s < 1.0 && active > 0) {
         const auto gap = static_cast<Tick>(
-            static_cast<double>(active) * (1.0 - p_.saturation) /
-            p_.saturation);
+            static_cast<double>(active) * (1.0 - s) / s);
         if (gap > 0)
             ctx.idle(gap);
     }
@@ -115,7 +117,7 @@ void
 InterferenceWorkload::runLogAppend()
 {
     const Tick t0 = ctx.clock();
-    const unsigned n = std::max(1u, p_.logAppendsPerTx);
+    const unsigned n = kLogAppendsPerTx;
     std::vector<std::uint8_t> buf(p_.valueBytes);
     ctx.txBegin();
     for (unsigned k = 0; k < n; ++k) {
@@ -132,7 +134,7 @@ void
 InterferenceWorkload::runPointRead()
 {
     const Tick t0 = ctx.clock();
-    const unsigned n = std::max(1u, p_.pointReadsPerTx);
+    const unsigned n = kPointReadsPerTx;
     const std::size_t item_words = p_.valueBytes / kWordSize;
     ctx.txBegin();
     for (unsigned k = 0; k < n; ++k) {
@@ -154,7 +156,7 @@ void
 InterferenceWorkload::runSeqScan()
 {
     const Tick t0 = ctx.clock();
-    const unsigned n = std::max(1u, p_.scanItemsPerTx);
+    const unsigned n = kScanItemsPerTx;
     std::vector<std::uint8_t> buf(p_.valueBytes);
     ctx.txBegin();
     for (unsigned k = 0; k < n; ++k) {
@@ -175,7 +177,7 @@ void
 InterferenceWorkload::runGcPressure()
 {
     const Tick t0 = ctx.clock();
-    const unsigned n = std::max(1u, p_.gcOverwritesPerTx);
+    const unsigned n = kGcOverwritesPerTx;
     std::vector<std::uint8_t> buf(p_.valueBytes);
     // Whole-item overwrites at random indexes: every byte is dirtied,
     // the maximal write-amplification / GC-churn traffic. The same

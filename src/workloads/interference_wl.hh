@@ -30,8 +30,8 @@
  *    each transaction the core idles for active * (1 - s) / s ticks,
  *    so its duty cycle is s; at s = 1 cores run flat out.
  *
- * Per-role intensity knobs set the operations per transaction. Each
- * role records its per-transaction latency into the system StatSet
+ * Per-role intensity constants set the operations per transaction.
+ * Each role records its per-transaction latency into the system StatSet
  * histogram "role_<name>_ticks" (resolved once at construction), which
  * System::metrics() surfaces as RunMetrics.roles.
  */
@@ -41,6 +41,7 @@
 
 #include <vector>
 
+#include "workloads/registry.hh"
 #include "workloads/workload.hh"
 
 namespace hoopnvm
@@ -68,24 +69,23 @@ const char *interferenceRoleName(InterferenceRole role);
 InterferenceRole interferenceRoleForCore(CoreId core, unsigned n_cores,
                                          double read_mix);
 
-/** Intensity knobs for one interference cell (see WorkloadParams). */
-struct InterferenceParams
-{
-    std::size_t valueBytes = 64;
-    std::uint64_t scale = 4096;
-    double readMix = 0.5;
-    double saturation = 1.0;
-    unsigned logAppendsPerTx = 4;
-    unsigned pointReadsPerTx = 8;
-    unsigned scanItemsPerTx = 16;
-    unsigned gcOverwritesPerTx = 2;
-};
-
 /** One core's slice of the mixed-role interference mix. */
 class InterferenceWorkload : public Workload
 {
   public:
-    InterferenceWorkload(TxContext ctx, const InterferenceParams &p);
+    /** log_append: records appended per transaction. */
+    static constexpr unsigned kLogAppendsPerTx = 4;
+
+    /** point_read: random single-word loads per transaction. */
+    static constexpr unsigned kPointReadsPerTx = 8;
+
+    /** seq_scan: whole items streamed per transaction. */
+    static constexpr unsigned kScanItemsPerTx = 16;
+
+    /** gc_pressure: whole-item overwrites per transaction. */
+    static constexpr unsigned kGcOverwritesPerTx = 2;
+
+    InterferenceWorkload(TxContext ctx, const WorkloadParams &p);
 
     const char *name() const override { return "interference"; }
     void setup() override;
@@ -104,7 +104,7 @@ class InterferenceWorkload : public Workload
     /** Record tx latency and apply the saturation duty-cycle gap. */
     void finishTx(Tick t0);
 
-    InterferenceParams p_;
+    WorkloadParams p_;
     InterferenceRole role_;
 
     /** Role-aggregate per-tx latency series (shared across cores). */

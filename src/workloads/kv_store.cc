@@ -35,18 +35,6 @@ KvStore::seed(std::uint64_t key, const void *payload)
 }
 
 void
-KvStore::get(std::uint64_t key, void *payload)
-{
-    ctx->read(slotAddr(key), payload, recordBytes_);
-}
-
-void
-KvStore::put(std::uint64_t key, const void *payload)
-{
-    ctx->write(slotAddr(key), payload, recordBytes_);
-}
-
-void
 KvStore::putRegion(std::uint64_t key, std::uint64_t version)
 {
     const std::size_t item_words = recordBytes_ / kWordSize;

@@ -4,9 +4,10 @@
  *
  * The paper drives YCSB and TPC-C through an N-store database; what the
  * memory system observes is the per-transaction load/store footprint
- * over fixed-size records. KvStore provides exactly that: a table of
- * slotted records in simulated NVM with transactional get/put, shared
- * by the YCSB driver, the TPC-C tables, and the examples.
+ * over fixed-size records. KvStore provides exactly that for YCSB (and
+ * so the kvstore example): a table of slotted records in simulated NVM
+ * with field-granular transactional reads and updates. TPC-C keeps its
+ * own tables (workloads/tpcc.hh).
  */
 
 #ifndef HOOPNVM_WORKLOADS_KV_STORE_HH
@@ -37,12 +38,6 @@ class KvStore
 
     /** Initialize record @p key untimed (pre-population). */
     void seed(std::uint64_t key, const void *payload);
-
-    /** Timed read of record @p key. */
-    void get(std::uint64_t key, void *payload);
-
-    /** Timed write of record @p key. */
-    void put(std::uint64_t key, const void *payload);
 
     /**
      * Field-granular update: rewrite the interleaved region selected

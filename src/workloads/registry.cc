@@ -65,23 +65,13 @@ makeWorkload(const std::string &name, const WorkloadParams &p)
     if (name == "ycsb") {
         return [p](System &sys, CoreId core) {
             return std::make_unique<YcsbWorkload>(
-                contextFor(sys, core), p.valueBytes, p.scale,
-                p.ycsbUpdateRatio, p.ycsbTheta);
+                contextFor(sys, core), p.valueBytes, p.scale);
         };
     }
     if (name == "interference") {
-        InterferenceParams ip;
-        ip.valueBytes = p.valueBytes;
-        ip.scale = p.scale;
-        ip.readMix = p.interferenceReadMix;
-        ip.saturation = p.interferenceSaturation;
-        ip.logAppendsPerTx = p.roleLogAppendsPerTx;
-        ip.pointReadsPerTx = p.rolePointReadsPerTx;
-        ip.scanItemsPerTx = p.roleScanItemsPerTx;
-        ip.gcOverwritesPerTx = p.roleGcOverwritesPerTx;
-        return [ip](System &sys, CoreId core) {
+        return [p](System &sys, CoreId core) {
             return std::make_unique<InterferenceWorkload>(
-                contextFor(sys, core), ip);
+                contextFor(sys, core), p);
         };
     }
     if (name == "tpcc") {

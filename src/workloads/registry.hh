@@ -21,7 +21,11 @@
 namespace hoopnvm
 {
 
-/** Sizing knobs for registry-built workloads. */
+/**
+ * Sizing knobs for registry-built workloads. YCSB's mix and the
+ * interference roles' intensities are constants beside YcsbWorkload
+ * and InterferenceWorkload.
+ */
 struct WorkloadParams
 {
     /** Item / value payload size (the paper's 64 B and 1 KB sets). */
@@ -30,12 +34,6 @@ struct WorkloadParams
     /** Structure size scale (items, key space, records). */
     std::uint64_t scale = 4096;
 
-    /** YCSB update fraction (paper: 80%). */
-    double ycsbUpdateRatio = 0.8;
-
-    /** YCSB Zipfian skew. */
-    double ycsbTheta = 0.99;
-
     // ---- Interference suite (workload "interference") ----
 
     /** Fraction of cores given reader roles (point_read/seq_scan). */
@@ -43,18 +41,6 @@ struct WorkloadParams
 
     /** Target duty cycle in (0, 1]: 1 = run flat out, no pacing. */
     double interferenceSaturation = 1.0;
-
-    /** log_append: records appended per transaction. */
-    unsigned roleLogAppendsPerTx = 4;
-
-    /** point_read: random single-word loads per transaction. */
-    unsigned rolePointReadsPerTx = 8;
-
-    /** seq_scan: whole items streamed per transaction. */
-    unsigned roleScanItemsPerTx = 16;
-
-    /** gc_pressure: whole-item overwrites per transaction. */
-    unsigned roleGcOverwritesPerTx = 2;
 };
 
 /** The paper's Table III workloads by name, in suite order (the first

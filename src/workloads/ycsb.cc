@@ -6,12 +6,10 @@ namespace hoopnvm
 {
 
 YcsbWorkload::YcsbWorkload(TxContext ctx_, std::size_t value_bytes,
-                           std::uint64_t records, double update_ratio,
-                           double theta)
+                           std::uint64_t records)
     : Workload(std::move(ctx_)),
       store(&ctx, records, value_bytes),
-      zipf(records, theta, 0xb0bacafe + ctx.core()),
-      updateRatio(update_ratio)
+      zipf(records, kTheta, 0xb0bacafe + ctx.core())
 {
 }
 
@@ -46,7 +44,7 @@ YcsbWorkload::runTransaction(std::uint64_t)
     ctx.txBegin();
     for (unsigned op = 0; op < ops; ++op) {
         const std::uint64_t key = zipf.next();
-        if (ctx.rng().nextBool(updateRatio)) {
+        if (ctx.rng().nextBool(kUpdateRatio)) {
             auto it = shadow.find(key);
             std::uint64_t ver = it == shadow.end() ? 1 : it->second + 1;
             // Later ops in this tx may bump the same key again.

@@ -23,15 +23,18 @@ namespace hoopnvm
 class YcsbWorkload : public Workload
 {
   public:
+    /** Fraction of operations that are writes (paper: 80%). */
+    static constexpr double kUpdateRatio = 0.8;
+
+    /** Zipfian skew of key popularity (the YCSB default). */
+    static constexpr double kTheta = 0.99;
+
     /**
      * @param value_bytes  Key-value pair size (512 or 1024).
      * @param records      Records per shard.
-     * @param update_ratio Fraction of operations that are writes.
-     * @param theta        Zipfian skew (0.99 = YCSB default).
      */
     YcsbWorkload(TxContext ctx, std::size_t value_bytes,
-                 std::uint64_t records, double update_ratio,
-                 double theta);
+                 std::uint64_t records);
 
     const char *name() const override { return "ycsb"; }
     void setup() override;
@@ -41,7 +44,6 @@ class YcsbWorkload : public Workload
   private:
     KvStore store;
     ZipfianGenerator zipf;
-    double updateRatio;
 
     /** Committed key -> version. */
     std::unordered_map<std::uint64_t, std::uint64_t> shadow;

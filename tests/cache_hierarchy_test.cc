@@ -260,8 +260,8 @@ struct Geometry
  * After every step, the loaded word and debugReads of two lines must
  * match the image, and the caches must hold their structural
  * invariants: each private line is in the LLC and reads its LLC way's
- * bytes, each L1 line is in its core's L2, the LLC way's sharer mask
- * names every core that holds the line, and a core with a dirty
+ * bytes, each L1 line is in its core's L2, each LLC way's sharer mask
+ * names exactly the cores that hold the line, and a core with a dirty
  * private copy is its only holder.
  */
 class OneCopyProperty
@@ -303,12 +303,21 @@ class OneCopyProperty
                              l.data() != home.data())
                         err = where + "private way does not read its "
                                       "LLC way's bytes";
-                    else if (!(hier.llc().sharers(home.home()) & bit))
-                        err = where + "holder missing from the sharer "
-                                      "mask";
                 });
             }
         }
+        if (!err.empty())
+            return err;
+        hier.llc().forEachLine([&](CacheLine &l) {
+            const auto it = holders.find(l.addr());
+            const std::uint32_t held =
+                it == holders.end() ? 0 : it->second.first;
+            const std::uint32_t mask = hier.llc().sharers(l.home());
+            if (err.empty() && mask != held)
+                err = "line " + std::to_string(l.addr()) + ": mask " +
+                      std::to_string(mask) + " but held by " +
+                      std::to_string(held);
+        });
         if (!err.empty())
             return err;
         for (const auto &[line, hd] : holders) {

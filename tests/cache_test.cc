@@ -24,12 +24,22 @@ lineData(std::uint8_t fill)
     return d;
 }
 
+/** A line with nothing newer than home. */
+constexpr CacheLineMeta kClean{.txId = kInvalidTxId, .lastWriter = 0,
+                               .wordMask = 0, .dirty = false,
+                               .persistent = false};
+
+/** A line dirtied outside any transaction. */
+constexpr CacheLineMeta kDirty{.txId = kInvalidTxId, .lastWriter = 0,
+                               .wordMask = 0, .dirty = true,
+                               .persistent = false};
+
 TEST(Cache, MissThenHit)
 {
     Cache c("t", kiB(4), 4, nsToTicks(2));
     EXPECT_FALSE(c.probe(0));
     auto d = lineData(1);
-    c.insert(0, d.data(), false, false, 0, kInvalidTxId);
+    c.insert(0, d.data(), kClean);
     CacheLine l = c.probe(0);
     ASSERT_TRUE(l);
     EXPECT_EQ(l.data()[0], 1);
@@ -66,11 +76,11 @@ TEST(Cache, LruEvictsOldest)
     // Single-set cache: capacity = 2 lines.
     Cache c("t", 128, 2, 0);
     auto d = lineData(0);
-    c.insert(0, d.data(), false, false, 0, kInvalidTxId);
-    c.insert(64, d.data(), false, false, 0, kInvalidTxId);
+    c.insert(0, d.data(), kClean);
+    c.insert(64, d.data(), kClean);
     c.probe(0); // touch 0 so 64 is LRU
     CacheVictim v =
-        c.insert(128, d.data(), false, false, 0, kInvalidTxId);
+        c.insert(128, d.data(), kClean);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 64u);
     EXPECT_TRUE(c.probe(0));
@@ -82,18 +92,20 @@ TEST(Cache, VictimCarriesState)
 {
     Cache c("t", 128, 2, 0);
     auto d = lineData(7);
-    c.insert(0, d.data(), true, true, 3, 99, 0x0f);
-    c.insert(64, d.data(), false, false, 0, kInvalidTxId);
+    c.insert(0, d.data(),
+             {.txId = 99, .lastWriter = 3, .wordMask = 0x0f,
+              .dirty = true, .persistent = true});
+    c.insert(64, d.data(), kClean);
     c.probe(64);
     CacheVictim v =
-        c.insert(128, d.data(), false, false, 0, kInvalidTxId);
+        c.insert(128, d.data(), kClean);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.addr, 0u);
-    EXPECT_TRUE(v.dirty);
-    EXPECT_TRUE(v.persistent);
-    EXPECT_EQ(v.lastWriter, 3u);
-    EXPECT_EQ(v.txId, 99u);
-    EXPECT_EQ(v.wordMask, 0x0f);
+    EXPECT_TRUE(v.state.dirty);
+    EXPECT_TRUE(v.state.persistent);
+    EXPECT_EQ(v.state.lastWriter, 3u);
+    EXPECT_EQ(v.state.txId, 99u);
+    EXPECT_EQ(v.state.wordMask, 0x0f);
     EXPECT_EQ(v.data[0], 7);
 }
 
@@ -101,14 +113,21 @@ TEST(Cache, ReinsertMergesFlags)
 {
     Cache c("t", kiB(4), 4, 0);
     auto d = lineData(1);
-    c.insert(0, d.data(), true, false, 1, 5, 0x01);
+    c.insert(0, d.data(),
+             {.txId = 5, .lastWriter = 1, .wordMask = 0x01, .dirty = true,
+              .persistent = false});
     auto d2 = lineData(2);
-    c.insert(0, d2.data(), false, true, 2, 6, 0x02);
+    c.insert(0, d2.data(),
+             {.txId = 6, .lastWriter = 2, .wordMask = 0x02,
+              .dirty = false, .persistent = true});
     CacheLine l = c.probe(0);
     ASSERT_TRUE(l);
     EXPECT_TRUE(l.dirty());      // sticky
     EXPECT_TRUE(l.persistent()); // sticky
     EXPECT_EQ(l.wordMask(), 0x03);
+    // A clean reinsert keeps the dirty writer and transaction.
+    EXPECT_EQ(l.lastWriter(), 1u);
+    EXPECT_EQ(l.txId(), 5u);
     EXPECT_EQ(l.data()[0], 2); // newest data wins
 }
 
@@ -116,7 +135,9 @@ TEST(Cache, InvalidateRemovesLine)
 {
     Cache c("t", kiB(4), 4, 0);
     auto d = lineData(1);
-    c.insert(0, d.data(), true, true, 0, 1, 0xff);
+    c.insert(0, d.data(),
+             {.txId = 1, .lastWriter = 0, .wordMask = 0xff, .dirty = true,
+              .persistent = true});
     c.invalidate(0);
     EXPECT_FALSE(c.probe(0));
     c.invalidate(64); // no-op on absent lines
@@ -127,7 +148,7 @@ TEST(Cache, InvalidateAll)
     Cache c("t", kiB(4), 4, 0);
     auto d = lineData(1);
     for (Addr a = 0; a < kiB(2); a += kCacheLineSize)
-        c.insert(a, d.data(), true, false, 0, kInvalidTxId);
+        c.insert(a, d.data(), kDirty);
     c.invalidateAll();
     for (Addr a = 0; a < kiB(2); a += kCacheLineSize)
         EXPECT_FALSE(c.peekLine(a));
@@ -137,12 +158,12 @@ TEST(Cache, PeekDoesNotTouchLru)
 {
     Cache c("t", 128, 2, 0);
     auto d = lineData(0);
-    c.insert(0, d.data(), false, false, 0, kInvalidTxId);
-    c.insert(64, d.data(), false, false, 0, kInvalidTxId);
+    c.insert(0, d.data(), kClean);
+    c.insert(64, d.data(), kClean);
     // peek must not refresh line 0's LRU position.
     EXPECT_TRUE(c.peekLine(0));
     CacheVictim v =
-        c.insert(128, d.data(), false, false, 0, kInvalidTxId);
+        c.insert(128, d.data(), kClean);
     EXPECT_EQ(v.addr, 0u);
 }
 
@@ -150,8 +171,8 @@ TEST(Cache, ForEachLineVisitsValidOnly)
 {
     Cache c("t", kiB(4), 4, 0);
     auto d = lineData(1);
-    c.insert(0, d.data(), true, false, 0, kInvalidTxId);
-    c.insert(64, d.data(), false, false, 0, kInvalidTxId);
+    c.insert(0, d.data(), kDirty);
+    c.insert(64, d.data(), kClean);
     unsigned count = 0, dirty = 0;
     c.forEachLine([&](CacheLine &l) {
         ++count;
