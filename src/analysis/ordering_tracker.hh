@@ -137,6 +137,15 @@ class OrderingTracker final : public NvmWriteObserver
   public:
     OrderingTracker() = default;
 
+    /**
+     * A copy carries every rule's tallies, the open dependency groups
+     * and the in-flight writes. The crash explorer hands one to each
+     * crash point it forks, so the fork's crash and recovery are
+     * checked as if the window had crashed there.
+     */
+    OrderingTracker(const OrderingTracker &) = default;
+    OrderingTracker &operator=(const OrderingTracker &) = default;
+
     // ---- Declaration DSL ----
 
     /** Builder returned by rule(); pick exactly one requires*(). */

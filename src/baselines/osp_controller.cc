@@ -1,6 +1,7 @@
 #include "baselines/osp_controller.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "analysis/ordering_tracker.hh"
 #include "common/logging.hh"
@@ -293,9 +294,18 @@ OspController::recover(unsigned)
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(chunk.size(), n_lines - off));
         nvm_.peek(table + off, chunk.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (chunk[i])
-                shadowCurrent.insert((off + i) * kCacheLineSize);
+        for (std::size_t w = 0; w < n; w += kWordSize) {
+            // Few lines ever flip: a word of clear selectors is
+            // skipped at once.
+            const std::size_t len = std::min<std::size_t>(kWordSize, n - w);
+            std::uint64_t word = 0;
+            std::memcpy(&word, &chunk[w], len);
+            if (word == 0)
+                continue;
+            for (std::size_t i = w; i < w + len; ++i) {
+                if (chunk[i])
+                    shadowCurrent.insert((off + i) * kCacheLineSize);
+            }
         }
     }
 

@@ -8,14 +8,27 @@
  * boundary class (stores, evictions, commit records, GC steps,
  * recovery steps) one deterministic workload window exposes; the
  * budget is then spread across the classes as evenly-spaced crash
- * schedules. Each schedule crashes, optionally crashes *again inside
- * recovery*, re-enters recovery on the twice-crashed image, and
- * validates the shared post-recovery oracle (CheckRig::oracle,
- * check/rig.hh): committed-shadow equality with the commit-record
- * ambiguity resolved both ways, then the workload's structural
- * invariants.
+ * points, each a one-step crash schedule. Each point crashes,
+ * optionally crashes *again inside recovery*, re-enters recovery on
+ * the twice-crashed image, and validates the shared post-recovery
+ * oracle (check/rig.hh): committed-shadow equality with the
+ * commit-record ambiguity resolved both ways, then the workload's
+ * structural invariants.
  *
- * A violating schedule is shrunk to a minimal reproducer and can be
+ * explore() executes the window once. One armed pass runs warm-up and
+ * window with every point's crash point tapped (CrashHook::setTap);
+ * at each point a fresh System adopts a copy of the machine's image
+ * (System::adoptImage), crashes, recovers and is judged read-only
+ * against the running window's shadows (CheckRig::judge), so a point
+ * costs a recovery, not a re-execution. A point inside a commit whose
+ * strict check fails keeps its recovered fork until that commit's
+ * shadow update is applied. A point the pass cannot judge as
+ * runSchedule() would is re-run through it and counted
+ * (ExploreReport::pointsRerun). runSchedule() is the standalone path:
+ * profiling, shrinking, `--replay` and the oracle the one-pass
+ * verdicts are tested against.
+ *
+ * A violating point is shrunk to a minimal reproducer and can be
  * serialized for deterministic replay (see crash_schedule.hh).
  */
 
@@ -33,6 +46,30 @@
 
 namespace hoopnvm
 {
+
+/** Outcome of executing one schedule. */
+struct ScheduleResult
+{
+    bool violated = false;
+
+    /** Any step's primary crash point actually fired. */
+    bool crashFired = false;
+
+    /** A crash-during-recovery point actually fired. */
+    bool recoveryCrashFired = false;
+
+    /** Human-readable description of the first violation. */
+    std::string detail;
+
+    /** Per-class event counts over the run window (profiling). */
+    std::array<std::uint64_t, kNumCrashPointKinds> events{};
+
+    /** Per-rule outcome of this schedule (ordering armed only). */
+    std::vector<OrderingRuleReport> orderingRules;
+
+    /** Ordering-violation traces of this schedule (capped). */
+    std::vector<OrderingViolation> orderingTraces;
+};
 
 /** Parameters of one exploration sweep (one scheme x one workload). */
 struct ExploreOptions
@@ -65,7 +102,11 @@ struct ExploreOptions
      * Arm the persistency-ordering analyzer on every schedule. Rule
      * checks run continuously, so a broken fence is reported as a
      * violated rule even when no schedule's crash lands in the
-     * vulnerable window.
+     * vulnerable window. The one-pass sweep watches the window once
+     * and hands each forked point a copy of the tracker, so every
+     * point still reports what its own schedule would: per-rule fire
+     * counts sum over points as they did when each point re-ran the
+     * window.
      */
     bool ordering = false;
 
@@ -73,35 +114,24 @@ struct ExploreOptions
     std::vector<CrashPointKind> kinds;
 
     /**
-     * Invoked immediately before each schedule executes (profiling and
-     * shrink runs included). Drives external progress tracking — the
-     * CLI beats its per-schedule watchdog here.
+     * Invoked with each schedule as its work starts: before the
+     * profiling run, at each crash point the one-pass sweep reaches
+     * (before its fork crashes and recovers), and before each re-run
+     * and shrink attempt. The time between calls is therefore one
+     * unit of work: the pass's warm-up plus the window up to its first
+     * point, the window between two points plus one fork, or one
+     * standalone run. Drives external progress tracking — the CLI
+     * beats its per-schedule watchdog here.
      */
     std::function<void(const CrashSchedule &)> progress;
-};
 
-/** Outcome of executing one schedule. */
-struct ScheduleResult
-{
-    bool violated = false;
-
-    /** Any step's primary crash point actually fired. */
-    bool crashFired = false;
-
-    /** A crash-during-recovery point actually fired. */
-    bool recoveryCrashFired = false;
-
-    /** Human-readable description of the first violation. */
-    std::string detail;
-
-    /** Per-class event counts over the run window (profiling). */
-    std::array<std::uint64_t, kNumCrashPointKinds> events{};
-
-    /** Per-rule outcome of this schedule (ordering armed only). */
-    std::vector<OrderingRuleReport> orderingRules;
-
-    /** Ordering-violation traces of this schedule (capped). */
-    std::vector<OrderingViolation> orderingTraces;
+    /**
+     * Invoked with each crash point's schedule and result as explore()
+     * tallies it, in (kind, index) order; the report keeps only their
+     * sums. The one-pass tests compare each with runSchedule().
+     */
+    std::function<void(const CrashSchedule &, const ScheduleResult &)>
+        outcome;
 };
 
 /** One confirmed, shrunken violation. */
@@ -123,6 +153,13 @@ struct ExploreReport
 
     std::array<std::uint64_t, kNumCrashPointKinds> schedulesPerKind{};
     std::array<std::uint64_t, kNumCrashPointKinds> firedPerKind{};
+
+    /**
+     * Points the one-pass sweep could not judge as runSchedule() would
+     * (a commit's pending shadow update that was never applied), re-run
+     * through runSchedule() instead. Counted in schedulesRun too.
+     */
+    std::uint64_t pointsRerun = 0;
 
     std::vector<Violation> violations;
 
@@ -159,7 +196,12 @@ CrashSchedule
 shrink(const CrashSchedule &failing, std::string *detail = nullptr,
        const std::function<void(const CrashSchedule &)> &progress = {});
 
-/** Run a full budget-bounded sweep for one scheme x workload. */
+/**
+ * Run a full budget-bounded sweep for one scheme x workload: the
+ * profiling run, then one armed pass over the window that forks every
+ * crash point (see the file comment). The report equals the one a
+ * runSchedule() per point gives.
+ */
 ExploreReport explore(const ExploreOptions &opt);
 
 } // namespace hoopnvm

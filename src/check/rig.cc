@@ -98,26 +98,55 @@ CheckRig::oracle(const std::string &when, std::string *detail)
 {
     for (unsigned c = 0; c < numCores(); ++c) {
         Workload &wl = *wls_[c];
-        bool ok = wl.verify();
-        if (!ok && wl.hasPendingShadow()) {
+        bool same = wl.verify();
+        if (!same && wl.hasPendingShadow()) {
             wl.applyPendingShadow();
-            ok = wl.verify();
+            same = wl.verify();
         } else {
             wl.dropPendingShadow();
         }
-        std::string why;
-        if (!ok) {
-            why = "committed state lost or phantom data surfaced (" +
-                  when + ")";
-        } else if (!wl.verifyStructure(&why)) {
-            why = "structural invariant broken (" + when + "): " + why;
-        } else {
-            continue;
-        }
-        *detail = label_ + " core " + std::to_string(c) + ": " + why;
-        return false;
+        if (!finishCore(c, same, when, detail))
+            return false;
     }
     return true;
+}
+
+CheckRig::Verdict
+CheckRig::judge(System &image, unsigned *core, const std::string &when,
+                std::string *detail)
+{
+    for (unsigned c = *core; c < numCores(); ++c) {
+        Workload &wl = *wls_[c];
+        wl.rebind(image);
+        const bool same = wl.verify();
+        const bool pending = !same && wl.hasPendingShadow();
+        const bool ok = pending || finishCore(c, same, when, detail);
+        wl.rebind(sys_);
+        if (pending) {
+            *core = c;
+            return Verdict::Pending;
+        }
+        if (!ok)
+            return Verdict::Fail;
+    }
+    return Verdict::Pass;
+}
+
+bool
+CheckRig::finishCore(unsigned c, bool same, const std::string &when,
+                     std::string *detail) const
+{
+    std::string why;
+    if (!same) {
+        why = "committed state lost or phantom data surfaced (" + when +
+              ")";
+    } else if (!wls_[c]->verifyStructure(&why)) {
+        why = "structural invariant broken (" + when + "): " + why;
+    } else {
+        return true;
+    }
+    *detail = label_ + " core " + std::to_string(c) + ": " + why;
+    return false;
 }
 
 } // namespace hoopnvm

@@ -107,7 +107,35 @@ class CheckRig
      */
     bool oracle(const std::string &when, std::string *detail);
 
+    /** What judge() concluded. */
+    enum class Verdict
+    {
+        Pass,
+        Fail,
+        Pending,
+    };
+
+    /**
+     * The oracle, read-only, on @p image: a System that adopted this
+     * rig's image (System::adoptImage), then crashed and recovered.
+     * Judges cores *@p core onward against this rig's shadows as
+     * oracle() does, but applies and drops no pending shadow update.
+     * @return Fail with @p detail set as oracle() sets it, or Pending
+     * with *@p core set when that core's strict check failed while
+     * its commit's shadow update is pending: judge again from that
+     * core once the update has been applied.
+     */
+    Verdict judge(System &image, unsigned *core, const std::string &when,
+                  std::string *detail);
+
   private:
+    /**
+     * The rest of core @p c's check once its shadow comparison gave
+     * @p same: the structural invariants, and the detail on failure.
+     */
+    bool finishCore(unsigned c, bool same, const std::string &when,
+                    std::string *detail) const;
+
     std::string label_;
     System sys_;
     std::vector<std::unique_ptr<Workload>> wls_;

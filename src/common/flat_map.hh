@@ -35,6 +35,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/hash.hh"
@@ -54,6 +55,30 @@ class FlatMap
           vals_(std::make_unique_for_overwrite<V[]>(kInitialSlots))
     {
     }
+
+    /** Deep copy: same slots, same entries, same visit order. */
+    FlatMap(const FlatMap &other)
+        : size_(other.size_), keys_(other.keys_),
+          vals_(std::make_unique_for_overwrite<V[]>(other.keys_.size()))
+    {
+        for (std::size_t i = 0; i < keys_.size(); ++i) {
+            if (keys_[i] != kEmptyKey)
+                vals_[i] = other.vals_[i];
+        }
+    }
+
+    FlatMap &
+    operator=(const FlatMap &other)
+    {
+        FlatMap copy(other);
+        std::swap(size_, copy.size_);
+        keys_.swap(copy.keys_);
+        vals_.swap(copy.vals_);
+        return *this;
+    }
+
+    FlatMap(FlatMap &&) = default;
+    FlatMap &operator=(FlatMap &&) = default;
 
     /** Pointer to the value for @p key, or nullptr when absent. */
     V *

@@ -173,21 +173,18 @@ Cache::insert(Addr line_addr, const std::uint8_t *data,
 }
 
 void
-Cache::invalidate(Addr line_addr)
+Cache::invalidate(const CacheLine &line)
 {
-    const std::size_t base =
-        static_cast<std::size_t>(setIndex(line_addr)) * assoc;
-    const Addr tag = tagOf(line_addr);
-    for (unsigned w = 0; w < assoc; ++w) {
-        if (tags_[base + w] == tag) {
-            // Only the tag and the stamp change: nothing reads an
-            // invalid way's metadata, and the next fill rewrites it.
-            tags_[base + w] = kInvalidTag;
-            // Zero stamp ranks invalid ways first in findVictim.
-            lastUse_[base + w] = 0;
-            return;
-        }
-    }
+    if (!line)
+        return;
+    const std::size_t i = static_cast<std::size_t>(line.meta_ - meta_.get());
+    HOOP_ASSERT(i < numWays_ && tags_[i] == tagOf(line.addr()),
+                "invalidate of a line this cache does not hold");
+    // Only the tag and the stamp change: nothing reads an invalid
+    // way's metadata, and the next fill rewrites it.
+    tags_[i] = kInvalidTag;
+    // Zero stamp ranks invalid ways first in findVictim.
+    lastUse_[i] = 0;
 }
 
 void

@@ -287,8 +287,12 @@ class Cache
      */
     std::uint32_t &sharers(std::uint32_t slot) { return sharers_[slot]; }
 
-    /** Drop @p line_addr without writeback; no-op if absent. */
-    void invalidate(Addr line_addr);
+    /**
+     * Drop the line @p line views, one of this cache's own ways,
+     * without writeback and without a set scan; an empty view is a
+     * no-op.
+     */
+    void invalidate(const CacheLine &line);
 
     /** Drop every line without writeback (crash model). */
     void invalidateAll();

@@ -61,18 +61,19 @@ CacheHierarchy::CacheHierarchy(const SystemConfig &cfg_)
 
 unsigned
 CacheHierarchy::dropCopies(CoreId core, Addr line, std::uint32_t home,
-                           CacheLineMeta &into)
+                           CacheLineMeta &into, bool l1Only)
 {
     unsigned dropped = 0;
     // L2 first, then L1: when both hold the line, the L1 copy is the
     // newer one and must win the merge.
-    for (Cache *cache : {l2s[core].get(), l1s[core].get()}) {
-        const CacheLine copy = cache->peekLine(line);
+    Cache *const levels[] = {l2s[core].get(), l1s[core].get()};
+    for (unsigned i = l1Only ? 1 : 0; i < 2; ++i) {
+        const CacheLine copy = levels[i]->peekLine(line);
         if (!copy)
             continue;
         if (copy.dirty())
             into.merge(copy.state());
-        cache->invalidate(line);
+        levels[i]->invalidate(copy);
         ++dropped;
     }
     llc_->sharers(home) &= ~(std::uint32_t{1} << core);
@@ -316,8 +317,9 @@ CacheHierarchy::insertL2(CoreId core, Addr line, std::uint32_t home,
     if (!v.valid)
         return;
 
-    // L1 stays inside L2: the victim's L1 copy leaves with it.
-    dropCopies(core, v.addr, v.home, v.state);
+    // L1 stays inside L2: the victim's L1 copy leaves with it. The
+    // refill has already taken the victim's L2 way.
+    dropCopies(core, v.addr, v.home, v.state, true);
     if (v.state.dirty)
         llc_->writeBack(v.addr, v.home, v.state);
 }

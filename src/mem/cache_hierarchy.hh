@@ -177,10 +177,12 @@ class CacheHierarchy
      * core's L2 and then its L1 copy into @p into (a dirty L1 copy
      * wins the merge), drop both and clear the core's sharer bit. The
      * only code that takes a line from a core's private caches.
+     * @p l1Only skips the L2 lookup, for a caller whose refill has
+     * just evicted the line from L2.
      * @return The number of copies dropped (0-2).
      */
     unsigned dropCopies(CoreId core, Addr line, std::uint32_t home,
-                        CacheLineMeta &into);
+                        CacheLineMeta &into, bool l1Only = false);
 
     /**
      * Record @p core as a sharer of @p line and take the line from the

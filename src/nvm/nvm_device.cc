@@ -13,6 +13,51 @@ NvmDevice::NvmDevice(std::uint64_t capacity, NvmTiming timing)
     HOOP_ASSERT(capacity_ > 0, "NVM capacity must be non-zero");
 }
 
+NvmDevice::NvmDevice(const NvmDevice &other)
+    : capacity_(other.capacity_), timing_(other.timing_)
+{
+    *this = other;
+}
+
+NvmDevice &
+NvmDevice::operator=(const NvmDevice &other)
+{
+    if (this == &other)
+        return *this;
+    NvmWriteObserver *const obs = observer_;
+    capacity_ = other.capacity_;
+    timing_ = other.timing_;
+    energy_ = other.energy_;
+    faults_ = other.faults_;
+    tables_.clear();
+    tables_.resize(other.tables_.size());
+    for (std::size_t t = 0; t < tables_.size(); ++t) {
+        if (!other.tables_[t])
+            continue;
+        tables_[t] = std::make_unique<PageTable>();
+        for (std::size_t p = 0; p < kPagesPerTable; ++p) {
+            if (const Page *page = (*other.tables_[t])[p].get())
+                (*tables_[t])[p] = std::make_unique<Page>(*page);
+        }
+    }
+    skipSettles_ = other.skipSettles_;
+    channelFree_ = other.channelFree_;
+    channelBusyTicks_ = other.channelBusyTicks_;
+    channelWaitTicks_ = other.channelWaitTicks_;
+    drainFences_ = other.drainFences_;
+    bytesRead_ = other.bytesRead_;
+    bytesWritten_ = other.bytesWritten_;
+    readAccesses_ = other.readAccesses_;
+    writeAccesses_ = other.writeAccesses_;
+    readRetryMax_ = other.readRetryMax_;
+    readRetryBackoff_ = other.readRetryBackoff_;
+    eccCorrectCost_ = other.eccCorrectCost_;
+    readRetries_ = other.readRetries_;
+    uncorrectableReads_ = other.uncorrectableReads_;
+    setWriteObserver(obs);
+    return *this;
+}
+
 NvmDevice::Page &
 NvmDevice::pageFor(Addr addr)
 {

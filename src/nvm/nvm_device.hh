@@ -56,6 +56,17 @@ class NvmDevice
     NvmDevice(std::uint64_t capacity, NvmTiming timing);
 
     /**
+     * Deep copy of @p other's image: every stored byte, the fault
+     * model (in-flight writes with their pre-images, scheduled media
+     * faults, seed and policy), the channel state and the counters.
+     * The write observer is wiring, not state: a copy starts with
+     * none, and an assignment keeps the target's. The two devices
+     * share nothing afterwards.
+     */
+    NvmDevice(const NvmDevice &other);
+    NvmDevice &operator=(const NvmDevice &other);
+
+    /**
      * Timed read: copies bytes out and returns the completion tick.
      *
      * When a read-retry policy is configured (setReadRetryPolicy) and

@@ -13,6 +13,11 @@
  *
  * Events are counted even when unarmed, so a profiling run can measure
  * how many crash points of each class one schedule exposes.
+ *
+ * A tapped hook (setTap) calls its tap where it would throw and lets
+ * execution continue: the crash explorer runs one window and forks
+ * each crash point it reaches (System::adoptImage) instead of
+ * re-running the window once per point.
  */
 
 #ifndef HOOPNVM_SIM_CRASH_HOOK_HH
@@ -20,6 +25,8 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <utility>
 
 namespace hoopnvm
 {
@@ -65,9 +72,13 @@ struct SimCrash
 class CrashHook
 {
   public:
+    /** Receives the crash points a tapped hook reaches. */
+    using Tap = std::function<void(CrashPointKind)>;
+
     /**
-     * Record one event of class @p k; throws SimCrash when an armed
-     * countdown on @p k reaches zero. Hot path: two array accesses.
+     * Record one event of class @p k. When an armed countdown on @p k
+     * reaches zero, throws SimCrash, or calls the tap if one is set.
+     * Hot path: two array accesses.
      */
     void
     step(CrashPointKind k)
@@ -75,8 +86,16 @@ class CrashHook
         const auto i = static_cast<unsigned>(k);
         ++counts_[i];
         if (countdown_[i] > 0 && --countdown_[i] == 0)
-            throw SimCrash{k};
+            fire(k);
     }
+
+    /**
+     * Call @p tap at each armed crash point instead of throwing
+     * (an empty tap restores throwing). The tap runs before the
+     * event's operation, with the machine as a crash there would find
+     * it; it may re-arm the class for its next point.
+     */
+    void setTap(Tap tap) { tap_ = std::move(tap); }
 
     /**
      * Arm class @p k to crash on its @p n-th subsequent event
@@ -127,8 +146,17 @@ class CrashHook
     void resetCounts() { counts_.fill(0); }
 
   private:
+    void
+    fire(CrashPointKind k)
+    {
+        if (!tap_)
+            throw SimCrash{k};
+        tap_(k);
+    }
+
     std::array<std::uint64_t, kNumCrashPointKinds> counts_{};
     std::array<std::uint64_t, kNumCrashPointKinds> countdown_{};
+    Tap tap_;
 };
 
 } // namespace hoopnvm

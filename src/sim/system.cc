@@ -253,6 +253,17 @@ System::crash()
     crashHook_.disarmVolatile();
 }
 
+void
+System::adoptImage(const System &src)
+{
+    HOOP_ASSERT(src.scheme_ == scheme_ &&
+                    src.cfg_.numCores == cfg_.numCores &&
+                    src.cfg_.nvmCapacity() == cfg_.nvmCapacity(),
+                "adoptImage from a differently built system");
+    *nvm_ = *src.nvm_;
+    cores_ = src.cores_;
+}
+
 Tick
 System::recover(unsigned threads)
 {

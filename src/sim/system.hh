@@ -287,6 +287,17 @@ class System
     /** Run the scheme's recovery. @return modelled recovery ticks. */
     Tick recover(unsigned threads);
 
+    /**
+     * Take @p src's machine state as of now, as a power failure would
+     * find it: a deep copy of its NVM device (stored bytes, in-flight
+     * writes with their pre-images, channel state) and its core
+     * clocks. Caches and controller state stay this system's own, so
+     * crash() then recover() rebuild from the durable image alone.
+     * @p src must have this system's config and scheme; it is not
+     * changed. The crash explorer forks each crash point this way.
+     */
+    void adoptImage(const System &src);
+
     // ---- Persistency-ordering analysis ----
 
     /**

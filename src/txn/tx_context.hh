@@ -98,6 +98,9 @@ class TxContext
     Rng &rng() { return rng_; }
     System &system() { return *sys_; }
 
+    /** Send every later access to @p sys (see Workload::rebind). */
+    void rebind(System &sys) { sys_ = &sys; }
+
   private:
     System *sys_;
     CoreId core_;

@@ -80,6 +80,15 @@ class Workload
     /** Discard the staged shadow mutation (commit did not survive). */
     void dropPendingShadow() { pendingShadow_ = nullptr; }
 
+    /**
+     * Send this workload's accesses to @p sys, a System that adopted
+     * the image of the one it was set up on (System::adoptImage), so
+     * verify() and verifyStructure() judge that copy against this
+     * workload's shadow. The crash explorer binds a workload to a
+     * recovered fork this way and then binds it back.
+     */
+    void rebind(System &sys) { ctx.rebind(sys); }
+
   protected:
     /**
      * Commit the open transaction and stage @p shadow_update as the

@@ -138,9 +138,9 @@ TEST(Cache, InvalidateRemovesLine)
     c.insert(0, d.data(),
              {.txId = 1, .lastWriter = 0, .wordMask = 0xff, .dirty = true,
               .persistent = true});
-    c.invalidate(0);
+    c.invalidate(c.peekLine(0));
     EXPECT_FALSE(c.probe(0));
-    c.invalidate(64); // no-op on absent lines
+    c.invalidate(c.peekLine(64)); // an empty view is a no-op
 }
 
 TEST(Cache, InvalidateAll)

@@ -2,9 +2,10 @@
  * @file
  * Tests for the crash-point exploration engine: schedule JSON
  * round-trips, crash-during-recovery and GC-migration coverage for
- * every persistent scheme, and checker validation against a
- * deliberately broken commit fence (which must yield a small,
- * replayable reproducer).
+ * every persistent scheme, checker validation against a deliberately
+ * broken commit fence (which must yield a small, replayable
+ * reproducer), and the one-pass sweep judging every point as a
+ * standalone runSchedule() does.
  */
 
 #include <gtest/gtest.h>
@@ -196,6 +197,148 @@ TEST(Explorer, MultiStepScheduleSurvivesRepeatedCrashes)
     EXPECT_TRUE(r.recoveryCrashFired);
     EXPECT_FALSE(r.violated) << r.detail;
 }
+
+/** One sweep configuration for the one-pass equivalence check. */
+struct PassCase
+{
+    Scheme scheme;
+    const char *workload;
+    bool torn;
+    bool brokenFence;
+    double runtimeFaultProb;
+    std::uint64_t budget;
+    std::vector<CrashPointKind> kinds;
+};
+
+class OnePassSweep : public ::testing::TestWithParam<PassCase>
+{
+};
+
+void
+expectSameRules(const std::vector<OrderingRuleReport> &got,
+                const std::vector<OrderingRuleReport> &want,
+                const std::string &at)
+{
+    ASSERT_EQ(got.size(), want.size()) << at;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].name, want[i].name) << at;
+        EXPECT_EQ(got[i].fires, want[i].fires) << at << " " << got[i].name;
+        EXPECT_EQ(got[i].depsChecked, want[i].depsChecked)
+            << at << " " << got[i].name;
+        EXPECT_EQ(got[i].violations, want[i].violations)
+            << at << " " << got[i].name;
+    }
+}
+
+TEST_P(OnePassSweep, JudgesEveryPointAsRunScheduleDoes)
+{
+    const PassCase &pc = GetParam();
+    ExploreOptions opt;
+    opt.scheme = pc.scheme;
+    opt.workload = pc.workload;
+    opt.seed = 7;
+    opt.budget = pc.budget;
+    opt.tornWrites = pc.torn;
+    opt.breakCommitFence = pc.brokenFence;
+    opt.runtimeFaultProb = pc.runtimeFaultProb;
+    opt.kinds = pc.kinds;
+    opt.ordering = true;
+    std::vector<std::pair<CrashSchedule, ScheduleResult>> points;
+    opt.outcome = [&points](const CrashSchedule &s,
+                            const ScheduleResult &r) {
+        points.emplace_back(s, r);
+    };
+    const ExploreReport rep = explore(opt);
+    ASSERT_FALSE(points.empty());
+    EXPECT_EQ(rep.pointsRerun, 0u);
+
+    // The report that one runSchedule() per point gives: results
+    // summed in (kind, index) order, each violation shrunk.
+    ExploreReport want;
+    CrashSchedule base = points.front().first;
+    base.steps.clear();
+    const ScheduleResult profile = runSchedule(base);
+    EXPECT_EQ(rep.eventsProfiled, profile.events);
+    mergeRuleReports(&want.orderingRules, profile.orderingRules);
+    std::size_t vi = 0;
+    for (const auto &[sched, got] : points) {
+        const CrashStep &step = sched.steps.front();
+        const std::string at = std::string(crashPointKindToken(step.kind)) +
+                               " #" + std::to_string(step.countdown) + "/" +
+                               std::to_string(step.recoveryCountdown);
+        const ScheduleResult r = runSchedule(sched);
+        EXPECT_EQ(got.events, r.events) << at;
+        EXPECT_EQ(got.crashFired, r.crashFired) << at;
+        EXPECT_EQ(got.recoveryCrashFired, r.recoveryCrashFired) << at;
+        EXPECT_EQ(got.violated, r.violated) << at;
+        EXPECT_EQ(got.detail, r.detail) << at;
+        expectSameRules(got.orderingRules, r.orderingRules, at);
+        EXPECT_EQ(got.orderingTraces.size(), r.orderingTraces.size())
+            << at;
+
+        const bool recovery_kind = step.recoveryCountdown > 0;
+        const unsigned k = static_cast<unsigned>(
+            recovery_kind ? CrashPointKind::RecoveryStep : step.kind);
+        ++want.schedulesRun;
+        ++want.schedulesPerKind[k];
+        want.crashesFired += r.crashFired;
+        want.recoveryCrashesFired += r.recoveryCrashFired;
+        want.firedPerKind[k] +=
+            recovery_kind ? r.recoveryCrashFired : r.crashFired;
+        mergeRuleReports(&want.orderingRules, r.orderingRules);
+        if (!r.violated)
+            continue;
+        ASSERT_LT(vi, rep.violations.size()) << at;
+        std::string detail = r.detail;
+        const CrashSchedule shrunk = shrink(sched, &detail);
+        EXPECT_EQ(rep.violations[vi].detail, detail) << at;
+        EXPECT_EQ(rep.violations[vi].reproducer.toJson(), shrunk.toJson())
+            << at;
+        ++vi;
+    }
+    EXPECT_EQ(rep.violations.size(), vi);
+    EXPECT_EQ(rep.schedulesRun, want.schedulesRun);
+    EXPECT_EQ(rep.crashesFired, want.crashesFired);
+    EXPECT_EQ(rep.recoveryCrashesFired, want.recoveryCrashesFired);
+    EXPECT_EQ(rep.schedulesPerKind, want.schedulesPerKind);
+    EXPECT_EQ(rep.firedPerKind, want.firedPerKind);
+    expectSameRules(rep.orderingRules, want.orderingRules, "sweep");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, OnePassSweep,
+    ::testing::Values(
+        PassCase{Scheme::Hoop, "vector", false, false, 0.0, 20, {}},
+        PassCase{Scheme::Hoop, "vector", true, false, 0.0, 20, {}},
+        PassCase{Scheme::Hoop, "btree", false, false, 0.0, 20, {}},
+        PassCase{Scheme::Hoop, "btree", true, false, 0.0, 20, {}},
+        PassCase{Scheme::Hoop, "tpcc", false, false, 0.0, 20, {}},
+        PassCase{Scheme::Hoop, "tpcc", true, false, 0.0, 20, {}},
+        PassCase{Scheme::OptRedo, "vector", false, false, 0.0, 20, {}},
+        PassCase{Scheme::OptRedo, "vector", true, false, 0.0, 20, {}},
+        PassCase{Scheme::OptRedo, "btree", false, false, 0.0, 20, {}},
+        PassCase{Scheme::OptRedo, "btree", true, false, 0.0, 20, {}},
+        PassCase{Scheme::OptRedo, "tpcc", false, false, 0.0, 20, {}},
+        PassCase{Scheme::OptRedo, "tpcc", true, false, 0.0, 20, {}},
+        PassCase{Scheme::Osp, "vector", false, false, 0.0, 20, {}},
+        PassCase{Scheme::Osp, "vector", true, false, 0.0, 20, {}},
+        PassCase{Scheme::Osp, "btree", false, false, 0.0, 20, {}},
+        PassCase{Scheme::Osp, "btree", true, false, 0.0, 20, {}},
+        PassCase{Scheme::Osp, "tpcc", false, false, 0.0, 20, {}},
+        PassCase{Scheme::Osp, "tpcc", true, false, 0.0, 20, {}},
+        // Under the broken fence, commit-record points violate both
+        // when judged at once and when judged with the pending update
+        // applied, so the deferral's verdicts show.
+        PassCase{Scheme::Hoop, "vector", true, true, 0.0, 20,
+                 {CrashPointKind::Store, CrashPointKind::CommitRecord}},
+        PassCase{Scheme::Hoop, "hashmap", false, false, 0.02, 20, {}}),
+    [](const ::testing::TestParamInfo<PassCase> &info) {
+        const PassCase &p = info.param;
+        return std::string(schemeToken(p.scheme)) + "_" + p.workload +
+               (p.torn ? "_torn" : "_clean") +
+               (p.brokenFence ? "_broken_fence" : "") +
+               (p.runtimeFaultProb > 0 ? "_media" : "");
+    });
 
 // Fixed torn-write schedules that each reproduced a real
 // crash-consistency bug before it was fixed. One entry per fix:

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/order_harness.hh"
 #include "common/rng.hh"
 #include "hoop/hoop_controller.hh"
 #include "workloads/registry.hh"
@@ -446,6 +447,114 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         }
         return n;
+    });
+
+/**
+ * Recovery reads only the durable image: a fresh System that adopted a
+ * crashed system's image (NVM device and core clocks, nothing
+ * volatile) must recover to the same state as the crashed system
+ * itself. The crash explorer judges every crash point on such a fork,
+ * so a scheme whose recovery leaned on state that survives crash() in
+ * its controller would make the explorer judge a different machine.
+ */
+class AdoptedImage
+    : public ::testing::TestWithParam<std::tuple<Scheme, bool>>
+{
+};
+
+TEST_P(AdoptedImage, RecoversLikeTheCrashedSystem)
+{
+    const auto [scheme, torn] = GetParam();
+    // The explorer's machine: small OOP blocks and a short GC period
+    // put GC / checkpoint steps inside the window.
+    const SystemConfig cfg = smallCheckConfig(2, 42);
+    for (CrashPointKind kind :
+         {CrashPointKind::Store, CrashPointKind::CommitRecord,
+          CrashPointKind::GcStep}) {
+        unsigned fired = 0;
+        for (std::uint64_t point : {1u, 9u, 33u}) {
+            System sys(cfg, scheme);
+            if (torn) {
+                sys.nvm().faults().setSeed(0x1ea5e + point);
+                sys.nvm().faults().setTornWrites(true);
+            }
+            auto factory = makeWorkload("btree", crashParams());
+            std::vector<std::unique_ptr<Workload>> wls;
+            for (unsigned c = 0; c < cfg.numCores; ++c) {
+                wls.push_back(factory(sys, c));
+                wls.back()->setup();
+            }
+            std::uint64_t i = 0;
+            for (; i < 10; ++i) {
+                for (auto &wl : wls)
+                    wl->runTransaction(i);
+                sys.maintenance();
+            }
+            sys.crashHook().arm(kind, point);
+            bool crashed = false;
+            try {
+                for (; i < 50; ++i) {
+                    for (auto &wl : wls)
+                        wl->runTransaction(i);
+                    sys.maintenance();
+                }
+            } catch (const SimCrash &) {
+                crashed = true;
+            }
+            if (!crashed)
+                continue; // the scheme has fewer events of this class
+            ++fired;
+
+            System image(cfg, scheme);
+            image.adoptImage(sys);
+            sys.crash();
+            sys.recover(2);
+            image.crash();
+            image.recover(2);
+
+            const std::string at = std::string(schemeName(scheme)) +
+                                   (torn ? " torn " : " clean ") +
+                                   crashPointKindToken(kind) + " #" +
+                                   std::to_string(point);
+            for (unsigned c = 0; c < cfg.numCores; ++c) {
+                const Addr base = cfg.homeBase() +
+                                  c * sys.allocator().arenaBytes();
+                const std::uint64_t used = sys.allocator().bytesUsed(c);
+                std::vector<std::uint8_t> want(used), got(used);
+                sys.nvm().peek(base, want.data(), used);
+                image.nvm().peek(base, got.data(), used);
+                EXPECT_EQ(got, want) << at << ": core " << c
+                                     << " home bytes differ";
+
+                Workload &wl = *wls[c];
+                std::string why_sys, why_image;
+                const bool same_sys = wl.verify();
+                const bool shape_sys = wl.verifyStructure(&why_sys);
+                wl.rebind(image);
+                const bool same_image = wl.verify();
+                const bool shape_image = wl.verifyStructure(&why_image);
+                wl.rebind(sys);
+                EXPECT_EQ(same_image, same_sys) << at << ": core " << c;
+                EXPECT_EQ(shape_image, shape_sys) << at << ": core " << c;
+                EXPECT_EQ(why_image, why_sys) << at << ": core " << c;
+            }
+        }
+        EXPECT_GT(fired, 0u) << schemeName(scheme) << " never crashed at "
+                             << crashPointKindToken(kind);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllPersistentSchemes, AdoptedImage,
+    ::testing::Combine(::testing::ValuesIn(kDurableSchemes),
+                       ::testing::Bool()),
+    [](const auto &info) {
+        std::string n = schemeName(std::get<0>(info.param));
+        for (auto &c : n) {
+            if (c == '-')
+                c = '_';
+        }
+        return n + (std::get<1>(info.param) ? "_torn" : "_clean");
     });
 
 TEST(CrashEdgeCases, DoubleCrashDuringRecoveryWindow)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the NVM device model: functional sparse storage,
- * latency/bandwidth timing, traffic counters and the energy model.
+ * latency/bandwidth timing, traffic counters, the energy model, and
+ * copies of a device's image.
  */
 
 #include <gtest/gtest.h>
@@ -331,6 +332,135 @@ TEST(NvmChannel, GaugesAccumulateAndReset)
     // resetCounters is a measurement boundary, not a time machine: the
     // channel stays reserved.
     EXPECT_GT(dev.channelFree(), 0u);
+}
+
+// ---- Copies: the crash explorer's fork of a device image ----
+
+/** Counts the crashes a device reports. */
+struct CrashCounter final : NvmWriteObserver
+{
+    void onTimedWrite(Addr, std::size_t, Tick, Tick) override {}
+    void onSettle(Tick) override {}
+    void onCrash(Tick) override { ++crashes; }
+    unsigned crashes = 0;
+};
+
+/** Bytes of @p dev over [@p addr, @p addr + @p len). */
+std::vector<std::uint8_t>
+bytesOf(const NvmDevice &dev, Addr addr, std::size_t len)
+{
+    std::vector<std::uint8_t> out(len);
+    dev.peek(addr, out.data(), len);
+    return out;
+}
+
+/**
+ * A device with stored bytes in two page tables, a media fault, and
+ * torn-write tracking on with four multi-word writes still in flight.
+ */
+NvmDevice
+busyDevice()
+{
+    NvmDevice dev(miB(16), testTiming());
+    dev.faults().setSeed(0x5eed);
+    dev.faults().setTornWrites(true);
+    std::vector<std::uint8_t> old(512, 0x11);
+    dev.poke(4000, old.data(), old.size());
+    dev.poke(miB(3), old.data(), old.size());
+    dev.faults().addMediaFault(miB(5), miB(5) + 4096,
+                               MediaFaultKind::StuckAtOne, 0.5);
+    std::vector<std::uint8_t> data(128);
+    for (unsigned w = 0; w < 4; ++w) {
+        for (std::size_t i = 0; i < data.size(); ++i)
+            data[i] = static_cast<std::uint8_t>(w * 31 + i);
+        dev.write(0, w % 2 ? miB(3) + w * 128 : 4000 + w * 128,
+                  data.data(), data.size());
+    }
+    return dev;
+}
+
+TEST(NvmDeviceCopy, HoldsTheSameImage)
+{
+    const NvmDevice dev = busyDevice();
+    const NvmDevice copy(dev);
+    for (Addr a : {Addr{4000}, miB(3), miB(5)})
+        EXPECT_EQ(bytesOf(copy, a, 4096), bytesOf(dev, a, 4096));
+    EXPECT_EQ(copy.faults().inflight(), 4u);
+    EXPECT_EQ(copy.faults().inflight(), dev.faults().inflight());
+    EXPECT_TRUE(copy.faults().tornWritesEnabled());
+    EXPECT_EQ(copy.channelFree(), dev.channelFree());
+    EXPECT_EQ(copy.channelBusyTicks(), dev.channelBusyTicks());
+    EXPECT_EQ(copy.channelWaitTicks(), dev.channelWaitTicks());
+    EXPECT_EQ(copy.bytesWritten(), dev.bytesWritten());
+    EXPECT_EQ(copy.writeAccesses(), dev.writeAccesses());
+    EXPECT_EQ(copy.energy().totalEnergyPj(), dev.energy().totalEnergyPj());
+}
+
+TEST(NvmDeviceCopy, WritesStayOnTheirSide)
+{
+    NvmDevice dev = busyDevice();
+    NvmDevice copy(dev);
+    const std::vector<std::uint8_t> before = bytesOf(dev, 4000, 256);
+
+    copy.pokeWord(4000, 0xc0c0);
+    copy.write(0, miB(7), before.data(), 64);
+    EXPECT_EQ(bytesOf(dev, 4000, 256), before);
+    EXPECT_EQ(dev.peekWord(miB(7)), 0u);
+    EXPECT_EQ(dev.faults().inflight(), 4u);
+    EXPECT_EQ(copy.faults().inflight(), 5u);
+    EXPECT_GT(copy.channelFree(), dev.channelFree());
+
+    dev.pokeWord(miB(3), 0xd0d0);
+    EXPECT_NE(copy.peekWord(miB(3)), 0xd0d0u);
+    EXPECT_EQ(copy.peekWord(4000), 0xc0c0u);
+
+    // Assignment replaces the target's whole image, pages it wrote
+    // that the source never had included.
+    NvmDevice other(miB(16), testTiming());
+    other.pokeWord(miB(9), 0xeeee);
+    other = dev;
+    EXPECT_EQ(other.peekWord(miB(9)), 0u);
+    EXPECT_EQ(bytesOf(other, miB(3), 4096), bytesOf(dev, miB(3), 4096));
+    EXPECT_EQ(other.faults().inflight(), dev.faults().inflight());
+}
+
+TEST(NvmDeviceCopy, CrashTearsTheSameWords)
+{
+    NvmDevice dev = busyDevice();
+    NvmDevice copy(dev);
+    const std::vector<std::uint8_t> low = bytesOf(dev, 4000, 1024);
+    const std::vector<std::uint8_t> high = bytesOf(dev, miB(3), 1024);
+
+    // Power fails at tick 0: all four writes are still in flight.
+    copy.applyCrashFaults(0);
+    EXPECT_EQ(bytesOf(dev, 4000, 1024), low);
+    EXPECT_EQ(bytesOf(dev, miB(3), 1024), high);
+    EXPECT_EQ(dev.faults().inflight(), 4u);
+
+    dev.applyCrashFaults(0);
+    EXPECT_GT(dev.faults().wordsTorn(), 0u);
+    EXPECT_LT(dev.faults().wordsTorn(), 4u * 128 / kWordSize);
+    EXPECT_EQ(copy.faults().wordsTorn(), dev.faults().wordsTorn());
+    EXPECT_EQ(bytesOf(copy, 4000, 1024), bytesOf(dev, 4000, 1024));
+    EXPECT_EQ(bytesOf(copy, miB(3), 1024), bytesOf(dev, miB(3), 1024));
+}
+
+TEST(NvmDeviceCopy, ObserverIsWiringNotState)
+{
+    NvmDevice dev = busyDevice();
+    CrashCounter seen;
+    dev.setWriteObserver(&seen);
+    NvmDevice copy(dev);
+    copy.applyCrashFaults(0);
+    EXPECT_EQ(seen.crashes, 0u);
+
+    CrashCounter mine;
+    NvmDevice other(miB(16), testTiming());
+    other.setWriteObserver(&mine);
+    other = dev;
+    other.applyCrashFaults(0);
+    EXPECT_EQ(mine.crashes, 1u);
+    EXPECT_EQ(seen.crashes, 0u);
 }
 
 } // namespace
