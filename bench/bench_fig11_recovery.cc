@@ -13,9 +13,10 @@
  * Expected shape (paper §IV-G): recovery time falls with added threads
  * until the NVM channel saturates; at 25 GB/s recovering 1 GB takes
  * ~47 ms, about 2.3x faster than at 10 GB/s. Under the table the bench
- * prints which term binds each cell (channel or CPU) and how unevenly
- * the merge falls on 16 threads; each cell's JSON record carries its
- * recovery, channel and CPU times.
+ * prints which term binds each cell (channel or CPU), how unevenly
+ * the merge falls on 16 threads, and the bytes the one scan pass moves
+ * and keeps; each cell's JSON record carries its recovery, channel and
+ * CPU times and the recovery time scaled to a 1 GB region.
  */
 
 #include "bench_common.hh"
@@ -96,7 +97,9 @@ main(int argc, char **argv)
                        // lint: nondet-api-ok (host wall-clock of the fill for the report; never feeds simulated state)
                        std::chrono::steady_clock::now() - fill_start)
                        .count(),
-                   {});
+                   {{"bytes_scanned", static_cast<double>(rec.bytesScanned)},
+                    {"kept_slice_bytes",
+                     static_cast<double>(rec.keptSliceBytes)}});
 
     // Cell b * threads + t: bandwidth b with recovery thread count t;
     // its simTicks is the modelled recovery time.
@@ -131,9 +134,10 @@ main(int argc, char **argv)
 
     // What the crashed region held: the slices the scan accepted. The
     // fill produced more, but region-pressure GC reclaimed part of it.
-    const double region_mib =
-        static_cast<double>(rec.slicesScanned * MemorySlice::kSliceBytes) /
-        static_cast<double>(miB(1));
+    const auto mib = [](std::uint64_t bytes) {
+        return static_cast<double>(bytes) / static_cast<double>(miB(1));
+    };
+    const double region_mib = mib(rec.slicesScanned * MemorySlice::kSliceBytes);
     TablePrinter table("Fig. 11: modelled recovery time (ms), ~" +
                        TablePrinter::num(region_mib, 1) +
                        " MB of committed OOP slices");
@@ -176,11 +180,23 @@ main(int argc, char **argv)
 
     const double t_10_16 = recoveryMs(0, 4);
     const double t_25_16 = recoveryMs(3, 4);
+    const double per_gb = 1024.0 / region_mib;
 
     std::printf("scaled to the paper's 1 GB region this corresponds to "
                 "%.0f ms at 25 GB/s (paper: 47 ms); 10 GB/s is %.1fx "
                 "slower (paper: 2.3x)\n",
-                t_25_16 * (1024.0 / region_mib), t_10_16 / t_25_16);
+                t_25_16 * per_gb, t_10_16 / t_25_16);
+
+    // Recovery reads the region once: the replay works from the
+    // word-carrying slices the scan kept, not from a second read.
+    const std::uint64_t home_bytes = rec.homeLinesWritten * kCacheLineSize * 2;
+    std::printf("NVM channel traffic: %.1f MiB = one scan pass (%.1f MiB) "
+                "+ a read and a write of %llu home lines (%.1f MiB); the "
+                "replay keeps %.1f MiB of scanned slices in memory instead "
+                "of reading the region again\n",
+                mib(rec.bytesScanned), mib(rec.bytesScanned - home_bytes),
+                static_cast<unsigned long long>(rec.homeLinesWritten),
+                mib(home_bytes), mib(rec.keptSliceBytes));
 
     // Integrity verification overhead: every scanned slice is
     // CRC-checked before any of its fields are trusted. The charge is
@@ -213,6 +229,7 @@ main(int argc, char **argv)
             bench.value(i, "recovery_ms", recoveryMs(b, t));
             bench.value(i, "channel_ms", channelMs(b));
             bench.value(i, "cpu_ms", cpuMs(t));
+            bench.value(i, "recovery_ms_1gb", recoveryMs(b, t) * per_gb);
         }
     }
     bench.write();

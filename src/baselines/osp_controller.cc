@@ -293,6 +293,12 @@ OspController::recover(unsigned)
         crashStep(CrashPointKind::RecoveryStep);
         const std::size_t n = static_cast<std::size_t>(
             std::min<std::uint64_t>(chunk.size(), n_lines - off));
+        // Most of the table was never written. Such a chunk, when no
+        // media fault covers it, peeks as all zeros: no shadow is
+        // current there.
+        if (!nvm_.backed(table + off, n) &&
+            !nvm_.faults().mediaFaultyRange(table + off, n))
+            continue;
         nvm_.peek(table + off, chunk.data(), n);
         for (std::size_t w = 0; w < n; w += kWordSize) {
             // Few lines ever flip: a word of clear selectors is

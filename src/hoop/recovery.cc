@@ -71,9 +71,10 @@ RecoveryManager::run(unsigned threads)
     // Word-carrying slices the phase-1 scan accepted, in scan order.
     // Phase 2 replays straight from this cache instead of re-reading
     // and re-CRC-checking every slice off the device: acceptance
-    // already proved crcOk, and the slots phase 2 used to re-scan but
+    // already proved crcOk, and the slots a second scan would read but
     // phase 1 did not accept (program-verify-skipped bad slots) fail
     // their CRC there too, so the cached set IS phase 2's working set.
+    // The region is read once, and the timing model charges it once.
     std::vector<MemorySlice> replayable;
     // Reserve up to the region's slot count (the hard upper bound on
     // accepted slices), capped so a huge sparsely-filled region does
@@ -96,6 +97,9 @@ RecoveryManager::run(unsigned threads)
     // Durable GC watermark (a single 8-byte word, so it never tears
     // into an invalid value): blocks below it are migrated home.
     const std::uint64_t gc_watermark = region.gcWatermark();
+    // Channel bytes of the scan, tallied as each read is issued: the
+    // watermark's line, each header's line and each slot read.
+    std::uint64_t scan_bytes = kCacheLineSize;
 
     for (std::uint32_t b = 0; b < region.numBlocks(); ++b) {
         // Crash point: between block-header scans. Recovery has
@@ -111,6 +115,7 @@ RecoveryManager::run(unsigned threads)
             continue;
         }
         const BlockHeaderView h = region.peekHeader(b);
+        scan_bytes += kCacheLineSize;
         if (h.crcFailed) {
             ++res.headersRejected;
             // A torn header write never hides committed data: a torn
@@ -176,6 +181,7 @@ RecoveryManager::run(unsigned threads)
                 continue;
             }
             const MemorySlice s = region.peekSlice(idx);
+            scan_bytes += MemorySlice::kSliceBytes;
             if (s.type == SliceType::Invalid)
                 break;
             if (!s.crcOk) {
@@ -251,6 +257,8 @@ RecoveryManager::run(unsigned threads)
         }
     }
     res.committedTxReplayed = replayed;
+    res.bytesScanned = scan_bytes;
+    res.keptSliceBytes = replayable.size() * MemorySlice::kSliceBytes;
 
     // ---- Phase 2: overlay every committed Data or Evict slice onto
     // its home lines; the highest sequence number wins. GC only ever
@@ -282,35 +290,30 @@ RecoveryManager::run(unsigned threads)
         ctrl.nvm_.peek(line, buf, kCacheLineSize);
         g.overlay(buf);
         ctrl.nvm_.poke(line, buf, kCacheLineSize);
+        res.bytesScanned += 2 * kCacheLineSize;
         ++res.homeLinesWritten;
         res.distinctWords += g.words();
         res.bucketWords[mergeBucket(line)] += g.words();
     }
 
-    // ---- Phase 4: timing. The model charges two scan passes over
-    // every accepted slice plus a read and a write of every replayed
-    // home line. The CRC work is reported on its own so Fig. 11 can
-    // show the integrity overhead. ----
-    const std::uint64_t scan_bytes =
-        res.slicesScanned * MemorySlice::kSliceBytes * 2;
-    res.bytesScanned =
-        scan_bytes + res.homeLinesWritten * kCacheLineSize * 2;
-    res.crcVerifyCost = res.slicesScanned * 2 * kCrcVerifyCpuCost;
+    // ---- Phase 4: timing. The channel carries the one scan and a
+    // read and a write of every replayed home line; each scanned slice
+    // is CRC-checked once. The CRC work is reported on its own so
+    // Fig. 11 can show the integrity overhead. ----
+    res.crcVerifyCost = res.slicesScanned * kCrcVerifyCpuCost;
     res.time = time(res, threads, ctrl.nvm_.timing());
 
     if (TraceBuffer *tr = ctrl.trace()) {
         // Recovery runs on a freshly-reset machine: the cores sit at
-        // tick 0, so the phase spans start there. The scan phases are
-        // charged the portion of the modelled time proportional to
-        // their share of the channel traffic; replay gets the rest.
+        // tick 0, so the phase spans start there. The scan is charged
+        // the portion of the modelled time proportional to its share
+        // of the channel traffic (never zero: the tally always holds
+        // the watermark's line); replay gets the rest.
         const unsigned tid = ctrl.cfg.numCores + 1;
-        Tick scan_t = res.time;
-        if (res.bytesScanned > 0) {
-            scan_t = static_cast<Tick>(
-                static_cast<double>(res.time) *
-                static_cast<double>(scan_bytes) /
-                static_cast<double>(res.bytesScanned));
-        }
+        const Tick scan_t = static_cast<Tick>(
+            static_cast<double>(res.time) *
+            static_cast<double>(scan_bytes) /
+            static_cast<double>(res.bytesScanned));
         tr->span("recovery.scan", "recovery", tid, 0, scan_t);
         tr->span("recovery.replay", "recovery", tid, scan_t, res.time);
         tr->span("recovery", "recovery", tid, 0, res.time);
@@ -343,7 +346,7 @@ Tick
 RecoveryManager::channelTime(const RecoveryResult &r,
                              const NvmTiming &timing)
 {
-    // Both scan passes and the write-back stream are limited by channel
+    // The scan and the write-back stream are limited by channel
     // bandwidth.
     return timing.transferTicks(static_cast<std::size_t>(r.bytesScanned));
 }
@@ -355,8 +358,7 @@ RecoveryManager::cpuTime(const RecoveryResult &r, unsigned threads)
     // Per-slice parsing and CRC verification divide evenly across the
     // recovery threads; each replayed word costs a merge step on the
     // thread that owns its home line.
-    const std::uint64_t total_slices = r.slicesScanned * 2;
-    return (total_slices + threads - 1) / threads *
+    return (r.slicesScanned + threads - 1) / threads *
                (kPerSliceCpuCost + kCrcVerifyCpuCost) +
            static_cast<Tick>(busiestMergeSteps(r, threads)) *
                kMergeStepCpuCost;

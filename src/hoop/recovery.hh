@@ -10,11 +10,14 @@
  *
  * The *functional* replay is one host pass: the winner rule is
  * associative and commutative, so per-thread maps would pick the same
- * words. The thread count and the NVM bandwidth enter only the
- * *timing*: RecoveryManager::time, a pure function of the scan's
- * result that follows the paper's machine model. The scan and
- * write-back phases are limited by NVM channel bandwidth (Fig. 11's
- * bandwidth axis). The CPU work divides across the recovery threads
+ * words. It reads the OOP region once: the scan keeps every accepted
+ * word-carrying slice, and the replay works from those instead of
+ * reading them off NVM again. The thread count and the NVM bandwidth
+ * enter only the *timing*: RecoveryManager::time, a pure function of
+ * the scan's result that follows the paper's machine model. The scan
+ * and write-back phases are limited by NVM channel bandwidth (Fig.
+ * 11's bandwidth axis), charged for the bytes run() tallies as it
+ * reads and writes. The CPU work divides across the recovery threads
  * (its thread axis) in two ways. Slice parsing and CRC checks split
  * evenly. The merge is partitioned by home line: every line falls in
  * one of kMergeBuckets buckets by its hash, recovery thread t of T owns
@@ -86,9 +89,10 @@ class RecoveryManager
 
     /**
      * The busiest recovery thread's CPU work: its even share of the
-     * two scan passes' slice parsing and CRC checks,
-     * ceil(2 * r.slicesScanned / threads) slices, plus one merge step
-     * per word in the buckets it owns (busiestMergeSteps()).
+     * one scan's slice parsing and CRC checks,
+     * ceil(r.slicesScanned / threads) slices, plus one merge step per
+     * word in the buckets it owns (busiestMergeSteps()). The replay
+     * over the kept slices costs only those merge steps.
      */
     static Tick cpuTime(const RecoveryResult &r, unsigned threads);
 
@@ -116,10 +120,10 @@ class RecoveryManager
     static constexpr Tick kMergeStepCpuCost = nsToTicks(5);
 
     /**
-     * CPU cost of one 128-byte CRC-32C verification, charged per slice
-     * scan in the timing model. Hardware CRC32 instructions sustain
-     * roughly one cache line per handful of cycles; 4 ns at 2.5 GHz is
-     * a deliberately conservative software-assist figure.
+     * CPU cost of one 128-byte CRC-32C verification, charged once per
+     * scanned slice in the timing model. Hardware CRC32 instructions
+     * sustain roughly one cache line per handful of cycles; 4 ns at
+     * 2.5 GHz is a deliberately conservative software-assist figure.
      */
     static constexpr Tick kCrcVerifyCpuCost = nsToTicks(4);
 
@@ -154,10 +158,17 @@ struct RecoveryResult
     std::uint64_t committedTxReplayed = 0;
     std::uint64_t slicesScanned = 0;
 
-    /** Channel bytes the timing model charges: two scan passes over
-     *  every scanned slice plus a read and a write of every replayed
-     *  home line. Not the bytes of one scan. */
+    /** Channel bytes recovery moves, tallied access by access: one
+     *  line for the GC watermark word and for each block header read,
+     *  one slice for each slot read (the slot that ends a block's live
+     *  area included), and a read and a write of each replayed home
+     *  line. The timing model charges exactly these. */
     std::uint64_t bytesScanned = 0;
+
+    /** Host memory the one-pass replay holds in place of a second
+     *  read of the region: the word-carrying slices the scan accepted,
+     *  at their on-NVM size. */
+    std::uint64_t keptSliceBytes = 0;
 
     std::uint64_t homeLinesWritten = 0;
 
@@ -214,9 +225,9 @@ struct RecoveryResult
      *  baseline. */
     std::uint64_t gcTrimmedTxReplayed = 0;
 
-    /** Total CPU ticks charged for CRC verification (before dividing
-     *  across recovery threads, so independent of the thread count);
-     *  part of `time`. */
+    /** Total CPU ticks charged for CRC verification, one check per
+     *  scanned slice (before dividing across recovery threads, so
+     *  independent of the thread count); part of `time`. */
     Tick crcVerifyCost = 0;
 
     // ---- Runtime fault tolerance (zero unless cfg.ft.enabled) ----

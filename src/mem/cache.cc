@@ -1,6 +1,7 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <type_traits>
 
@@ -9,6 +10,36 @@
 
 namespace hoopnvm
 {
+
+namespace
+{
+
+/** Every nibble set to 1: times a way, that way in every nibble. */
+constexpr std::uint64_t kNibbleOnes = 0x1111111111111111ull;
+
+/**
+ * Position of way @p way in recency word @p r, which lists it: the
+ * lowest nibble equal to it. (x - ones) & ~x flags a zero nibble of x
+ * in its top bit; a borrow can flag a nonzero nibble too, but only
+ * above a zero one, so the lowest flag is exact.
+ */
+unsigned
+listPosition(std::uint64_t r, unsigned way)
+{
+    const std::uint64_t x = r ^ (kNibbleOnes * way);
+    const std::uint64_t zero = (x - kNibbleOnes) & ~x & (kNibbleOnes << 3);
+    return static_cast<unsigned>(std::countr_zero(zero)) / 4;
+}
+
+/** Mask of the nibbles at positions @p pos and above. */
+std::uint64_t
+nibblesFrom(unsigned pos)
+{
+    // Two shifts, so that pos == 16 gives 0 rather than a shift by 64.
+    return (~std::uint64_t{0} << (2 * pos)) << (2 * pos);
+}
+
+} // namespace
 
 Cache::Cache(const std::string &name, std::uint64_t size_bytes,
              unsigned assoc_, Tick latency, Cache *home)
@@ -19,7 +50,10 @@ Cache::Cache(const std::string &name, std::uint64_t size_bytes,
       dirtyEvictionsC_(stats_.counter("dirty_evictions")),
       cleanEvictionsC_(stats_.counter("clean_evictions"))
 {
-    HOOP_ASSERT(assoc > 0, "associativity must be positive");
+    HOOP_ASSERT(std::has_single_bit(assoc) && assoc <= kMaxAssoc,
+                "cache %s: associativity %u is not a power of two up to %u",
+                name.c_str(), assoc, kMaxAssoc);
+    assocShift_ = static_cast<unsigned>(std::countr_zero(assoc));
     HOOP_ASSERT(size_bytes % (assoc * kCacheLineSize) == 0,
                 "cache size not a multiple of assoc * line size");
     numSets_ = static_cast<unsigned>(
@@ -31,8 +65,8 @@ Cache::Cache(const std::string &name, std::uint64_t size_bytes,
     setMask_ = numSets_ - 1;
     numWays_ = static_cast<std::size_t>(numSets_) * assoc;
     tags_ = zeroedArray<Addr>(numWays_);
-    lastUse_ = zeroedArray<std::uint64_t>(numWays_);
     meta_ = zeroedArray<CacheLineMeta>(numWays_);
+    recency_ = zeroedArray<std::uint64_t>(numSets_);
     if (home) {
         HOOP_ASSERT(home->sharers_, "cache %s: its home is itself private",
                     name.c_str());
@@ -79,7 +113,7 @@ Cache::probe(Addr line_addr)
     const Addr tag = tagOf(line_addr);
     for (unsigned w = 0; w < assoc; ++w) {
         if (tags_[base + w] == tag) {
-            lastUse_[base + w] = ++useClock;
+            touch(base + w);
             ++hitsC_;
             return viewOf(base + w);
         }
@@ -109,40 +143,53 @@ Cache::findVictim(Addr line_addr)
     const std::size_t base =
         static_cast<std::size_t>(setIndex(line_addr)) * assoc;
 
-    // One fused scan finds an existing copy, a free way, or the LRU
-    // victim. Invalidation zeroes lastUse and valid lines always carry
-    // lastUse >= 1 (fillSlot/touch assign ++useClock), so the min-
-    // lastUse way IS the first invalid way whenever one exists — the
-    // same choice the previous separate invalid-scan + LRU-scan pair
-    // made (strict < keeps the lowest index on ties, exactly like the
-    // old first-invalid preference).
+    // One scan finds an existing copy or the lowest invalid way. A
+    // full set gives up the last way its recency word lists.
     const Addr tag = tagOf(line_addr);
-    std::size_t victim = base;
+    std::size_t free_way = numWays_;
     for (unsigned w = 0; w < assoc; ++w) {
         if (tags_[base + w] == tag)
             return base + w;
-        if (lastUse_[base + w] < lastUse_[victim])
-            victim = base + w;
+        if (tags_[base + w] == kInvalidTag && free_way == numWays_)
+            free_way = base + w;
     }
-    if (tags_[victim] != kInvalidTag) {
-        if (meta_[victim].dirty)
-            ++dirtyEvictionsC_;
-        else
-            ++cleanEvictionsC_;
-    }
+    if (free_way != numWays_)
+        return free_way;
+    const std::size_t victim =
+        base + ((recency_[base >> assocShift_] >> (4 * (assoc - 1))) & 0xf);
+    if (meta_[victim].dirty)
+        ++dirtyEvictionsC_;
+    else
+        ++cleanEvictionsC_;
     return victim;
+}
+
+std::uint64_t
+Cache::promoted(std::uint64_t r, unsigned way)
+{
+    const unsigned pos = listPosition(r, way);
+    // The ways listed before it move one place down; those after stay.
+    return (r & nibblesFrom(pos + 1)) | ((r & ~nibblesFrom(pos)) << 4) |
+           way;
 }
 
 void
 Cache::fillSlot(std::size_t i, Addr line_addr, const CacheLineMeta &state)
 {
+    if (tags_[i] == kInvalidTag) {
+        // A newly valid way goes to the front of the list; the set
+        // had a free way, so the top nibble shifted out is zero.
+        std::uint64_t &r = recency_[i >> assocShift_];
+        r = (r << 4) | (i & (assoc - 1));
+    } else {
+        touch(i);
+    }
     if (tags_[i] == tagOf(line_addr)) {
         meta_[i].merge(state);
     } else {
         tags_[i] = tagOf(line_addr);
         meta_[i] = state;
     }
-    lastUse_[i] = ++useClock;
     ++insertionsC_;
 }
 
@@ -180,18 +227,20 @@ Cache::invalidate(const CacheLine &line)
     const std::size_t i = static_cast<std::size_t>(line.meta_ - meta_.get());
     HOOP_ASSERT(i < numWays_ && tags_[i] == tagOf(line.addr()),
                 "invalidate of a line this cache does not hold");
-    // Only the tag and the stamp change: nothing reads an invalid
-    // way's metadata, and the next fill rewrites it.
+    // Only the tag and the recency list change: nothing reads an
+    // invalid way's metadata, and the next fill rewrites it.
     tags_[i] = kInvalidTag;
-    // Zero stamp ranks invalid ways first in findVictim.
-    lastUse_[i] = 0;
+    std::uint64_t &r = recency_[i >> assocShift_];
+    const unsigned pos =
+        listPosition(r, static_cast<unsigned>(i & (assoc - 1)));
+    r = (r & ~nibblesFrom(pos)) | ((r & nibblesFrom(pos + 1)) >> 4);
 }
 
 void
 Cache::invalidateAll()
 {
     std::fill_n(tags_.get(), numWays_, kInvalidTag);
-    std::fill_n(lastUse_.get(), numWays_, 0);
+    std::fill_n(recency_.get(), numSets_, 0);
 }
 
 } // namespace hoopnvm

@@ -1,6 +1,9 @@
 /**
  * @file
  * A single set-associative, write-back cache with LRU replacement.
+ * Each set keeps its recency in one 64-bit word that lists the set's
+ * valid ways, most recent first, four bits each; so a set has at most
+ * 16 ways, and the associativity is a power of two.
  *
  * Lines carry the usual valid/dirty state plus the HOOP *persistent bit*
  * (§III-G of the paper): one bit per cache line marking lines modified
@@ -16,7 +19,7 @@
  * no payload: each of its ways names the home way of its line, and
  * loads and stores go through to those bytes. So a line has one copy
  * of its bytes however many levels hold it; every level keeps its own
- * tag, LRU stamp and state (dirty, persistent, word mask, writer,
+ * tag, recency and state (dirty, persistent, word mask, writer,
  * transaction).
  *
  * Storage is structure-of-arrays: the set-lookup scan walks a packed
@@ -28,13 +31,14 @@
  * reference (or, for a private line, its home way) is re-filled or
  * invalidated.
  *
- * Building a cache writes none of its arrays. The tag, LRU, metadata,
- * home-way and sharer arrays come zeroed from calloc, and an all-zero
- * way is invalid: tags are stored complemented, so the zero tag is
- * ~kInvalidAddr. The payload array is left uninitialized. No code
- * reads an invalid way's metadata, home way, sharer mask or payload,
- * and a fill writes every one of them that a way it newly occupies
- * has, so none needs a defined value before then.
+ * Building a cache writes none of its arrays. The tag, recency,
+ * metadata, home-way and sharer arrays come zeroed from calloc, an
+ * all-zero way is invalid (tags are stored complemented, so the zero
+ * tag is ~kInvalidAddr), and a zero recency word lists no way. The
+ * payload array is left uninitialized. No code reads an invalid way's
+ * metadata, home way, sharer mask or payload, and a fill writes every
+ * one of them that a way it newly occupies has, so none needs a
+ * defined value before then.
  */
 
 #ifndef HOOPNVM_MEM_CACHE_HH
@@ -56,9 +60,8 @@ namespace hoopnvm
 
 /**
  * A line's state, kept per way out of the tag scan array; fills,
- * write-backs and victims pass it as one value. The LRU stamp is not
- * here: victim selection scans every way's stamp, so the stamps live
- * in their own packed array (like the tags) and this struct holds only
+ * write-backs and victims pass it as one value. Recency is not here:
+ * it is per set (see the file comment), and this struct holds only
  * state touched on a hit. The fields have no initializers: a fill
  * writes all five (see the file comment).
  */
@@ -130,20 +133,17 @@ class CacheLine
     CoreId &lastWriter() const { return meta_->lastWriter; }
     TxId &txId() const { return meta_->txId; }
     std::uint8_t &wordMask() const { return meta_->wordMask; }
-    std::uint64_t lastUse() const { return *lastUse_; }
 
   private:
     friend class Cache;
-    CacheLine(Addr addr, CacheLineMeta *meta, std::uint64_t *last_use,
-              std::uint8_t *data, std::uint32_t home)
-        : addr_(addr), meta_(meta), lastUse_(last_use), data_(data),
-          home_(home)
+    CacheLine(Addr addr, CacheLineMeta *meta, std::uint8_t *data,
+              std::uint32_t home)
+        : addr_(addr), meta_(meta), data_(data), home_(home)
     {
     }
 
     Addr addr_ = kInvalidAddr;
     CacheLineMeta *meta_ = nullptr;
-    std::uint64_t *lastUse_ = nullptr;
     std::uint8_t *data_ = nullptr;
     std::uint32_t home_ = 0;
 };
@@ -175,7 +175,8 @@ class Cache
      * @param size_bytes  Total capacity; must be a multiple of
      *                    assoc * kCacheLineSize, and the resulting set
      *                    count a power of two (the set index is a mask).
-     * @param assoc       Associativity (ways per set).
+     * @param assoc       Associativity (ways per set): a power of two,
+     *                    at most kMaxAssoc.
      * @param latency     Access latency charged on hits in this level.
      * @param home        nullptr for a home cache, which keeps its
      *                    lines' payloads; otherwise the home cache this
@@ -208,7 +209,7 @@ class Cache
     void
     touchHit(const CacheLine &line)
     {
-        *line.lastUse_ = ++useClock;
+        touch(static_cast<std::size_t>(line.meta_ - meta_.get()));
         ++hitsC_;
     }
 
@@ -317,6 +318,9 @@ class Cache
     StatSet &stats() { return stats_; }
     const StatSet &stats() const { return stats_; }
 
+    /** Most ways a set's recency word can list. */
+    static constexpr unsigned kMaxAssoc = 16;
+
   private:
     /** Releases an array calloc or malloc returned. */
     struct FreeArray
@@ -348,44 +352,62 @@ class Cache
             homeWay_ ? homeWay_[i] : static_cast<std::uint32_t>(i);
         return CacheLine(tagOf(tags_[i]),
                          const_cast<CacheLineMeta *>(&meta_[i]),
-                         const_cast<std::uint64_t *>(&lastUse_[i]),
                          payload_ + std::size_t{home} * kCacheLineSize,
                          home);
     }
 
     /**
-     * Slot index that will hold @p line_addr: an existing copy, an
-     * invalid way, or the LRU way of the set (whose previous occupant
-     * the caller must retire). Updates the eviction statistics when
-     * the returned slot holds a valid line with a different address.
+     * Slot index that will hold @p line_addr: an existing copy, the
+     * set's lowest invalid way, or its least recently used way (whose
+     * occupant the caller must retire). Updates the eviction
+     * statistics when the returned slot holds a valid line with a
+     * different address.
      */
     std::size_t findVictim(Addr line_addr);
 
     /**
      * Fill slot @p i with @p line_addr in state @p state, or merge
-     * @p state into the line if the slot already holds it; stamp LRU.
+     * @p state into the line if the slot already holds it; make it its
+     * set's most recent way.
      */
     void fillSlot(std::size_t i, Addr line_addr,
                   const CacheLineMeta &state);
 
+    /** Make valid way-slot @p i its set's most recently used way. */
+    void
+    touch(std::size_t i)
+    {
+        std::uint64_t &r = recency_[i >> assocShift_];
+        const unsigned way = static_cast<unsigned>(i & (assoc - 1));
+        // Most hits, and every memoized one, find it there already.
+        if ((r & 0xf) != way)
+            r = promoted(r, way);
+    }
+
+    /** Recency word @p r with way @p way, which it lists, moved to
+     *  the front. */
+    static std::uint64_t promoted(std::uint64_t r, unsigned way);
+
     unsigned assoc;
+    /** log2(assoc): slot i is way i & (assoc - 1) of set i >> it. */
+    unsigned assocShift_;
     unsigned numSets_;
     /** numSets_ - 1: the set count is a power of two. */
     std::uint64_t setMask_;
     Tick latency_;
-    std::uint64_t useClock = 0;
 
     /** numSets_ * assoc: the length of each parallel array. */
     std::size_t numWays_;
 
     // Parallel arrays indexed by set * assoc + way. A tag of
     // kInvalidTag marks an invalid way, so the lookup scan needs no
-    // separate valid flag. LRU stamps are packed like the tags: victim
-    // selection reads every way's stamp, so an 8-way set's stamps fit
-    // one host cache line instead of spanning eight meta structs.
+    // separate valid flag.
     std::unique_ptr<Addr[], FreeArray> tags_;
-    std::unique_ptr<std::uint64_t[], FreeArray> lastUse_;
     std::unique_ptr<CacheLineMeta[], FreeArray> meta_;
+
+    // One word per set: its valid ways, most recent first, four bits
+    // each from the low end. Nibbles past the last valid way are zero.
+    std::unique_ptr<std::uint64_t[], FreeArray> recency_;
 
     // A home cache has data_ and sharers_; a private cache has
     // homeWay_, each way's index into its home cache's arrays.

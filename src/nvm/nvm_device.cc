@@ -260,6 +260,19 @@ NvmDevice::pokeWord(Addr addr, std::uint64_t value)
     poke(addr, &value, sizeof(value));
 }
 
+bool
+NvmDevice::backed(Addr addr, std::size_t len) const
+{
+    if (len == 0)
+        return false;
+    for (Addr page = alignDown(addr, kPageBytes); page < addr + len;
+         page += kPageBytes) {
+        if (pageIfPresent(page))
+            return true;
+    }
+    return false;
+}
+
 Tick
 NvmDevice::drainFence(Tick now)
 {

@@ -118,6 +118,13 @@ class NvmDevice
     /** Untimed 8-byte convenience poke. */
     void pokeWord(Addr addr, std::uint64_t value);
 
+    /**
+     * True when any byte of [addr, addr + len) is backed: some write
+     * reached its page. An unbacked range holds zeros, so it peeks as
+     * zeros unless a scheduled media fault covers it.
+     */
+    bool backed(Addr addr, std::size_t len) const;
+
     std::uint64_t capacity() const { return capacity_; }
     const NvmTiming &timing() const { return timing_; }
 

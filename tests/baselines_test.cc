@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <optional>
+#include <vector>
 
 #include "baselines/lad_controller.hh"
 #include "baselines/lsm_controller.hh"
@@ -269,6 +270,50 @@ TEST(OspSpecifics, SelectorSurvivesCrash)
     ctrl.recover(1);
     EXPECT_TRUE(ctrl.shadowIsCurrent(0x5000));
     EXPECT_EQ(readWord(ctrl, 0x5000), 9u);
+}
+
+TEST(OspSpecifics, RecoveryRebuildsExactlyTheTablesSelectors)
+{
+    // Recovery reads the selector table in chunks and skips those no
+    // write reached. Flips land in chunks 0 and 2, a line of chunk 3
+    // flips there and back, and a media fault covers chunk 1, which
+    // was never written, so some of its bytes peek nonzero. The
+    // rebuilt selector set must be exactly the table's nonzero bytes.
+    SystemConfig cfg = baseConfig();
+    NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
+    OspController ctrl(nvm, cfg);
+    constexpr std::uint64_t kChunkLines = 4096; // one selector byte each
+
+    auto commit = [&](Addr a, std::uint64_t v) {
+        ctrl.txBegin(0, 0);
+        store(ctrl, 0, a, v);
+        ctrl.txEnd(0, 0);
+    };
+    commit(0x5000, 1);
+    commit(2 * kChunkLines * kCacheLineSize + kCacheLineSize, 2);
+    commit(3 * kChunkLines * kCacheLineSize, 3);
+    commit(3 * kChunkLines * kCacheLineSize, 4);
+
+    // The selector table follows the shadow copies in the aux region.
+    const Addr table = cfg.auxBase() + cfg.homeBytes;
+    ctrl.crash();
+    nvm.faults().addMediaFault(table + kChunkLines, table + 2 * kChunkLines,
+                               MediaFaultKind::BitFlip, 0.05);
+    ctrl.recover(1);
+
+    const std::uint64_t n_lines = cfg.homeBytes / kCacheLineSize;
+    std::vector<std::uint8_t> selectors(n_lines);
+    nvm.peek(table, selectors.data(), n_lines);
+    std::uint64_t current = 0, faulty = 0;
+    for (std::uint64_t i = 0; i < n_lines; ++i) {
+        ASSERT_EQ(ctrl.shadowIsCurrent(i * kCacheLineSize),
+                  selectors[i] != 0)
+            << i;
+        current += selectors[i] != 0;
+        faulty += selectors[i] != 0 && i / kChunkLines == 1;
+    }
+    EXPECT_GT(faulty, 0u);
+    EXPECT_EQ(current, 2 + faulty);
 }
 
 TEST(LsmSpecifics, LoadsPayIndexWalk)

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
+#include "common/rng.hh"
 #include "mem/cache.hh"
 #include "sim/system_config.hh"
 
@@ -69,6 +71,101 @@ TEST(CacheDeathTest, SetCountMustBeAPowerOfTwo)
     // 384 B of 2-way 64 B lines is 3 sets. The set index is a mask of
     // the hashed line number, so the constructor refuses the geometry.
     EXPECT_DEATH(Cache("t", 384, 2, 0), "not a power of two");
+}
+
+TEST(CacheDeathTest, AssociativityMustBeAPowerOfTwoUpTo16)
+{
+    // A set's recency word lists up to 16 ways, four bits each.
+    EXPECT_DEATH(Cache("t", 3 * 64, 3, 0), "not a power of two up to 16");
+    EXPECT_DEATH(Cache("t", 32 * 64, 32, 0), "not a power of two up to 16");
+}
+
+/**
+ * Per-way LRU stamps, the rule the per-set recency word replaced:
+ * every touch stamps a way with a rising clock, an invalid way has
+ * stamp 0, and the victim is the first way with the lowest stamp.
+ */
+struct StampLru
+{
+    explicit StampLru(unsigned ways) : addr(ways, kInvalidAddr), stamp(ways) {}
+
+    int
+    find(Addr a) const
+    {
+        for (unsigned w = 0; w < addr.size(); ++w) {
+            if (addr[w] == a)
+                return static_cast<int>(w);
+        }
+        return -1;
+    }
+
+    unsigned
+    victim(Addr a) const
+    {
+        unsigned v = 0;
+        for (unsigned w = 0; w < addr.size(); ++w) {
+            if (addr[w] == a)
+                return w;
+            if (stamp[w] < stamp[v])
+                v = w;
+        }
+        return v;
+    }
+
+    std::vector<Addr> addr;
+    std::vector<std::uint64_t> stamp;
+    std::uint64_t clock = 0;
+};
+
+TEST(Cache, RecencyWordPicksTheStampRulesVictims)
+{
+    // One set of each legal width, driven by random inserts, probes,
+    // hits and invalidations over twice as many lines as it holds.
+    // The way of every insert and victim must be the stamp rule's.
+    Rng rng(29);
+    auto d = lineData(0);
+    for (unsigned ways = 1; ways <= Cache::kMaxAssoc; ways *= 2) {
+        Cache c("t", ways * kCacheLineSize, ways, 0);
+        StampLru ref(ways);
+        for (unsigned step = 0; step < 20000; ++step) {
+            const Addr a = rng.nextBounded(2 * ways) * kCacheLineSize;
+            const int held = ref.find(a);
+            switch (rng.nextBounded(4)) {
+            case 0: { // insert
+                const unsigned w = ref.victim(a);
+                CacheVictim v = c.insert(a, d.data(), kClean);
+                const bool evicts =
+                    ref.addr[w] != kInvalidAddr && ref.addr[w] != a;
+                ASSERT_EQ(v.valid, evicts) << ways << " " << step;
+                if (evicts) {
+                    ASSERT_EQ(v.addr, ref.addr[w]) << ways << " " << step;
+                }
+                ASSERT_EQ(c.peekLine(a).home(), w) << ways << " " << step;
+                ref.addr[w] = a;
+                ref.stamp[w] = ++ref.clock;
+                break;
+            }
+            case 1: // probe
+                ASSERT_EQ(static_cast<bool>(c.probe(a)), held >= 0);
+                if (held >= 0)
+                    ref.stamp[held] = ++ref.clock;
+                break;
+            case 2: // hit without a set scan
+                if (held >= 0) {
+                    c.touchHit(c.peekLine(a));
+                    ref.stamp[held] = ++ref.clock;
+                }
+                break;
+            default: // invalidate
+                c.invalidate(c.peekLine(a));
+                if (held >= 0) {
+                    ref.addr[held] = kInvalidAddr;
+                    ref.stamp[held] = 0;
+                }
+                break;
+            }
+        }
+    }
 }
 
 TEST(Cache, LruEvictsOldest)

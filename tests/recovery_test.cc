@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <vector>
 
 #include "common/hash.hh"
 #include "hoop/hoop_controller.hh"
@@ -43,8 +44,7 @@ Tick
 serialMergeTime(const RecoveryResult &r, unsigned threads,
                 const NvmTiming &timing)
 {
-    const std::uint64_t slices = 2 * r.slicesScanned;
-    const Tick cpu = (slices + threads - 1) / threads *
+    const Tick cpu = (r.slicesScanned + threads - 1) / threads *
                          (RecoveryManager::kPerSliceCpuCost +
                           RecoveryManager::kCrcVerifyCpuCost) +
                      r.distinctWords * RecoveryManager::kMergeStepCpuCost;
@@ -310,6 +310,112 @@ TEST(GcBoundaryRecovery, ChainSpanningCollectedPrefixReplays)
     }
 }
 
+TEST(HandBuiltImageRecovery, TalliesTheBytesOneScanMoves)
+{
+    // Four blocks of 63 slice slots each, laid out by hand:
+    //   block 0  below the GC watermark (a recycle that tore back to
+    //            its Full header),
+    //   block 1  recycled: a valid Unused header,
+    //   block 2  Full; its 15th slot, a commit record, is torn,
+    //   block 3  open: two slices, then an unwritten slot.
+    SystemConfig cfg = recConfig();
+    cfg.oopBytes = kiB(32);
+    cfg.oopBlockBytes = kiB(8);
+    NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
+    HoopController ctrl(nvm, cfg);
+    OopRegion &region = ctrl.region();
+    ASSERT_EQ(region.numBlocks(), 4u);
+    ASSERT_EQ(region.slicesPerBlock(), 63u);
+
+    auto tx = [&](Addr base, unsigned words) {
+        ctrl.txBegin(0, 0);
+        for (unsigned i = 0; i < words; ++i) {
+            const std::uint64_t v = base + 8 * i;
+            std::uint8_t b[8];
+            std::memcpy(b, &v, 8);
+            ctrl.storeWord(0, base + 8 * i, b, 0);
+        }
+        ctrl.txEnd(0, 0);
+    };
+
+    // 42 three-slice transactions (two Data slices and a commit
+    // record) fill blocks 0 and 1; the 43rd opens block 2 in slots
+    // 1-3, sealing block 1 Full.
+    for (unsigned t = 0; t < 43; ++t)
+        tx(0x10000 + 2 * kCacheLineSize * t, 16);
+    std::uint8_t full_header[kCacheLineSize];
+    nvm.peek(region.blockBase(0), full_header, kCacheLineSize);
+    ctrl.gc().run(0);
+    ASSERT_EQ(region.block(0).state, BlockState::Unused);
+    ASSERT_EQ(region.block(1).state, BlockState::Unused);
+    ASSERT_EQ(region.block(2).state, BlockState::InUse);
+    nvm.poke(region.blockBase(0), full_header, kCacheLineSize);
+
+    // 30 two-slice transactions take block 2's slots 4-63 (the
+    // sixth one's commit record sits in slot 15), and a 31st opens
+    // block 3. Flip one payload byte of slot 15.
+    for (unsigned t = 0; t < 31; ++t)
+        tx(0x40000 + kCacheLineSize * t, 8);
+    ASSERT_EQ(region.block(2).state, BlockState::Full);
+    ASSERT_EQ(region.block(3).state, BlockState::InUse);
+    const Addr torn =
+        region.sliceAddr(2 * (region.slicesPerBlock() + 1) + 15);
+    std::uint8_t byte = 0;
+    nvm.peek(torn + 40, &byte, 1);
+    byte ^= 0x10;
+    nvm.poke(torn + 40, &byte, 1);
+
+    ctrl.crash();
+    ctrl.recover(2);
+    const RecoveryResult &r = ctrl.lastRecovery();
+
+    // Replayed: block 2's opener (two lines), the five transactions
+    // before the torn record and block 3's transaction (a line each).
+    // The torn slot ends block 2's live area, so the transaction whose
+    // record tore and the 24 after it are lost.
+    std::vector<Addr> lines = {0x10000 + 2 * kCacheLineSize * 42,
+                               0x10000 + 2 * kCacheLineSize * 42 +
+                                   kCacheLineSize};
+    for (unsigned t : {0, 1, 2, 3, 4, 30})
+        lines.push_back(0x40000 + kCacheLineSize * t);
+    RecoveryResult want;
+    want.committedTxReplayed = 7;
+    want.slicesScanned = 14 + 2; // block 2's slots 1-14, block 3's 1-2
+    want.homeLinesWritten = lines.size();
+    want.distinctWords = 8 * lines.size();
+    for (Addr line : lines) {
+        want.bucketWords[mixHash(line / kCacheLineSize) %
+                         RecoveryManager::kMergeBuckets] += kWordsPerLine;
+    }
+    // Block 2 opened at sequence 127, so block 3's second slot is
+    // sequence 127 + 63 + 1; its transaction is the 74th.
+    want.maxSeq = 191;
+    want.maxTxId = 74;
+    want.slicesRejected = 1;
+    want.tornCommitsDetected = 1;
+    want.blocksSkippedByWatermark = 1;
+    // The watermark word's line, four header lines, block 2's slots
+    // 1-15, block 3's slots 1-3 and a read and a write of each
+    // replayed home line.
+    want.bytesScanned = kCacheLineSize + 4 * kCacheLineSize +
+                        (15 + 3) * MemorySlice::kSliceBytes +
+                        lines.size() * 2 * kCacheLineSize;
+    // Nine Data slices: two of block 2's opener, one each of the six
+    // transactions after it up to the torn slot, and block 3's one.
+    want.keptSliceBytes = 9 * MemorySlice::kSliceBytes;
+    want.crcVerifyCost = 16 * RecoveryManager::kCrcVerifyCpuCost;
+    want.time = RecoveryManager::time(want, 2, nvm.timing());
+    EXPECT_EQ(r, want);
+    EXPECT_EQ(r.bytesScanned, 3648u);
+
+    for (Addr line : lines) {
+        for (unsigned i = 0; i < kWordsPerLine; ++i) {
+            const Addr a = line + 8 * i;
+            EXPECT_EQ(nvm.peekWord(a), a) << std::hex << a;
+        }
+    }
+}
+
 TEST_F(RecoveryFixture, TimingScalesWithBandwidthAndThreads)
 {
     // The fixture's controller runs at 25 GB/s; a second one at
@@ -416,7 +522,7 @@ TEST_F(RecoveryFixture, WordOnceImageRecoversAtTheChannelBound)
         EXPECT_EQ(RecoveryManager::busiestMergeSteps(r, thr), busiest)
             << thr;
         EXPECT_EQ(RecoveryManager::cpuTime(r, thr),
-                  (2 * r.slicesScanned + thr - 1) / thr *
+                  (r.slicesScanned + thr - 1) / thr *
                           (RecoveryManager::kPerSliceCpuCost +
                            RecoveryManager::kCrcVerifyCpuCost) +
                       busiest * RecoveryManager::kMergeStepCpuCost)
