@@ -57,6 +57,9 @@ main(int argc, char **argv)
     header.push_back("best");
     table.setHeader(header);
 
+    // Workloads whose best period is not the longest one swept: an
+    // interior maximum, the shape the paper reports.
+    std::size_t interior = 0;
     for (std::size_t w = 0; w < workloads.size(); ++w) {
         std::vector<std::string> row = {workloads[w]};
         double best_tput = 0.0;
@@ -72,11 +75,14 @@ main(int argc, char **argv)
         }
         row.push_back(TablePrinter::num(best_period, 0) + "us");
         table.addRow(row);
+        if (best_period < periods_us[std::size(periods_us) - 1])
+            ++interior;
     }
     table.print();
     std::printf("values are Mtx/s; the paper observes the peak at "
-                "8-10 ms with its second-long runs — the same interior "
-                "maximum appears here at the scaled period.\n");
+                "8-10 ms with its second-long runs; here %zu of %zu "
+                "workloads peak before the longest scaled period.\n",
+                interior, workloads.size());
 
     bench.write();
     return 0;

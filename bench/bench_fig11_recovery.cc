@@ -15,8 +15,10 @@
  * ~47 ms, about 2.3x faster than at 10 GB/s. Under the table the bench
  * prints which term binds each cell (channel or CPU), how unevenly
  * the merge falls on 16 threads, and the bytes the one scan pass moves
- * and keeps; each cell's JSON record carries its recovery, channel and
- * CPU times and the recovery time scaled to a 1 GB region.
+ * and keeps, with the home lines the replay writes and the partial
+ * ones it also reads; each cell's JSON record carries its recovery,
+ * channel and CPU times and the recovery time scaled to a 1 GB
+ * region.
  */
 
 #include "bench_common.hh"
@@ -99,7 +101,15 @@ main(int argc, char **argv)
                        .count(),
                    {{"bytes_scanned", static_cast<double>(rec.bytesScanned)},
                     {"kept_slice_bytes",
-                     static_cast<double>(rec.keptSliceBytes)}});
+                     static_cast<double>(rec.keptSliceBytes)},
+                    {"slices_scanned",
+                     static_cast<double>(rec.slicesScanned)},
+                    {"oop_blocks",
+                     static_cast<double>(cfg.oopBytes / cfg.oopBlockBytes)},
+                    {"home_lines_written",
+                     static_cast<double>(rec.homeLinesWritten)},
+                    {"home_lines_read",
+                     static_cast<double>(rec.homeLinesRead)}});
 
     // Cell b * threads + t: bandwidth b with recovery thread count t;
     // its simTicks is the modelled recovery time.
@@ -188,15 +198,22 @@ main(int argc, char **argv)
                 t_25_16 * per_gb, t_10_16 / t_25_16);
 
     // Recovery reads the region once: the replay works from the
-    // word-carrying slices the scan kept, not from a second read.
-    const std::uint64_t home_bytes = rec.homeLinesWritten * kCacheLineSize * 2;
+    // word-carrying slices the scan kept, not from a second read. It
+    // writes every replayed home line and reads only those its slices
+    // leave partly uncovered.
+    const std::uint64_t written_bytes = rec.homeLinesWritten * kCacheLineSize;
+    const std::uint64_t read_bytes = rec.homeLinesRead * kCacheLineSize;
     std::printf("NVM channel traffic: %.1f MiB = one scan pass (%.1f MiB) "
-                "+ a read and a write of %llu home lines (%.1f MiB); the "
-                "replay keeps %.1f MiB of scanned slices in memory instead "
-                "of reading the region again\n",
-                mib(rec.bytesScanned), mib(rec.bytesScanned - home_bytes),
+                "+ a write of %llu home lines (%.1f MiB) + a read of the "
+                "%llu partial ones (%.1f MiB); the replay keeps %.1f MiB "
+                "of scanned slices in memory instead of reading the "
+                "region again\n",
+                mib(rec.bytesScanned),
+                mib(rec.bytesScanned - written_bytes - read_bytes),
                 static_cast<unsigned long long>(rec.homeLinesWritten),
-                mib(home_bytes), mib(rec.keptSliceBytes));
+                mib(written_bytes),
+                static_cast<unsigned long long>(rec.homeLinesRead),
+                mib(read_bytes), mib(rec.keptSliceBytes));
 
     // Integrity verification overhead: every scanned slice is
     // CRC-checked before any of its fields are trusted. The charge is

@@ -52,7 +52,7 @@ BM_MappingTableLookup(benchmark::State &state)
     MappingTable t(miB(2));
     Rng rng(1);
     for (int i = 0; i < 100000; ++i)
-        t.insert(rng.nextBounded(1 << 24) * 64, i);
+        t.insert(rng.nextBounded(1 << 24) * 64, i, false);
     Rng probe(2);
     for (auto _ : state) {
         benchmark::DoNotOptimize(

@@ -112,10 +112,14 @@ FillResult
 LsmController::fillLine(CoreId, Addr line, std::uint8_t *buf, Tick now)
 {
     FillResult fr;
-    fr.completion = nvm_.read(now, line, buf, kCacheLineSize);
+    fr.completion = now;
+    auto lit = liveImage.find(line);
+    // A live image that holds every word is the line: the home copy
+    // is read only for the words the log leaves out.
+    if (lit == liveImage.end() || lit->second.mask != kWholeLineMask)
+        fr.completion = nvm_.read(now, line, buf, kCacheLineSize);
 
     std::uint8_t mask = 0;
-    auto lit = liveImage.find(line);
     if (lit != liveImage.end()) {
         // The newest version lives in the log: extra log read.
         lit->second.overlay(buf);
@@ -159,9 +163,12 @@ LsmController::reclaim(Tick now)
         // every migrated image until the truncate below, so recovery
         // redoes torn migrations from the log.
         crashStep(CrashPointKind::GcStep);
-        std::uint8_t buf[kCacheLineSize];
-        nvm_.read(now, line, buf, kCacheLineSize);
-        liveImage.at(line).overlay(buf);
+        // A whole live image overwrites the home line unread.
+        const LineImage &img = liveImage.at(line);
+        std::uint8_t buf[kCacheLineSize] = {};
+        if (img.mask != kWholeLineMask)
+            nvm_.read(now, line, buf, kCacheLineSize);
+        img.overlay(buf);
         last = std::max(last,
                         nvm_.write(now, line, buf, kCacheLineSize));
         orderDep("lsm-log-truncate", 0);

@@ -48,6 +48,9 @@ constexpr std::size_t kWordSize = 8;
 /** Number of words in one cache line. */
 constexpr std::size_t kWordsPerLine = kCacheLineSize / kWordSize;
 
+/** Per-line word mask with every word present (bit w = word w). */
+constexpr std::uint8_t kWholeLineMask = 0xff;
+
 /** Picoseconds per nanosecond. */
 constexpr Tick kTicksPerNs = 1000;
 

@@ -20,6 +20,7 @@ GarbageCollector::GarbageCollector(HoopController &ctrl_)
       slicesScannedC_(stats_.counter("slices_scanned")),
       slicesCrcSkippedC_(stats_.counter("slices_crc_skipped")),
       homeLinesWrittenC_(stats_.counter("home_lines_written")),
+      homeLinesReadC_(stats_.counter("home_lines_read")),
       homeLinesSkippedFresherC_(
           stats_.counter("home_lines_skipped_fresher")),
       mappingEntriesDroppedC_(
@@ -158,9 +159,14 @@ GarbageCollector::run(Tick now)
             // eviction wrote the full line in place after these slices
             // were produced) — GC must never regress the home region.
             if (!ctrl.homeFresherThan(line, max_seq)) {
-                std::uint8_t buf[kCacheLineSize];
-                last = std::max(last, ctrl.nvm_.read(now, line, buf,
-                                                     kCacheLineSize));
+                // Read the home line only for the words the slices
+                // leave out: a whole line overwrites it.
+                std::uint8_t buf[kCacheLineSize] = {};
+                if (!g.whole()) {
+                    last = std::max(last, ctrl.nvm_.read(now, line, buf,
+                                                         kCacheLineSize));
+                    ++homeLinesReadC_;
+                }
                 g.overlay(buf);
                 last = std::max(last,
                                 ctrl.writeHomeLine(now, line, buf));
@@ -191,6 +197,7 @@ GarbageCollector::run(Tick now)
             std::uint8_t buf[kCacheLineSize];
             last = std::max(
                 last, ctrl.nvm_.read(now, line, buf, kCacheLineSize));
+            ++homeLinesReadC_;
             std::memcpy(buf + (w.addr - line), &w.value, kWordSize);
             last = std::max(last, ctrl.writeHomeLine(now, line, buf));
             ctrl.orderDep("hoop-gc-watermark", 0);
@@ -206,8 +213,8 @@ GarbageCollector::run(Tick now)
     // ---- Step 4: drop mapping entries that point into collected
     // blocks (their lines' latest committed data is now home) ----
     std::vector<Addr> drop;
-    ctrl.mapping.forEach([&](Addr line, std::uint32_t slice_idx) {
-        if (in_cand[region.blockOfSlice(slice_idx)])
+    ctrl.mapping.forEach([&](Addr line, MappingTable::Entry e) {
+        if (in_cand[region.blockOfSlice(e.slice)])
             drop.push_back(line);
     });
     for (Addr line : drop)

@@ -21,6 +21,10 @@
  * The paper scans committed transactions in reverse commit order and
  * keeps the first version seen; we scan forward and keep the highest
  * sequence number, which selects the same version.
+ *
+ * Migration reads a home line only when the coalesced words leave part
+ * of it uncovered: a line whose eight words all sit in the collected
+ * slices is written home without reading its old copy.
  */
 
 #ifndef HOOPNVM_HOOP_GARBAGE_COLLECTOR_HH
@@ -68,6 +72,10 @@ class GarbageCollector
     Counter &slicesScannedC_;
     Counter &slicesCrcSkippedC_;
     Counter &homeLinesWrittenC_;
+    /** Migrated lines whose old home copy GC read: those the coalesced
+     *  words leave partly uncovered (every line in the ablation that
+     *  turns coalescing off). */
+    Counter &homeLinesReadC_;
     Counter &homeLinesSkippedFresherC_;
     Counter &mappingEntriesDroppedC_;
     Counter &blocksRecycledC_;

@@ -168,14 +168,18 @@ HoopController::emitSlice(CoreId core, const PendingSlice &p,
         orderDep("hoop-commit-record", tx);
 
     if (type == SliceType::Evict) {
-        if (!mapping.insert(lineAddr(p.addrs[0]), idx)) {
+        // An eviction slice carries the dirty words of one line; with
+        // all eight it is the whole line.
+        const Addr line = lineAddr(p.addrs[0]);
+        const bool whole = p.count == kWordsPerLine;
+        if (!mapping.insert(line, idx, whole)) {
             // Mapping table full: GC drains it (Fig. 13's mechanism).
             ++gcMappingFullC_;
             gc_->run(t);
             // Remaining entries typically point into the still-open
             // block that GC cannot collect; migrate single committed
             // entries home until the insert fits.
-            while (!mapping.insert(lineAddr(p.addrs[0]), idx)) {
+            while (!mapping.insert(line, idx, whole)) {
                 const bool drained = emergencyEvictMappingEntry(t);
                 HOOP_ASSERT(drained, "mapping table wedged by open "
                                      "transactions");
@@ -189,24 +193,25 @@ bool
 HoopController::emergencyEvictMappingEntry(Tick now)
 {
     Addr victim = kInvalidAddr;
-    std::uint32_t victim_idx = 0;
-    mapping.forEach([&](Addr line, std::uint32_t slice_idx) {
+    MappingTable::Entry victim_entry{};
+    mapping.forEach([&](Addr line, MappingTable::Entry e) {
         if (victim != kInvalidAddr)
             return;
-        const MemorySlice s = region_.peekSlice(slice_idx);
+        const MemorySlice s = region_.peekSlice(e.slice);
         if (s.crcOk && s.carriesWords() && isCommitted(s.txId)) {
             victim = line;
-            victim_idx = slice_idx;
+            victim_entry = e;
         }
     });
     if (victim == kInvalidAddr)
         return false;
 
-    // Merge the entry's (newest) words into the home line in place.
-    Tick done;
-    const MemorySlice s = region_.readSlice(now, victim_idx, &done);
-    std::uint8_t buf[kCacheLineSize];
-    nvm_.read(now, victim, buf, kCacheLineSize);
+    // Merge the entry's (newest) words into the home line in place. A
+    // slice that holds the whole line replaces it without a home read.
+    const MemorySlice s = region_.readSlice(now, victim_entry.slice);
+    std::uint8_t buf[kCacheLineSize] = {};
+    if (!victim_entry.wholeLine)
+        nvm_.read(now, victim, buf, kCacheLineSize);
     for (unsigned i = 0; i < s.count; ++i) {
         if (lineAddr(s.homeAddrs[i]) == victim) {
             std::memcpy(buf + (s.homeAddrs[i] - victim), &s.words[i],
@@ -312,19 +317,27 @@ HoopController::fillLine(CoreId core, Addr line, std::uint8_t *buf,
 
     if (auto m = mapping.lookup(line)) {
         // Most recent version lives out of place: read the OOP slice
-        // and the home line in parallel and reconstruct (§III-G).
+        // and the home line in parallel and reconstruct (§III-G). A
+        // slice that holds all eight words is the line: it is read
+        // alone.
         mapping.remove(line);
         ++mappingHitsC_;
-        ++parallelReadsC_;
 
-        const Tick home_done = nvm_.read(now, line, buf, kCacheLineSize);
+        Tick home_done = now;
+        if (!m->wholeLine) {
+            ++parallelReadsC_;
+            home_done = nvm_.read(now, line, buf, kCacheLineSize);
+        }
         Tick slice_done;
-        const MemorySlice s = region_.readSlice(now, *m, &slice_done);
+        const MemorySlice s = region_.readSlice(now, m->slice, &slice_done);
         if (!s.crcOk || !s.carriesWords()) {
             // A media fault corrupted the out-of-place copy. The home
-            // line (already read) is the best surviving version: serve
-            // it rather than overlay garbage words.
+            // line is the best surviving version: serve it rather than
+            // overlay garbage words. A whole-line fill reads it only
+            // now that the slice has failed.
             ++fillSliceCrcDropsC_;
+            if (m->wholeLine)
+                home_done = nvm_.read(slice_done, line, buf, kCacheLineSize);
             fr.completion = home_done + kUnpackCost;
             return fr;
         }
@@ -337,6 +350,9 @@ HoopController::fillLine(CoreId core, Addr line, std::uint8_t *buf,
             std::memcpy(buf + off, &s.words[i], kWordSize);
             mask |= static_cast<std::uint8_t>(1u << (off / kWordSize));
         }
+        HOOP_ASSERT(!m->wholeLine || mask == kWholeLineMask,
+                    "whole-line slice %u misses words of line %#llx",
+                    m->slice, static_cast<unsigned long long>(line));
 
         fr.completion = std::max(home_done, slice_done) + kUnpackCost;
         // The reconstructed line is newer than the home region, and the
@@ -372,7 +388,7 @@ HoopController::evictLine(CoreId core, Addr line,
         // out of place (the home region is written only by GC,
         // §III-B): the dirty words become an eviction slice and the
         // mapping table redirects future misses.
-        std::uint8_t mask = word_mask ? word_mask : 0xff;
+        std::uint8_t mask = word_mask ? word_mask : kWholeLineMask;
         PendingSlice p;
         for (unsigned i = 0; i < kWordsPerLine; ++i) {
             if (!(mask & (1u << i)))
@@ -626,7 +642,7 @@ HoopController::debugReadLine(Addr line, std::uint8_t *buf) const
 {
     nvm_.peek(line, buf, kCacheLineSize);
     if (auto m = mapping.lookup(line)) {
-        const MemorySlice s = region_.peekSlice(*m);
+        const MemorySlice s = region_.peekSlice(m->slice);
         if (!s.crcOk)
             return; // corrupt overlay: the home line is the best copy
         for (unsigned i = 0; i < s.count; ++i) {

@@ -15,7 +15,9 @@
  *    words to the OOP region and install a mapping-table entry; LLC
  *    misses consult the table and read the OOP slice and home line in
  *    parallel, then drop the entry (the freshest copy moves into the
- *    cache hierarchy).
+ *    cache hierarchy). A slice that holds all eight words of its line
+ *    is read alone: the home copy is read only for the words the
+ *    out-of-place copy leaves out, here, in GC and in recovery.
  *  - Background GC coalesces committed updates and migrates them to the
  *    home region (see GarbageCollector); recovery replays committed
  *    slice chains after a crash (see RecoveryManager).

@@ -45,6 +45,10 @@ class LineCoalescer
         /** Words present in the line. */
         unsigned words() const { return std::popcount(mask); }
 
+        /** All eight words are present: overlay() replaces the whole
+         *  home line, so its old copy need not be read. */
+        bool whole() const { return mask == kWholeLineMask; }
+
         /** Highest sequence number among the present words. */
         std::uint64_t
         maxSeq() const

@@ -17,14 +17,16 @@
  * the scan's result that follows the paper's machine model. The scan
  * and write-back phases are limited by NVM channel bandwidth (Fig.
  * 11's bandwidth axis), charged for the bytes run() tallies as it
- * reads and writes. The CPU work divides across the recovery threads
- * (its thread axis) in two ways. Slice parsing and CRC checks split
- * evenly. The merge is partitioned by home line: every line falls in
- * one of kMergeBuckets buckets by its hash, recovery thread t of T owns
- * the buckets b with b % T == t, and it alone merges and writes back
- * their lines. So the merge term is the busiest thread's merge steps,
- * not every word's. The host pass writes lines in ascending address
- * order, one valid serialization of the threads' disjoint writes.
+ * reads and writes. The write-back reads a home line's old copy only
+ * when the winning words leave part of the line uncovered. The CPU
+ * work divides across the recovery threads (its thread axis) in two
+ * ways. Slice parsing and CRC checks split evenly. The merge is
+ * partitioned by home line: every line falls in one of kMergeBuckets
+ * buckets by its hash, recovery thread t of T owns the buckets b with
+ * b % T == t, and it alone merges and writes back their lines. So
+ * the merge term is the busiest thread's merge steps, not every
+ * word's. The host pass writes lines in ascending address order, one
+ * valid serialization of the threads' disjoint writes.
  *
  * Fault tolerance: nothing read from NVM is trusted without its CRC.
  * A torn or corrupt slice ends its block's live area; a corrupt
@@ -161,8 +163,10 @@ struct RecoveryResult
     /** Channel bytes recovery moves, tallied access by access: one
      *  line for the GC watermark word and for each block header read,
      *  one slice for each slot read (the slot that ends a block's live
-     *  area included), and a read and a write of each replayed home
-     *  line. The timing model charges exactly these. */
+     *  area included), a write of each replayed home line and a read
+     *  of each one in homeLinesRead. So it is the scan's bytes plus
+     *  kCacheLineSize x (homeLinesWritten + homeLinesRead). The timing
+     *  model charges exactly these. */
     std::uint64_t bytesScanned = 0;
 
     /** Host memory the one-pass replay holds in place of a second
@@ -170,7 +174,13 @@ struct RecoveryResult
      *  at their on-NVM size. */
     std::uint64_t keptSliceBytes = 0;
 
+    /** Home lines the replay wrote. */
     std::uint64_t homeLinesWritten = 0;
+
+    /** Of those, the lines whose old copy the replay read: the ones
+     *  its winning words leave partly uncovered. A line whose eight
+     *  words all won is written without reading it. */
+    std::uint64_t homeLinesRead = 0;
 
     /** Distinct home words the replay wrote (one merge step each in
      *  the timing model). */

@@ -4,7 +4,8 @@
  * through the same controller-level scenarios: commit durability,
  * crash discard of uncommitted transactions, fill correctness after
  * evictions, and scheme-specific mechanics (log truncation, shadow
- * flips, index walks, checkpointing).
+ * flips, index walks, checkpointing, the home reads LSM skips for
+ * whole lines).
  */
 
 #include <gtest/gtest.h>
@@ -342,6 +343,86 @@ TEST(LsmSpecifics, GcMigratesAndEmptiesIndex)
     EXPECT_EQ(ctrl.index().size(), 0u);
     EXPECT_EQ(nvm.peekWord(0x6000), 3u);
     EXPECT_EQ(ctrl.log().size(), 0u);
+}
+
+/**
+ * An LSM controller whose committed transaction stored all of line
+ * 0x6000 (values 900 + w) and words 0-2 of line 0x6040 (values
+ * 950 + w), over home copies whose words read 500 + w and 600 + w.
+ */
+struct LsmWholeAndPartial
+{
+    LsmWholeAndPartial()
+        : cfg(baseConfig()), nvm(cfg.nvmCapacity(), cfg.nvm),
+          ctrl(nvm, cfg)
+    {
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            nvm.pokeWord(0x6000 + 8 * w, 500 + w);
+            nvm.pokeWord(0x6040 + 8 * w, 600 + w);
+        }
+        ctrl.txBegin(0, 0);
+        for (unsigned w = 0; w < kWordsPerLine; ++w)
+            store(ctrl, 0, 0x6000 + 8 * w, 900 + w);
+        for (unsigned w = 0; w < 3; ++w)
+            store(ctrl, 0, 0x6040 + 8 * w, 950 + w);
+        ctrl.txEnd(0, 0);
+    }
+
+    /** What a read-modify-write gives for word @p w of @p line. */
+    static std::uint64_t
+    want(Addr line, unsigned w)
+    {
+        if (line == 0x6000)
+            return 900 + w;
+        return w < 3 ? 950 + w : 600 + w;
+    }
+
+    SystemConfig cfg;
+    NvmDevice nvm;
+    LsmController ctrl;
+};
+
+// A fill reads the home line only for the words the log leaves out:
+// the whole line costs the log read alone, the partial one both.
+TEST(LsmSpecifics, FillReadsHomeOnlyForPartialLines)
+{
+    LsmWholeAndPartial f;
+    for (const Addr line : {Addr{0x6000}, Addr{0x6040}}) {
+        SCOPED_TRACE(line);
+        const bool whole = line == 0x6000;
+        const std::uint64_t bytes_before = f.nvm.bytesRead();
+        const std::uint64_t reads_before = f.nvm.readAccesses();
+        std::uint8_t buf[kCacheLineSize] = {};
+        f.ctrl.fillLine(0, line, buf, 0);
+        EXPECT_EQ(f.nvm.bytesRead() - bytes_before,
+                  LogEntry::kEntryBytes + (whole ? 0 : kCacheLineSize));
+        EXPECT_EQ(f.nvm.readAccesses() - reads_before, whole ? 1u : 2u);
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            std::uint64_t v;
+            std::memcpy(&v, buf + 8 * w, 8);
+            EXPECT_EQ(v, LsmWholeAndPartial::want(line, w)) << w;
+        }
+    }
+    EXPECT_EQ(f.ctrl.stats().value("log_reads"), 2u);
+}
+
+// Reclaim migrates both lines with one home read, the partial line's.
+TEST(LsmSpecifics, ReclaimReadsHomeOnlyForPartialLines)
+{
+    LsmWholeAndPartial f;
+    const std::uint64_t bytes_before = f.nvm.bytesRead();
+    const std::uint64_t reads_before = f.nvm.readAccesses();
+    f.ctrl.drain(0);
+    EXPECT_EQ(f.ctrl.stats().value("migrated_lines"), 2u);
+    EXPECT_EQ(f.nvm.bytesRead() - bytes_before, kCacheLineSize);
+    EXPECT_EQ(f.nvm.readAccesses() - reads_before, 1u);
+    for (const Addr line : {Addr{0x6000}, Addr{0x6040}}) {
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            EXPECT_EQ(f.nvm.peekWord(line + 8 * w),
+                      LsmWholeAndPartial::want(line, w))
+                << line << " " << w;
+        }
+    }
 }
 
 TEST(LadSpecifics, CommitDrainsQueueImmediately)

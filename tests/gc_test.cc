@@ -3,8 +3,9 @@
  * Tests for HOOP's garbage collector (Algorithm 1): committed-data
  * migration with coalescing, block recycling, open-transaction
  * pinning (checked against the all-transactions-committed rule on
- * random interleavings), mapping-table cleanup and the data-reduction
- * metric.
+ * random interleavings), mapping-table cleanup, the home reads that
+ * only partial lines pay (in GC and in the emergency drain) and the
+ * data-reduction metric.
  */
 
 #include <gtest/gtest.h>
@@ -195,8 +196,122 @@ TEST_F(GcFixture, GcChargesNvmTraffic)
     const auto written_before = nvm.bytesWritten();
     const auto read_before = nvm.bytesRead();
     ctrl.drain(0);
-    EXPECT_GT(nvm.bytesRead(), read_before);     // slice + home reads
+    EXPECT_GT(nvm.bytesRead(), read_before);       // slice reads
     EXPECT_GT(nvm.bytesWritten(), written_before); // home lines
+}
+
+/** Eight words value0, value0 + 1, ... written to home line @p line. */
+void
+pokeLine(NvmDevice &nvm, Addr line, std::uint64_t value0)
+{
+    for (unsigned i = 0; i < kWordsPerLine; ++i)
+        nvm.pokeWord(line + i * kWordSize, value0 + i);
+}
+
+// Migration reads a home line only for the words the coalesced slices
+// leave out. One whole and one partial line migrate with one home
+// read between them, and both land as a read-modify-write would put
+// them: the stored words over the old copy.
+TEST_F(GcFixture, OnlyPartialLinesReadTheHomeCopy)
+{
+    pokeLine(nvm, 0x8000, 500);
+    pokeLine(nvm, 0x8040, 600);
+    ctrl.txBegin(0, 0);
+    storeWords(0, 0x8000, 8, 1);  // the whole of line 0x8000
+    storeWords(0, 0x8040, 3, 11); // words 0-2 of line 0x8040
+    ctrl.txEnd(0, 0);
+
+    ctrl.region().closeCurrentBlock(0);
+    const std::uint64_t bytes_before = nvm.bytesRead();
+    const std::uint64_t reads_before = nvm.readAccesses();
+    ctrl.gc().run(0);
+    const StatSet &gs = ctrl.gc().stats();
+    EXPECT_EQ(gs.value("home_lines_written"), 2u);
+    EXPECT_EQ(gs.value("home_lines_read"), 1u);
+    // Every scanned slot, then the one home read.
+    const std::uint64_t scanned = gs.value("slices_scanned");
+    EXPECT_EQ(scanned, 3u); // two data slices and the commit record
+    EXPECT_EQ(nvm.bytesRead() - bytes_before,
+              scanned * MemorySlice::kSliceBytes + kCacheLineSize);
+    EXPECT_EQ(nvm.readAccesses() - reads_before, scanned + 1);
+
+    for (unsigned i = 0; i < kWordsPerLine; ++i) {
+        EXPECT_EQ(nvm.peekWord(0x8000 + 8 * i), 1u + i) << i;
+        EXPECT_EQ(nvm.peekWord(0x8040 + 8 * i), i < 3 ? 11u + i : 600u + i)
+            << i;
+    }
+}
+
+/**
+ * A controller whose mapping table holds one entry, with line 0x4000
+ * mapped to a committed eviction slice carrying the words of
+ * @p mask (values 900 + w) over a home copy of 500 + w. Evicting a
+ * second line then finds the table full and GC unable to free it (the
+ * slice's block is still open), so the emergency drain migrates
+ * 0x4000 home.
+ */
+struct EmergencyDrain
+{
+    explicit EmergencyDrain(std::uint8_t mask)
+        : cfg(tinyTableConfig()), nvm(cfg.nvmCapacity(), cfg.nvm),
+          ctrl(nvm, cfg)
+    {
+        pokeLine(nvm, 0x4000, 500);
+        tx = ctrl.txBegin(0, 0);
+        ctrl.txEnd(0, 0);
+        std::uint8_t line[kCacheLineSize];
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            const std::uint64_t v = 900 + w;
+            std::memcpy(line + w * kWordSize, &v, kWordSize);
+        }
+        ctrl.evictLine(0, 0x4000, line, true, tx, mask, 0);
+    }
+
+    static SystemConfig
+    tinyTableConfig()
+    {
+        SystemConfig cfg = gcConfig();
+        cfg.mappingTableBytes = MappingTable::kEntryBytes;
+        return cfg;
+    }
+
+    /** Evict line 0x5000 and return the bytes the drain read. */
+    std::uint64_t
+    evictAnother()
+    {
+        std::uint8_t line[kCacheLineSize] = {};
+        const std::uint64_t before = nvm.bytesRead();
+        ctrl.evictLine(0, 0x5000, line, true, tx, kWholeLineMask, 0);
+        return nvm.bytesRead() - before;
+    }
+
+    SystemConfig cfg;
+    NvmDevice nvm;
+    HoopController ctrl;
+    TxId tx = kInvalidTxId;
+};
+
+TEST(GcEmergencyDrain, WholeLineSkipsTheHomeRead)
+{
+    EmergencyDrain d(kWholeLineMask);
+    ASSERT_TRUE(d.ctrl.mappingTable().lookup(0x4000)->wholeLine);
+    EXPECT_EQ(d.evictAnother(), MemorySlice::kSliceBytes);
+    EXPECT_EQ(d.ctrl.stats().value("emergency_migrations"), 1u);
+    EXPECT_FALSE(d.ctrl.mappingTable().lookup(0x4000).has_value());
+    EXPECT_TRUE(d.ctrl.mappingTable().lookup(0x5000).has_value());
+    for (unsigned w = 0; w < kWordsPerLine; ++w)
+        EXPECT_EQ(d.nvm.peekWord(0x4000 + 8 * w), 900u + w) << w;
+}
+
+TEST(GcEmergencyDrain, PartialLineReadsTheHomeCopy)
+{
+    EmergencyDrain d(0x0f); // words 0-3
+    ASSERT_FALSE(d.ctrl.mappingTable().lookup(0x4000)->wholeLine);
+    EXPECT_EQ(d.evictAnother(), MemorySlice::kSliceBytes + kCacheLineSize);
+    EXPECT_EQ(d.ctrl.stats().value("emergency_migrations"), 1u);
+    for (unsigned w = 0; w < kWordsPerLine; ++w)
+        EXPECT_EQ(d.nvm.peekWord(0x4000 + 8 * w), w < 4 ? 900u + w : 500u + w)
+            << w;
 }
 
 /**

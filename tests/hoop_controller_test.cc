@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the HOOP controller: out-of-place store capture, slice
- * chains and commit records, mapping-table redirection on fills,
- * eviction routing, and the load/store flow of Fig. 6.
+ * chains and commit records, mapping-table redirection on fills (with
+ * the home read a whole-line slice skips), eviction routing, and the
+ * load/store flow of Fig. 6.
  */
 
 #include <gtest/gtest.h>
@@ -194,6 +195,10 @@ TEST_F(HoopFixture, FillReconstructsFromMappingHit)
     std::memcpy(line, &v, 8);
     ctrl.evictLine(0, 0x6000, line, true, tx, 0x01, 0);
 
+    ASSERT_FALSE(ctrl.mappingTable().lookup(0x6000)->wholeLine);
+
+    const std::uint64_t bytes_before = nvm.bytesRead();
+    const std::uint64_t reads_before = nvm.readAccesses();
     std::uint8_t buf[kCacheLineSize] = {};
     const FillResult fr = ctrl.fillLine(0, 0x6000, buf, 0);
     std::uint64_t w0, w1;
@@ -205,10 +210,106 @@ TEST_F(HoopFixture, FillReconstructsFromMappingHit)
     EXPECT_TRUE(fr.persistent);
     EXPECT_EQ(fr.txId, tx);
     EXPECT_EQ(fr.wordMask, 0x01);
+    // The slice leaves seven words uncovered: both reads are issued.
+    EXPECT_EQ(nvm.bytesRead() - bytes_before,
+              MemorySlice::kSliceBytes + kCacheLineSize);
+    EXPECT_EQ(nvm.readAccesses() - reads_before, 2u);
+    EXPECT_EQ(ctrl.stats().value("mapping_hits"), 1u);
     EXPECT_EQ(ctrl.stats().value("parallel_reads"), 1u);
     // The entry is consumed: the freshest copy now lives in the cache.
     EXPECT_FALSE(ctrl.mappingTable().lookup(0x6000).has_value());
     ctrl.txEnd(0, 0);
+}
+
+/** A line image of eight words value0, value0 + 1, ... */
+void
+lineOf(std::uint64_t value0, std::uint8_t *line)
+{
+    for (unsigned i = 0; i < kWordsPerLine; ++i) {
+        const std::uint64_t v = value0 + i;
+        std::memcpy(line + i * kWordSize, &v, kWordSize);
+    }
+}
+
+TEST_F(HoopFixture, FillFromWholeLineSliceReadsTheSliceAlone)
+{
+    // Home holds an old copy of every word; the eviction slice holds
+    // all eight new ones, so the home copy cannot show through.
+    std::uint8_t old_line[kCacheLineSize];
+    lineOf(500, old_line);
+    nvm.poke(0x6000, old_line, kCacheLineSize);
+    const TxId tx = ctrl.txBegin(0, 0);
+    std::uint8_t line[kCacheLineSize];
+    lineOf(900, line);
+    ctrl.evictLine(0, 0x6000, line, true, tx, kWholeLineMask, 0);
+    ASSERT_TRUE(ctrl.mappingTable().lookup(0x6000)->wholeLine);
+
+    const std::uint64_t bytes_before = nvm.bytesRead();
+    const std::uint64_t reads_before = nvm.readAccesses();
+    std::uint8_t buf[kCacheLineSize] = {};
+    const FillResult fr = ctrl.fillLine(0, 0x6000, buf, 0);
+    // One 128 B slice read, no home read.
+    EXPECT_EQ(nvm.bytesRead() - bytes_before, MemorySlice::kSliceBytes);
+    EXPECT_EQ(nvm.readAccesses() - reads_before, 1u);
+    EXPECT_EQ(ctrl.stats().value("mapping_hits"), 1u);
+    EXPECT_EQ(ctrl.stats().value("parallel_reads"), 0u);
+    // The line an always-read fill builds: the home copy overlaid with
+    // every slice word, which is the slice's words.
+    EXPECT_EQ(std::memcmp(buf, line, kCacheLineSize), 0);
+    EXPECT_TRUE(fr.dirty);
+    EXPECT_TRUE(fr.persistent);
+    EXPECT_EQ(fr.txId, tx);
+    EXPECT_EQ(fr.wordMask, kWholeLineMask);
+    EXPECT_FALSE(ctrl.mappingTable().lookup(0x6000).has_value());
+    ctrl.txEnd(0, 0);
+}
+
+TEST_F(HoopFixture, FaultyWholeLineSliceFallsBackToTheHomeCopy)
+{
+    // The same eviction and fill run on this controller, whose slice
+    // then reads with a bit flipped in every word, and on a clean
+    // twin.
+    NvmDevice twin_nvm(cfg.nvmCapacity(), cfg.nvm);
+    HoopController twin(twin_nvm, cfg);
+    std::uint8_t old_line[kCacheLineSize];
+    lineOf(500, old_line);
+    std::uint8_t line[kCacheLineSize];
+    lineOf(900, line);
+    for (HoopController *c : {&ctrl, &twin}) {
+        NvmDevice &dev = c == &ctrl ? nvm : twin_nvm;
+        dev.poke(0x6000, old_line, kCacheLineSize);
+        const TxId tx = c->txBegin(0, 0);
+        c->evictLine(0, 0x6000, line, true, tx, kWholeLineMask, 0);
+        c->txEnd(0, 0);
+    }
+    const auto m = ctrl.mappingTable().lookup(0x6000);
+    ASSERT_TRUE(m && m->wholeLine);
+    const Addr slice = ctrl.region().sliceAddr(m->slice);
+    nvm.faults().addMediaFault(slice, slice + MemorySlice::kSliceBytes,
+                               MediaFaultKind::BitFlip, 1.0);
+
+    const std::uint64_t bytes_before = nvm.bytesRead();
+    const std::uint64_t reads_before = nvm.readAccesses();
+    std::uint8_t buf[kCacheLineSize] = {};
+    const FillResult fr = ctrl.fillLine(0, 0x6000, buf, 0);
+    EXPECT_EQ(ctrl.stats().value("fill_slice_crc_drops"), 1u);
+    // The slice read, then the home read it fell back to.
+    EXPECT_EQ(nvm.bytesRead() - bytes_before,
+              MemorySlice::kSliceBytes + kCacheLineSize);
+    EXPECT_EQ(nvm.readAccesses() - reads_before, 2u);
+    EXPECT_EQ(ctrl.stats().value("parallel_reads"), 0u);
+    // The home read is issued once the slice read has completed: the
+    // fill takes at least a read latency longer than the twin's,
+    // which reads the slice alone.
+    std::uint8_t twin_buf[kCacheLineSize];
+    const FillResult twin_fr = twin.fillLine(0, 0x6000, twin_buf, 0);
+    EXPECT_EQ(twin.stats().value("fill_slice_crc_drops"), 0u);
+    EXPECT_GE(fr.completion, twin_fr.completion + cfg.nvm.readLatency);
+    // What an always-read fill serves when the slice fails its CRC:
+    // the home copy, clean.
+    EXPECT_EQ(std::memcmp(buf, old_line, kCacheLineSize), 0);
+    EXPECT_FALSE(fr.dirty);
+    EXPECT_EQ(std::memcmp(twin_buf, line, kCacheLineSize), 0);
 }
 
 TEST_F(HoopFixture, FillFromHomeOnMappingMiss)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the hash-based physical-to-physical mapping table:
- * capacity enforcement (the Fig. 13 knob), insert/update/remove,
- * iteration and its visit order.
+ * capacity enforcement (the Fig. 13 knob), insert/update/remove, the
+ * whole-line flag, iteration and its visit order.
  */
 
 #include <gtest/gtest.h>
@@ -27,10 +27,11 @@ TEST(MappingTable, CapacityFromBytes)
 TEST(MappingTable, InsertLookupRemove)
 {
     MappingTable t(kiB(1));
-    EXPECT_TRUE(t.insert(64, 7));
+    EXPECT_TRUE(t.insert(64, 7, false));
     auto v = t.lookup(64);
     ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, 7u);
+    EXPECT_EQ(v->slice, 7u);
+    EXPECT_FALSE(v->wholeLine);
     t.remove(64);
     EXPECT_FALSE(t.lookup(64).has_value());
 }
@@ -38,33 +39,88 @@ TEST(MappingTable, InsertLookupRemove)
 TEST(MappingTable, UpdateExistingEntry)
 {
     MappingTable t(kiB(1));
-    EXPECT_TRUE(t.insert(64, 1));
-    EXPECT_TRUE(t.insert(64, 2));
-    EXPECT_EQ(*t.lookup(64), 2u);
+    EXPECT_TRUE(t.insert(64, 1, false));
+    EXPECT_TRUE(t.insert(64, 2, false));
+    EXPECT_EQ(t.lookup(64)->slice, 2u);
     EXPECT_EQ(t.size(), 1u);
+}
+
+// The whole-line flag rides with its slice index: insert sets it, an
+// update overwrites it either way, and neither touches the index of
+// the other entries. The largest storable index keeps both.
+TEST(MappingTable, WholeLineFlagIsSetAndOverwritten)
+{
+    MappingTable t(kiB(1));
+    EXPECT_TRUE(t.insert(64, 5, true));
+    EXPECT_TRUE(t.insert(128, 6, false));
+    EXPECT_EQ(t.lookup(64)->slice, 5u);
+    EXPECT_TRUE(t.lookup(64)->wholeLine);
+    EXPECT_FALSE(t.lookup(128)->wholeLine);
+
+    EXPECT_TRUE(t.insert(64, 9, false)); // a partial slice replaces it
+    EXPECT_EQ(t.lookup(64)->slice, 9u);
+    EXPECT_FALSE(t.lookup(64)->wholeLine);
+    EXPECT_TRUE(t.insert(128, 10, true)); // a whole one replaces it
+    EXPECT_EQ(t.lookup(128)->slice, 10u);
+    EXPECT_TRUE(t.lookup(128)->wholeLine);
+    EXPECT_EQ(t.size(), 2u);
+
+    const std::uint32_t top = (1u << 31) - 1;
+    EXPECT_TRUE(t.insert(192, top, true));
+    EXPECT_EQ(t.lookup(192)->slice, top);
+    EXPECT_TRUE(t.lookup(192)->wholeLine);
+    EXPECT_TRUE(t.insert(192, top, false));
+    EXPECT_EQ(t.lookup(192)->slice, top);
+    EXPECT_FALSE(t.lookup(192)->wholeLine);
+
+    std::map<Addr, MappingTable::Entry> seen;
+    t.forEach([&](Addr line, MappingTable::Entry e) { seen[line] = e; });
+    ASSERT_EQ(seen.size(), 3u);
+    EXPECT_EQ(seen[64].slice, 9u);
+    EXPECT_FALSE(seen[64].wholeLine);
+    EXPECT_EQ(seen[128].slice, 10u);
+    EXPECT_TRUE(seen[128].wholeLine);
+    EXPECT_EQ(seen[192].slice, top);
+}
+
+// At capacity an update still overwrites the flag of a present line.
+TEST(MappingTable, FullTableUpdatesTheFlagInPlace)
+{
+    MappingTable t(MappingTable::kEntryBytes * 2);
+    EXPECT_TRUE(t.insert(0, 1, false));
+    EXPECT_TRUE(t.insert(64, 2, true));
+    ASSERT_TRUE(t.full());
+    EXPECT_FALSE(t.insert(128, 3, true));
+    EXPECT_TRUE(t.insert(0, 4, true));
+    EXPECT_TRUE(t.insert(64, 5, false));
+    EXPECT_TRUE(t.lookup(0)->wholeLine);
+    EXPECT_EQ(t.lookup(0)->slice, 4u);
+    EXPECT_FALSE(t.lookup(64)->wholeLine);
+    EXPECT_EQ(t.lookup(64)->slice, 5u);
 }
 
 TEST(MappingTable, RejectsInsertWhenFull)
 {
     MappingTable t(MappingTable::kEntryBytes * 4);
     for (Addr a = 0; a < 4; ++a)
-        EXPECT_TRUE(t.insert(a * 64, static_cast<std::uint32_t>(a)));
+        EXPECT_TRUE(t.insert(a * 64, static_cast<std::uint32_t>(a), false));
     EXPECT_TRUE(t.full());
-    EXPECT_FALSE(t.insert(1024, 9));
+    EXPECT_FALSE(t.insert(1024, 9, false));
     // Updating an existing key still works at capacity.
-    EXPECT_TRUE(t.insert(0, 42));
-    EXPECT_EQ(*t.lookup(0), 42u);
+    EXPECT_TRUE(t.insert(0, 42, false));
+    EXPECT_EQ(t.lookup(0)->slice, 42u);
 }
 
 TEST(MappingTable, ForEachVisitsAll)
 {
     MappingTable t(kiB(1));
     for (Addr a = 0; a < 10; ++a)
-        t.insert(a * 64, static_cast<std::uint32_t>(a));
+        t.insert(a * 64, static_cast<std::uint32_t>(a), a % 2 == 1);
     std::set<Addr> seen;
-    t.forEach([&](Addr line, std::uint32_t idx) {
+    t.forEach([&](Addr line, MappingTable::Entry e) {
         seen.insert(line);
-        EXPECT_EQ(idx, line / 64);
+        EXPECT_EQ(e.slice, line / 64);
+        EXPECT_EQ(e.wholeLine, line / 64 % 2 == 1);
     });
     EXPECT_EQ(seen.size(), 10u);
 }
@@ -72,8 +128,8 @@ TEST(MappingTable, ForEachVisitsAll)
 TEST(MappingTable, ClearEmptiesTable)
 {
     MappingTable t(kiB(1));
-    t.insert(0, 1);
-    t.insert(64, 2);
+    t.insert(0, 1, false);
+    t.insert(64, 2, true);
     t.clear();
     EXPECT_EQ(t.size(), 0u);
     EXPECT_FALSE(t.lookup(0).has_value());
@@ -89,11 +145,11 @@ TEST(MappingTable, LazyAllocationFootprint)
     EXPECT_LT(t.hostAllocatedBytes(), kiB(4));
 
     for (Addr a = 0; a < 1000; ++a)
-        ASSERT_TRUE(t.insert(a * 64, static_cast<std::uint32_t>(a)));
+        ASSERT_TRUE(t.insert(a * 64, static_cast<std::uint32_t>(a), true));
     // Growth tracks the live entry count, not the modelled capacity.
     EXPECT_LT(t.hostAllocatedBytes(), kiB(64));
     for (Addr a = 0; a < 1000; ++a)
-        EXPECT_EQ(*t.lookup(a * 64), static_cast<std::uint32_t>(a));
+        EXPECT_EQ(t.lookup(a * 64)->slice, static_cast<std::uint32_t>(a));
 
     // clear() releases back to the small initial allocation.
     t.clear();
@@ -106,7 +162,7 @@ TEST(MappingTable, LazyAllocationFootprint)
 TEST(MappingTable, RandomOpsMatchReferenceModel)
 {
     MappingTable t(MappingTable::kEntryBytes * 256);
-    std::map<Addr, std::uint32_t> ref;
+    std::map<Addr, std::pair<std::uint32_t, bool>> ref;
     std::uint64_t state = 12345;
     auto next = [&state] {
         state = state * 6364136223846793005ull + 1442695040888963407ull;
@@ -117,11 +173,12 @@ TEST(MappingTable, RandomOpsMatchReferenceModel)
         const auto op = next() % 3;
         if (op == 0) {
             const auto v = static_cast<std::uint32_t>(next());
+            const bool whole = next() % 2 == 0;
             const bool want =
                 ref.count(line) || ref.size() < t.capacity();
-            EXPECT_EQ(t.insert(line, v), want);
+            EXPECT_EQ(t.insert(line, v, whole), want);
             if (want)
-                ref[line] = v;
+                ref[line] = {v, whole};
         } else if (op == 1) {
             t.remove(line);
             ref.erase(line);
@@ -130,18 +187,20 @@ TEST(MappingTable, RandomOpsMatchReferenceModel)
             const auto it = ref.find(line);
             ASSERT_EQ(got.has_value(), it != ref.end());
             if (got) {
-                EXPECT_EQ(*got, it->second);
+                EXPECT_EQ(got->slice, it->second.first);
+                EXPECT_EQ(got->wholeLine, it->second.second);
             }
         }
         ASSERT_EQ(t.size(), ref.size());
     }
     // Final full sweep: every reference entry is reachable.
     std::size_t visited = 0;
-    t.forEach([&](Addr line, std::uint32_t idx) {
+    t.forEach([&](Addr line, MappingTable::Entry e) {
         ++visited;
         auto it = ref.find(line);
         ASSERT_NE(it, ref.end());
-        EXPECT_EQ(idx, it->second);
+        EXPECT_EQ(e.slice, it->second.first);
+        EXPECT_EQ(e.wholeLine, it->second.second);
     });
     EXPECT_EQ(visited, ref.size());
 }
@@ -152,7 +211,9 @@ TEST(MappingTable, RandomOpsMatchReferenceModel)
 // digests of the (line, slice) visit sequence pin that order after a
 // few inserts, at capacity, after removes, and after clear() plus a
 // few re-inserts. The key hash, the starting slot count and clear()'s
-// return to it each change at least one of them.
+// return to it each change at least one of them. The whole-line flag
+// is not part of the digest: it rides with the entry and moves
+// nothing.
 TEST(MappingTable, VisitOrderIsPinned)
 {
     MappingTable t(kiB(8));
@@ -165,7 +226,8 @@ TEST(MappingTable, VisitOrderIsPinned)
     std::vector<Addr> inserted;
     auto insertOne = [&] {
         const Addr line = (next() % 4096) * 64;
-        ASSERT_TRUE(t.insert(line, static_cast<std::uint32_t>(next())));
+        const auto slice = static_cast<std::uint32_t>(next());
+        ASSERT_TRUE(t.insert(line, slice, line % 128 == 0));
         inserted.push_back(line);
     };
     auto digest = [&t] {
@@ -176,9 +238,9 @@ TEST(MappingTable, VisitOrderIsPinned)
                 h *= 1099511628211ull;
             }
         };
-        t.forEach([&mix](Addr line, std::uint32_t slice) {
+        t.forEach([&mix](Addr line, MappingTable::Entry e) {
             mix(line, 8);
-            mix(slice, 4);
+            mix(e.slice, 4);
         });
         return h;
     };
@@ -206,9 +268,9 @@ TEST(MappingTable, FillToCapacityAndDrain)
 {
     MappingTable t(MappingTable::kEntryBytes * 1000);
     for (Addr a = 0; a < 1000; ++a)
-        ASSERT_TRUE(t.insert(a * 64, static_cast<std::uint32_t>(a)));
+        ASSERT_TRUE(t.insert(a * 64, static_cast<std::uint32_t>(a), false));
     EXPECT_TRUE(t.full());
-    EXPECT_FALSE(t.insert(1000 * 64, 0));
+    EXPECT_FALSE(t.insert(1000 * 64, 0, false));
     for (Addr a = 0; a < 1000; ++a) {
         ASSERT_TRUE(t.lookup(a * 64).has_value());
         t.remove(a * 64);

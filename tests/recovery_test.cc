@@ -13,6 +13,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/hash.hh"
@@ -310,22 +312,29 @@ TEST(GcBoundaryRecovery, ChainSpanningCollectedPrefixReplays)
     }
 }
 
-TEST(HandBuiltImageRecovery, TalliesTheBytesOneScanMoves)
+/**
+ * Recovery of a hand-built image of four 63-slot blocks:
+ *   block 0  below the GC watermark (a recycle that tore back to its
+ *            Full header),
+ *   block 1  recycled: a valid Unused header,
+ *   block 2  Full; its 15th slot, a commit record, is torn,
+ *   block 3  open: two slices, then an unwritten slot.
+ * The last transaction, in block 3, stores @p last_words words of its
+ * line over a home copy whose words read 0xdead0000 + w. Returns the
+ * replayed lines in *lines, and the device in *home for checking.
+ */
+RecoveryResult
+recoverHandBuiltImage(unsigned last_words, std::vector<Addr> *lines,
+                      std::unique_ptr<NvmDevice> *home)
 {
-    // Four blocks of 63 slice slots each, laid out by hand:
-    //   block 0  below the GC watermark (a recycle that tore back to
-    //            its Full header),
-    //   block 1  recycled: a valid Unused header,
-    //   block 2  Full; its 15th slot, a commit record, is torn,
-    //   block 3  open: two slices, then an unwritten slot.
     SystemConfig cfg = recConfig();
     cfg.oopBytes = kiB(32);
     cfg.oopBlockBytes = kiB(8);
-    NvmDevice nvm(cfg.nvmCapacity(), cfg.nvm);
-    HoopController ctrl(nvm, cfg);
+    auto nvm = std::make_unique<NvmDevice>(cfg.nvmCapacity(), cfg.nvm);
+    HoopController ctrl(*nvm, cfg);
     OopRegion &region = ctrl.region();
-    ASSERT_EQ(region.numBlocks(), 4u);
-    ASSERT_EQ(region.slicesPerBlock(), 63u);
+    EXPECT_EQ(region.numBlocks(), 4u);
+    EXPECT_EQ(region.slicesPerBlock(), 63u);
 
     auto tx = [&](Addr base, unsigned words) {
         ctrl.txBegin(0, 0);
@@ -344,74 +353,103 @@ TEST(HandBuiltImageRecovery, TalliesTheBytesOneScanMoves)
     for (unsigned t = 0; t < 43; ++t)
         tx(0x10000 + 2 * kCacheLineSize * t, 16);
     std::uint8_t full_header[kCacheLineSize];
-    nvm.peek(region.blockBase(0), full_header, kCacheLineSize);
+    nvm->peek(region.blockBase(0), full_header, kCacheLineSize);
     ctrl.gc().run(0);
-    ASSERT_EQ(region.block(0).state, BlockState::Unused);
-    ASSERT_EQ(region.block(1).state, BlockState::Unused);
-    ASSERT_EQ(region.block(2).state, BlockState::InUse);
-    nvm.poke(region.blockBase(0), full_header, kCacheLineSize);
+    EXPECT_EQ(region.block(0).state, BlockState::Unused);
+    EXPECT_EQ(region.block(1).state, BlockState::Unused);
+    EXPECT_EQ(region.block(2).state, BlockState::InUse);
+    nvm->poke(region.blockBase(0), full_header, kCacheLineSize);
 
     // 30 two-slice transactions take block 2's slots 4-63 (the
     // sixth one's commit record sits in slot 15), and a 31st opens
     // block 3. Flip one payload byte of slot 15.
-    for (unsigned t = 0; t < 31; ++t)
+    const Addr last = 0x40000 + kCacheLineSize * 30;
+    for (unsigned w = 0; w < kWordsPerLine; ++w)
+        nvm->pokeWord(last + 8 * w, 0xdead0000 + w);
+    for (unsigned t = 0; t < 30; ++t)
         tx(0x40000 + kCacheLineSize * t, 8);
-    ASSERT_EQ(region.block(2).state, BlockState::Full);
-    ASSERT_EQ(region.block(3).state, BlockState::InUse);
+    tx(last, last_words);
+    EXPECT_EQ(region.block(2).state, BlockState::Full);
+    EXPECT_EQ(region.block(3).state, BlockState::InUse);
     const Addr torn =
         region.sliceAddr(2 * (region.slicesPerBlock() + 1) + 15);
     std::uint8_t byte = 0;
-    nvm.peek(torn + 40, &byte, 1);
+    nvm->peek(torn + 40, &byte, 1);
     byte ^= 0x10;
-    nvm.poke(torn + 40, &byte, 1);
+    nvm->poke(torn + 40, &byte, 1);
 
     ctrl.crash();
     ctrl.recover(2);
-    const RecoveryResult &r = ctrl.lastRecovery();
 
     // Replayed: block 2's opener (two lines), the five transactions
     // before the torn record and block 3's transaction (a line each).
     // The torn slot ends block 2's live area, so the transaction whose
     // record tore and the 24 after it are lost.
-    std::vector<Addr> lines = {0x10000 + 2 * kCacheLineSize * 42,
-                               0x10000 + 2 * kCacheLineSize * 42 +
-                                   kCacheLineSize};
-    for (unsigned t : {0, 1, 2, 3, 4, 30})
-        lines.push_back(0x40000 + kCacheLineSize * t);
-    RecoveryResult want;
-    want.committedTxReplayed = 7;
-    want.slicesScanned = 14 + 2; // block 2's slots 1-14, block 3's 1-2
-    want.homeLinesWritten = lines.size();
-    want.distinctWords = 8 * lines.size();
-    for (Addr line : lines) {
-        want.bucketWords[mixHash(line / kCacheLineSize) %
-                         RecoveryManager::kMergeBuckets] += kWordsPerLine;
-    }
-    // Block 2 opened at sequence 127, so block 3's second slot is
-    // sequence 127 + 63 + 1; its transaction is the 74th.
-    want.maxSeq = 191;
-    want.maxTxId = 74;
-    want.slicesRejected = 1;
-    want.tornCommitsDetected = 1;
-    want.blocksSkippedByWatermark = 1;
-    // The watermark word's line, four header lines, block 2's slots
-    // 1-15, block 3's slots 1-3 and a read and a write of each
-    // replayed home line.
-    want.bytesScanned = kCacheLineSize + 4 * kCacheLineSize +
-                        (15 + 3) * MemorySlice::kSliceBytes +
-                        lines.size() * 2 * kCacheLineSize;
-    // Nine Data slices: two of block 2's opener, one each of the six
-    // transactions after it up to the torn slot, and block 3's one.
-    want.keptSliceBytes = 9 * MemorySlice::kSliceBytes;
-    want.crcVerifyCost = 16 * RecoveryManager::kCrcVerifyCpuCost;
-    want.time = RecoveryManager::time(want, 2, nvm.timing());
-    EXPECT_EQ(r, want);
-    EXPECT_EQ(r.bytesScanned, 3648u);
+    *lines = {0x10000 + 2 * kCacheLineSize * 42,
+              0x10000 + 2 * kCacheLineSize * 42 + kCacheLineSize};
+    for (unsigned t : {0, 1, 2, 3, 4})
+        lines->push_back(0x40000 + kCacheLineSize * t);
+    lines->push_back(last);
+    const RecoveryResult r = ctrl.lastRecovery();
+    *home = std::move(nvm);
+    return r;
+}
 
-    for (Addr line : lines) {
-        for (unsigned i = 0; i < kWordsPerLine; ++i) {
-            const Addr a = line + 8 * i;
-            EXPECT_EQ(nvm.peekWord(a), a) << std::hex << a;
+TEST(HandBuiltImageRecovery, TalliesTheBytesOneScanMoves)
+{
+    // With every replayed line whole, and with the last one partial.
+    for (unsigned last_words : {8u, 7u}) {
+        SCOPED_TRACE("last transaction stores " +
+                     std::to_string(last_words) + " words");
+        std::vector<Addr> lines;
+        std::unique_ptr<NvmDevice> nvm;
+        const RecoveryResult r =
+            recoverHandBuiltImage(last_words, &lines, &nvm);
+        const Addr last = lines.back();
+        const std::uint64_t partial = last_words < kWordsPerLine ? 1 : 0;
+
+        RecoveryResult want;
+        want.committedTxReplayed = 7;
+        want.slicesScanned = 14 + 2; // block 2's slots 1-14, block 3's 1-2
+        want.homeLinesWritten = lines.size();
+        want.homeLinesRead = partial;
+        want.distinctWords = 8 * (lines.size() - 1) + last_words;
+        for (Addr line : lines) {
+            want.bucketWords[mixHash(line / kCacheLineSize) %
+                             RecoveryManager::kMergeBuckets] +=
+                line == last ? last_words : kWordsPerLine;
+        }
+        // Block 2 opened at sequence 127, so block 3's second slot is
+        // sequence 127 + 63 + 1; its transaction is the 74th.
+        want.maxSeq = 191;
+        want.maxTxId = 74;
+        want.slicesRejected = 1;
+        want.tornCommitsDetected = 1;
+        want.blocksSkippedByWatermark = 1;
+        // The watermark word's line, four header lines, block 2's
+        // slots 1-15, block 3's slots 1-3, a write of each replayed
+        // home line and a read of the partial one.
+        want.bytesScanned = kCacheLineSize + 4 * kCacheLineSize +
+                            (15 + 3) * MemorySlice::kSliceBytes +
+                            (lines.size() + partial) * kCacheLineSize;
+        // Nine Data slices: two of block 2's opener, one each of the
+        // six transactions after it up to the torn slot, and block 3's
+        // one.
+        want.keptSliceBytes = 9 * MemorySlice::kSliceBytes;
+        want.crcVerifyCost = 16 * RecoveryManager::kCrcVerifyCpuCost;
+        want.time = RecoveryManager::time(want, 2, nvm->timing());
+        EXPECT_EQ(r, want);
+        EXPECT_EQ(r.bytesScanned, partial ? 3200u : 3136u);
+
+        // A skipped read changes no byte: every line holds what a
+        // read-modify-write gives, the stored words over the old copy.
+        for (Addr line : lines) {
+            for (unsigned i = 0; i < kWordsPerLine; ++i) {
+                const Addr a = line + 8 * i;
+                const bool stored = line != last || i < last_words;
+                EXPECT_EQ(nvm->peekWord(a), stored ? a : 0xdead0000 + i)
+                    << std::hex << a;
+            }
         }
     }
 }
@@ -479,9 +517,11 @@ TEST_F(RecoveryFixture, WordOnceImageRecoversAtTheChannelBound)
 {
     // Fig. 11's kind of image: consecutive words, each written once,
     // and no periodic GC (maintenance never runs; the region holds
-    // every slice, so no pressure GC either). Its merge work is far
-    // above its channel time on one thread, but split 8 or 16 ways by
-    // home line it falls below, so the channel alone sets the time.
+    // every slice, so no pressure GC either). Every line is whole, so
+    // the replay writes each home line without reading it. Its merge
+    // work is far above its channel time on one thread; split 16 ways
+    // by home line it falls below, so the channel alone sets the time,
+    // while split 8 ways it still binds.
     constexpr unsigned kTx = 1000, kWordsPerTx = 64;
     for (unsigned t = 0; t < kTx; ++t) {
         ctrl.txBegin(0, 0);
@@ -496,10 +536,15 @@ TEST_F(RecoveryFixture, WordOnceImageRecoversAtTheChannelBound)
     const Tick t16 = ctrl.modelRecovery(16);
     const RecoveryResult r = ctrl.lastRecovery();
     ASSERT_EQ(r.distinctWords, std::uint64_t{kTx} * kWordsPerTx);
+    EXPECT_EQ(r.homeLinesWritten, r.distinctWords / kWordsPerLine);
+    EXPECT_EQ(r.homeLinesRead, 0u);
     const NvmTiming &timing = nvm.timing();
-    EXPECT_EQ(t16, timing.transferTicks(r.bytesScanned) +
-                       timing.readLatency + timing.writeLatency);
-    EXPECT_EQ(ctrl.modelRecovery(8), t16);
+    const Tick latencies = timing.readLatency + timing.writeLatency;
+    EXPECT_EQ(t16, timing.transferTicks(r.bytesScanned) + latencies);
+    EXPECT_EQ(ctrl.modelRecovery(8), RecoveryManager::cpuTime(r, 8) +
+                                         latencies);
+    EXPECT_GT(RecoveryManager::cpuTime(r, 8),
+              timing.transferTicks(r.bytesScanned));
     EXPECT_GT(serialMergeTime(r, 16, timing), t16); // CPU-bound serially
 
     // Each line's 8 words land in the bucket of its line number's hash.
