@@ -11,8 +11,6 @@
  */
 
 #include <cstdio>
-#include <memory>
-#include <vector>
 
 #include "workloads/registry.hh"
 
@@ -32,18 +30,13 @@ main()
     WorkloadParams params;
     params.valueBytes = 64;
     params.scale = 512;
-    auto factory = makeWorkload("btree", params);
-    std::vector<std::unique_ptr<Workload>> trees;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        trees.push_back(factory(sys, c));
-        trees.back()->setup();
-    }
+    RunDriver trees(sys, makeWorkload("btree", params));
 
     std::printf("growing two B-trees, 200 committed transactions "
                 "each...\n");
     for (int i = 0; i < 200; ++i) {
         for (unsigned c = 0; c < cfg.numCores; ++c)
-            trees[c]->runTransaction(i);
+            trees.wl(c).runTransaction(i);
     }
 
     // Pull the plug 23 stores into the next batch — mid-insert, with
@@ -52,9 +45,9 @@ main()
     sys.scheduleCrashAfterStores(23);
     bool crashed = false;
     try {
-        for (int i = 200; i < 240 && !crashed; ++i) {
+        for (int i = 200; i < 240; ++i) {
             for (unsigned c = 0; c < cfg.numCores; ++c)
-                trees[c]->runTransaction(i);
+                trees.wl(c).runTransaction(i);
         }
     } catch (const SimCrash &) {
         crashed = true;
@@ -72,7 +65,7 @@ main()
 
     bool ok = true;
     for (unsigned c = 0; c < cfg.numCores; ++c) {
-        const bool good = trees[c]->verify();
+        const bool good = trees.wl(c).verify();
         std::printf("B-tree on core %u: %s (keys, order, payload "
                     "versions all checked)\n",
                     c, good ? "intact" : "CORRUPT");

@@ -41,22 +41,20 @@ runOrderCheck(const OrderCheckOptions &opt)
 
     // Warmup runs untracked: rules judge the steady state, and setup /
     // cold-cache traffic would only add noise to the counters.
-    rig.runRounds(0, opt.warmupTx);
+    rig.driver().runRounds(opt.warmupTx);
 
     OrderingTracker tracker;
     sys.armOrdering(&tracker);
 
     OrderCheckReport rep;
-    rig.runRounds(opt.warmupTx, opt.runTx);
+    rig.driver().runRounds(opt.runTx);
     rep.transactions = opt.runTx * cfg.numCores;
     // The final drain pushes every background mechanism to completion
     // (GC, checkpoints, truncation), so drain-side rules must fire at
     // least once in any non-trivial run.
     sys.finalize();
 
-    rep.verified = true;
-    for (auto &wl : rig.workloads())
-        rep.verified = rep.verified && wl->verify();
+    rep.verified = rig.driver().verify();
 
     rep.rules = tracker.ruleReports();
     rep.deadRules = tracker.deadRules();

@@ -83,13 +83,12 @@ rigLabel(const CrashSchedule &s)
  * Run @p s's warm-up on @p rig and arm what its crash window runs
  * under: the runtime faults, zeroed crash-point counts and, when
  * @p s.ordering, @p tracker.
- * @return the window's first transaction index.
  */
-std::uint64_t
+void
 beginWindow(CheckRig &rig, const CrashSchedule &s,
             OrderingTracker &tracker)
 {
-    rig.runRounds(0, s.warmupTx);
+    rig.driver().runRounds(s.warmupTx);
 
     // Faults land after warmup, over capacity that is free *now*: the
     // program-verify contract then guarantees no committed data ever
@@ -105,38 +104,28 @@ beginWindow(CheckRig &rig, const CrashSchedule &s,
     // the crash itself (onCrash retires in-flight state) and recovery.
     if (s.ordering)
         rig.sys().armOrdering(&tracker);
-    return s.warmupTx;
 }
 
 /**
- * Run @p s.runTx rounds of the crash window on @p rig from transaction
- * index @p txi: one transaction per core, then maintenance. @p after,
- * when set, runs after each core's transaction, told whether it was
+ * Run @p s.runTx rounds of the crash window on @p rig. @p after, when
+ * set, runs after each core's transaction, told whether it was
  * rejected.
  */
 void
-runWindow(CheckRig &rig, const CrashSchedule &s, std::uint64_t &txi,
+runWindow(CheckRig &rig, const CrashSchedule &s,
           const std::function<void(unsigned, bool)> &after = {})
 {
-    for (std::uint64_t n = 0; n < s.runTx; ++n, ++txi) {
-        for (unsigned c = 0; c < rig.numCores(); ++c) {
-            bool rejected = false;
-            try {
-                rig.wl(c).runTransaction(txi);
-            } catch (const TxRejected &rj) {
-                // Graceful degradation: an admission reject wrote
-                // nothing; a mid-transaction unwind wrote no commit
-                // record, so crash + recovery discards its partial
-                // effects and the stream continues on the surviving
-                // committed state.
-                rig.resolveReject(rj, c, s.recoverThreads);
-                rejected = true;
-            }
-            if (after)
-                after(c, rejected);
-        }
-        rig.sys().maintenance();
-    }
+    rig.driver().runRounds(s.runTx, [&](unsigned c, const TxRejected *rj) {
+        // Graceful degradation: an admission reject wrote nothing; a
+        // mid-transaction unwind wrote no commit record, so crash +
+        // recovery discards its partial effects and the stream
+        // continues on the surviving committed state.
+        if (rj)
+            rig.resolveReject(*rj, c, s.recoverThreads);
+        if (after)
+            after(c, rj != nullptr);
+        return true;
+    });
 }
 
 /**
@@ -231,7 +220,7 @@ class SweepPass
     run()
     {
         System &sys = rig_.sys();
-        std::uint64_t txi = beginWindow(rig_, base_, tracker_);
+        beginWindow(rig_, base_, tracker_);
         CrashHook &hook = sys.crashHook();
         for (unsigned k = 0; k < kNumCrashPointKinds; ++k) {
             if (!due_[k].empty())
@@ -239,7 +228,7 @@ class SweepPass
                          due_[k].front().first);
         }
         hook.setTap([this](CrashPointKind k) { onCrashPoint(k); });
-        runWindow(rig_, base_, txi, [this](unsigned c, bool rejected) {
+        runWindow(rig_, base_, [this](unsigned c, bool rejected) {
             transactionDone(c, rejected);
         });
         hook.setTap({});
@@ -346,7 +335,7 @@ class SweepPass
         ready.swap(deferred_);
         for (Deferred &d : ready) {
             if (d.core == c && !rejected &&
-                !rig_.wl(c).hasPendingShadow())
+                !rig_.driver().wl(c).hasPendingShadow())
                 judge(d.point, std::move(d.image), c, d.when);
             else
                 points_[d.point].rerun = true;
@@ -377,7 +366,7 @@ runSchedule(const CrashSchedule &sched)
                  sched.tornWrites, rigLabel(sched));
     System &sys = rig.sys();
     OrderingTracker tracker;
-    std::uint64_t txi = beginWindow(rig, sched, tracker);
+    beginWindow(rig, sched, tracker);
     auto finish = [&]() {
         if (sched.ordering) {
             captureOrdering(tracker, &res);
@@ -389,7 +378,7 @@ runSchedule(const CrashSchedule &sched)
     if (sched.steps.empty()) {
         // Profiling run: measure per-class events over a crash-free
         // window, then one end-of-window crash for RecoveryStep counts.
-        runWindow(rig, sched, txi);
+        runWindow(rig, sched);
         res.events = sys.crashHook().counts();
         sys.crash();
         const std::uint64_t before =
@@ -405,7 +394,7 @@ runSchedule(const CrashSchedule &sched)
         sys.crashHook().arm(step.kind, step.countdown);
         bool crashed = false;
         try {
-            runWindow(rig, sched, txi);
+            runWindow(rig, sched);
         } catch (const SimCrash &) {
             crashed = true;
         }

@@ -3,40 +3,23 @@
 #include <algorithm>
 #include <utility>
 
-#include "workloads/registry.hh"
-
 namespace hoopnvm
 {
 
 CheckRig::CheckRig(const SystemConfig &cfg, Scheme scheme,
                    const std::string &workload, bool tornWrites,
                    std::string label)
-    : label_(std::move(label)), sys_(cfg, scheme)
+    : label_(std::move(label)), sys_(cfg, scheme),
+      driver_(sys_, makeWorkload(workload, {.valueBytes = 64,
+                                            .scale = 128}))
 {
     // Fault draws only consult the seed once faults or torn writes
-    // exist, so seeding unconditionally changes nothing else.
+    // exist, so seeding unconditionally changes nothing else. The
+    // workloads' setup() only pokes, which draws nothing, so seeding
+    // after it changes nothing either.
     sys_.nvm().faults().setSeed(cfg.seed ^ 0x7ea55eedULL);
     if (tornWrites)
         sys_.nvm().faults().setTornWrites(true);
-
-    WorkloadParams params;
-    params.valueBytes = 64;
-    params.scale = 128;
-    auto factory = makeWorkload(workload, params);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls_.push_back(factory(sys_, c));
-        wls_.back()->setup();
-    }
-}
-
-void
-CheckRig::runRounds(std::uint64_t first, std::uint64_t rounds)
-{
-    for (std::uint64_t txi = first; txi < first + rounds; ++txi) {
-        for (auto &wl : wls_)
-            wl->runTransaction(txi);
-        sys_.maintenance();
-    }
 }
 
 void
@@ -75,8 +58,8 @@ CheckRig::installRuntimeFaults(double prob, unsigned salt)
 void
 CheckRig::dropPendingShadows()
 {
-    for (auto &wl : wls_)
-        wl->dropPendingShadow();
+    for (unsigned c = 0; c < driver_.numCores(); ++c)
+        driver_.wl(c).dropPendingShadow();
 }
 
 bool
@@ -84,7 +67,7 @@ CheckRig::resolveReject(const TxRejected &rj, unsigned core,
                         unsigned recoverThreads)
 {
     if (rj.cause == RejectCause::CapacityDegraded) {
-        wls_[core]->dropPendingShadow();
+        driver_.wl(core).dropPendingShadow();
         return false;
     }
     sys_.crash();
@@ -96,8 +79,8 @@ CheckRig::resolveReject(const TxRejected &rj, unsigned core,
 bool
 CheckRig::oracle(const std::string &when, std::string *detail)
 {
-    for (unsigned c = 0; c < numCores(); ++c) {
-        Workload &wl = *wls_[c];
+    for (unsigned c = 0; c < driver_.numCores(); ++c) {
+        Workload &wl = driver_.wl(c);
         bool same = wl.verify();
         if (!same && wl.hasPendingShadow()) {
             wl.applyPendingShadow();
@@ -115,8 +98,8 @@ CheckRig::Verdict
 CheckRig::judge(System &image, unsigned *core, const std::string &when,
                 std::string *detail)
 {
-    for (unsigned c = *core; c < numCores(); ++c) {
-        Workload &wl = *wls_[c];
+    for (unsigned c = *core; c < driver_.numCores(); ++c) {
+        Workload &wl = driver_.wl(c);
         wl.rebind(image);
         const bool same = wl.verify();
         const bool pending = !same && wl.hasPendingShadow();
@@ -134,13 +117,13 @@ CheckRig::judge(System &image, unsigned *core, const std::string &when,
 
 bool
 CheckRig::finishCore(unsigned c, bool same, const std::string &when,
-                     std::string *detail) const
+                     std::string *detail)
 {
     std::string why;
     if (!same) {
         why = "committed state lost or phantom data surfaced (" + when +
               ")";
-    } else if (!wls_[c]->verifyStructure(&why)) {
+    } else if (!driver_.wl(c).verifyStructure(&why)) {
         why = "structural invariant broken (" + when + "): " + why;
     } else {
         return true;

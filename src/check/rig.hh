@@ -6,25 +6,22 @@
  *
  * A rig is one System built from the caller's already-tweaked
  * SystemConfig (usually smallCheckConfig() plus the caller's fault and
- * debug knobs), its fault model seeded from the config seed, and one
- * workload instance per core at the checkers' fixed size (64 B values,
- * scale 128), set up and ready to run. The caller owns the transaction
- * loop and handles crashes its own way; resolveReject() is the one way
- * to serve on after a TxRejected.
+ * debug knobs), its fault model seeded from the config seed, and a
+ * RunDriver with one workload instance per core at the checkers' fixed
+ * size (64 B values, scale 128), set up and ready to run. The caller
+ * runs rounds through the driver and handles crashes its own way;
+ * resolveReject() is the one way to serve on after a TxRejected.
  */
 
 #ifndef HOOPNVM_CHECK_RIG_HH
 #define HOOPNVM_CHECK_RIG_HH
 
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "common/errors.hh"
 #include "sim/system.hh"
-#include "workloads/workload.hh"
+#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
@@ -50,16 +47,7 @@ class CheckRig
     CheckRig &operator=(const CheckRig &) = delete;
 
     System &sys() { return sys_; }
-    Workload &wl(unsigned core) { return *wls_[core]; }
-    std::vector<std::unique_ptr<Workload>> &workloads() { return wls_; }
-    unsigned numCores() const { return static_cast<unsigned>(wls_.size()); }
-
-    /**
-     * Run @p rounds rounds with transaction indices starting at
-     * @p first: each round runs one transaction per core, then
-     * controller maintenance.
-     */
-    void runRounds(std::uint64_t first, std::uint64_t rounds);
+    RunDriver &driver() { return driver_; }
 
     /**
      * Install the checkers' shared runtime-fault battery: permanent
@@ -134,11 +122,11 @@ class CheckRig
      * @p same: the structural invariants, and the detail on failure.
      */
     bool finishCore(unsigned c, bool same, const std::string &when,
-                    std::string *detail) const;
+                    std::string *detail);
 
     std::string label_;
     System sys_;
-    std::vector<std::unique_ptr<Workload>> wls_;
+    RunDriver driver_;
 };
 
 } // namespace hoopnvm

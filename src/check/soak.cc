@@ -101,33 +101,7 @@ runSoak(const SoakSpec &spec, const Progress &progress)
         res.uncorrectableReads = sys.nvm().uncorrectableReads();
     };
 
-    rig.runRounds(0, spec.warmupTx);
-    std::uint64_t txi = spec.warmupTx;
-
-    // One phase's transaction window. Admission rejects skip the
-    // transaction; a mid-transaction unwind crashes and recovers onto
-    // the survivor state, which must still hold every commit.
-    // @return false on a violation.
-    auto runWindow = [&](SoakPhaseStats &ph) {
-        for (std::uint64_t n = 0; n < spec.txPerPhase; ++n, ++txi) {
-            for (unsigned c = 0; c < rig.numCores(); ++c) {
-                try {
-                    rig.wl(c).runTransaction(txi);
-                } catch (const TxRejected &rj) {
-                    if (!rig.resolveReject(rj, c, spec.recoverThreads)) {
-                        ++ph.rejectedAdmission;
-                        continue;
-                    }
-                    ++ph.rejectedMidTx;
-                    ++ph.recoveries;
-                    if (!oracle("after mid-transaction unwind recovery"))
-                        return false;
-                }
-            }
-            sys.maintenance();
-        }
-        return true;
-    };
+    rig.driver().runRounds(spec.warmupTx);
 
     double prob = spec.faultProb;
     for (unsigned phase = 0; phase < spec.phases;
@@ -139,14 +113,28 @@ runSoak(const SoakSpec &spec, const Progress &progress)
         SoakPhaseStats ph;
         ph.faultProb = prob;
         rig.installRuntimeFaults(prob, phase);
-        const bool survived = runWindow(ph);
+        // Admission rejects skip the transaction; a mid-transaction
+        // unwind crashes and recovers onto the survivor state, which
+        // must still hold every commit.
+        rig.driver().runRounds(
+            spec.txPerPhase, [&](unsigned c, const TxRejected *rj) {
+                if (!rj)
+                    return true;
+                if (!rig.resolveReject(*rj, c, spec.recoverThreads)) {
+                    ++ph.rejectedAdmission;
+                    return true;
+                }
+                ++ph.rejectedMidTx;
+                ++ph.recoveries;
+                return oracle("after mid-transaction unwind recovery");
+            });
 
         res.rejectedAdmission += ph.rejectedAdmission;
         res.rejectedMidTx += ph.rejectedMidTx;
         res.recoveries += ph.recoveries;
         res.phases.push_back(ph);
 
-        if (!survived ||
+        if (res.violated ||
             !oracle("end of phase " + std::to_string(phase))) {
             sampleGauges();
             return res;

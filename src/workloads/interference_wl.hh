@@ -1,6 +1,6 @@
 /**
  * @file
- * Mixed-role interference workload (ROADMAP item 3).
+ * Mixed-role interference workload (DESIGN.md §8b).
  *
  * Unlike the Table III suite — where every core runs the same loop —
  * each core here is assigned one of four traffic roles modelled on

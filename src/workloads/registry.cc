@@ -93,20 +93,20 @@ workloadKnown(const std::string &name)
                      name) != std::end(kTableIIIWorkloads);
 }
 
-RunOutcome
-runWorkload(System &sys, const WorkloadFactory &factory,
-            std::uint64_t tx_per_core)
+RunDriver::RunDriver(System &sys, const WorkloadFactory &factory)
+    : sys_(sys), done_(sys.config().numCores, 0)
 {
-    const unsigned n_cores = sys.config().numCores;
-    std::vector<std::unique_ptr<Workload>> workloads;
-    workloads.reserve(n_cores);
-    for (unsigned c = 0; c < n_cores; ++c) {
-        workloads.push_back(factory(sys, c));
-        workloads.back()->setup();
+    for (unsigned c = 0; c < sys.config().numCores; ++c) {
+        wls_.push_back(factory(sys, c));
+        wls_.back()->setup();
     }
+}
 
-    sys.beginMeasurement();
-    std::vector<std::uint64_t> done(n_cores, 0);
+void
+RunDriver::runMinClock(std::uint64_t tx_per_core)
+{
+    const unsigned n_cores = numCores();
+    std::vector<std::uint64_t> left(n_cores, tx_per_core);
     std::uint64_t remaining = tx_per_core * n_cores;
 
     while (remaining > 0) {
@@ -115,41 +115,73 @@ runWorkload(System &sys, const WorkloadFactory &factory,
         unsigned next = n_cores;
         Tick best = kNeverTick;
         for (unsigned c = 0; c < n_cores; ++c) {
-            if (done[c] < tx_per_core && sys.core(c).clock() < best) {
-                best = sys.core(c).clock();
+            if (left[c] > 0 && sys_.core(c).clock() < best) {
+                best = sys_.core(c).clock();
                 next = c;
             }
         }
         HOOP_ASSERT(next < n_cores, "no runnable core");
         {
             HostTimer ht(HostProfiler::kExecute);
-            workloads[next]->runTransaction(done[next]);
+            wls_[next]->runTransaction(done_[next]++);
         }
-        ++done[next];
+        --left[next];
         --remaining;
         {
             HostTimer ht(HostProfiler::kMaintenance);
-            sys.maintenance();
+            sys_.maintenance();
         }
     }
+}
+
+void
+RunDriver::runRounds(std::uint64_t rounds, const TxHook &hook)
+{
+    for (std::uint64_t r = 0; r < rounds; ++r) {
+        for (unsigned c = 0; c < numCores(); ++c) {
+            try {
+                wls_[c]->runTransaction(done_[c]++);
+            } catch (const TxRejected &rj) {
+                if (!hook)
+                    throw;
+                if (!hook(c, &rj))
+                    return;
+                continue;
+            }
+            if (hook && !hook(c, nullptr))
+                return;
+        }
+        sys_.maintenance();
+    }
+}
+
+bool
+RunDriver::verify()
+{
+    HostTimer ht(HostProfiler::kVerify);
+    // Nothing mutates simulated state during verification, so batched
+    // debug reads are safe.
+    sys_.caches().beginDebugBatch();
+    bool ok = true;
+    for (const auto &wl : wls_)
+        ok = ok && wl->verify();
+    sys_.caches().endDebugBatch();
+    return ok;
+}
+
+RunOutcome
+runWorkload(System &sys, const WorkloadFactory &factory,
+            std::uint64_t tx_per_core)
+{
+    RunDriver driver(sys, factory);
+    sys.beginMeasurement();
+    driver.runMinClock(tx_per_core);
     {
         HostTimer ht(HostProfiler::kDrain);
         sys.finalize();
     }
 
-    RunOutcome out;
-    out.metrics = sys.metrics();
-    out.verified = true;
-    {
-        HostTimer ht(HostProfiler::kVerify);
-        // The run is finalized: nothing mutates simulated state during
-        // verification, so batched debug reads are safe.
-        sys.caches().beginDebugBatch();
-        for (const auto &wl : workloads)
-            out.verified = out.verified && wl->verify();
-        sys.caches().endDebugBatch();
-    }
-    return out;
+    return {sys.metrics(), driver.verify()};
 }
 
 } // namespace hoopnvm

@@ -38,7 +38,11 @@ class Workload
     /** Build the initial data set (untimed pokes allowed). */
     virtual void setup() = 0;
 
-    /** Execute the i-th transaction. */
+    /**
+     * Execute one transaction. @p i is this core's transaction count
+     * (RunDriver passes it). No workload reads it; it stays because
+     * perfbench's OopFillWorkload overrides this signature.
+     */
     virtual void runTransaction(std::uint64_t i) = 0;
 
     /**

@@ -66,27 +66,17 @@ crashAndVerify(Scheme scheme, const char *wl_name,
         sys.nvm().faults().setSeed(torn_seed);
         sys.nvm().faults().setTornWrites(true);
     }
-    auto factory = makeWorkload(wl_name, crashParams());
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
+    RunDriver driver(sys, makeWorkload(wl_name, crashParams()));
+    driver.runRounds(warmup_tx);
 
-    std::uint64_t i = 0;
-    for (; i < warmup_tx; ++i) {
-        for (unsigned c = 0; c < cfg.numCores; ++c)
-            wls[c]->runTransaction(i);
-        sys.maintenance();
-    }
-
-    // Crash somewhere inside the upcoming transactions.
+    // Crash somewhere inside the upcoming transactions, which run with
+    // no maintenance between them.
     sys.scheduleCrashAfterStores(crash_after_stores);
     bool crashed = false;
     try {
-        for (; i < warmup_tx + 50 && !crashed; ++i) {
+        for (std::uint64_t i = warmup_tx; i < warmup_tx + 50; ++i) {
             for (unsigned c = 0; c < cfg.numCores; ++c)
-                wls[c]->runTransaction(i);
+                driver.wl(c).runTransaction(i);
         }
     } catch (const SimCrash &) {
         crashed = true;
@@ -97,11 +87,11 @@ crashAndVerify(Scheme scheme, const char *wl_name,
     sys.recover(threads);
 
     for (unsigned c = 0; c < cfg.numCores; ++c) {
-        EXPECT_TRUE(wls[c]->verify())
+        EXPECT_TRUE(driver.wl(c).verify())
             << schemeName(scheme) << "/" << wl_name << " core " << c
             << " crash_after=" << crash_after_stores;
         std::string why;
-        EXPECT_TRUE(wls[c]->verifyStructure(&why))
+        EXPECT_TRUE(driver.wl(c).verifyStructure(&why))
             << schemeName(scheme) << "/" << wl_name << " core " << c
             << " crash_after=" << crash_after_stores << ": " << why;
     }
@@ -478,26 +468,12 @@ TEST_P(AdoptedImage, RecoversLikeTheCrashedSystem)
                 sys.nvm().faults().setSeed(0x1ea5e + point);
                 sys.nvm().faults().setTornWrites(true);
             }
-            auto factory = makeWorkload("btree", crashParams());
-            std::vector<std::unique_ptr<Workload>> wls;
-            for (unsigned c = 0; c < cfg.numCores; ++c) {
-                wls.push_back(factory(sys, c));
-                wls.back()->setup();
-            }
-            std::uint64_t i = 0;
-            for (; i < 10; ++i) {
-                for (auto &wl : wls)
-                    wl->runTransaction(i);
-                sys.maintenance();
-            }
+            RunDriver driver(sys, makeWorkload("btree", crashParams()));
+            driver.runRounds(10);
             sys.crashHook().arm(kind, point);
             bool crashed = false;
             try {
-                for (; i < 50; ++i) {
-                    for (auto &wl : wls)
-                        wl->runTransaction(i);
-                    sys.maintenance();
-                }
+                driver.runRounds(40);
             } catch (const SimCrash &) {
                 crashed = true;
             }
@@ -526,7 +502,7 @@ TEST_P(AdoptedImage, RecoversLikeTheCrashedSystem)
                 EXPECT_EQ(got, want) << at << ": core " << c
                                      << " home bytes differ";
 
-                Workload &wl = *wls[c];
+                Workload &wl = driver.wl(c);
                 std::string why_sys, why_image;
                 const bool same_sys = wl.verify();
                 const bool shape_sys = wl.verifyStructure(&why_sys);

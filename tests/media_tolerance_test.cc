@@ -246,13 +246,13 @@ TEST(MediaTolerance, ScrubRetirementSurvivesCrashAndRecovery)
 {
     CheckRig rig(toleranceConfig(2, 7), Scheme::Hoop, "vector", false,
                  "hoop/vector");
-    rig.runRounds(0, 10); // warmup: put committed data on the media
+    rig.driver().runRounds(10); // warmup: put committed data on the media
 
     // Permanent damage over then-free capacity only: the program-
     // verify contract keeps new data off it, so committed data must
     // survive while the scrubber and allocators retire the bad units.
     rig.installRuntimeFaults(0.05, 0);
-    rig.runRounds(10, 80);
+    rig.driver().runRounds(80);
 
     System &sys = rig.sys();
     const ControllerGauges before = sys.controller().sampleGauges();
@@ -290,22 +290,20 @@ TEST(MediaTolerance, MidTxRejectionUnwindsThroughCrashRecovery)
     cfg.auxBytes = 2 * 1024 * 1024;
     CheckRig rig(cfg, Scheme::OptRedo, "vector", false, "redo/vector");
     System &sys = rig.sys();
-    rig.runRounds(0, 10);
+    rig.driver().runRounds(10);
 
     for (const auto &r : sys.controller().freeMediaRanges())
         sys.nvm().faults().addMediaFault(
             r.first, r.second, MediaFaultKind::StuckAtOne, 1.0, 8);
 
+    // One core: each round is a transaction, then maintenance. The
+    // first reject stops the run before its round's maintenance.
     std::optional<TxRejected> rejected;
-    std::uint64_t txi = 10;
-    for (unsigned n = 0; n < 200 && !rejected; ++n) {
-        try {
-            rig.wl(0).runTransaction(txi++);
-            sys.maintenance();
-        } catch (const TxRejected &rj) {
-            rejected = rj;
-        }
-    }
+    rig.driver().runRounds(200, [&](unsigned, const TxRejected *rj) {
+        if (rj)
+            rejected = *rj;
+        return !rj;
+    });
     ASSERT_TRUE(rejected)
         << "ring with every free slot uncorrectable never exhausted";
     EXPECT_NE(rejected->cause, RejectCause::CapacityDegraded)
@@ -328,20 +326,21 @@ TEST(MediaTolerance, AdmissionRejectDropsOnlyThatCoresShadow)
     CheckRig rig(toleranceConfig(2, 5), Scheme::Hoop, "vector", false,
                  "hoop/vector");
     System &sys = rig.sys();
-    rig.runRounds(0, 5);
+    rig.driver().runRounds(5);
     // A crash inside txEnd leaves the commit's shadow update staged.
     sys.scheduleCrashAtCommit(1);
-    EXPECT_THROW(rig.wl(0).runTransaction(5), SimCrash);
-    ASSERT_TRUE(rig.wl(0).hasPendingShadow());
+    Workload &wl0 = rig.driver().wl(0);
+    EXPECT_THROW(wl0.runTransaction(5), SimCrash);
+    ASSERT_TRUE(wl0.hasPendingShadow());
 
     const TxRejected admission{RejectCause::CapacityDegraded, ""};
     const std::uint64_t recoveries =
         sys.controller().stats().value("recoveries");
     EXPECT_FALSE(rig.resolveReject(admission, 1, 2));
-    EXPECT_TRUE(rig.wl(0).hasPendingShadow())
+    EXPECT_TRUE(wl0.hasPendingShadow())
         << "a reject on core 1 dropped core 0's staged shadow";
     EXPECT_FALSE(rig.resolveReject(admission, 0, 2));
-    EXPECT_FALSE(rig.wl(0).hasPendingShadow());
+    EXPECT_FALSE(wl0.hasPendingShadow());
     EXPECT_EQ(sys.controller().stats().value("recoveries"), recoveries)
         << "an admission reject crashed and recovered";
 }
@@ -358,14 +357,14 @@ TEST(MediaTolerance, ExhaustionRejectsCrashAndRecover)
         SCOPED_TRACE(rejectCauseName(cause));
         CheckRig rig(toleranceConfig(2, 9), scheme, "vector", false,
                      schemeToken(scheme));
-        rig.runRounds(0, 10);
+        rig.driver().runRounds(10);
         const StatSet &stats = rig.sys().controller().stats();
         const std::uint64_t recoveries = stats.value("recoveries");
         EXPECT_TRUE(rig.resolveReject({cause, ""}, 0, 2));
         EXPECT_EQ(stats.value("recoveries"), recoveries + 1);
         std::string detail;
         EXPECT_TRUE(rig.oracle("after the unwind", &detail)) << detail;
-        rig.runRounds(10, 5);
+        rig.driver().runRounds(5);
         EXPECT_TRUE(rig.oracle("serving after the unwind", &detail))
             << detail;
     }

@@ -185,11 +185,11 @@ retireRule(Scheme s, const std::string &rule, bool skipSettleFences)
     cfg.ft.scrubPeriod = cfg.gcPeriod;
     cfg.debugSkipSettleFences = skipSettleFences;
     CheckRig rig(cfg, s, "vector", false, "");
-    rig.runRounds(0, 10);
+    rig.driver().runRounds(10);
     rig.installRuntimeFaults(0.05, 0);
     OrderingTracker tracker;
     rig.sys().armOrdering(&tracker);
-    rig.runRounds(10, 60);
+    rig.driver().runRounds(60);
     rig.sys().armOrdering(nullptr);
     for (const OrderingRuleReport &rr : tracker.ruleReports()) {
         if (rr.name == rule)

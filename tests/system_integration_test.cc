@@ -129,21 +129,16 @@ TEST(CrashRecovery, WorkloadSurvivesCrashOnHoop)
 {
     SystemConfig cfg = intConfig();
     System sys(cfg, Scheme::Hoop);
-    auto factory = makeWorkload("hashmap", smallParams());
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
+    RunDriver driver(sys, makeWorkload("hashmap", smallParams()));
     for (int i = 0; i < 60; ++i) {
         for (unsigned c = 0; c < cfg.numCores; ++c)
-            wls[c]->runTransaction(i);
+            driver.wl(c).runTransaction(i);
     }
     // Power failure with plenty of dirty state in the caches.
     sys.crash();
     sys.recover(4);
     for (unsigned c = 0; c < cfg.numCores; ++c)
-        EXPECT_TRUE(wls[c]->verify()) << "core " << c;
+        EXPECT_TRUE(driver.wl(c).verify()) << "core " << c;
 }
 
 TEST(CrashRecovery, HoopRecoveryTimeScalesWithThreads)

@@ -2,10 +2,15 @@
  * @file
  * Functional tests for the Table III workload suite: every structure
  * runs transactions on the native system and verifies against its
- * committed shadow, for both of the paper's item sizes.
+ * committed shadow, for both of the paper's item sizes. Also the run
+ * driver's two orders, its transaction indices and its reject hook.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "metrics_equal.hh"
 #include "workloads/registry.hh"
@@ -140,21 +145,116 @@ TEST(WorkloadSuite, VerifyCatchesCorruption)
     // Corrupting committed home data after a run must fail verify.
     SystemConfig cfg = wlConfig();
     System sys(cfg, Scheme::Native);
-    auto factory = makeWorkload("vector", smallParams(64));
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
+    RunDriver driver(sys, makeWorkload("vector", smallParams(64)));
     for (int i = 0; i < 20; ++i)
-        wls[0]->runTransaction(i);
+        driver.wl(0).runTransaction(i);
     sys.finalize();
-    ASSERT_TRUE(wls[0]->verify());
+    ASSERT_TRUE(driver.wl(0).verify());
 
     // Smash a word of core 0's arena (vector items live right after
     // the size word's line).
     sys.nvm().pokeWord(kCacheLineSize + 128, 0xdeadbeef);
-    EXPECT_FALSE(wls[0]->verify());
+    EXPECT_FALSE(driver.wl(0).verify());
+}
+
+/** (core, index) of each transaction, in the order they ran. */
+using TxLog = std::vector<std::pair<unsigned, std::uint64_t>>;
+
+/** Calls the test's @p onTx(core, index), then idles (core + 1) x 100
+ *  ticks, as each transaction. */
+class ScriptedWorkload : public Workload
+{
+  public:
+    using OnTx = std::function<void(unsigned, std::uint64_t)>;
+
+    ScriptedWorkload(System &sys, CoreId core, OnTx onTx)
+        : Workload(TxContext(sys, core, 1)), onTx_(std::move(onTx))
+    {
+    }
+
+    const char *name() const override { return "scripted"; }
+    void setup() override {}
+    bool verify() const override { return true; }
+
+    void
+    runTransaction(std::uint64_t i) override
+    {
+        onTx_(ctx.core(), i);
+        ctx.idle((ctx.core() + 1) * 100);
+    }
+
+  private:
+    OnTx onTx_;
+};
+
+/** A two-core Native System driving ScriptedWorkloads. */
+struct ScriptedRun
+{
+    explicit ScriptedRun(const ScriptedWorkload::OnTx &onTx)
+        : driver(sys, [&](System &s, CoreId c) {
+              return std::make_unique<ScriptedWorkload>(s, c, onTx);
+          })
+    {
+    }
+
+    System sys{wlConfig(), Scheme::Native};
+    RunDriver driver;
+};
+
+TEST(RunDriver, MinClockPicksTheCoreFurthestBehindThenRoundsContinue)
+{
+    TxLog log;
+    ScriptedRun run([&](unsigned c, std::uint64_t i) {
+        log.emplace_back(c, i);
+    });
+    // Ties (both at 0, then both at 200) go to the lowest index; a core
+    // with its quota done drops out (core 0 at 300, core 1 at 400).
+    run.driver.runMinClock(3);
+    // Rounds take the cores in index order. Each call's indices go on
+    // from each core's count.
+    run.driver.runRounds(1);
+    run.driver.runMinClock(1);
+    const TxLog want = {{0, 0}, {1, 0}, {0, 1}, {0, 2}, {1, 1},
+                        {1, 2}, {0, 3}, {1, 3}, {0, 4}, {1, 4}};
+    EXPECT_EQ(log, want);
+}
+
+TEST(RunDriver, HookStopsTheRoundAndOnlyRejectsReachIt)
+{
+    // Core 0's second transaction runs throwAt.
+    std::function<void()> throwAt = [] { throw TxRejected{}; };
+    TxLog log;
+    auto onTx = [&](unsigned c, std::uint64_t i) {
+        log.emplace_back(c, i);
+        if (c == 0 && i == 1)
+            throwAt();
+    };
+    // A hook that says stop, after a reject or after a transaction that
+    // returned, ends the run before core 1's second transaction.
+    const TxLog want = {{0, 0}, {1, 0}, {0, 1}};
+
+    TxLog calls;
+    ScriptedRun(onTx).driver.runRounds(
+        3, [&](unsigned c, const TxRejected *rj) {
+            calls.emplace_back(c, rj != nullptr);
+            return !rj;
+        });
+    EXPECT_EQ(log, want);
+    const TxLog want_calls = {{0, false}, {1, false}, {0, true}};
+    EXPECT_EQ(calls, want_calls);
+
+    log.clear();
+    throwAt = [] {};
+    ScriptedRun(onTx).driver.runRounds(
+        3, [&](unsigned, const TxRejected *) { return log.size() < 3; });
+    EXPECT_EQ(log, want);
+
+    throwAt = [] { throw TxRejected{}; };
+    EXPECT_THROW(ScriptedRun(onTx).driver.runRounds(3), TxRejected);
+
+    throwAt = [] { throw SimCrash{}; };
+    auto carryOn = [](unsigned, const TxRejected *) { return true; };
+    EXPECT_THROW(ScriptedRun(onTx).driver.runRounds(3, carryOn), SimCrash);
 }
 
 } // namespace
